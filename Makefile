@@ -65,10 +65,10 @@ race-codec:
 	$(GO) test -race -run 'BatchIdentity' ./internal/engine
 
 # Race pass over the sub-shard analysis pipeline: the workers x seeds
-# byte-identity matrix for fleet and stream, the grain and dispatch-order
+# byte-identity matrix for fleet and stream, the dispatch-order
 # identities, and the counter-seeded bootstrap partition-invariance tests.
 race-engine:
-	$(GO) test -race -run 'SubShard|Grain|DispatchOrder|Partition|RepSeed' ./internal/engine ./internal/dist
+	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed' ./internal/engine ./internal/dist
 
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/failures

@@ -4,8 +4,8 @@
 // are only meaningful alongside the recorded CPU count: on a single-core
 // host every worker count collapses to ~1x, so the report also carries a
 // makespan model built from measured per-task times that projects how the
-// sub-shard grain (per-family fits, per-rep-block bootstraps) compares to
-// whole-shard scheduling on a real multicore machine.
+// engine's sub-shard tasks (per-family fits, per-rep-block bootstraps)
+// compare to whole-shard scheduling on a real multicore machine.
 //
 // Usage:
 //
@@ -45,25 +45,17 @@ type scalePoint struct {
 	CacheMiss          uint64  `json:"fit_cache_misses"`
 }
 
-// grainPoint compares wall clock of the two scheduling grains at one
-// worker count.
-type grainPoint struct {
-	Workers    int     `json:"workers"`
-	ShardMs    float64 `json:"shard_grain_best_ms"`
-	SubShardMs float64 `json:"sub_shard_grain_best_ms"`
-}
-
 // makespanPoint is the LPT (longest-processing-time-first) makespan of the
-// measured task set at one worker count, for both grains. The model
-// schedules real measured task durations, so it captures the trace's
-// shard-size skew exactly; it assumes perfect cores and no scheduling
-// overhead, which favors neither grain.
+// measured task set at one worker count, scheduled as whole shards and
+// as sub-shard tasks. The model schedules real measured task durations, so
+// it captures the trace's shard-size skew exactly; it assumes perfect
+// cores and no scheduling overhead, which favors neither schedule.
 type makespanPoint struct {
 	Workers     int     `json:"workers"`
 	ShardOnlyMs float64 `json:"shard_only_lpt_ms"`
 	SubShardMs  float64 `json:"sub_shard_lpt_ms"`
-	// AdvantageX is shard_only over sub_shard: >1 means the sub-shard
-	// grain finishes first at this worker count.
+	// AdvantageX is shard_only over sub_shard: >1 means sub-shard tasks
+	// finish first at this worker count.
 	AdvantageX float64 `json:"sub_shard_advantage_x"`
 }
 
@@ -89,7 +81,6 @@ type benchReport struct {
 	BootstrapReps int            `json:"bootstrap_reps"`
 	RepsPerPoint  int            `json:"timing_reps_per_point"`
 	Scaling       []scalePoint   `json:"scaling"`
-	Grains        []grainPoint   `json:"grain_comparison"`
 	Makespan      *makespanModel `json:"makespan_model"`
 	Note          string         `json:"note"`
 }
@@ -158,19 +149,18 @@ func run(args []string) error {
 		TraceSystems:  len(dataset.Systems()),
 		BootstrapReps: *bootstrap,
 		RepsPerPoint:  *reps,
-		Note: "deterministic pipeline: output is byte-identical at every worker count, " +
-			"GOMAXPROCS and grain; wall-clock speedup is bounded by min(workers, num_cpu), " +
+		Note: "deterministic pipeline: output is byte-identical at every worker count " +
+			"and GOMAXPROCS; wall-clock speedup is bounded by min(workers, num_cpu), " +
 			"so on a single-CPU host the makespan_model carries the multicore comparison",
 	}
 
-	// Workers x GOMAXPROCS wall-clock matrix at the default (sub-shard)
-	// grain.
+	// Workers x GOMAXPROCS wall-clock matrix.
 	for _, g := range procs {
 		runtime.GOMAXPROCS(g)
 		var baselineBest float64
 		for _, workers := range counts {
 			best, mean, misses, shards, err := timeFleet(ctx, dataset, spec,
-				engine.GrainSubShard, workers, *bootstrap, *seed, *reps)
+				workers, *bootstrap, *seed, *reps)
 			if err != nil {
 				return err
 			}
@@ -197,25 +187,6 @@ func run(args []string) error {
 	}
 	runtime.GOMAXPROCS(startProcs)
 
-	// Head-to-head wall clock of the two grains at each worker count.
-	for _, workers := range counts {
-		shardBest, _, _, _, err := timeFleet(ctx, dataset, spec,
-			engine.GrainShard, workers, *bootstrap, *seed, *reps)
-		if err != nil {
-			return err
-		}
-		subBest, _, _, _, err := timeFleet(ctx, dataset, spec,
-			engine.GrainSubShard, workers, *bootstrap, *seed, *reps)
-		if err != nil {
-			return err
-		}
-		report.Grains = append(report.Grains, grainPoint{
-			Workers:    workers,
-			ShardMs:    round2(shardBest),
-			SubShardMs: round2(subBest),
-		})
-	}
-
 	model, err := buildMakespanModel(dataset, spec, *bootstrap, *seed, counts)
 	if err != nil {
 		return fmt.Errorf("makespan model: %w", err)
@@ -239,11 +210,11 @@ func run(args []string) error {
 }
 
 func timeFleet(ctx context.Context, d *failures.Dataset, spec engine.ShardSpec,
-	grain engine.Grain, workers, bootstrap int, seed int64, reps int) (best, mean float64, misses uint64, shards int, err error) {
+	workers, bootstrap int, seed int64, reps int) (best, mean float64, misses uint64, shards int, err error) {
 	best = -1
 	for r := 0; r < reps; r++ {
 		// Fresh engine per repetition so the memo cache never hides work.
-		eng := engine.New(engine.Options{Workers: workers, BootstrapReps: bootstrap, Seed: seed, Grain: grain})
+		eng := engine.New(engine.Options{Workers: workers, BootstrapReps: bootstrap, Seed: seed})
 		start := time.Now()
 		res, ferr := eng.AnalyzeFleet(ctx, d, spec)
 		if ferr != nil {
@@ -269,10 +240,10 @@ type bootTask struct {
 
 // buildMakespanModel measures every task the engine would schedule on this
 // trace — one fit per (sample, family) and one bootstrap run per CI — then
-// computes LPT makespans for both grains at each worker count. Shard-only
+// computes LPT makespans for both schedules at each worker count. Shard-only
 // schedules the per-shard sums in one phase; sub-shard schedules the fit
 // tasks and the rep-block tasks in two phases, mirroring the engine's
-// barriers. Prepare and merge costs are omitted from both grains alike:
+// barriers. Prepare and merge costs are omitted from both alike:
 // fitting and resampling dominate.
 func buildMakespanModel(d *failures.Dataset, spec engine.ShardSpec,
 	bootstrap int, seed int64, counts []int) (*makespanModel, error) {

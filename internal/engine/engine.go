@@ -43,11 +43,6 @@ type Options struct {
 	// deterministically from (Seed, sample hash, family), so results do not
 	// depend on worker scheduling.
 	Seed int64
-	// Grain selects the unit of parallelism for fleet/stream analyses:
-	// GrainSubShard (default) fans out per-(sample, family) fits and
-	// per-rep-block bootstraps; GrainShard keeps the historical
-	// one-task-per-shard decomposition. Both produce identical bytes.
-	Grain Grain
 }
 
 // Engine is a concurrent, memoizing distribution-fitting pipeline. It is
@@ -57,7 +52,6 @@ type Engine struct {
 	reps    int
 	level   float64
 	seed    int64
-	grain   Grain
 	// enumOrder disables largest-first dispatch (tests only): shards are
 	// fed in enumeration order, proving ordering never changes output.
 	enumOrder bool
@@ -136,7 +130,6 @@ func New(opts Options) *Engine {
 		reps:    opts.BootstrapReps,
 		level:   opts.Level,
 		seed:    opts.Seed,
-		grain:   opts.Grain,
 		fits:    make(map[fitKey][]*fitEntry),
 		cis:     make(map[fitKey][]*ciEntry),
 		samples: make(map[uint64][]*sampleEntry),

@@ -147,18 +147,9 @@ func (inc *Incremental) Info() StreamInfo {
 }
 
 func (inc *Incremental) infoLocked() StreamInfo {
-	info := StreamInfo{
-		RecordsScanned: inc.records,
-		OutOfOrder:     inc.outOfOrder,
-		SketchEpsilon:  inc.opts.SketchEpsilon,
-		ReservoirSize:  inc.opts.ReservoirSize,
-	}
-	if info.SketchEpsilon <= 0 {
-		info.SketchEpsilon = streamstats.DefaultSketchEpsilon
-	}
-	if info.ReservoirSize <= 0 {
-		info.ReservoirSize = streamstats.DefaultReservoirSize
-	}
+	info := inc.opts.info()
+	info.RecordsScanned = inc.records
+	info.OutOfOrder = inc.outOfOrder
 	return info
 }
 
@@ -170,66 +161,40 @@ func (inc *Incremental) infoLocked() StreamInfo {
 // into it. Calling Result with nothing appended returns
 // failures.ErrNoRecords, matching AnalyzeStream.
 func (inc *Incremental) Result(ctx context.Context) (*FleetResult, *StreamInfo, error) {
-	type job struct {
-		i   int
-		key ShardKey
-		acc *shardAccum
-		seq uint64
-	}
-
 	inc.mu.Lock()
 	if inc.records == 0 {
 		inc.mu.Unlock()
 		return nil, nil, fmt.Errorf("engine incremental result: %w", failures.ErrNoRecords)
 	}
-	keys := streamShardKeys(inc.accums, inc.opts.Spec)
+	keys := shardOrder(inc.accums, inc.opts.Spec)
 	out := make([]ShardResult, len(keys))
-	var jobs []job
+	var jobs []*shardJob
+	var seqs []uint64 // seqs[n] is the fold count jobs[n] was frozen at
 	for i, key := range keys {
 		if c, ok := inc.cache[key]; ok && c.seq == inc.seq[key] {
 			out[i] = c.res
 			continue
 		}
-		jobs = append(jobs, job{i: i, key: key, acc: inc.accums[key].freeze(), seq: inc.seq[key]})
+		acc := inc.accums[key].freeze()
+		jobs = append(jobs, &shardJob{pos: i, key: key, size: acc.records, acc: acc})
+		seqs = append(seqs, inc.seq[key])
 	}
 	info := inc.infoLocked()
 	inc.mu.Unlock()
 
 	// Fit the dirty shards outside the lock, over the same sub-shard
-	// pipeline (or per-shard tasks under GrainShard) the one-shot paths
-	// use, largest dirty shard first.
-	if inc.eng.grain == GrainShard {
-		sizes := make([]int, len(jobs))
-		for j := range jobs {
-			sizes[j] = jobs[j].acc.records
-		}
-		ord := inc.eng.orderIndexes(sizes)
-		inc.eng.runPhase(ctx, len(ord), func(i int) {
-			j := ord[i]
-			out[jobs[j].i] = inc.eng.streamShardResult(ctx, jobs[j].key, jobs[j].acc, inc.opts.Spec)
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		sjobs := make([]*shardJob, len(jobs))
-		for j := range jobs {
-			sjobs[j] = &shardJob{pos: jobs[j].i, key: jobs[j].key, size: jobs[j].acc.records, acc: jobs[j].acc}
-		}
-		if err := inc.eng.analyzeJobs(ctx, sjobs, nil, inc.opts.Spec); err != nil {
-			return nil, nil, err
-		}
-		for j := range jobs {
-			out[jobs[j].i] = sjobs[j].res
-		}
+	// pipeline the one-shot paths use, largest dirty shard first.
+	if err := inc.eng.analyzeJobs(ctx, jobs, nil, inc.opts.Spec); err != nil {
+		return nil, nil, err
 	}
 
 	// Publish to the cache. A concurrent Result may have computed a
 	// fresher view of the same shard; only ever replace older entries.
 	inc.mu.Lock()
-	for _, j := range jobs {
-		if cur, ok := inc.cache[j.key]; !ok || cur.seq < j.seq {
-			inc.cache[j.key] = cachedShard{res: out[j.i], seq: j.seq}
+	for n, j := range jobs {
+		out[j.pos] = j.res
+		if cur, ok := inc.cache[j.key]; !ok || cur.seq < seqs[n] {
+			inc.cache[j.key] = cachedShard{res: j.res, seq: seqs[n]}
 		}
 	}
 	inc.mu.Unlock()
@@ -254,7 +219,7 @@ type ShardRate struct {
 func (inc *Incremental) Rates() []ShardRate {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	keys := streamShardKeys(inc.accums, inc.opts.Spec)
+	keys := shardOrder(inc.accums, inc.opts.Spec)
 	rates := make([]ShardRate, 0, len(keys))
 	for _, key := range keys {
 		a := inc.accums[key]
@@ -318,7 +283,7 @@ func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 	buf = binary.AppendUvarint(buf, uint64(inc.records))
 	buf = binary.AppendUvarint(buf, uint64(inc.outOfOrder))
 
-	keys := streamShardKeys(inc.accums, spec)
+	keys := shardOrder(inc.accums, spec)
 	if len(keys) != len(inc.accums) {
 		return fmt.Errorf("engine incremental snapshot: %d shards enumerate as %d", len(inc.accums), len(keys))
 	}

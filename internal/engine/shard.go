@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"hpcfail/internal/dist"
 	"hpcfail/internal/failures"
@@ -169,32 +170,59 @@ func (r *FleetResult) Shard(key ShardKey) (ShardResult, bool) {
 	return ShardResult{}, false
 }
 
-// buildShards enumerates the shard keys of a dataset under a spec in a
-// deterministic order.
-func buildShards(d *failures.Dataset, spec ShardSpec) []ShardKey {
+// shardOrder enumerates the shards present as keys of m in the canonical
+// order: fleet aggregate first, then systems ascending, each followed by
+// its workload shards (in Workloads() order) and cause shards (in Causes()
+// order). AnalyzeFleet, AnalyzeStream and Incremental all merge in this
+// order, so their results line up shard for shard.
+func shardOrder[V any](m map[ShardKey]V, spec ShardSpec) []ShardKey {
+	var systems []int
+	for key := range m {
+		if key.System != 0 && key.Workload == 0 && key.Cause == 0 {
+			systems = append(systems, key.System)
+		}
+	}
+	sort.Ints(systems)
 	var keys []ShardKey
 	if spec.IncludeFleet {
-		keys = append(keys, ShardKey{})
+		if _, ok := m[ShardKey{}]; ok {
+			keys = append(keys, ShardKey{})
+		}
 	}
-	for _, id := range d.Systems() {
+	for _, id := range systems {
 		keys = append(keys, ShardKey{System: id})
-		sub := d.BySystem(id)
 		if spec.ByWorkload {
 			for _, w := range failures.Workloads() {
-				if sub.ByWorkload(w).Len() > 0 {
+				if _, ok := m[ShardKey{System: id, Workload: w}]; ok {
 					keys = append(keys, ShardKey{System: id, Workload: w})
 				}
 			}
 		}
 		if spec.ByCause {
 			for _, c := range failures.Causes() {
-				if sub.ByCause(c).Len() > 0 {
+				if _, ok := m[ShardKey{System: id, Cause: c}]; ok {
 					keys = append(keys, ShardKey{System: id, Cause: c})
 				}
 			}
 		}
 	}
 	return keys
+}
+
+// fleetShardSizes counts each shard's records in one dataset pass, using
+// the same per-record fanout the streaming path folds with. Its keys are
+// exactly the shards holding records; the counts only order the dispatch
+// and never influence a result.
+func fleetShardSizes(d *failures.Dataset, spec ShardSpec) map[ShardKey]int {
+	counts := make(map[ShardKey]int)
+	for i := 0; i < d.Len(); i++ {
+		r := d.At(i)
+		ks, n := shardKeysFor(spec, &r)
+		for _, k := range ks[:n] {
+			counts[k]++
+		}
+	}
+	return counts
 }
 
 // slice filters the dataset down to one shard.
@@ -215,94 +243,27 @@ func slice(d *failures.Dataset, key ShardKey) *failures.Dataset {
 
 // AnalyzeFleet shards the trace per spec and fans the fitting —
 // interarrival and repair-time model comparisons plus bootstrap confidence
-// intervals — out across the engine's worker pool, at sub-shard
-// granularity by default (per-family fit tasks and per-rep-block
-// bootstrap tasks, largest shard dispatched first). Results merge in
-// shard order, so the output is identical at any worker count and any
-// grain. The context cancels the run between tasks.
+// intervals — out across the engine's worker pool as sub-shard tasks
+// (per-family fit tasks and per-rep-block bootstrap tasks, largest shard
+// dispatched first). Results merge in shard order, so the output is
+// identical at any worker count. The context cancels the run between
+// tasks.
 func (e *Engine) AnalyzeFleet(ctx context.Context, d *failures.Dataset, spec ShardSpec) (*FleetResult, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("engine analyze fleet: %w", failures.ErrNoRecords)
 	}
-	keys := buildShards(d, spec)
-	sizes := fleetShardSizes(d, keys, spec)
-	results := make([]ShardResult, len(keys))
-
-	if e.grain == GrainShard {
-		ord := e.orderIndexes(sizes)
-		e.runPhase(ctx, len(ord), func(i int) {
-			k := ord[i]
-			results[k] = e.analyzeShard(ctx, d, keys[k], spec)
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return &FleetResult{Shards: results}, nil
-	}
-
+	sizes := fleetShardSizes(d, spec)
+	keys := shardOrder(sizes, spec)
 	jobs := make([]*shardJob, len(keys))
 	for i, key := range keys {
-		jobs[i] = &shardJob{pos: i, key: key, size: sizes[i]}
+		jobs[i] = &shardJob{pos: i, key: key, size: sizes[key]}
 	}
 	if err := e.analyzeJobs(ctx, jobs, d, spec); err != nil {
 		return nil, err
 	}
+	results := make([]ShardResult, len(jobs))
 	for i, j := range jobs {
 		results[i] = j.res
 	}
 	return &FleetResult{Shards: results}, nil
-}
-
-func (e *Engine) analyzeShard(ctx context.Context, d *failures.Dataset, key ShardKey, spec ShardSpec) ShardResult {
-	sub := slice(d, key)
-	res := ShardResult{Key: key, Records: sub.Len()}
-	var err error
-	res.Interarrival, err = e.study(ctx, sub.PositiveInterarrivals(), spec)
-	if err != nil {
-		res.Err = fmt.Errorf("shard %s interarrival: %w", key, err)
-		return res
-	}
-	res.Repair, err = e.study(ctx, sub.RepairTimes(), spec)
-	if err != nil {
-		res.Err = fmt.Errorf("shard %s repair: %w", key, err)
-		return res
-	}
-	return res
-}
-
-// study fits one sample: summary, ranked comparison, and bootstrap
-// intervals for the requested families. A sample below the spec's minimum
-// size yields (nil, nil) — too small to study, not an error.
-func (e *Engine) study(ctx context.Context, xs []float64, spec ShardSpec) (*Study, error) {
-	if len(xs) < spec.minN() {
-		return nil, nil
-	}
-	summary, err := stats.Summarize(xs)
-	if err != nil {
-		return nil, err
-	}
-	// One interned Sample carries the precomputed transforms through all
-	// four family fits and every bootstrap interval below.
-	s := e.Intern(xs)
-	fits, err := e.FitAllSample(ctx, s, spec.families()...)
-	if err != nil {
-		return nil, err
-	}
-	st := &Study{N: len(xs), Summary: summary, Fits: fits}
-	if e.reps < 0 {
-		return st, nil
-	}
-	st.CIs = make(map[dist.Family][]dist.ParamCI)
-	for _, f := range spec.ciFamilies() {
-		r, ok := fits.ByFamily(f)
-		if !ok || r.Err != nil {
-			continue
-		}
-		if _, cis, err := e.FitCISample(ctx, s, f); err == nil {
-			st.CIs[f] = cis
-		} else if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-	}
-	return st, nil
 }

@@ -3,10 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
-	"hpcfail/internal/dist"
 	"hpcfail/internal/failures"
 	"hpcfail/internal/streamstats"
 )
@@ -59,6 +57,19 @@ type StreamInfo struct {
 	// SketchEpsilon and ReservoirSize echo the effective configuration.
 	SketchEpsilon float64
 	ReservoirSize int
+}
+
+// info returns the StreamInfo of a pass that has seen nothing yet, with
+// the defaults of unset sketch and reservoir options filled in.
+func (o StreamOptions) info() StreamInfo {
+	info := StreamInfo{SketchEpsilon: o.SketchEpsilon, ReservoirSize: o.ReservoirSize}
+	if info.SketchEpsilon <= 0 {
+		info.SketchEpsilon = streamstats.DefaultSketchEpsilon
+	}
+	if info.ReservoirSize <= 0 {
+		info.ReservoirSize = streamstats.DefaultReservoirSize
+	}
+	return info
 }
 
 // shardAccum is the O(1)-memory state of one shard during a streaming
@@ -191,16 +202,7 @@ func shardKeysFor(spec ShardSpec, r *failures.Record) ([4]ShardKey, int) {
 func (e *Engine) AnalyzeStream(ctx context.Context, src RecordSource, opts StreamOptions) (*FleetResult, *StreamInfo, error) {
 	spec := opts.Spec
 	accums := make(map[ShardKey]*shardAccum)
-	info := &StreamInfo{
-		SketchEpsilon: opts.SketchEpsilon,
-		ReservoirSize: opts.ReservoirSize,
-	}
-	if info.SketchEpsilon <= 0 {
-		info.SketchEpsilon = streamstats.DefaultSketchEpsilon
-	}
-	if info.ReservoirSize <= 0 {
-		info.ReservoirSize = streamstats.DefaultReservoirSize
-	}
+	info := opts.info()
 
 	touch := func(key ShardKey, r *failures.Record) error {
 		a, ok := accums[key]
@@ -275,28 +277,7 @@ func (e *Engine) AnalyzeStream(ctx context.Context, src RecordSource, opts Strea
 		info.OutOfOrder += a.outOfOrder
 	}
 
-	// Enumerate shard keys exactly as buildShards does on a materialized
-	// dataset, so the merged output is ordered identically to
-	// AnalyzeFleet's at any worker count and any grain.
-	keys := streamShardKeys(accums, spec)
-	results := make([]ShardResult, len(keys))
-
-	if e.grain == GrainShard {
-		sizes := make([]int, len(keys))
-		for i, key := range keys {
-			sizes[i] = accums[key].records
-		}
-		ord := e.orderIndexes(sizes)
-		e.runPhase(ctx, len(ord), func(i int) {
-			k := ord[i]
-			results[k] = e.streamShardResult(ctx, keys[k], accums[keys[k]], spec)
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		return &FleetResult{Shards: results}, info, nil
-	}
-
+	keys := shardOrder(accums, spec)
 	jobs := make([]*shardJob, len(keys))
 	for i, key := range keys {
 		a := accums[key]
@@ -305,99 +286,9 @@ func (e *Engine) AnalyzeStream(ctx context.Context, src RecordSource, opts Strea
 	if err := e.analyzeJobs(ctx, jobs, nil, spec); err != nil {
 		return nil, nil, err
 	}
+	results := make([]ShardResult, len(jobs))
 	for i, j := range jobs {
 		results[i] = j.res
 	}
-	return &FleetResult{Shards: results}, info, nil
-}
-
-// streamShardKeys orders the touched shards: fleet aggregate first, then
-// systems ascending, each followed by its workload shards (in Workloads()
-// order) and cause shards (in Causes() order) — the buildShards order.
-func streamShardKeys(accums map[ShardKey]*shardAccum, spec ShardSpec) []ShardKey {
-	var systems []int
-	for key := range accums {
-		if key.System != 0 && key.Workload == 0 && key.Cause == 0 {
-			systems = append(systems, key.System)
-		}
-	}
-	sort.Ints(systems)
-	var keys []ShardKey
-	if spec.IncludeFleet {
-		if _, ok := accums[ShardKey{}]; ok {
-			keys = append(keys, ShardKey{})
-		}
-	}
-	for _, id := range systems {
-		keys = append(keys, ShardKey{System: id})
-		if spec.ByWorkload {
-			for _, w := range failures.Workloads() {
-				if _, ok := accums[ShardKey{System: id, Workload: w}]; ok {
-					keys = append(keys, ShardKey{System: id, Workload: w})
-				}
-			}
-		}
-		if spec.ByCause {
-			for _, c := range failures.Causes() {
-				if _, ok := accums[ShardKey{System: id, Cause: c}]; ok {
-					keys = append(keys, ShardKey{System: id, Cause: c})
-				}
-			}
-		}
-	}
-	return keys
-}
-
-func (e *Engine) streamShardResult(ctx context.Context, key ShardKey, a *shardAccum, spec ShardSpec) ShardResult {
-	res := ShardResult{Key: key, Records: a.records}
-	var err error
-	res.Interarrival, err = e.streamStudy(ctx, a.inter, spec)
-	if err != nil {
-		res.Err = fmt.Errorf("shard %s interarrival: %w", key, err)
-		return res
-	}
-	res.Repair, err = e.streamStudy(ctx, a.repair, spec)
-	if err != nil {
-		res.Err = fmt.Errorf("shard %s repair: %w", key, err)
-		return res
-	}
-	return res
-}
-
-// streamStudy is the streaming analogue of study: the summary comes from
-// the one-pass accumulator (exact moments, sketched median) and the fits
-// from its reservoir subsample. A sample below the spec's minimum size
-// yields (nil, nil), matching the in-memory path.
-func (e *Engine) streamStudy(ctx context.Context, acc *streamstats.Accumulator, spec ShardSpec) (*Study, error) {
-	if acc.N() < spec.minN() {
-		return nil, nil
-	}
-	summary, err := acc.Summary()
-	if err != nil {
-		return nil, err
-	}
-	// One interned Sample carries the precomputed transforms through all
-	// four family fits and every bootstrap interval below.
-	s := e.Intern(acc.Sample())
-	fits, err := e.FitAllSample(ctx, s, spec.families()...)
-	if err != nil {
-		return nil, err
-	}
-	st := &Study{N: acc.N(), Summary: summary, Fits: fits}
-	if e.reps < 0 {
-		return st, nil
-	}
-	st.CIs = make(map[dist.Family][]dist.ParamCI)
-	for _, f := range spec.ciFamilies() {
-		r, ok := fits.ByFamily(f)
-		if !ok || r.Err != nil {
-			continue
-		}
-		if _, cis, err := e.FitCISample(ctx, s, f); err == nil {
-			st.CIs[f] = cis
-		} else if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-	}
-	return st, nil
+	return &FleetResult{Shards: results}, &info, nil
 }

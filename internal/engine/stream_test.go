@@ -145,29 +145,6 @@ func compareStudies(t *testing.T, name string, mem, stream *Study, sample []floa
 	}
 }
 
-// TestAnalyzeStreamDeterministicAcrossWorkers mirrors the AnalyzeFleet
-// determinism guarantee for the streaming path.
-func TestAnalyzeStreamDeterministicAcrossWorkers(t *testing.T) {
-	d, err := lanl.NewGenerator(lanl.Config{Seed: 3}).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := d.Records()
-	spec := ShardSpec{IncludeFleet: true, ByWorkload: true, CIFamilies: []dist.Family{dist.FamilyWeibull}}
-	run := func(workers int) *FleetResult {
-		eng := New(Options{Workers: workers, BootstrapReps: 16, Seed: 7})
-		res, _, err := eng.AnalyzeStream(context.Background(), &sliceSource{recs: recs},
-			StreamOptions{Spec: spec})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res
-	}
-	if seq, par := run(1), run(4); !reflect.DeepEqual(seq, par) {
-		t.Fatal("stream results differ between 1 and 4 workers")
-	}
-}
-
 // batchSource wraps sliceSource with a ScanBatch that yields fixed-size
 // chunks, driving AnalyzeStream's engine.BatchSource fast path.
 type batchSource struct {

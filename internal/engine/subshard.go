@@ -14,11 +14,11 @@ import (
 
 // Sub-shard parallelism.
 //
-// The original pipeline's unit of work was the whole shard: one worker
-// sliced it, fitted every family and ran every bootstrap rep before
-// touching the next shard. Shard sizes in the Schroeder & Gibson trace are
-// so skewed (one big system holds a large share of the records) that the
-// big shard alone set the critical path however many workers were free.
+// Shard sizes in the Schroeder & Gibson trace are so skewed (one big
+// system holds a large share of the records) that a whole-shard unit of
+// work would let the big shard alone set the critical path however many
+// workers were free. AnalyzeFleet, AnalyzeStream and Incremental.Result
+// therefore share one scheduler below the shard.
 //
 // analyzeJobs decomposes each shard into independently schedulable tasks —
 // prepare (slice + summarize + intern), one task per (sample, family)
@@ -29,21 +29,6 @@ import (
 // only on (task seed, rep index) via dist.CIPlan, and the merge walks the
 // enumeration order. The workers only decide *when* a value is computed,
 // never *what* it is.
-
-// Grain selects the unit of parallelism for AnalyzeFleet, AnalyzeStream
-// and Incremental.Result.
-type Grain int
-
-const (
-	// GrainSubShard (the default) decomposes shards into per-(sample,
-	// family) fit tasks and per-rep-block bootstrap tasks, so one big
-	// shard spreads across every free worker.
-	GrainSubShard Grain = iota
-	// GrainShard runs one task per shard — the historical decomposition,
-	// kept callable for scheduling comparisons. Output is byte-identical
-	// to GrainSubShard; only the critical path differs.
-	GrainShard
-)
 
 // sampleState is one shard sample (interarrival or repair) after the
 // prepare phase: its size, summary and interned Sample, or the reason it
@@ -59,8 +44,8 @@ type sampleState struct {
 }
 
 // shardJob carries one shard through the phases. Exactly one of the
-// dataset path (sub, filled by prepare from d) and the streaming path
-// (acc) applies.
+// dataset path (sliced from d by prepare) and the streaming path (acc)
+// applies. pos is the shard's slot in the merged result.
 type shardJob struct {
 	pos  int
 	key  ShardKey
@@ -130,39 +115,6 @@ func (e *Engine) orderJobs(jobs []*shardJob) []*shardJob {
 	}
 	sort.SliceStable(ord, func(a, b int) bool { return ord[a].size > ord[b].size })
 	return ord
-}
-
-// orderIndexes is orderJobs for the GrainShard path: indexes into keys,
-// largest shard first.
-func (e *Engine) orderIndexes(sizes []int) []int {
-	idx := make([]int, len(sizes))
-	for i := range idx {
-		idx[i] = i
-	}
-	if e.enumOrder {
-		return idx
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return sizes[idx[a]] > sizes[idx[b]] })
-	return idx
-}
-
-// fleetShardSizes counts each shard's records in one dataset pass, using
-// the same per-record fanout the streaming path folds with. Sizes only
-// order the dispatch; they never influence a result.
-func fleetShardSizes(d *failures.Dataset, keys []ShardKey, spec ShardSpec) []int {
-	counts := make(map[ShardKey]int, len(keys))
-	for i := 0; i < d.Len(); i++ {
-		r := d.At(i)
-		ks, n := shardKeysFor(spec, &r)
-		for _, k := range ks[:n] {
-			counts[k]++
-		}
-	}
-	sizes := make([]int, len(keys))
-	for i, k := range keys {
-		sizes[i] = counts[k]
-	}
-	return sizes
 }
 
 // prepareJob fills the job's sample states: slice + extract on the
@@ -284,7 +236,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 	}
 
 	// Phase 3: bootstrap intervals. Collect the CI targets assembly will
-	// ask for — same filter as the per-shard study: family requested,
+	// ask for — same filter as assembleStudy: family requested,
 	// fitted, and not already in the memo — then fan the work out in two
 	// wavefronts (plan creation, rep blocks) and merge sequentially.
 	if e.reps >= 0 {
@@ -362,8 +314,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 
 	// Phase 4: assemble per-shard results sequentially in enumeration
 	// order. Every fit and interval is a memo hit now; this phase only
-	// shapes output, replicating the per-shard study semantics exactly
-	// (including: an interarrival error suppresses the repair study).
+	// shapes output (an interarrival error suppresses the repair study).
 	for _, j := range jobs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -387,9 +338,11 @@ func (e *Engine) assembleJob(ctx context.Context, j *shardJob, spec ShardSpec) {
 	}
 }
 
-// assembleStudy is study/streamStudy over a prepared sample state. The
-// fits and intervals were computed by the phases above, so the calls here
-// resolve from the memo.
+// assembleStudy fits one prepared sample: summary, ranked comparison,
+// and bootstrap intervals for the requested families. A sample below the
+// spec's minimum size yields (nil, nil) — too small to study, not an
+// error. The fits and intervals were computed by the phases above, so the
+// calls here resolve from the memo.
 func (e *Engine) assembleStudy(ctx context.Context, st *sampleState, spec ShardSpec) (*Study, error) {
 	if st.skip {
 		return nil, nil

@@ -55,14 +55,17 @@ func TestSubShardByteIdenticalAcrossWorkers(t *testing.T) {
 
 // TestStreamSubShardByteIdenticalAcrossWorkers runs the same worker matrix
 // through the streaming path, whose sub-shard jobs fit reservoir samples
-// instead of dataset slices.
+// instead of dataset slices. The spec adds workload sub-shards, so both
+// sub-shard dimensions are covered on this path.
 func TestStreamSubShardByteIdenticalAcrossWorkers(t *testing.T) {
 	d, err := lanl.NewGenerator(lanl.Config{Seed: 3}).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := d.Records()
-	opts := StreamOptions{Spec: subShardSpec()}
+	spec := subShardSpec()
+	spec.ByWorkload = true
+	opts := StreamOptions{Spec: spec}
 	ctx := context.Background()
 
 	for _, seed := range []int64{1, 2, 3} {
@@ -104,63 +107,6 @@ func TestDispatchOrderDoesNotAffectOutput(t *testing.T) {
 	}
 	if lpt, enum := run(false), run(true); !reflect.DeepEqual(lpt, enum) {
 		t.Fatal("largest-first dispatch changed the output vs enumeration order")
-	}
-}
-
-// TestGrainShardMatchesSubShard proves the two scheduling grains are
-// observationally identical on all three entry points: whole-shard tasks
-// (the historical granularity) and sub-shard tasks merge to the same
-// bytes.
-func TestGrainShardMatchesSubShard(t *testing.T) {
-	d, err := lanl.NewGenerator(lanl.Config{Seed: 3}).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := subShardSpec()
-	ctx := context.Background()
-	mk := func(g Grain) *Engine {
-		return New(Options{Workers: 4, BootstrapReps: 16, Seed: 11, Grain: g})
-	}
-
-	sub, err := mk(GrainSubShard).AnalyzeFleet(ctx, d, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, err := mk(GrainShard).AnalyzeFleet(ctx, d, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sub, shard) {
-		t.Fatal("fleet: GrainShard result differs from GrainSubShard")
-	}
-
-	recs := d.Records()
-	opts := StreamOptions{Spec: spec}
-	subS, _, err := mk(GrainSubShard).AnalyzeStream(ctx, &sliceSource{recs: recs}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardS, _, err := mk(GrainShard).AnalyzeStream(ctx, &sliceSource{recs: recs}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(subS, shardS) {
-		t.Fatal("stream: GrainShard result differs from GrainSubShard")
-	}
-
-	runInc := func(g Grain) *FleetResult {
-		inc := mk(g).NewIncremental(opts)
-		if _, err := inc.Append(ctx, recs); err != nil {
-			t.Fatal(err)
-		}
-		res, _, err := inc.Result(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if subI, shardI := runInc(GrainSubShard), runInc(GrainShard); !reflect.DeepEqual(subI, shardI) {
-		t.Fatal("incremental: GrainShard result differs from GrainSubShard")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -252,7 +253,37 @@ func (s *QuantileSketch) UnmarshalBinary(data []byte) error {
 	if out.neg, err = readBuckets(&r); err != nil {
 		return err
 	}
+	if err := out.checkRestored(); err != nil {
+		return err
+	}
 	*s = *out
+	return nil
+}
+
+// checkRestored rejects decoded state that no sequence of Adds and Merges
+// produces: a bucket key outside [minKey, maxKey], whose representative
+// value would be 0 or +Inf, or counters that do not sum to n.
+func (s *QuantileSketch) checkRestored() error {
+	var sum, carry uint64
+	add := func(c uint64) {
+		var cc uint64
+		sum, cc = bits.Add64(sum, c, 0)
+		carry |= cc
+	}
+	for _, c := range []uint64{s.zero, s.posInf, s.negInf, s.nan} {
+		add(c)
+	}
+	for _, m := range []map[int]uint64{s.pos, s.neg} {
+		for k, c := range m {
+			if k < s.minKey || k > s.maxKey {
+				return fmt.Errorf("%w: sketch bucket key %d outside [%d, %d]", ErrSnapshot, k, s.minKey, s.maxKey)
+			}
+			add(c)
+		}
+	}
+	if carry != 0 || sum != s.n {
+		return fmt.Errorf("%w: sketch counts do not sum to n = %d", ErrSnapshot, s.n)
+	}
 	return nil
 }
 

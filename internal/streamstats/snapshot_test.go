@@ -293,3 +293,72 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 		})
 	}
 }
+
+// sketchBlob snapshots a sketch of {1, 2, 3} after mutate has corrupted
+// its state.
+func sketchBlob(t *testing.T, mutate func(s *QuantileSketch)) []byte {
+	t.Helper()
+	s, err := NewQuantileSketch(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{1, 2, 3} {
+		s.Add(x)
+	}
+	mutate(s)
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// A restored bucket key outside [minKey, maxKey] would report a quantile
+// of 0 or +Inf, undoing the clamp Add applies; restore must refuse it.
+func TestSketchSnapshotRejectsOutOfRangeKey(t *testing.T) {
+	cases := map[string]func(s *QuantileSketch){
+		"pos 2^40":      func(s *QuantileSketch) { s.pos[1<<40] = 1; s.n++ },
+		"pos above max": func(s *QuantileSketch) { s.pos[s.maxKey+1] = 1; s.n++ },
+		"pos below min": func(s *QuantileSketch) { s.pos[s.minKey-1] = 1; s.n++ },
+		"neg above max": func(s *QuantileSketch) { s.neg[s.maxKey+1] = 1; s.n++ },
+		"neg below min": func(s *QuantileSketch) { s.neg[s.minKey-1] = 1; s.n++ },
+		"neg -2^40":     func(s *QuantileSketch) { s.neg[-1<<40] = 1; s.n++ },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			got := &QuantileSketch{}
+			if err := got.UnmarshalBinary(sketchBlob(t, mutate)); !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("want ErrSnapshot, got %v", err)
+			}
+		})
+	}
+	// The edge keys themselves are reachable by Add and must restore.
+	edges := sketchBlob(t, func(s *QuantileSketch) { s.pos[s.minKey]++; s.neg[s.maxKey]++; s.n += 2 })
+	if err := (&QuantileSketch{}).UnmarshalBinary(edges); err != nil {
+		t.Fatalf("edge keys: %v", err)
+	}
+}
+
+// Bucket totals plus the zero, ±Inf and NaN counters must sum to n, or
+// rank lookups walk past the end of the buckets.
+func TestSketchSnapshotRejectsCountMismatch(t *testing.T) {
+	cases := map[string]func(s *QuantileSketch){
+		"n too large":    func(s *QuantileSketch) { s.n += 5 },
+		"n too small":    func(s *QuantileSketch) { s.n-- },
+		"extra bucket":   func(s *QuantileSketch) { s.pos[0]++ },
+		"extra zero":     func(s *QuantileSketch) { s.zero++ },
+		"extra +Inf":     func(s *QuantileSketch) { s.posInf++ },
+		"extra -Inf":     func(s *QuantileSketch) { s.negInf++ },
+		"extra NaN":      func(s *QuantileSketch) { s.nan++ },
+		"sum wraps to n": func(s *QuantileSketch) { s.zero = math.MaxUint64 - 2; s.nan = 3 },
+		"empty with n=1": func(s *QuantileSketch) { s.pos = map[int]uint64{}; s.n = 1 },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			got := &QuantileSketch{}
+			if err := got.UnmarshalBinary(sketchBlob(t, mutate)); !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("want ErrSnapshot, got %v", err)
+			}
+		})
+	}
+}
