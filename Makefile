@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-codec race-engine fuzz fuzz-smoke bench bench-engine bench-stream bench-fit bench-gen bench-serve bench-sweep bench-trace bench-scale prof-trace golden golden-sweep
+.PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-codec race-engine perfbench-check fuzz fuzz-smoke bench bench-engine bench-fit bench-gen bench-serve bench-sweep bench-trace bench-scale prof-trace golden golden-sweep
 
 # The full gate: what CI runs — static checks, build, the race detector
 # over every test, focused race passes over the parallel generator, the
 # daemon, the sweep engine, the binary trace pipeline, the parallel
 # trace codec and the sub-shard analysis pipeline, and short fuzz smokes
 # of the CSV reader, the ingest endpoint, the sweep-spec parser and the
-# binary trace round trip.
-check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-codec race-engine fuzz-smoke
+# binary trace round trip, plus the repo benchmark module's own checks.
+check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-codec race-engine fuzz-smoke perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -70,6 +70,12 @@ race-codec:
 race-engine:
 	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed' ./internal/engine ./internal/dist
 
+# perfbench is its own module, so the root go test ./... never reaches
+# its tests: they prove a dropped record, a flipped digest and a refused
+# ingest each fail the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/failures
 
@@ -86,51 +92,48 @@ bench:
 
 # Sequential-vs-parallel engine wall clock; refreshes BENCH_engine.json.
 bench-engine:
-	$(GO) run ./cmd/enginebench
-
-# In-memory vs streaming fleet analysis; refreshes BENCH_stream.json.
-bench-stream:
-	$(GO) run ./cmd/streambench
+	$(GO) run ./cmd/bench engine
 
 # Fit kernels vs the frozen slice-path fitters; refreshes BENCH_fit.json.
 bench-fit:
-	$(GO) run ./cmd/fitbench
+	$(GO) run ./cmd/bench fit
 
 # Generator: frozen reference vs compiled parallel vs streaming, with a
 # record-identity check before timing; refreshes BENCH_gen.json.
 bench-gen:
-	$(GO) run ./cmd/genbench
+	$(GO) run ./cmd/bench gen
 
 # Daemon over loopback HTTP: concurrent ingest throughput plus /result
 # latency under live appends; refreshes BENCH_serve.json.
 bench-serve:
-	$(GO) run ./cmd/servebench
+	$(GO) run ./cmd/bench serve
 
 # Sweep engine at one worker vs every core, with a byte-identity check
 # before timing; refreshes BENCH_sweep.json.
 bench-sweep:
-	$(GO) run ./cmd/sweepbench
+	$(GO) run ./cmd/bench sweep
 
 # Trace I/O paths — fused generator->engine, CSV and binary write and
 # scan-analyze, and the materialized CSV baseline — with a streaming
-# result-identity check before reporting; refreshes BENCH_trace.json.
+# result-identity check and the streamed-vs-materialized agreement
+# before reporting; refreshes BENCH_trace.json.
 bench-trace:
-	$(GO) run ./cmd/tracebench
+	$(GO) run ./cmd/bench trace
 
 # The scaling sweep: the parallel benchmarks at GOMAXPROCS 1, 2, 4 and
-# 8. enginebench takes the whole list in one run (it records the
+# 8. bench engine takes the whole list in one run (it records the
 # workers x GOMAXPROCS matrix itself); the others are re-run per
 # GOMAXPROCS into bench_scale/ so the committed BENCH_*.json files keep
-# the default-configuration run. tracebench runs at a reduced scale per
+# the default-configuration run. bench trace runs at a reduced scale per
 # point — the full default dataset takes minutes per GOMAXPROCS.
 bench-scale:
 	mkdir -p bench_scale
-	$(GO) run ./cmd/enginebench -gomaxprocs 1,2,4,8 -out bench_scale/BENCH_engine_scale.json
+	$(GO) run ./cmd/bench engine -gomaxprocs 1,2,4,8 -out bench_scale/BENCH_engine_scale.json
 	for p in 1 2 4 8; do \
-		GOMAXPROCS=$$p $(GO) run ./cmd/fitbench -out bench_scale/BENCH_fit_p$$p.json && \
-		GOMAXPROCS=$$p $(GO) run ./cmd/genbench -out bench_scale/BENCH_gen_p$$p.json && \
-		GOMAXPROCS=$$p $(GO) run ./cmd/sweepbench -out bench_scale/BENCH_sweep_p$$p.json && \
-		GOMAXPROCS=$$p $(GO) run ./cmd/tracebench -scale 20 -out bench_scale/BENCH_trace_p$$p.json || exit 1; \
+		GOMAXPROCS=$$p $(GO) run ./cmd/bench fit -out bench_scale/BENCH_fit_p$$p.json && \
+		GOMAXPROCS=$$p $(GO) run ./cmd/bench gen -out bench_scale/BENCH_gen_p$$p.json && \
+		GOMAXPROCS=$$p $(GO) run ./cmd/bench sweep -out bench_scale/BENCH_sweep_p$$p.json && \
+		GOMAXPROCS=$$p $(GO) run ./cmd/bench trace -scale 20 -out bench_scale/BENCH_trace_p$$p.json || exit 1; \
 	done
 
 # CPU and heap profiles of the trace pipeline (the parallel codec plus
@@ -138,7 +141,7 @@ bench-scale:
 # committed BENCH_trace.json is not skewed by profiler overhead.
 prof-trace:
 	mkdir -p prof
-	$(GO) run ./cmd/tracebench -scale 20 -cpuprofile prof/trace_cpu.pprof \
+	$(GO) run ./cmd/bench trace -scale 20 -cpuprofile prof/trace_cpu.pprof \
 		-memprofile prof/trace_mem.pprof -out prof/BENCH_trace_prof.json
 	@echo "profiles in prof/: go tool pprof prof/trace_cpu.pprof"
 

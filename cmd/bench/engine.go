@@ -1,25 +1,11 @@
-// Command enginebench measures the analysis engine's sequential-vs-parallel
-// wall clock on the generated 22-system reference trace and writes the
-// result, with machine metadata, to BENCH_engine.json. The speedup numbers
-// are only meaningful alongside the recorded CPU count: on a single-core
-// host every worker count collapses to ~1x, so the report also carries a
-// makespan model built from measured per-task times that projects how the
-// engine's sub-shard tasks (per-family fits, per-rep-block bootstraps)
-// compare to whole-shard scheduling on a real multicore machine.
-//
-// Usage:
-//
-//	enginebench [-out BENCH_engine.json] [-bootstrap 32] [-reps 3]
-//	            [-workers 1,2,4,8] [-gomaxprocs 1,2,4,8]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,13 +54,9 @@ type makespanModel struct {
 	Points        []makespanPoint `json:"points"`
 }
 
-type benchReport struct {
-	Benchmark     string         `json:"benchmark"`
-	GOOS          string         `json:"goos"`
-	GOARCH        string         `json:"goarch"`
-	GoVersion     string         `json:"go_version"`
-	NumCPU        int            `json:"num_cpu"`
-	GOMAXPROCS    int            `json:"gomaxprocs"`
+// engineReport is BENCH_engine.json.
+type engineReport struct {
+	header
 	TraceRecords  int            `json:"trace_records"`
 	TraceSystems  int            `json:"trace_systems"`
 	Shards        int            `json:"shards"`
@@ -85,11 +67,40 @@ type benchReport struct {
 	Note          string         `json:"note"`
 }
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "enginebench:", err)
-		os.Exit(1)
+// ciSpec is the analysis the engine, fit and trace benchmarks all run:
+// the fleet aggregate plus every system, with Weibull and lognormal
+// intervals.
+var ciSpec = engine.ShardSpec{
+	IncludeFleet: true,
+	CIFamilies:   []dist.Family{dist.FamilyWeibull, dist.FamilyLogNormal},
+}
+
+// shardSubsets lists ciSpec's shards of d: the fleet, then each system.
+func shardSubsets(d *failures.Dataset) []*failures.Dataset {
+	subs := []*failures.Dataset{d}
+	for _, id := range d.Systems() {
+		subs = append(subs, d.BySystem(id))
 	}
+	return subs
+}
+
+// timeFleet times engine.AnalyzeFleet over ciSpec, each rep on a fresh
+// engine so the memo cache never hides work, and returns the shard count
+// and fit-cache misses of the last rep with the timings.
+func timeFleet(reps int, d *failures.Dataset, opts engine.Options) (best, mean time.Duration, shards int, misses uint64, err error) {
+	best, mean, err = bestOf(reps, func() (time.Duration, error) {
+		eng := engine.New(opts)
+		start := time.Now()
+		res, err := eng.AnalyzeFleet(context.Background(), d, ciSpec)
+		wall := time.Since(start)
+		if err != nil {
+			return 0, err
+		}
+		shards = len(res.Shards)
+		_, misses = eng.Stats()
+		return wall, nil
+	})
+	return best, mean, shards, misses, err
 }
 
 func parseCounts(s string) ([]int, error) {
@@ -104,8 +115,16 @@ func parseCounts(s string) ([]int, error) {
 	return counts, nil
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("enginebench", flag.ContinueOnError)
+// runEngine measures the analysis engine's sequential-vs-parallel wall
+// clock on the generated 22-system reference trace. The speedup numbers
+// are only meaningful alongside the recorded CPU count: wall-clock
+// speedup is bounded by min(workers, num_cpu), so the report also carries
+// a makespan model built from measured per-task times that projects how
+// the engine's sub-shard tasks (per-family fits, per-rep-block
+// bootstraps) compare to whole-shard scheduling at worker counts beyond
+// the host's cores.
+func runEngine(args []string) error {
+	fs := flag.NewFlagSet("bench engine", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_engine.json", "output file")
 	bootstrap := fs.Int("bootstrap", 32, "bootstrap resamples per CI")
 	reps := fs.Int("reps", 3, "timing repetitions per point (best and mean recorded)")
@@ -132,103 +151,57 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("generate: %w", err)
 	}
-	spec := engine.ShardSpec{
-		IncludeFleet: true,
-		CIFamilies:   []dist.Family{dist.FamilyWeibull, dist.FamilyLogNormal},
-	}
-	ctx := context.Background()
-
-	report := benchReport{
-		Benchmark:     "engine.AnalyzeFleet: 4-family fits + bootstrap CIs per shard, 22-system trace",
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		GoVersion:     runtime.Version(),
-		NumCPU:        runtime.NumCPU(),
-		GOMAXPROCS:    startProcs,
+	rep := engineReport{
+		header:        newHeader("engine.AnalyzeFleet: 4-family fits + bootstrap CIs per shard, 22-system trace"),
 		TraceRecords:  dataset.Len(),
 		TraceSystems:  len(dataset.Systems()),
 		BootstrapReps: *bootstrap,
 		RepsPerPoint:  *reps,
 		Note: "deterministic pipeline: output is byte-identical at every worker count " +
 			"and GOMAXPROCS; wall-clock speedup is bounded by min(workers, num_cpu), " +
-			"so on a single-CPU host the makespan_model carries the multicore comparison",
+			"so the makespan_model carries the comparison at worker counts beyond the host's cores",
 	}
 
 	// Workers x GOMAXPROCS wall-clock matrix.
 	for _, g := range procs {
 		runtime.GOMAXPROCS(g)
-		var baselineBest float64
+		var baseline time.Duration
 		for _, workers := range counts {
-			best, mean, misses, shards, err := timeFleet(ctx, dataset, spec,
-				workers, *bootstrap, *seed, *reps)
+			best, mean, shards, misses, err := timeFleet(*reps, dataset,
+				engine.Options{Workers: workers, BootstrapReps: *bootstrap, Seed: *seed})
 			if err != nil {
 				return err
 			}
-			report.Shards = shards
+			rep.Shards = shards
 			if workers == counts[0] {
-				baselineBest = best
+				baseline = best
 			}
-			usable := workers
-			if g < usable {
-				usable = g
-			}
-			report.Scaling = append(report.Scaling, scalePoint{
+			speedup := float64(baseline) / float64(best)
+			rep.Scaling = append(rep.Scaling, scalePoint{
 				GoMaxProcs:         g,
 				Workers:            workers,
-				BestMs:             round2(best),
-				MeanMs:             round2(mean),
-				SpeedupX:           round2(baselineBest / best),
-				ParallelEfficiency: round2(baselineBest / best / float64(usable)),
+				BestMs:             ms(best),
+				MeanMs:             ms(mean),
+				SpeedupX:           round(speedup),
+				ParallelEfficiency: round(speedup / float64(min(workers, g))),
 				CacheMiss:          misses,
 			})
 			fmt.Printf("gomaxprocs=%d workers=%d best=%.1fms mean=%.1fms speedup=%.2fx\n",
-				g, workers, best, mean, baselineBest/best)
+				g, workers, ms(best), ms(mean), speedup)
 		}
 	}
 	runtime.GOMAXPROCS(startProcs)
 
-	model, err := buildMakespanModel(dataset, spec, *bootstrap, *seed, counts)
+	model, err := buildMakespanModel(dataset, *bootstrap, *seed, counts)
 	if err != nil {
 		return fmt.Errorf("makespan model: %w", err)
 	}
-	report.Makespan = model
+	rep.Makespan = model
 	for _, p := range model.Points {
 		fmt.Printf("model workers=%d shard-only=%.1fms sub-shard=%.1fms advantage=%.2fx\n",
 			p.Workers, p.ShardOnlyMs, p.SubShardMs, p.AdvantageX)
 	}
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-func timeFleet(ctx context.Context, d *failures.Dataset, spec engine.ShardSpec,
-	workers, bootstrap int, seed int64, reps int) (best, mean float64, misses uint64, shards int, err error) {
-	best = -1
-	for r := 0; r < reps; r++ {
-		// Fresh engine per repetition so the memo cache never hides work.
-		eng := engine.New(engine.Options{Workers: workers, BootstrapReps: bootstrap, Seed: seed})
-		start := time.Now()
-		res, ferr := eng.AnalyzeFleet(ctx, d, spec)
-		if ferr != nil {
-			return 0, 0, 0, 0, ferr
-		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		mean += ms
-		if best < 0 || ms < best {
-			best = ms
-		}
-		shards = len(res.Shards)
-		_, misses = eng.Stats()
-	}
-	return best, mean / float64(reps), misses, shards, nil
+	return writeReport(*out, rep)
 }
 
 // bootTask is one (sample, family) bootstrap: totalMs over reps resamples,
@@ -245,53 +218,43 @@ type bootTask struct {
 // tasks and the rep-block tasks in two phases, mirroring the engine's
 // barriers. Prepare and merge costs are omitted from both alike:
 // fitting and resampling dominate.
-func buildMakespanModel(d *failures.Dataset, spec engine.ShardSpec,
-	bootstrap int, seed int64, counts []int) (*makespanModel, error) {
-	type shardSamples struct{ inter, repair []float64 }
-	var shards []shardSamples
-	add := func(sub *failures.Dataset) {
-		shards = append(shards, shardSamples{sub.PositiveInterarrivals(), sub.RepairTimes()})
-	}
-	add(d)
-	for _, id := range d.Systems() {
-		add(d.BySystem(id))
-	}
-
+func buildMakespanModel(d *failures.Dataset, bootstrap int, seed int64, counts []int) (*makespanModel, error) {
+	subs := shardSubsets(d)
 	families := dist.StandardFamilies()
 	var fitTasks []float64
 	var bootTasks []bootTask
-	shardTasks := make([]float64, len(shards))
-	for i, sh := range shards {
-		for _, xs := range [][]float64{sh.inter, sh.repair} {
+	shardTasks := make([]float64, len(subs))
+	for i, sub := range subs {
+		for _, xs := range [][]float64{sub.PositiveInterarrivals(), sub.RepairTimes()} {
 			if len(xs) < 10 {
 				continue
 			}
 			s := dist.NewSample(xs)
 			for _, f := range families {
-				ms, err := timeBest(3, func() error {
+				t, _, err := bestOf(3, timed(func() error {
 					_, err := dist.FitSample(f, s)
 					return err
-				})
+				}))
 				if err != nil {
 					continue // unfittable family: the engine skips it too
 				}
-				fitTasks = append(fitTasks, ms)
-				shardTasks[i] += ms
+				fitTasks = append(fitTasks, float64(t)/1e6)
+				shardTasks[i] += float64(t) / 1e6
 			}
-			for _, f := range []dist.Family{dist.FamilyWeibull, dist.FamilyLogNormal} {
+			for _, f := range ciSpec.CIFamilies {
 				plan, err := dist.NewCIPlan(f, s, bootstrap, 0.95, seed)
 				if err != nil {
 					continue
 				}
-				ms, err := timeBest(3, func() error {
+				t, _, err := bestOf(3, timed(func() error {
 					plan.RunBlock(0, bootstrap)
 					return nil
-				})
+				}))
 				if err != nil {
 					return nil, err
 				}
-				bootTasks = append(bootTasks, bootTask{totalMs: ms, reps: bootstrap})
-				shardTasks[i] += ms
+				bootTasks = append(bootTasks, bootTask{totalMs: float64(t) / 1e6, reps: bootstrap})
+				shardTasks[i] += float64(t) / 1e6
 			}
 		}
 	}
@@ -299,15 +262,13 @@ func buildMakespanModel(d *failures.Dataset, spec engine.ShardSpec,
 	var total, largest float64
 	for _, t := range shardTasks {
 		total += t
-		if t > largest {
-			largest = t
-		}
+		largest = max(largest, t)
 	}
 	model := &makespanModel{
 		ShardTasks:    len(shardTasks),
 		FitTasks:      len(fitTasks),
-		LargestTaskMs: round2(largest),
-		TotalWorkMs:   round2(total),
+		LargestTaskMs: round(largest),
+		TotalWorkMs:   round(total),
 		Note: "LPT schedule of measured per-task times; shard-only makespan is floored by " +
 			"the largest shard, sub-shard splits it into per-family fits and per-rep-block bootstraps",
 	}
@@ -323,19 +284,16 @@ func buildMakespanModel(d *failures.Dataset, spec engine.ShardSpec,
 				size = 8
 			}
 			for lo := 0; lo < b.reps; lo += size {
-				hi := lo + size
-				if hi > b.reps {
-					hi = b.reps
-				}
+				hi := min(lo+size, b.reps)
 				blocks = append(blocks, perRep*float64(hi-lo))
 			}
 		}
 		sub := lptMakespan(fitTasks, w) + lptMakespan(blocks, w)
 		model.Points = append(model.Points, makespanPoint{
 			Workers:     w,
-			ShardOnlyMs: round2(shardOnly),
-			SubShardMs:  round2(sub),
-			AdvantageX:  round2(shardOnly / sub),
+			ShardOnlyMs: round(shardOnly),
+			SubShardMs:  round(sub),
+			AdvantageX:  round(shardOnly / sub),
 		})
 	}
 	return model, nil
@@ -359,29 +317,5 @@ func lptMakespan(tasks []float64, w int) float64 {
 		}
 		loads[min] += t
 	}
-	var max float64
-	for _, l := range loads {
-		if l > max {
-			max = l
-		}
-	}
-	return max
+	return slices.Max(loads)
 }
-
-// timeBest runs fn n times and returns the best wall clock in ms.
-func timeBest(n int, fn func() error) (float64, error) {
-	best := -1.0
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		ms := float64(time.Since(start).Nanoseconds()) / 1e6
-		if best < 0 || ms < best {
-			best = ms
-		}
-	}
-	return best, nil
-}
-
-func round2(v float64) float64 { return float64(int(v*100+0.5)) / 100 }

@@ -1,61 +1,28 @@
-// Command genbench benchmarks the trace generator: the frozen sequential
-// reference path (lanl.RefGenerate) against the compiled generator at one
-// and many workers, plus the streaming mode's bounded-memory claim. Every
-// timed run is also an identity check — the optimized output is compared
-// record-for-record against the reference before any number is reported.
-// Results, with machine metadata, go to BENCH_gen.json.
-//
-// Usage:
-//
-//	genbench [-out BENCH_gen.json] [-seed 1] [-workers 8] [-reps 5] [-scale 1]
-//
-// The allocs-per-record figure isolates the record-draw path (cause,
-// detail, repair) via testing.AllocsPerRun-style differencing across two
-// trace sizes, so fixed setup costs cancel. Stream-mode peak heap is
-// reported at -scale and at twice -scale; a bounded pipeline shows peak
-// heap roughly independent of trace size while the materializing path
-// doubles.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"os"
 	"runtime"
-	"sync/atomic"
-	"time"
 
 	"hpcfail/internal/failures"
 	"hpcfail/internal/lanl"
 )
 
-type pathResult struct {
-	Path          string  `json:"path"`
-	WallMs        float64 `json:"wall_ms"`
-	RecordsPerSec float64 `json:"records_per_sec"`
-	PeakHeapMB    float64 `json:"peak_heap_mb"`
-}
-
-type benchReport struct {
-	Benchmark    string     `json:"benchmark"`
-	GOOS         string     `json:"goos"`
-	GOARCH       string     `json:"goarch"`
-	GoVersion    string     `json:"go_version"`
-	NumCPU       int        `json:"num_cpu"`
-	GOMAXPROCS   int        `json:"gomaxprocs"`
-	Seed         int64      `json:"seed"`
-	RateScale    float64    `json:"rate_scale"`
-	Workers      int        `json:"workers"`
-	Reps         int        `json:"reps"`
-	TraceRecords int        `json:"trace_records"`
-	Reference    pathResult `json:"reference_sequential"`
-	Compiled1    pathResult `json:"compiled_workers_1"`
-	CompiledN    pathResult `json:"compiled_workers_n"`
-	Stream       pathResult `json:"stream_workers_n"`
-	Speedup1     float64    `json:"speedup_workers_1"`
-	SpeedupN     float64    `json:"speedup_workers_n"`
+// genReport is BENCH_gen.json.
+type genReport struct {
+	header
+	Seed         int64   `json:"seed"`
+	RateScale    float64 `json:"rate_scale"`
+	Workers      int     `json:"workers"`
+	Reps         int     `json:"reps"`
+	TraceRecords int     `json:"trace_records"`
+	Reference    window  `json:"reference_sequential"`
+	Compiled1    window  `json:"compiled_workers_1"`
+	CompiledN    window  `json:"compiled_workers_n"`
+	Stream       window  `json:"stream_workers_n"`
+	Speedup1     float64 `json:"speedup_workers_1"`
+	SpeedupN     float64 `json:"speedup_workers_n"`
 	// ParallelEfficiencyN is the compiled path's workers-1-to-workers-N
 	// scaling over the usable parallelism min(workers, gomaxprocs).
 	ParallelEfficiencyN float64 `json:"parallel_efficiency_workers_n"`
@@ -68,15 +35,19 @@ type benchReport struct {
 	Note                string  `json:"note"`
 }
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "genbench:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("genbench", flag.ContinueOnError)
+// runGen benchmarks the trace generator: the frozen sequential reference
+// path (lanl.RefGenerate) against the compiled generator at one and many
+// workers, plus the streaming mode's bounded-memory claim. The optimized
+// output is compared record-for-record against the reference at both
+// worker counts before anything is timed.
+//
+// The allocs-per-record figure isolates the record-draw path (cause,
+// detail, repair) by differencing allocations across two trace sizes, so
+// fixed setup costs cancel. Stream-mode peak heap is reported at -scale
+// and at twice -scale; a bounded pipeline shows peak heap roughly
+// independent of trace size while the materializing path doubles.
+func runGen(args []string) error {
+	fs := flag.NewFlagSet("bench gen", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_gen.json", "output file")
 	seed := fs.Int64("seed", 1, "generator seed")
 	workers := fs.Int("workers", 8, "worker count for the parallel passes")
@@ -115,7 +86,7 @@ func run(args []string) error {
 		}
 	}
 
-	refRes, err := best(*reps, "reference", func() (int, error) {
+	refRes, err := measureWindow(*reps, "reference", func() (int, error) {
 		d, err := lanl.RefGenerate(cfg)
 		if err != nil {
 			return 0, err
@@ -125,10 +96,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	genPass := func(name string, w int) (pathResult, error) {
-		return best(*reps, name, func() (int, error) {
+	genPass := func(name string, w int, rateScale float64) (window, error) {
+		return measureWindow(*reps, name, func() (int, error) {
 			c := cfg
 			c.Workers = w
+			c.RateScale = rateScale
 			d, err := lanl.NewGenerator(c).Generate()
 			if err != nil {
 				return 0, err
@@ -136,16 +108,16 @@ func run(args []string) error {
 			return d.Len(), nil
 		})
 	}
-	c1Res, err := genPass("compiled w=1", 1)
+	c1Res, err := genPass("compiled w=1", 1, *scale)
 	if err != nil {
 		return err
 	}
-	cnRes, err := genPass(fmt.Sprintf("compiled w=%d", *workers), *workers)
+	cnRes, err := genPass(fmt.Sprintf("compiled w=%d", *workers), *workers, *scale)
 	if err != nil {
 		return err
 	}
-	streamPass := func(rateScale float64) (pathResult, error) {
-		return best(*reps, "stream", func() (int, error) {
+	streamPass := func(rateScale float64) (window, error) {
+		return measureWindow(*reps, "stream", func() (int, error) {
 			c := cfg
 			c.Workers = *workers
 			c.RateScale = rateScale
@@ -166,16 +138,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	mat2xCfg := cfg
-	mat2xCfg.Workers = *workers
-	mat2xCfg.RateScale = 2 * *scale
-	mat2x, err := best(*reps, "materialized 2x", func() (int, error) {
-		d, err := lanl.NewGenerator(mat2xCfg).Generate()
-		if err != nil {
-			return 0, err
-		}
-		return d.Len(), nil
-	})
+	mat2x, err := genPass("materialized 2x", *workers, 2**scale)
 	if err != nil {
 		return err
 	}
@@ -185,27 +148,22 @@ func run(args []string) error {
 		return err
 	}
 
-	rep := benchReport{
-		Benchmark:  "trace generation: frozen sequential reference vs compiled parallel vs streaming",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Seed:       *seed,
-		RateScale:  *scale,
-		Workers:    *workers,
-		Reps:       *reps,
+	rep := genReport{
+		header:    newHeader("trace generation: frozen sequential reference vs compiled parallel vs streaming"),
+		Seed:      *seed,
+		RateScale: *scale,
+		Workers:   *workers,
+		Reps:      *reps,
 
 		TraceRecords:        ref.Len(),
 		Reference:           refRes,
 		Compiled1:           c1Res,
 		CompiledN:           cnRes,
 		Stream:              streamRes,
-		Speedup1:            round3(refRes.WallMs / c1Res.WallMs),
-		SpeedupN:            round3(refRes.WallMs / cnRes.WallMs),
-		ParallelEfficiencyN: round3(c1Res.WallMs / cnRes.WallMs / float64(min(*workers, runtime.GOMAXPROCS(0)))),
-		AllocsPerRecord:     round3(allocs),
+		Speedup1:            round(refRes.WallMs / c1Res.WallMs),
+		SpeedupN:            round(refRes.WallMs / cnRes.WallMs),
+		ParallelEfficiencyN: round(c1Res.WallMs / cnRes.WallMs / float64(min(*workers, runtime.GOMAXPROCS(0)))),
+		AllocsPerRecord:     round(allocs),
 		StreamHeap1xMB:      streamRes.PeakHeapMB,
 		StreamHeap2xMB:      stream2x.PeakHeapMB,
 		MatHeap1xMB:         cnRes.PeakHeapMB,
@@ -213,26 +171,17 @@ func run(args []string) error {
 		IdentityChecked:     true,
 		Note: "every path re-verified record-identical to lanl.RefGenerate before timing; " +
 			"best of reps reported. allocs_per_record isolates the cause/detail/repair draw " +
-			"path by differencing two trace sizes so fixed setup costs cancel. On a single-CPU " +
-			"host the speedup comes from compiled draw tables, cached profile curves and the " +
+			"path by differencing two trace sizes so fixed setup costs cancel. The workers=1 " +
+			"speedup comes from compiled draw tables, cached profile curves and the " +
 			"key-merge sort rather than parallelism; stream peak heap stays flat as the trace " +
 			"doubles while the materialized path grows with it.",
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
 	}
 	fmt.Printf("reference: %.1f ms; compiled w=1: %.1f ms (%.2fx); w=%d: %.1f ms (%.2fx)\n",
 		refRes.WallMs, c1Res.WallMs, rep.Speedup1, *workers, cnRes.WallMs, rep.SpeedupN)
 	fmt.Printf("stream: %.1f ms, peak heap %.1f MB (1x) / %.1f MB (2x); materialized %.1f / %.1f MB\n",
 		streamRes.WallMs, rep.StreamHeap1xMB, rep.StreamHeap2xMB, rep.MatHeap1xMB, rep.MatHeap2xMB)
 	fmt.Printf("draw path: %.3f allocs/record\n", allocs)
-	fmt.Printf("wrote %s\n", *out)
-	return nil
+	return writeReport(*out, rep)
 }
 
 // identical compares two datasets field by field.
@@ -300,65 +249,3 @@ func allocsPerRecord(cfg lanl.Config) (float64, error) {
 	}
 	return per, nil
 }
-
-// best runs fn reps times and keeps the fastest wall clock, sampling
-// HeapAlloc in the background for the peak (max across reps).
-func best(reps int, name string, fn func() (int, error)) (pathResult, error) {
-	var res pathResult
-	for r := 0; r < reps; r++ {
-		one, err := measure(name, fn)
-		if err != nil {
-			return pathResult{}, err
-		}
-		if r == 0 || one.WallMs < res.WallMs {
-			peak := math.Max(res.PeakHeapMB, one.PeakHeapMB)
-			res = one
-			res.PeakHeapMB = peak
-		} else if one.PeakHeapMB > res.PeakHeapMB {
-			res.PeakHeapMB = one.PeakHeapMB
-		}
-	}
-	return res, nil
-}
-
-// measure times fn while sampling HeapAlloc from a background goroutine,
-// reporting wall clock, throughput and the observed heap peak.
-func measure(name string, fn func() (int, error)) (pathResult, error) {
-	runtime.GC()
-	var peak atomic.Uint64
-	done := make(chan struct{})
-	sampled := make(chan struct{})
-	go func() {
-		defer close(sampled)
-		var ms runtime.MemStats
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak.Load() {
-				peak.Store(ms.HeapAlloc)
-			}
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-			}
-		}
-	}()
-	start := time.Now()
-	n, err := fn()
-	wall := time.Since(start)
-	close(done)
-	<-sampled
-	if err != nil {
-		return pathResult{}, fmt.Errorf("%s path: %w", name, err)
-	}
-	return pathResult{
-		Path:          name,
-		WallMs:        round3(float64(wall.Microseconds()) / 1000),
-		RecordsPerSec: round3(float64(n) / wall.Seconds()),
-		PeakHeapMB:    round3(float64(peak.Load()) / (1 << 20)),
-	}, nil
-}
-
-func round3(v float64) float64 { return math.Round(v*1000) / 1000 }

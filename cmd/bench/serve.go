@@ -1,25 +1,14 @@
-// Command servebench exercises the failserved daemon end to end over
-// loopback HTTP: concurrent clients stream a generated failure trace
-// into one tenant in CSV batches, then query latency on /v1/.../result
-// is sampled while a background writer keeps appending (every query
-// therefore pays the lazy refit of freshly dirtied shards). Results,
-// with machine metadata, go to BENCH_serve.json.
-//
-// Usage:
-//
-//	servebench [-out BENCH_serve.json] [-scale 2] [-batch 500] [-clients 4] [-queries 100]
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,32 +37,27 @@ type queryResult struct {
 	P50Ms   float64 `json:"p50_ms"`
 	P99Ms   float64 `json:"p99_ms"`
 	MaxMs   float64 `json:"max_ms"`
-	// Batches the background writer folded in while queries ran; nonzero
-	// means the sampled latencies really include lazy refits.
+	// Batches the background writer folded in while queries ran; the run
+	// fails unless it is nonzero, so the sampled latencies really include
+	// lazy refits.
 	ConcurrentBatches int `json:"concurrent_batches"`
 }
 
-type benchReport struct {
-	Benchmark string       `json:"benchmark"`
-	GOOS      string       `json:"goos"`
-	GOARCH    string       `json:"goarch"`
-	GoVersion string       `json:"go_version"`
-	NumCPU    int          `json:"num_cpu"`
-	SyncWAL   bool         `json:"sync_wal"`
-	Ingest    ingestResult `json:"ingest"`
-	Query     queryResult  `json:"query"`
-	Note      string       `json:"note"`
+// serveReport is BENCH_serve.json.
+type serveReport struct {
+	header
+	Ingest ingestResult `json:"ingest"`
+	Query  queryResult  `json:"query"`
+	Note   string       `json:"note"`
 }
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "servebench:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("servebench", flag.ContinueOnError)
+// runServe exercises the failserved daemon end to end over loopback
+// HTTP: concurrent clients stream a generated failure trace into one
+// tenant in CSV batches, then query latency on /v1/.../result is sampled
+// while a background writer keeps appending (every query therefore pays
+// the lazy refit of freshly dirtied shards).
+func runServe(args []string) error {
+	fs := flag.NewFlagSet("bench serve", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_serve.json", "output file")
 	scale := fs.Float64("scale", 2, "failure-rate scale for the generated trace")
 	batch := fs.Int("batch", 500, "records per ingest batch")
@@ -81,7 +65,6 @@ func run(args []string) error {
 	queries := fs.Int("queries", 100, "result queries sampled under concurrent appends")
 	bootstrap := fs.Int("bootstrap", -1, "bootstrap resamples per CI (negative disables, the default)")
 	seed := fs.Int64("seed", 1, "trace and engine seed")
-	syncWAL := fs.Bool("sync-wal", false, "fsync the WAL after every batch")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -98,7 +81,7 @@ func run(args []string) error {
 		return err
 	}
 
-	dir, err := os.MkdirTemp("", "servebench-*")
+	dir, err := os.MkdirTemp("", "bench-serve-*")
 	if err != nil {
 		return err
 	}
@@ -109,7 +92,6 @@ func run(args []string) error {
 		Stream: engine.StreamOptions{
 			Spec: engine.ShardSpec{IncludeFleet: true, ByCause: true},
 		},
-		SyncWAL: *syncWAL,
 	})
 	if err != nil {
 		return err
@@ -163,26 +145,29 @@ func run(args []string) error {
 		Records:       d.Len(),
 		Batches:       len(batches),
 		Clients:       *clients,
-		WallMs:        round3(float64(ingestWall.Microseconds()) / 1000),
-		RecordsPerSec: round3(float64(d.Len()) / ingestWall.Seconds()),
+		WallMs:        ms(ingestWall),
+		RecordsPerSec: round(float64(d.Len()) / ingestWall.Seconds()),
 		DuplicateAcks: dupes.Load(),
 	}
 
 	// Phase 2: /result latency while a writer keeps dirtying shards. The
 	// writer replays the trace with fresh Ingest-Ids so every append is
-	// folded, not deduped.
+	// folded, not deduped. Its error is read only after writerDone closes.
 	writerCtx, stopWriter := context.WithCancel(ctx)
+	defer stopWriter()
 	var folded atomic.Int64
+	var writerErr error
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		c := client.New(ts.URL, client.Options{})
-		for round := 1; ; round++ {
+		for pass := 1; ; pass++ {
 			for i := range batches {
 				if writerCtx.Err() != nil {
 					return
 				}
-				if _, err := c.Ingest(writerCtx, "bench", fmt.Sprintf("r%d-batch-%d", round, i), batches[i]); err != nil {
+				if _, err := c.Ingest(writerCtx, "bench", fmt.Sprintf("r%d-batch-%d", pass, i), batches[i]); err != nil {
+					writerErr = err
 					return
 				}
 				folded.Add(1)
@@ -191,62 +176,57 @@ func run(args []string) error {
 	}()
 	qc := client.New(ts.URL, client.Options{})
 	lat := make([]float64, 0, *queries)
+	var queryErr error
 	for i := 0; i < *queries; i++ {
 		qs := time.Now()
 		if _, err := qc.Result(ctx, "bench"); err != nil {
-			stopWriter()
-			return fmt.Errorf("query %d: %w", i, err)
+			queryErr = fmt.Errorf("query %d: %w", i, err)
+			break
 		}
-		lat = append(lat, float64(time.Since(qs).Microseconds())/1000)
+		lat = append(lat, float64(time.Since(qs).Nanoseconds())/1e6)
 	}
 	stopWriter()
 	<-writerDone
+	if queryErr != nil {
+		return queryErr
+	}
+	// Stopping the writer cancels its in-flight ingest; any other error
+	// means the appends stopped before the queries did.
+	if writerErr != nil && !errors.Is(writerErr, context.Canceled) {
+		return fmt.Errorf("background writer: %w", writerErr)
+	}
+	if folded.Load() == 0 {
+		return errors.New("background writer folded no batch while queries ran: latencies were not measured under live appends")
+	}
 	sort.Float64s(lat)
 	qry := queryResult{
 		Queries:           len(lat),
-		P50Ms:             round3(percentile(lat, 0.50)),
-		P99Ms:             round3(percentile(lat, 0.99)),
-		MaxMs:             round3(lat[len(lat)-1]),
+		P50Ms:             round(percentile(lat, 0.50)),
+		P99Ms:             round(percentile(lat, 0.99)),
+		MaxMs:             round(lat[len(lat)-1]),
 		ConcurrentBatches: int(folded.Load()),
 	}
 
-	rep := benchReport{
-		Benchmark: "failserved over loopback HTTP: concurrent CSV ingest, then /result latency under live appends",
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		SyncWAL:   *syncWAL,
-		Ingest:    ing,
-		Query:     qry,
+	rep := serveReport{
+		header: newHeader("failserved over loopback HTTP: concurrent CSV ingest, then /result latency under live appends"),
+		Ingest: ing,
+		Query:  qry,
 		Note: "ingest wall clock includes WAL append and the fold into the incremental " +
 			"engine; query latency includes the lazy refit of shards dirtied by the " +
 			"concurrent writer. Loopback HTTP, so no real network jitter.",
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
 	}
 	fmt.Printf("ingest: %d records in %d batches, %.0f rec/s across %d clients\n",
 		ing.Records, ing.Batches, ing.RecordsPerSec, ing.Clients)
 	fmt.Printf("query under appends: p50 %.1f ms, p99 %.1f ms, max %.1f ms (%d concurrent batches)\n",
 		qry.P50Ms, qry.P99Ms, qry.MaxMs, qry.ConcurrentBatches)
-	fmt.Printf("wrote %s\n", *out)
-	return nil
+	return writeReport(*out, rep)
 }
 
 // encodeBatches splits the trace into CSV bodies of up to n records each.
 func encodeBatches(recs []failures.Record, n int) ([][]byte, error) {
 	var batches [][]byte
 	for lo := 0; lo < len(recs); lo += n {
-		hi := lo + n
-		if hi > len(recs) {
-			hi = len(recs)
-		}
+		hi := min(lo+n, len(recs))
 		var buf bytes.Buffer
 		w, err := failures.NewCSVWriter(&buf)
 		if err != nil {
@@ -279,5 +259,3 @@ func percentile(sorted []float64, q float64) float64 {
 	}
 	return sorted[idx]
 }
-
-func round3(v float64) float64 { return math.Round(v*1000) / 1000 }

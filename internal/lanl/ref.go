@@ -16,7 +16,7 @@ import (
 // implementation that serves as the bit-identity oracle. The property
 // tests assert that Generate — at any worker count, with any subset or
 // ablation configuration — reproduces RefGenerate on every record field,
-// and cmd/genbench re-checks the identity on every benchmark run.
+// and `bench gen` re-checks the identity on every benchmark run.
 //
 // Do not "improve" this file; its value is that it does not change.
 

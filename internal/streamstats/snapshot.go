@@ -347,8 +347,11 @@ func (r *Reservoir) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if n > capacity || n > seen {
-		return fmt.Errorf("%w: reservoir sample %d exceeds capacity %d or seen %d", ErrSnapshot, n, capacity, seen)
+	// Add and Merge keep the sample at exactly min(seen, capacity): a
+	// shorter one would make the restored reservoir append where it
+	// should replace, diverging from one that was never snapshotted.
+	if n != min(capacity, seen) {
+		return fmt.Errorf("%w: reservoir sample %d, want min(capacity %d, seen %d)", ErrSnapshot, n, capacity, seen)
 	}
 	out := NewReservoir(int(capacity), int64(seed))
 	out.seen = seen

@@ -294,6 +294,38 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 }
 
+// A reservoir's sample always holds min(seen, capacity) values; restore
+// must refuse any other length, or later Adds append where they should
+// replace and the restored state drifts from the original.
+func TestReservoirSnapshotRejectsSampleLength(t *testing.T) {
+	cases := map[string]struct {
+		seen   int
+		mutate func(r *Reservoir)
+	}{
+		"short below capacity": {3, func(r *Reservoir) { r.sample = r.sample[:2] }},
+		"short at capacity":    {10, func(r *Reservoir) { r.sample = r.sample[:3] }},
+		"empty after seen":     {10, func(r *Reservoir) { r.sample = nil }},
+		"longer than seen":     {2, func(r *Reservoir) { r.sample = append(r.sample, 9) }},
+		"longer than capacity": {10, func(r *Reservoir) { r.sample = append(r.sample, 9) }},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			r := NewReservoir(4, 1)
+			for i := 0; i < c.seen; i++ {
+				r.Add(float64(i))
+			}
+			c.mutate(r)
+			blob, err := r.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := (&Reservoir{}).UnmarshalBinary(blob); !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("want ErrSnapshot, got %v", err)
+			}
+		})
+	}
+}
+
 // sketchBlob snapshots a sketch of {1, 2, 3} after mutate has corrupted
 // its state.
 func sketchBlob(t *testing.T, mutate func(s *QuantileSketch)) []byte {
