@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-codec race-engine perfbench-check fuzz fuzz-smoke bench bench-engine bench-fit bench-gen bench-serve bench-sweep bench-trace bench-scale prof-trace golden golden-sweep
+.PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-engine perfbench-check fuzz fuzz-smoke bench bench-engine bench-fit bench-gen bench-serve bench-sweep bench-trace bench-scale prof-trace golden golden-sweep
 
 # The full gate: what CI runs — static checks, build, the race detector
 # over every test, focused race passes over the parallel generator, the
-# daemon, the sweep engine, the binary trace pipeline, the parallel
-# trace codec and the sub-shard analysis pipeline, and short fuzz smokes
+# daemon, the sweep engine, the binary trace pipeline and the sub-shard
+# analysis pipeline, and short fuzz smokes
 # of the CSV reader, the ingest endpoint, the sweep-spec parser and the
 # binary trace round trip, plus the repo benchmark module's own checks.
-check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-codec race-engine fuzz-smoke perfbench-check
+check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-engine fuzz-smoke perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -55,20 +55,12 @@ race-trace:
 	$(GO) test -race ./internal/tracefmt
 	$(GO) test -race -run 'Binary|Workers|Stream' ./cmd/lanlgen ./cmd/failstat
 
-# Race pass over the parallel trace codec specifically: the encode and
-# decode identity matrices (workers x block sizes, byte- and
-# record-exact vs the sequential paths), corruption injection under
-# parallel decode, pool poison/IO-error/early-close shutdown, and the
-# batched engine fan-in identity.
-race-codec:
-	$(GO) test -race -run 'Parallel|Window|Boundar|Truncated' ./internal/tracefmt
-	$(GO) test -race -run 'BatchIdentity' ./internal/engine
-
 # Race pass over the sub-shard analysis pipeline: the workers x seeds
 # byte-identity matrix for fleet and stream, the dispatch-order
-# identities, and the counter-seeded bootstrap partition-invariance tests.
+# identities, the batched trace-scanner fan-in identity, and the
+# counter-seeded bootstrap partition-invariance tests.
 race-engine:
-	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed' ./internal/engine ./internal/dist
+	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|BatchIdentity' ./internal/engine ./internal/dist
 
 # perfbench is its own module, so the root go test ./... never reaches
 # its tests: they prove a dropped record, a flipped digest and a refused

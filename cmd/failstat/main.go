@@ -85,21 +85,24 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	binary, err := sniffBinary(f)
+	bin, csv, err := tracefmt.OpenInput(f, eng.Workers())
 	if err != nil {
 		return fmt.Errorf("read %s: %w", *dataPath, err)
+	}
+	if bin != nil {
+		defer bin.Close()
 	}
 	if *stream {
 		if *which != "fleet" {
 			return fmt.Errorf("-stream supports only -analysis fleet, got %q", *which)
 		}
-		return streamFleet(ctx, eng, f, binary, w, *epsilon, *reservoir)
+		return streamFleet(ctx, eng, bin, csv, w, *epsilon, *reservoir)
 	}
 	var dataset *failures.Dataset
-	if binary {
-		dataset, err = tracefmt.ReadDataset(f)
+	if bin != nil {
+		dataset, err = tracefmt.ReadDataset(bin)
 	} else {
-		dataset, err = failures.ReadCSV(f)
+		dataset, err = failures.ReadCSV(csv)
 	}
 	if err != nil {
 		return fmt.Errorf("read %s: %w", *dataPath, err)
@@ -319,52 +322,20 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// sniffBinary peeks at a trace file's first bytes to decide between the
-// binary and CSV readers, then rewinds, so either format works at any
-// file name.
-func sniffBinary(f *os.File) (bool, error) {
-	var prefix [tracefmt.HeaderLen]byte
-	n, err := io.ReadFull(f, prefix[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return false, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return false, err
-	}
-	return tracefmt.SniffMagic(prefix[:n]), nil
-}
-
 // streamFleet is the -stream path: one bounded-memory pass over the trace
 // through the streaming engine without ever building a Dataset. The
 // report is the same fleet table; summaries carry the documented
-// sketch/reservoir accuracy trade instead of being exact. Binary traces
-// decode on a parallel block pool (-workers wide, like the engine) —
-// over the footer index for regular files, read-ahead for pipes — and
-// hand the engine whole blocks; the output is byte-identical to a
-// sequential decode at any worker count.
-func streamFleet(ctx context.Context, eng *engine.Engine, f *os.File, binary bool, w io.Writer, epsilon float64, reservoir int) error {
-	var src engine.RecordSource
+// sketch/reservoir accuracy trade instead of being exact. A binary
+// trace arrives as bin, decoding on a -workers wide block pool over the
+// footer index when the input is a regular file and block by block on
+// this goroutine from a pipe; either way the engine gets whole blocks
+// and the output is byte-identical. A CSV trace arrives as csv.
+func streamFleet(ctx context.Context, eng *engine.Engine, bin *tracefmt.Scanner, csv io.Reader, w io.Writer, epsilon float64, reservoir int) error {
+	var src engine.RecordSource = bin
 	var sc *failures.Scanner
-	if binary {
-		if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
-			tf, err := tracefmt.NewFile(f, st.Size())
-			if err != nil {
-				return err
-			}
-			ps := tf.ScanParallel(tracefmt.ScanOptions{}, eng.Workers())
-			defer ps.Close()
-			src = ps
-		} else {
-			ps, err := tracefmt.NewScannerParallel(f, tracefmt.ScanOptions{})
-			if err != nil {
-				return err
-			}
-			defer ps.Close()
-			src = ps
-		}
-	} else {
+	if bin == nil {
 		var err error
-		sc, err = failures.NewScanner(f, failures.ReadCSVOptions{SkipMalformed: true})
+		sc, err = failures.NewScanner(csv, failures.ReadCSVOptions{SkipMalformed: true})
 		if err != nil {
 			return err
 		}

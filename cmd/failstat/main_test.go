@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"hpcfail/internal/failures"
@@ -144,6 +146,65 @@ func TestBinaryInputMatchesCSV(t *testing.T) {
 	}
 	if !bytes.Equal(csvStream.Bytes(), binStream.Bytes()) {
 		t.Fatal("streaming fleet output differs between CSV and binary input")
+	}
+}
+
+// fifo serves the file at path through a named pipe, so run gets a
+// -data input it can neither seek nor stat as a regular file. wait
+// reports the feeding goroutine's error once run has drained the pipe.
+func fifo(t *testing.T, path string) (pipe string, wait func() error) {
+	t.Helper()
+	pipe = filepath.Join(t.TempDir(), "trace.pipe")
+	if err := syscall.Mkfifo(pipe, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		w, err := os.OpenFile(pipe, os.O_WRONLY, 0)
+		if err != nil {
+			done <- err
+			return
+		}
+		src, err := os.Open(path)
+		if err == nil {
+			_, err = io.Copy(w, src)
+			src.Close()
+		}
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		done <- err
+	}()
+	return pipe, func() error { return <-done }
+}
+
+// TestDataFromPipe is a regression test: -data used to be sniffed by
+// reading and seeking back, so any pipe failed with "illegal seek".
+// Both formats must read from a FIFO with the same output as from the
+// regular file, in the materializing and the streaming paths.
+func TestDataFromPipe(t *testing.T) {
+	inputs := []struct{ name, path string }{{"csv", testTrace(t)}, {"bin", binaryTrace(t)}}
+	for _, in := range inputs {
+		for _, args := range [][]string{
+			{"-analysis", "rootcause"},
+			{"-analysis", "fleet", "-stream", "-bootstrap", "8"},
+		} {
+			var want, got bytes.Buffer
+			if err := run(append([]string{"-data", in.path}, args...), &want); err != nil {
+				t.Fatal(err)
+			}
+			pipe, wait := fifo(t, in.path)
+			if err := run(append([]string{"-data", pipe}, args...), &got); err != nil {
+				t.Fatalf("%s %v from a pipe: %v", in.name, args, err)
+			}
+			if err := wait(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s %v: pipe output differs from file output:\n--- file ---\n%s\n--- pipe ---\n%s",
+					in.name, args, want.String(), got.String())
+			}
+		}
 	}
 }
 

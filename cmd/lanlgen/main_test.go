@@ -125,14 +125,15 @@ func TestRunBinaryFormatMatchesCSV(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tracefmt.SniffMagic(raw[:tracefmt.HeaderLen]) {
-			t.Fatalf("workers %s: output does not start with the trace magic", workers)
+		s, err := tracefmt.NewScanner(bytes.NewReader(raw), tracefmt.ScanOptions{})
+		if err != nil {
+			t.Fatalf("workers %s: output is not a binary trace: %v", workers, err)
 		}
 		if prev != nil && !bytes.Equal(raw, prev) {
 			t.Fatalf("binary output differs between worker counts (workers %s)", workers)
 		}
 		prev = raw
-		got, err := tracefmt.ReadDataset(bytes.NewReader(raw))
+		got, err := tracefmt.ReadDataset(s)
 		if err != nil {
 			t.Fatal(err)
 		}

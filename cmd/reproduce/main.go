@@ -76,14 +76,15 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		binary, err := sniffBinary(f)
+		bin, csv, err := tracefmt.OpenInput(f, eng.Workers())
 		if err != nil {
 			return fmt.Errorf("read %s: %w", *dataPath, err)
 		}
-		if binary {
-			dataset, err = tracefmt.ReadDataset(f)
+		if bin != nil {
+			defer bin.Close()
+			dataset, err = tracefmt.ReadDataset(bin)
 		} else {
-			dataset, err = failures.ReadCSV(f)
+			dataset, err = failures.ReadCSV(csv)
 		}
 		if err != nil {
 			return fmt.Errorf("read %s: %w", *dataPath, err)
@@ -379,36 +380,22 @@ func streamFleet(ctx context.Context, eng *engine.Engine, path string, w io.Writ
 		return err
 	}
 	defer f.Close()
-	binary, err := sniffBinary(f)
+	bin, csv, err := tracefmt.OpenInput(f, eng.Workers())
 	if err != nil {
 		return err
 	}
-	var src engine.RecordSource
+	var src engine.RecordSource = bin
 	var sc *failures.Scanner
-	if binary {
-		// Parallel block decode, -workers wide like the engine itself;
-		// results are byte-identical at any worker count because blocks
-		// re-emit in index order.
-		if st, serr := f.Stat(); serr == nil && st.Mode().IsRegular() {
-			var tf *tracefmt.File
-			if tf, err = tracefmt.NewFile(f, st.Size()); err == nil {
-				ps := tf.ScanParallel(tracefmt.ScanOptions{}, eng.Workers())
-				defer ps.Close()
-				src = ps
-			}
-		} else {
-			var ps *tracefmt.ParallelScanner
-			if ps, err = tracefmt.NewScannerParallel(f, tracefmt.ScanOptions{}); err == nil {
-				defer ps.Close()
-				src = ps
-			}
-		}
+	if bin != nil {
+		// A binary trace in a regular file decodes block-parallel,
+		// -workers wide; results are byte-identical at any worker
+		// count because blocks re-emit in index order.
+		defer bin.Close()
 	} else {
-		sc, err = failures.NewScanner(f, failures.ReadCSVOptions{SkipMalformed: true})
+		if sc, err = failures.NewScanner(csv, failures.ReadCSVOptions{SkipMalformed: true}); err != nil {
+			return err
+		}
 		src = sc
-	}
-	if err != nil {
-		return err
 	}
 	fleet, info, err := eng.AnalyzeStream(ctx, src, engine.StreamOptions{
 		Spec: engine.ShardSpec{
@@ -434,20 +421,6 @@ func streamFleet(ctx context.Context, eng *engine.Engine, path string, w io.Writ
 	}
 	fmt.Fprintln(w)
 	return nil
-}
-
-// sniffBinary peeks at the leading bytes of f and reports whether they
-// carry the binary-trace magic, rewinding f either way.
-func sniffBinary(f *os.File) (bool, error) {
-	var prefix [tracefmt.HeaderLen]byte
-	n, err := io.ReadFull(f, prefix[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return false, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return false, err
-	}
-	return tracefmt.SniffMagic(prefix[:n]), nil
 }
 
 func graphicsFailureShare(d *failures.Dataset) float64 {

@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"hpcfail/internal/failures"
 	"hpcfail/internal/lanl"
+	"hpcfail/internal/tracefmt"
 )
 
 func TestReproduceFullRun(t *testing.T) {
@@ -121,5 +124,77 @@ func TestReproduceFromCSV(t *testing.T) {
 	want := fmt.Sprintf("%d failure records", dataset.Len())
 	if !strings.Contains(out.String(), want) {
 		t.Fatalf("missing %q in output header", want)
+	}
+}
+
+// TestReproduceStreamFromPipe is a regression test: -data used to be
+// sniffed by reading and seeking back, so a pipe failed with "illegal
+// seek". A CSV and a binary trace fed through a FIFO must give the
+// same -stream output as the same bytes in a regular file.
+func TestReproduceStreamFromPipe(t *testing.T) {
+	dataset, err := lanl.NewGenerator(lanl.Config{Seed: 1, Systems: []int{5, 20}}).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	csvPath, binPath := filepath.Join(dir, "trace.csv"), filepath.Join(dir, "trace.bin")
+	var csvBuf, binBuf bytes.Buffer
+	if err := failures.WriteCSV(&csvBuf, dataset); err != nil {
+		t.Fatal(err)
+	}
+	tw, err := tracefmt.NewWriter(&binBuf, tracefmt.WriterOptions{BlockRecords: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < dataset.Len(); i++ {
+		if err := tw.Write(dataset.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(csvPath, csvBuf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(binPath, binBuf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{csvPath, binPath} {
+		var want, got bytes.Buffer
+		if err := run([]string{"-data", path, "-stream", "-bootstrap", "8"}, &want); err != nil {
+			t.Fatal(err)
+		}
+		pipe := filepath.Join(t.TempDir(), "trace.pipe")
+		if err := syscall.Mkfifo(pipe, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		fed := make(chan error, 1)
+		go func() {
+			w, err := os.OpenFile(pipe, os.O_WRONLY, 0)
+			if err != nil {
+				fed <- err
+				return
+			}
+			src, err := os.Open(path)
+			if err == nil {
+				_, err = io.Copy(w, src)
+				src.Close()
+			}
+			if cerr := w.Close(); err == nil {
+				err = cerr
+			}
+			fed <- err
+		}()
+		if err := run([]string{"-data", pipe, "-stream", "-bootstrap", "8"}, &got); err != nil {
+			t.Fatalf("%s from a pipe: %v", filepath.Base(path), err)
+		}
+		if err := <-fed; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: pipe output differs from file output:\n--- file ---\n%s\n--- pipe ---\n%s",
+				filepath.Base(path), want.String(), got.String())
+		}
 	}
 }

@@ -18,10 +18,9 @@ type RecordSource interface {
 }
 
 // BatchSource is an optional extension of RecordSource for decoders
-// that naturally produce records a block at a time (tracefmt.Scanner,
-// tracefmt.ParallelScanner). ScanBatch returns the next non-empty run
-// of records, or (nil, nil) at a clean end; the returned slice is only
-// valid until the next call. AnalyzeStream type-asserts for this and
+// that naturally produce records a block at a time (tracefmt.Scanner).
+// ScanBatch returns the next non-empty run of records, or (nil, nil) at
+// a clean end; the returned slice is only valid until the next call. AnalyzeStream type-asserts for this and
 // folds whole batches, skipping the per-record interface round trip —
 // results are identical to the record-at-a-time path because folding
 // is sequential either way.

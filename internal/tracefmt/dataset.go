@@ -1,37 +1,64 @@
 package tracefmt
 
 import (
+	"bufio"
 	"io"
+	"os"
 
 	"hpcfail/internal/failures"
 )
 
-// SniffMagic reports whether prefix begins with the binary-trace magic.
-// Callers feed it the first HeaderLen bytes of a file to decide between
-// the binary reader and the CSV reader without trusting extensions.
-func SniffMagic(prefix []byte) bool {
-	return len(prefix) >= len(magic) && string(prefix[:len(magic)]) == magic
+// OpenInput picks the reader for a trace that may be in either format:
+// it sniffs the binary-trace magic by peeking at f's first bytes
+// through a bufio.Reader, never seeking, so f may be a pipe. A binary
+// trace comes back as a Scanner — File.ScanParallel with workers over
+// the footer index when f is a regular file, NewScanner over the
+// stream otherwise; the caller closes it. Anything else comes back as
+// a nil Scanner and a reader positioned at f's first byte, for the CSV
+// reader.
+func OpenInput(f *os.File, workers int) (*Scanner, io.Reader, error) {
+	br := bufio.NewReader(f)
+	binary, err := sniffMagic(br)
+	if err != nil || !binary {
+		return nil, br, err
+	}
+	if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
+		tf, err := NewFile(f, st.Size())
+		if err != nil {
+			return nil, nil, err
+		}
+		return tf.ScanParallel(ScanOptions{}, workers), nil, nil
+	}
+	s, err := NewScanner(br, ScanOptions{})
+	return s, nil, err
 }
 
-// HeaderLen is how many leading bytes SniffMagic needs.
-const HeaderLen = len(magic)
+// sniffMagic reports whether br's input begins with the binary-trace
+// magic, without consuming it. An input shorter than the magic is not
+// a trace.
+func sniffMagic(br *bufio.Reader) (bool, error) {
+	prefix, err := br.Peek(len(magic))
+	if err != nil && err != io.EOF {
+		return false, err
+	}
+	return string(prefix) == magic, nil
+}
 
-// ReadDataset decodes an entire binary trace into a Dataset — the
-// binary counterpart of failures.ReadCSV, for the in-memory analyses.
-// Like ReadCSV it sorts on load, so a trace written in any record order
-// loads into the identical dataset. Use a Scanner instead when the
-// trace may not fit in memory.
-func ReadDataset(r io.Reader) (*failures.Dataset, error) {
-	s, err := NewScanner(r, ScanOptions{})
-	if err != nil {
-		return nil, err
-	}
+// ReadDataset drains a binary-trace Scanner into a Dataset — the binary
+// counterpart of failures.ReadCSV, for the in-memory analyses. Like
+// ReadCSV it sorts on load, so a trace written in any record order
+// loads into the identical dataset. Consume the Scanner directly
+// instead when the trace may not fit in memory.
+func ReadDataset(s *Scanner) (*failures.Dataset, error) {
 	var records []failures.Record
-	for s.Scan() {
-		records = append(records, s.Record())
+	for {
+		b, err := s.ScanBatch()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return failures.NewDataset(records)
+		}
+		records = append(records, b...)
 	}
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return failures.NewDataset(records)
 }

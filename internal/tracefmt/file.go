@@ -14,10 +14,16 @@ import (
 // unread. Any io.ReaderAt works — an *os.File, an mmap'd byte slice
 // wrapped in bytes.NewReader, an in-memory buffer.
 type File struct {
-	ra      io.ReaderAt
-	closer  io.Closer
-	blocks  []BlockInfo
+	ra     io.ReaderAt
+	closer io.Closer
+	footer
+}
+
+// footer is a parsed footer frame: the record total, the block index
+// and the complete dictionaries in first-appearance order.
+type footer struct {
 	records uint64
+	blocks  []BlockInfo
 	hwDict  []failures.HWType
 	detDict []string
 }
@@ -45,50 +51,47 @@ func OpenFile(path string) (*File, error) {
 // NewFile opens a trace held by any random-access reader of the given
 // size, verifying the header, trailer and footer frame before returning.
 func NewFile(ra io.ReaderAt, size int64) (*File, error) {
-	var hdr [headerSize]byte
 	if size < int64(headerSize+trailerSize) {
 		return nil, fmt.Errorf("%w: %d bytes is too short for a trace file", ErrTruncated, size)
 	}
-	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("tracefmt: read header: %w", err)
-	}
-	if string(hdr[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadMagic, hdr[:len(magic)])
-	}
-	if v := le.Uint16(hdr[len(magic):]); v != Version {
-		return nil, fmt.Errorf("%w: file version %d, reader supports %d", ErrVersion, v, Version)
+	if err := readHeader(io.NewSectionReader(ra, 0, size)); err != nil {
+		return nil, err
 	}
 	var tr [trailerSize]byte
 	if _, err := ra.ReadAt(tr[:], size-int64(trailerSize)); err != nil {
 		return nil, fmt.Errorf("tracefmt: read trailer: %w", err)
 	}
-	if string(tr[8:]) != trailerMagic {
-		return nil, fmt.Errorf("%w: bad trailer magic %q (file truncated or not Closed)", ErrBadMagic, tr[8:])
+	footOff, err := parseTrailer(tr)
+	if err != nil {
+		return nil, err
 	}
-	footOff := int64(le.Uint64(tr[:]))
-	if footOff < int64(headerSize) || footOff >= size-int64(trailerSize) {
+	footEnd := size - int64(trailerSize)
+	if footOff < int64(headerSize) || footOff >= footEnd {
 		return nil, fmt.Errorf("%w: footer offset %d outside file", ErrFormat, footOff)
 	}
-	kind, payload, err := readFrameAt(ra, footOff, nil)
+	kind, payload, err := readFrame(io.NewSectionReader(ra, footOff, footEnd-footOff), nil)
 	if err != nil {
 		return nil, err
 	}
 	if kind != frameFooter {
 		return nil, fmt.Errorf("%w: trailer points at frame kind %d, want footer", ErrFormat, kind)
 	}
-	f := &File{ra: ra}
-	if err := f.parseFooter(payload, footOff); err != nil {
+	ft, err := parseFooter(payload, footOff)
+	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return &File{ra: ra, footer: ft}, nil
 }
 
-func (f *File) parseFooter(p []byte, footOff int64) error {
+// parseFooter parses and validates a footer payload; footOff is the
+// footer frame's own offset, which every indexed block must precede.
+func parseFooter(p []byte, footOff int64) (footer, error) {
+	var ft footer
 	fr := fieldReader{buf: p}
-	f.records = fr.u64("record total")
+	ft.records = fr.u64("record total")
 	nBlocks := int(fr.u32("block count"))
 	if nBlocks < 0 || nBlocks > maxFramePayload/28 {
-		return fmt.Errorf("%w: footer block count %d", ErrFormat, nBlocks)
+		return ft, fmt.Errorf("%w: footer block count %d", ErrFormat, nBlocks)
 	}
 	var sum uint64
 	// Block offsets must be strictly increasing and non-overlapping:
@@ -106,61 +109,25 @@ func (f *File) parseFooter(p []byte, footOff int64) error {
 			MaxStart: fr.i64("block max start"),
 		}
 		if b.Records <= 0 || b.Records > maxFramePayload/recordWidth {
-			return fmt.Errorf("%w: footer block %d: %d records", ErrFormat, i, b.Records)
+			return ft, fmt.Errorf("%w: footer block %d: %d records", ErrFormat, i, b.Records)
 		}
 		if b.Offset < minOff || b.Offset >= footOff {
-			return fmt.Errorf("%w: footer block %d: offset %d overlaps block %d or the footer", ErrFormat, i, b.Offset, i-1)
+			return ft, fmt.Errorf("%w: footer block %d: offset %d overlaps block %d or the footer", ErrFormat, i, b.Offset, i-1)
 		}
 		minOff = b.Offset + int64(frameSize+blockPrefixSize+2+4) + int64(b.Records)*recordWidth
 		sum += uint64(b.Records)
-		f.blocks = append(f.blocks, b)
+		ft.blocks = append(ft.blocks, b)
 	}
-	nHW := int(fr.u16("hw dict count"))
-	for i := 0; i < nHW && fr.err == nil; i++ {
-		l := int(fr.u16("hw label length"))
-		f.hwDict = append(f.hwDict, failures.HWType(fr.bytes(l, "hw label")))
-	}
-	nDet := int(fr.u32("detail dict count"))
-	if nDet > maxDetailDict {
-		return fmt.Errorf("%w: detail dictionary count %d", ErrFormat, nDet)
-	}
-	for i := 0; i < nDet && fr.err == nil; i++ {
-		l := int(fr.u16("detail label length"))
-		f.detDict = append(f.detDict, string(fr.bytes(l, "detail label")))
-	}
-	if fr.err != nil {
-		return fr.err
+	if err := parseDicts(&fr, &ft.hwDict, &ft.detDict, true); err != nil {
+		return ft, err
 	}
 	if fr.off != len(p) {
-		return fmt.Errorf("%w: %d trailing footer bytes", ErrFormat, len(p)-fr.off)
+		return ft, fmt.Errorf("%w: %d trailing footer bytes", ErrFormat, len(p)-fr.off)
 	}
-	if sum != f.records {
-		return fmt.Errorf("%w: footer total %d, blocks sum to %d", ErrFormat, f.records, sum)
+	if sum != ft.records {
+		return ft, fmt.Errorf("%w: footer total %d, blocks sum to %d", ErrFormat, ft.records, sum)
 	}
-	return nil
-}
-
-// readFrameAt reads and CRC-verifies the frame at a file offset.
-func readFrameAt(ra io.ReaderAt, off int64, buf []byte) (byte, []byte, error) {
-	var hdr [frameSize]byte
-	if _, err := ra.ReadAt(hdr[:], off); err != nil {
-		return 0, nil, fmt.Errorf("%w: frame at %d: %v", ErrTruncated, off, err)
-	}
-	n := int(le.Uint32(hdr[1:]))
-	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("%w: frame payload %d bytes exceeds the %d cap", ErrFormat, n, maxFramePayload)
-	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	p := buf[:n]
-	if _, err := ra.ReadAt(p, off+int64(frameSize)); err != nil {
-		return 0, nil, fmt.Errorf("%w: frame body at %d: %v", ErrTruncated, off, err)
-	}
-	if got, want := crc32Checksum(p), le.Uint32(hdr[5:]); got != want {
-		return 0, nil, fmt.Errorf("%w: payload CRC %08x, frame says %08x", ErrChecksum, got, want)
-	}
-	return hdr[0], p, nil
+	return ft, nil
 }
 
 // Records returns the total number of records in the trace.
@@ -185,33 +152,28 @@ func (f *File) Close() error {
 // Scan returns a Scanner over the records in the options' time window.
 // Blocks whose footer index proves them disjoint from the window are
 // never read from the underlying reader — a narrow window over a long
-// trace touches O(matching blocks), not O(file).
+// trace touches O(matching blocks), not O(file). The Scanner decodes on
+// the caller's goroutine, one indexed block at a time.
 func (f *File) Scan(opts ScanOptions) *Scanner {
-	s := newScanner(opts, true)
-	s.hwDict = f.hwDict
-	s.detDict = f.detDict
+	fromN, toInc := scanBounds(opts)
 	i := 0
-	var buf []byte
-	s.next = func() ([]byte, error) {
+	var frameBuf []byte
+	next := func(buf []failures.Record) ([]failures.Record, error) {
 		for i < len(f.blocks) {
 			b := f.blocks[i]
 			i++
-			if !b.overlaps(s.fromN, s.toInc) {
+			if !b.overlaps(fromN, toInc) {
 				continue
 			}
-			kind, p, err := readFrameAt(f.ra, b.Offset, buf)
-			if err != nil {
-				return nil, err
+			var err error
+			buf, frameBuf, err = f.decodeBlockAt(b, frameBuf, fromN, toInc, buf[:0])
+			if err != nil || len(buf) > 0 {
+				return buf, err
 			}
-			buf = p[:0]
-			if kind != frameBlock {
-				return nil, fmt.Errorf("%w: index points at frame kind %d, want block", ErrFormat, kind)
-			}
-			return p, nil
 		}
 		return nil, nil
 	}
-	return s
+	return &Scanner{next: next}
 }
 
 // decodeBlockAt reads, verifies and decodes one indexed block, appending
@@ -220,9 +182,9 @@ func (f *File) Scan(opts ScanOptions) *Scanner {
 // The decoded record count must match the footer index — a block that
 // disagrees with its own index entry is malformed, whichever is lying.
 func (f *File) decodeBlockAt(b BlockInfo, frameBuf []byte, fromN, toInc int64, dst []failures.Record) ([]failures.Record, []byte, error) {
-	kind, p, err := readFrameAt(f.ra, b.Offset, frameBuf)
+	kind, p, err := readFrame(io.NewSectionReader(f.ra, b.Offset, frameSize+maxFramePayload), frameBuf)
 	if err != nil {
-		return dst, frameBuf, err
+		return dst, frameBuf, fmt.Errorf("block at %d: %w", b.Offset, err)
 	}
 	if kind != frameBlock {
 		return dst, p, fmt.Errorf("%w: index points at frame kind %d, want block", ErrFormat, kind)
@@ -234,6 +196,6 @@ func (f *File) decodeBlockAt(b BlockInfo, frameBuf []byte, fromN, toInc int64, d
 	if n != b.Records {
 		return dst, p, fmt.Errorf("%w: block at %d holds %d records, index says %d", ErrFormat, b.Offset, n, b.Records)
 	}
-	dst, err = decodeColumns(p, colOff, n, 0, f.hwDict, f.detDict, fromN, toInc, dst)
+	dst, err = decodeColumns(p, colOff, n, f.hwDict, f.detDict, fromN, toInc, dst)
 	return dst, p, err
 }

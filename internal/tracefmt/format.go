@@ -21,7 +21,7 @@
 // records, duplicated in the footer index, so a time-range scan skips
 // whole blocks — via the footer without even reading them (File), or by
 // decoding nothing but the 20-byte block prefix on a pure stream
-// (Scanner).
+// (NewScanner).
 //
 // Framing is defensive: each frame carries the CRC-32C of its payload,
 // verified before any field is trusted, so torn writes and bit rot

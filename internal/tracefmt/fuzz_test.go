@@ -73,58 +73,49 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			}
 		}
 
-		// The parallel scanners must reproduce the sequential scan of the
+		// The parallel scanner must reproduce the sequential scan of the
 		// fresh encoding exactly, at a worker count above one.
 		pf, err := NewFile(bytes.NewReader(raw), int64(len(raw)))
 		if err != nil {
 			t.Fatalf("NewFile on fresh encoding: %v", err)
 		}
-		ps := pf.ScanParallel(ScanOptions{}, 3)
-		var pgot []failures.Record
-		for ps.Scan() {
-			pgot = append(pgot, ps.Record())
-		}
-		if err := ps.Err(); err != nil {
-			t.Fatalf("ScanParallel on fresh encoding: %v", err)
-		}
-		if !reflect.DeepEqual(pgot, got) {
+		if pgot := scanAll(t, pf.ScanParallel(ScanOptions{}, 3)); !reflect.DeepEqual(pgot, got) {
 			t.Fatalf("ScanParallel yielded %d records, sequential %d (or field mismatch)", len(pgot), len(got))
-		}
-		ps2, err := NewScannerParallel(bytes.NewReader(raw), ScanOptions{})
-		if err != nil {
-			t.Fatalf("NewScannerParallel on fresh encoding: %v", err)
-		}
-		pgot = pgot[:0]
-		for ps2.Scan() {
-			pgot = append(pgot, ps2.Record())
-		}
-		if err := ps2.Err(); err != nil {
-			t.Fatalf("NewScannerParallel on fresh encoding: %v", err)
-		}
-		if len(pgot) != len(got) {
-			t.Fatalf("NewScannerParallel yielded %d records, sequential %d", len(pgot), len(got))
 		}
 
 		// The raw fuzz bytes as a trace: a scanner that accepts them must
-		// terminate and surface any corruption through Err(), and the
-		// random-access reader must never index more records than the
-		// stream scan can actually produce.
+		// terminate and surface any corruption through Err(). Whenever the
+		// stream scan accepts the bytes, its footer check has proved the
+		// index and dictionaries match the blocks, so the random-access
+		// reader must open them and read back identical records.
 		if s2, err := NewScanner(bytes.NewReader(data), ScanOptions{}); err == nil {
-			streamed := 0
+			var streamed []failures.Record
 			for s2.Scan() {
-				streamed++
+				streamed = append(streamed, s2.Record())
 			}
-			if f2, err := NewFile(bytes.NewReader(data), int64(len(data))); err == nil && s2.Err() == nil {
-				if f2.Records() != streamed {
-					t.Fatalf("file header claims %d records, stream scan yielded %d", f2.Records(), streamed)
+			if s2.Err() == nil {
+				f2, err := NewFile(bytes.NewReader(data), int64(len(data)))
+				if err != nil {
+					t.Fatalf("NewScanner accepted bytes that NewFile rejects: %v", err)
+				}
+				for _, workers := range []int{1, 3} {
+					ps := f2.ScanParallel(ScanOptions{}, workers)
+					var pgot []failures.Record
+					for ps.Scan() {
+						pgot = append(pgot, ps.Record())
+					}
+					if err := ps.Err(); err != nil || !reflect.DeepEqual(pgot, streamed) {
+						t.Fatalf("ScanParallel(%d) yielded %d records (err %v), stream %d",
+							workers, len(pgot), err, len(streamed))
+					}
 				}
 			}
 		}
 
-		// Hostile bytes through the parallel paths: the footer index is
-		// validated before any worker dereferences it, so both scanners
+		// Hostile bytes through the parallel path: the footer index is
+		// validated before any worker dereferences it, so the scanner
 		// must terminate with a clean end or an error — never panic or
-		// hang, and never disagree with the sequential scan on success.
+		// hang, and never yield a record count the index does not claim.
 		if hf, err := NewFile(bytes.NewReader(data), int64(len(data))); err == nil {
 			hs := hf.ScanParallel(ScanOptions{}, 3)
 			hostile := 0
@@ -133,11 +124,6 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			}
 			if hs.Err() == nil && hostile != hf.Records() {
 				t.Fatalf("hostile ScanParallel yielded %d records, index says %d", hostile, hf.Records())
-			}
-			hs.Close()
-		}
-		if hs, err := NewScannerParallel(bytes.NewReader(data), ScanOptions{}); err == nil {
-			for hs.Scan() {
 			}
 			hs.Close()
 		}

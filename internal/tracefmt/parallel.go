@@ -1,15 +1,12 @@
 package tracefmt
 
 import (
-	"fmt"
-	"io"
 	"runtime"
-	"sync"
 
 	"hpcfail/internal/failures"
 )
 
-// decBatch carries one decoded block from a producer to the consumer.
+// decBatch carries one decoded block from a worker to the consumer.
 // Batches arrive on the out channel in block order; ready is closed
 // once recs and err are final, so the consumer can wait for a specific
 // block while later blocks are still being decoded.
@@ -20,64 +17,21 @@ type decBatch struct {
 	ready chan struct{}
 }
 
-// closedChan is the pre-closed ready channel used by producers whose
-// batches are final at publication time (the streaming read-ahead path
-// and error batches).
-var closedChan = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
-// ParallelScanner yields the records of a binary trace in the same
-// order as Scanner — byte-identical analysis results at any worker
-// count — while the decode work runs ahead on other goroutines. It
-// implements the engine.RecordSource shape (Scan/Record/Err) and
-// ScanBatch (engine.BatchSource), which is the intended way to consume
-// it: one whole decoded block per call, no per-record hand-off.
-//
-// Record buffers are pooled: a fixed set of slices cycles between the
-// producers and the consumer, so steady-state decoding allocates only
-// when a block outgrows its reused buffer. Close releases the worker
-// goroutines early; letting the scan run to its end (or first error)
-// releases them too.
-type ParallelScanner struct {
-	out  chan *decBatch         // producer → consumer, block order
-	free chan []failures.Record // recycled record buffers
-	stop chan struct{}
-
-	stopOnce sync.Once
-	drained  bool
-
-	cur     []failures.Record
-	i       int
-	rec     failures.Record
-	err     error
-	done    bool
-	scanned int
-}
-
-func newParallelScanner(inflight int) *ParallelScanner {
-	p := &ParallelScanner{
-		out:  make(chan *decBatch, inflight),
-		free: make(chan []failures.Record, inflight),
-		stop: make(chan struct{}),
-	}
-	for i := 0; i < inflight; i++ {
-		p.free <- nil
-	}
-	return p
-}
-
 // ScanParallel scans the trace with a pool of block-decode workers over
 // the footer index: a dispatcher walks the index in order, skipping
 // blocks the time window cannot touch (they are never read), and
 // publishes each remaining block to the consumer before handing it to
 // the pool, so blocks re-emit strictly in index order no matter which
 // worker finishes first. workers <= 0 uses GOMAXPROCS. The returned
-// scanner yields exactly the records of f.Scan(opts), in the same
-// order.
-func (f *File) ScanParallel(opts ScanOptions, workers int) *ParallelScanner {
+// Scanner yields exactly the records of f.Scan(opts), in the same
+// order, so analysis results are byte-identical at any worker count.
+//
+// Record buffers are pooled: a fixed set of slices cycles between the
+// workers and the consumer, so steady-state decoding allocates only
+// when a block outgrows its reused buffer. Close releases the worker
+// goroutines early; letting the scan run to its end (or first error)
+// releases them too.
+func (f *File) ScanParallel(opts ScanOptions, workers int) *Scanner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -86,8 +40,13 @@ func (f *File) ScanParallel(opts ScanOptions, workers int) *ParallelScanner {
 	}
 	fromN, toInc := scanBounds(opts)
 	inflight := workers + 2
-	p := newParallelScanner(inflight)
-	work := make(chan *decBatch, inflight)
+	out := make(chan *decBatch, inflight)          // dispatcher → consumer, block order
+	work := make(chan *decBatch, inflight)         // dispatcher → workers
+	free := make(chan []failures.Record, inflight) // recycled record buffers
+	stop := make(chan struct{})
+	for i := 0; i < inflight; i++ {
+		free <- nil
+	}
 
 	// Dispatcher: the free channel is both the buffer pool and the
 	// backpressure bound — at most inflight blocks are decoded ahead
@@ -97,19 +56,19 @@ func (f *File) ScanParallel(opts ScanOptions, workers int) *ParallelScanner {
 	// ever waits on free or stop.
 	go func() {
 		defer close(work)
-		defer close(p.out)
+		defer close(out)
 		for _, b := range f.blocks {
 			if !b.overlaps(fromN, toInc) {
 				continue
 			}
 			var buf []failures.Record
 			select {
-			case buf = <-p.free:
-			case <-p.stop:
+			case buf = <-free:
+			case <-stop:
 				return
 			}
 			d := &decBatch{info: b, recs: buf, ready: make(chan struct{})}
-			p.out <- d
+			out <- d
 			work <- d
 		}
 	}()
@@ -122,201 +81,45 @@ func (f *File) ScanParallel(opts ScanOptions, workers int) *ParallelScanner {
 			}
 		}()
 	}
-	return p
-}
 
-// NewScannerParallel is the streaming variant of ScanParallel for
-// inputs without random access (pipes, network streams): a single
-// producer goroutine read-ahead-decodes the next blocks — frame read,
-// CRC, dictionary deltas, column decode — while the consumer drains the
-// current one. Block-skipping windows still apply (a skipped block
-// costs only its prefix parse). The record order and error behaviour
-// match NewScanner exactly.
-func NewScannerParallel(r io.Reader, opts ScanOptions) (*ParallelScanner, error) {
-	if err := readHeader(r); err != nil {
-		return nil, err
+	recycle := func(buf []failures.Record) {
+		select {
+		case free <- buf[:0]:
+		default:
+		}
 	}
-	fromN, toInc := scanBounds(opts)
-	const inflight = 4
-	p := newParallelScanner(inflight)
-	go func() {
-		defer close(p.out)
-		var buf []byte
-		var hwDict []failures.HWType
-		var detDict []string
-		emit := func(d *decBatch) bool {
-			select {
-			case p.out <- d:
-				return true
-			case <-p.stop:
-				return false
+	// shutdown stops the dispatcher and drains every in-flight batch,
+	// so no worker is left blocked on a channel. Only the consumer
+	// calls it; idempotent.
+	stopped := false
+	shutdown := func() {
+		if stopped {
+			return
+		}
+		stopped = true
+		close(stop)
+		for d := range out {
+			<-d.ready
+		}
+	}
+	next := func(buf []failures.Record) ([]failures.Record, error) {
+		// A non-nil buf is a drained block, which holds a free token.
+		if buf != nil {
+			recycle(buf)
+		}
+		for d := range out {
+			<-d.ready
+			if d.err != nil {
+				recycle(d.recs)
+				shutdown()
+				return nil, d.err
 			}
-		}
-		fail := func(err error) { emit(&decBatch{err: err, ready: closedChan}) }
-		for {
-			kind, payload, err := readFrame(r, &buf)
-			if err != nil {
-				fail(err)
-				return
+			if len(d.recs) > 0 {
+				return d.recs, nil
 			}
-			switch kind {
-			case frameBlock:
-				n, minS, maxS, colOff, err := parseBlock(payload, &hwDict, &detDict, true)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if !(BlockInfo{MinStart: minS, MaxStart: maxS}).overlaps(fromN, toInc) {
-					continue
-				}
-				var recs []failures.Record
-				select {
-				case recs = <-p.free:
-				case <-p.stop:
-					return
-				}
-				recs, err = decodeColumns(payload, colOff, n, 0, hwDict, detDict, fromN, toInc, recs[:0])
-				if err != nil {
-					fail(err)
-					return
-				}
-				if !emit(&decBatch{recs: recs, ready: closedChan}) {
-					return
-				}
-			case frameFooter:
-				var tr [trailerSize]byte
-				if _, err := io.ReadFull(r, tr[:]); err != nil {
-					fail(fmt.Errorf("%w: reading trailer: %v", ErrTruncated, err))
-					return
-				}
-				if string(tr[8:]) != trailerMagic {
-					fail(fmt.Errorf("%w: bad trailer magic %q", ErrBadMagic, tr[8:]))
-					return
-				}
-				if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-					fail(fmt.Errorf("%w: data after trailer", ErrFormat))
-					return
-				}
-				return
-			default:
-				fail(fmt.Errorf("%w: unknown frame kind %d", ErrFormat, kind))
-				return
-			}
+			recycle(d.recs)
 		}
-	}()
-	return p, nil
-}
-
-// nextBatch recycles the drained batch and blocks until the next
-// non-empty one is decoded; nil means end of scan (p.err says whether
-// it was clean). On error it shuts the pipeline down before returning.
-func (p *ParallelScanner) nextBatch() []failures.Record {
-	if p.done || p.err != nil {
-		return nil
+		return nil, nil
 	}
-	if p.cur != nil {
-		p.recycle(p.cur)
-		p.cur = nil
-	}
-	for {
-		d, ok := <-p.out
-		if !ok {
-			p.done = true
-			return nil
-		}
-		<-d.ready
-		if d.err != nil {
-			p.err = d.err
-			p.done = true
-			p.recycle(d.recs)
-			p.shutdown()
-			return nil
-		}
-		if len(d.recs) == 0 {
-			p.recycle(d.recs)
-			continue
-		}
-		p.cur = d.recs
-		p.i = 0
-		p.scanned += len(d.recs)
-		return d.recs
-	}
-}
-
-func (p *ParallelScanner) recycle(buf []failures.Record) {
-	select {
-	case p.free <- buf[:0]:
-	default:
-	}
-}
-
-// shutdown stops the producers and drains every in-flight batch, so no
-// worker is left blocked on a channel. Idempotent.
-func (p *ParallelScanner) shutdown() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	if p.drained {
-		return
-	}
-	p.drained = true
-	for d := range p.out {
-		<-d.ready
-	}
-}
-
-// Scan advances to the next record, reporting false at the end of the
-// scan or on the first error (see Err).
-func (p *ParallelScanner) Scan() bool {
-	for {
-		if p.i < len(p.cur) {
-			p.rec = p.cur[p.i]
-			p.i++
-			return true
-		}
-		if p.nextBatch() == nil {
-			return false
-		}
-	}
-}
-
-// ScanBatch yields the in-window records of the next block (or the
-// unconsumed rest of the current one, if Scan was used mid-block),
-// returning (nil, nil) at a clean end of scan. The slice is valid until
-// the next ScanBatch or Scan call.
-func (p *ParallelScanner) ScanBatch() ([]failures.Record, error) {
-	if p.i < len(p.cur) {
-		b := p.cur[p.i:]
-		p.i = len(p.cur)
-		p.rec = b[len(b)-1]
-		return b, nil
-	}
-	b := p.nextBatch()
-	if b == nil {
-		return nil, p.err
-	}
-	p.i = len(b)
-	p.rec = b[len(b)-1]
-	return b, nil
-}
-
-// Record returns the record produced by the last successful Scan (after
-// ScanBatch: the last record of the batch).
-func (p *ParallelScanner) Record() failures.Record { return p.rec }
-
-// Scanned returns how many in-window records have been decoded and
-// handed to the consumer so far.
-func (p *ParallelScanner) Scanned() int { return p.scanned }
-
-// Err returns the error that stopped the scan, if any. A clean end of
-// trace is not an error.
-func (p *ParallelScanner) Err() error { return p.err }
-
-// Close releases the scanner's goroutines without waiting for the scan
-// to finish. It is a no-op after the scan has already ended and always
-// safe to defer; records decoded but not yet consumed are discarded.
-func (p *ParallelScanner) Close() error {
-	p.shutdown()
-	p.done = true
-	p.cur = nil
-	p.i = 0
-	return nil
+	return &Scanner{next: next, stop: shutdown}
 }

@@ -1,33 +1,21 @@
 package tracefmt
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hpcfail/internal/failures"
 )
-
-// parScanAll drains a ParallelScanner through the Scan/Record interface
-// and fails the test on any scan error.
-func parScanAll(t testing.TB, p *ParallelScanner) []failures.Record {
-	t.Helper()
-	defer p.Close()
-	var out []failures.Record
-	for p.Scan() {
-		out = append(out, p.Record())
-	}
-	if err := p.Err(); err != nil {
-		t.Fatalf("parallel scan: %v", err)
-	}
-	return out
-}
 
 // TestParallelWriterByteIdentity is the contract the parallel encoder
 // lives by: at every worker count and block size the output bytes are
@@ -142,10 +130,11 @@ func TestParallelWriterWriteAfterClose(t *testing.T) {
 	}
 }
 
-// TestParallelScanIdentity is the decode-side identity matrix: both
-// parallel scanners must yield records DeepEqual to the sequential
-// Scanner — every field, every order — across worker counts, block
-// sizes and time windows.
+// TestParallelScanIdentity is the decode-side identity matrix: every
+// way to get a Scanner — NewScanner over the stream, File.Scan over the
+// index, File.ScanParallel at several worker counts — must yield
+// exactly the written records that fall in the window, every field, in
+// write order, across block sizes and time windows.
 func TestParallelScanIdentity(t *testing.T) {
 	recs := synthRecords(3000)
 	from := time.Date(1996, 8, 10, 0, 0, 0, 0, time.UTC)
@@ -154,39 +143,43 @@ func TestParallelScanIdentity(t *testing.T) {
 	for _, blockN := range []int{1, 7, 8192} {
 		raw := encode(t, recs, WriterOptions{BlockRecords: blockN})
 		for wi, opts := range []ScanOptions{{}, {From: from, To: to}} {
-			s, err := NewScanner(bytes.NewReader(raw), ScanOptions{From: opts.From, To: opts.To})
-			if err != nil {
-				t.Fatal(err)
+			var want []failures.Record
+			for _, r := range recs {
+				if (opts.From.IsZero() || !r.Start.Before(opts.From)) && (opts.To.IsZero() || r.Start.Before(opts.To)) {
+					want = append(want, r)
+				}
 			}
-			want := scanAll(t, s)
 			if wi == 1 && (len(want) == 0 || len(want) == len(recs)) {
 				t.Fatalf("degenerate window: %d of %d records", len(want), len(recs))
 			}
+			check := func(t *testing.T, s *Scanner) {
+				t.Helper()
+				got := scanAll(t, s)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d records, want %d (or field mismatch)", len(got), len(want))
+				}
+				if s.Scanned() != len(want) {
+					t.Fatalf("Scanned() = %d, want %d", s.Scanned(), len(want))
+				}
+			}
+			f, err := NewFile(bytes.NewReader(raw), int64(len(raw)))
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, workers := range workerCounts {
 				t.Run(fmt.Sprintf("block=%d/window=%d/workers=%d", blockN, wi, workers), func(t *testing.T) {
-					f, err := NewFile(bytes.NewReader(raw), int64(len(raw)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					ps := f.ScanParallel(opts, workers)
-					got := parScanAll(t, ps)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("ScanParallel: %d records, want %d (or field mismatch)", len(got), len(want))
-					}
-					if ps.Scanned() != len(want) {
-						t.Fatalf("Scanned() = %d, want %d", ps.Scanned(), len(want))
-					}
+					check(t, f.ScanParallel(opts, workers))
 				})
 			}
+			t.Run(fmt.Sprintf("block=%d/window=%d/file", blockN, wi), func(t *testing.T) {
+				check(t, f.Scan(opts))
+			})
 			t.Run(fmt.Sprintf("block=%d/window=%d/stream", blockN, wi), func(t *testing.T) {
-				ps, err := NewScannerParallel(bytes.NewReader(raw), opts)
+				s, err := NewScanner(bytes.NewReader(raw), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := parScanAll(t, ps)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("NewScannerParallel: %d records, want %d (or field mismatch)", len(got), len(want))
-				}
+				check(t, s)
 			})
 		}
 	}
@@ -234,7 +227,7 @@ func TestParallelScanWindowSkipsReads(t *testing.T) {
 		t.Fatalf("degenerate window: %d of %d blocks overlap", overlapping, len(f.Blocks()))
 	}
 	openReads := cra.reads.Load()
-	got := parScanAll(t, f.ScanParallel(ScanOptions{From: from, To: to}, 4))
+	got := scanAll(t, f.ScanParallel(ScanOptions{From: from, To: to}, 4))
 	scanReads := cra.reads.Load() - openReads
 	if maxReads := int64(2 * overlapping); scanReads > maxReads {
 		t.Fatalf("parallel range scan issued %d reads for %d overlapping blocks (max %d): skipping is broken",
@@ -252,9 +245,9 @@ func TestParallelScanWindowSkipsReads(t *testing.T) {
 }
 
 // TestParallelScanCorruption flips a byte in every frame of the trace,
-// one corrupted copy at a time, and requires each parallel scanner to
-// surface an error — never panic, never deadlock — and to shut down
-// cleanly with workers drained.
+// one corrupted copy at a time, and requires the parallel and stream
+// scanners to surface an error — never panic, never deadlock — and to
+// shut down cleanly with workers drained.
 func TestParallelScanCorruption(t *testing.T) {
 	recs := synthRecords(300)
 	raw := encode(t, recs, WriterOptions{BlockRecords: 25})
@@ -297,17 +290,14 @@ func TestParallelScanCorruption(t *testing.T) {
 				}
 			}
 
-			ps, err := NewScannerParallel(bytes.NewReader(bad), ScanOptions{})
+			s, err := NewScanner(bytes.NewReader(bad), ScanOptions{})
 			if err != nil {
 				return // header corrupt: rejected at open, also fine
 			}
-			for ps.Scan() {
+			for s.Scan() {
 			}
-			if ps.Err() == nil {
-				t.Fatalf("NewScannerParallel missed the corruption at offset %d", sc.off)
-			}
-			if err := ps.Close(); err != nil {
-				t.Fatalf("Close after error: %v", err)
+			if s.Err() == nil {
+				t.Fatalf("NewScanner missed the corruption at offset %d", sc.off)
 			}
 		})
 	}
@@ -333,16 +323,6 @@ func TestParallelScanEarlyClose(t *testing.T) {
 		}
 		if ps.Scan() {
 			t.Fatalf("Scan succeeded after Close")
-		}
-
-		ps2, err := NewScannerParallel(bytes.NewReader(raw), ScanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 10 && ps2.Scan(); j++ {
-		}
-		if err := ps2.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -474,15 +454,8 @@ func TestOpenWindowExtremeStarts(t *testing.T) {
 		if got := scanAll(t, f.Scan(opts)); len(got) != want {
 			t.Fatalf("%s: File.Scan yielded %d records, want %d", name, len(got), want)
 		}
-		if got := parScanAll(t, f.ScanParallel(opts, 2)); len(got) != want {
+		if got := scanAll(t, f.ScanParallel(opts, 2)); len(got) != want {
 			t.Fatalf("%s: ScanParallel yielded %d records, want %d", name, len(got), want)
-		}
-		ps, err := NewScannerParallel(bytes.NewReader(raw), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := parScanAll(t, ps); len(got) != want {
-			t.Fatalf("%s: NewScannerParallel yielded %d records, want %d", name, len(got), want)
 		}
 	}
 
@@ -529,28 +502,23 @@ func TestWindowExactBlockBoundaries(t *testing.T) {
 	if got := scanAll(t, f.Scan(ScanOptions{From: base.Add(3 * time.Hour)})); len(got) != 5 {
 		t.Fatalf("From at block max: %d records, want 5", len(got))
 	}
-	if got := parScanAll(t, f.ScanParallel(ScanOptions{From: base.Add(3 * time.Hour)}, 2)); len(got) != 5 {
+	if got := scanAll(t, f.ScanParallel(ScanOptions{From: base.Add(3 * time.Hour)}, 2)); len(got) != 5 {
 		t.Fatalf("From at block max (parallel): %d records, want 5", len(got))
 	}
-	if got := parScanAll(t, f.ScanParallel(ScanOptions{To: base.Add(4 * time.Hour)}, 2)); len(got) != 4 {
+	if got := scanAll(t, f.ScanParallel(ScanOptions{To: base.Add(4 * time.Hour)}, 2)); len(got) != 4 {
 		t.Fatalf("To at block boundary (parallel): %d records, want 4", len(got))
 	}
 }
 
 // TestTruncatedHeaderClassification is a regression test: an input that
 // ends inside the 8-byte header but matches the magic as far as it goes
-// used to come back as ErrBadMagic ("not a trace") even though
-// SniffMagic had just said it was one. It is a truncated trace.
+// used to come back as ErrBadMagic ("not a trace") even though the
+// format sniffer had just said it was one. It is a truncated trace.
 func TestTruncatedHeaderClassification(t *testing.T) {
 	raw := encode(t, synthRecords(3), WriterOptions{})
 	for _, n := range []int{1, 3, len(magic), len(magic) + 1} {
-		_, err := NewScanner(bytes.NewReader(raw[:n]), ScanOptions{})
-		if !errors.Is(err, ErrTruncated) {
+		if _, err := NewScanner(bytes.NewReader(raw[:n]), ScanOptions{}); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("NewScanner on %d-byte magic prefix: got %v, want ErrTruncated", n, err)
-		}
-		_, err = NewScannerParallel(bytes.NewReader(raw[:n]), ScanOptions{})
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("NewScannerParallel on %d-byte magic prefix: got %v, want ErrTruncated", n, err)
 		}
 	}
 	if _, err := NewScanner(bytes.NewReader([]byte("XYZ")), ScanOptions{}); !errors.Is(err, ErrBadMagic) {
@@ -562,14 +530,26 @@ func TestTruncatedHeaderClassification(t *testing.T) {
 }
 
 // TestSniffMagicShortPrefix: sniffing must never claim a trace on fewer
-// bytes than the magic, and never index past a short prefix.
+// bytes than the magic, and must leave the input unconsumed.
 func TestSniffMagicShortPrefix(t *testing.T) {
-	for _, p := range [][]byte{nil, {}, []byte("H"), []byte("HPC"), []byte("XPCTRC")} {
-		if SniffMagic(p) {
-			t.Fatalf("SniffMagic(%q) = true", p)
+	sniff := func(p string) bool {
+		t.Helper()
+		br := bufio.NewReader(strings.NewReader(p))
+		ok, err := sniffMagic(br)
+		if err != nil {
+			t.Fatalf("sniffMagic(%q): %v", p, err)
+		}
+		if rest, _ := io.ReadAll(br); string(rest) != p {
+			t.Fatalf("sniffMagic(%q) consumed input, left %q", p, rest)
+		}
+		return ok
+	}
+	for _, p := range []string{"", "H", "HPC", "XPCTRC"} {
+		if sniff(p) {
+			t.Fatalf("sniffMagic(%q) = true", p)
 		}
 	}
-	if !SniffMagic([]byte(magic)) || !SniffMagic([]byte(magic+"\x01\x00extra")) {
-		t.Fatalf("SniffMagic rejected a real trace prefix")
+	if !sniff(magic) || !sniff(magic+"\x01\x00extra") {
+		t.Fatalf("sniffMagic rejected a real trace prefix")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"hpcfail/internal/failures"
@@ -20,89 +21,191 @@ type ScanOptions struct {
 	From, To time.Time
 }
 
-// Scanner yields failure records from a binary trace one at a time,
-// implementing the same Scan/Record/Err shape as failures.Scanner, so
-// it plugs directly into engine.AnalyzeStream as a RecordSource. It
-// also implements ScanBatch (engine.BatchSource), which hands the
-// fused pipeline a whole decoded block per call.
+// Scanner yields the records of a binary trace in file order. It
+// implements the same Scan/Record/Err shape as failures.Scanner, so it
+// plugs directly into engine.AnalyzeStream as a RecordSource, and
+// ScanBatch (engine.BatchSource), which hands the fused pipeline a
+// whole decoded block per call.
 //
-// Records decode straight out of the current block's column buffer —
-// eight fixed-width loads and two dictionary lookups — with no per-record
-// allocation; the only steady-state allocations are one payload buffer
-// reused across blocks and the dictionary strings, shared by every
-// record that carries them.
+// Every Scanner consumes whole decoded blocks from one block supplier:
+// NewScanner reads a stream, File.Scan reads through the footer index,
+// and File.ScanParallel decodes on a worker pool ahead of the consumer.
+// All three decode with the same column loop and yield identical
+// records. Record buffers are reused across blocks, so steady-state
+// scanning allocates only when a block outgrows its buffer; dictionary
+// strings are shared by every record that carries them.
 type Scanner struct {
-	next func() ([]byte, error) // yields CRC-verified block payloads; nil at end
+	// next returns the next non-empty decoded block, or nil at a clean
+	// end. buf is the drained previous block, handed back for reuse.
+	next func(buf []failures.Record) ([]failures.Record, error)
+	// stop releases the supplier's goroutines; nil when it has none.
+	stop func()
 
-	// Current block state: column base offsets into payload.
-	payload                  []byte
-	n, i                     int
-	oStart, oEnd, oSys, oNod int
-	oHW, oWL, oCause, oDet   int
+	cur     []failures.Record
+	i       int
+	rec     failures.Record
+	err     error
+	done    bool
+	scanned int
+}
 
-	hwDict  []failures.HWType
-	detDict []string
-	// dictFixed marks dictionaries preloaded from a footer (File
-	// scans): block dictionary deltas are then skipped, not appended,
-	// since skipped blocks may already have contributed entries.
-	dictFixed bool
+// nextBatch replaces the drained block with the next non-empty one;
+// nil means end of scan (s.err says whether it was clean).
+func (s *Scanner) nextBatch() []failures.Record {
+	if s.done {
+		return nil
+	}
+	b, err := s.next(s.cur[:0])
+	s.cur, s.i = b, 0
+	if err != nil || b == nil {
+		s.cur, s.err, s.done = nil, err, true
+		return nil
+	}
+	s.scanned += len(b)
+	return b
+}
 
-	// fromN and toInc are the inclusive scan window bounds; see
-	// scanBounds.
-	fromN, toInc int64
-	rec          failures.Record
-	batch        []failures.Record // ScanBatch output buffer, reused
-	scanned      int
-	err          error
-	done         bool
+// Scan advances to the next record in the scan window, reporting false
+// at the end of the trace or on the first error (see Err).
+func (s *Scanner) Scan() bool {
+	for s.i >= len(s.cur) {
+		if s.nextBatch() == nil {
+			return false
+		}
+	}
+	s.rec = s.cur[s.i]
+	s.i++
+	return true
+}
+
+// ScanBatch yields the in-window records of the next block (or the
+// unconsumed rest of the current one, if Scan was used mid-block),
+// returning (nil, nil) at a clean end of scan. The slice is valid until
+// the next ScanBatch or Scan call.
+func (s *Scanner) ScanBatch() ([]failures.Record, error) {
+	b := s.cur[s.i:]
+	if len(b) == 0 {
+		if b = s.nextBatch(); b == nil {
+			return nil, s.err
+		}
+	}
+	s.i = len(s.cur)
+	s.rec = b[len(b)-1]
+	return b, nil
+}
+
+// Record returns the record produced by the last successful Scan (after
+// ScanBatch: the last record of the batch).
+func (s *Scanner) Record() failures.Record { return s.rec }
+
+// Scanned returns how many in-window records have been decoded and
+// handed to the consumer so far.
+func (s *Scanner) Scanned() int { return s.scanned }
+
+// Err returns the error that stopped the scan, if any. A clean end of
+// trace is not an error.
+func (s *Scanner) Err() error { return s.err }
+
+// Close ends the scan early, releasing any decode goroutines without
+// waiting for the scan to finish; records decoded but not yet consumed
+// are discarded. It is always safe to defer; a scan that ran to its
+// end (or first error) needs no Close.
+func (s *Scanner) Close() error {
+	if s.stop != nil {
+		s.stop()
+	}
+	s.done = true
+	s.cur, s.i = nil, 0
+	return nil
 }
 
 // NewScanner reads a binary trace sequentially from r — a file, a pipe,
 // anything — without needing random access: dictionaries build
-// incrementally from the per-block deltas and the footer is only used
-// to confirm the file is complete. The reader must be positioned at the
-// start of the trace.
+// incrementally from the per-block deltas. The footer at the end of the
+// stream must then agree with everything streamed before it — block
+// index (window-skipped blocks included), dictionaries and the
+// trailer's footer offset — so a trace the stream accepts reads
+// identically through File. The reader must be positioned at the start
+// of the trace. The Scanner runs on the caller's goroutine.
 func NewScanner(r io.Reader, opts ScanOptions) (*Scanner, error) {
 	if err := readHeader(r); err != nil {
 		return nil, err
 	}
-	s := newScanner(opts, false)
-	var buf []byte
-	s.next = func() ([]byte, error) {
+	fromN, toInc := scanBounds(opts)
+	var (
+		frameBuf []byte
+		seen     footer // the index and dictionaries streamed so far
+		off      = int64(headerSize)
+	)
+	next := func(buf []failures.Record) ([]failures.Record, error) {
 		for {
-			kind, payload, err := readFrame(r, &buf)
+			kind, p, err := readFrame(r, frameBuf)
 			if err != nil {
 				return nil, err
 			}
+			frameBuf = p
+			frameOff := off
+			off += int64(frameSize + len(p))
 			switch kind {
 			case frameBlock:
-				return payload, nil
+				n, minS, maxS, colOff, err := parseBlock(p, &seen.hwDict, &seen.detDict, true)
+				if err != nil {
+					return nil, err
+				}
+				b := BlockInfo{Offset: frameOff, Records: n, MinStart: minS, MaxStart: maxS}
+				seen.blocks = append(seen.blocks, b)
+				if !b.overlaps(fromN, toInc) {
+					continue
+				}
+				buf, err = decodeColumns(p, colOff, n, seen.hwDict, seen.detDict, fromN, toInc, buf[:0])
+				if err != nil || len(buf) > 0 {
+					return buf, err
+				}
 			case frameFooter:
-				// The stream ends here; verify the trailer and EOF so
-				// a truncated or over-long file cannot pass silently.
-				var tr [trailerSize]byte
-				if _, err := io.ReadFull(r, tr[:]); err != nil {
-					return nil, fmt.Errorf("%w: reading trailer: %v", ErrTruncated, err)
-				}
-				if string(tr[8:]) != trailerMagic {
-					return nil, fmt.Errorf("%w: bad trailer magic %q", ErrBadMagic, tr[8:])
-				}
-				if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-					return nil, fmt.Errorf("%w: data after trailer", ErrFormat)
-				}
-				return nil, nil
+				return nil, endStream(r, p, frameOff, &seen)
 			default:
 				return nil, fmt.Errorf("%w: unknown frame kind %d", ErrFormat, kind)
 			}
 		}
 	}
-	return s, nil
+	return &Scanner{next: next}, nil
+}
+
+// endStream checks the footer frame found at footOff, and the trailer
+// after it, against what the stream decoded before it. The footer
+// total needs no separate check: parseFooter requires it to equal the
+// sum of the index, which must equal the streamed blocks.
+func endStream(r io.Reader, p []byte, footOff int64, seen *footer) error {
+	ft, err := parseFooter(p, footOff)
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(ft.blocks, seen.blocks) {
+		return fmt.Errorf("%w: footer index disagrees with the %d streamed blocks", ErrFormat, len(seen.blocks))
+	}
+	if !slices.Equal(ft.hwDict, seen.hwDict) || !slices.Equal(ft.detDict, seen.detDict) {
+		return fmt.Errorf("%w: footer dictionaries disagree with the streamed block deltas", ErrFormat)
+	}
+	var tr [trailerSize]byte
+	if _, err := io.ReadFull(r, tr[:]); err != nil {
+		return fmt.Errorf("%w: reading trailer: %v", ErrTruncated, err)
+	}
+	off, err := parseTrailer(tr)
+	if err != nil {
+		return err
+	}
+	if off != footOff {
+		return fmt.Errorf("%w: trailer locates the footer at %d, stream found it at %d", ErrFormat, off, footOff)
+	}
+	if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		return fmt.Errorf("%w: data after trailer", ErrFormat)
+	}
+	return nil
 }
 
 // readHeader consumes and verifies the file header. An input that ends
 // inside the header but matches the magic as far as it goes is a
-// truncated trace (ErrTruncated), not a foreign file (ErrBadMagic) —
-// SniffMagic would have said yes to the same prefix.
+// truncated trace (ErrTruncated), not a foreign file (ErrBadMagic).
 func readHeader(r io.Reader) error {
 	var hdr [headerSize]byte
 	n, err := io.ReadFull(r, hdr[:])
@@ -122,10 +225,13 @@ func readHeader(r io.Reader) error {
 	return nil
 }
 
-func newScanner(opts ScanOptions, dictFixed bool) *Scanner {
-	s := &Scanner{dictFixed: dictFixed}
-	s.fromN, s.toInc = scanBounds(opts)
-	return s
+// parseTrailer verifies the trailer's magic and returns the footer
+// offset it records.
+func parseTrailer(tr [trailerSize]byte) (int64, error) {
+	if string(tr[8:]) != trailerMagic {
+		return 0, fmt.Errorf("%w: bad trailer magic %q (file truncated or not Closed)", ErrBadMagic, tr[8:])
+	}
+	return int64(le.Uint64(tr[:])), nil
 }
 
 // scanBounds converts a ScanOptions window to inclusive epoch-nanosecond
@@ -160,9 +266,11 @@ func scanBounds(opts ScanOptions) (fromN, toInc int64) {
 	return fromN, toInc
 }
 
-// readFrame reads one frame from r into *buf (grown as needed, reused
-// across calls) and returns its kind and CRC-verified payload.
-func readFrame(r io.Reader, buf *[]byte) (byte, []byte, error) {
+// readFrame reads one frame from r into buf (grown as needed) and
+// returns its kind and CRC-verified payload, which aliases buf when it
+// fits; callers pass the returned payload back in to reuse it. A File
+// reads the frame at an offset through an io.SectionReader.
+func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
 	var hdr [frameSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -174,10 +282,10 @@ func readFrame(r io.Reader, buf *[]byte) (byte, []byte, error) {
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("%w: frame payload %d bytes exceeds the %d cap", ErrFormat, n, maxFramePayload)
 	}
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	p := (*buf)[:n]
+	p := buf[:n]
 	if _, err := io.ReadFull(r, p); err != nil {
 		return 0, nil, fmt.Errorf("%w: frame body: %v", ErrTruncated, err)
 	}
@@ -199,33 +307,8 @@ func parseBlock(p []byte, hwDict *[]failures.HWType, detDict *[]string, appendDi
 	n = int(fr.u32("record count"))
 	minStart = fr.i64("min start")
 	maxStart = fr.i64("max start")
-	nHW := int(fr.u16("hw dict count"))
-	for i := 0; i < nHW; i++ {
-		l := int(fr.u16("hw label length"))
-		b := fr.bytes(l, "hw label")
-		if appendDicts && fr.err == nil {
-			if len(*hwDict) >= maxHWDict {
-				return 0, 0, 0, 0, fmt.Errorf("%w: hardware dictionary overflow", ErrFormat)
-			}
-			*hwDict = append(*hwDict, failures.HWType(b))
-		}
-	}
-	nDet := int(fr.u32("detail dict count"))
-	if nDet > maxDetailDict {
-		return 0, 0, 0, 0, fmt.Errorf("%w: detail dictionary count %d", ErrFormat, nDet)
-	}
-	for i := 0; i < nDet; i++ {
-		l := int(fr.u16("detail label length"))
-		b := fr.bytes(l, "detail label")
-		if appendDicts && fr.err == nil {
-			if len(*detDict) >= maxDetailDict {
-				return 0, 0, 0, 0, fmt.Errorf("%w: detail dictionary overflow", ErrFormat)
-			}
-			*detDict = append(*detDict, string(b))
-		}
-	}
-	if fr.err != nil {
-		return 0, 0, 0, 0, fr.err
+	if err := parseDicts(&fr, hwDict, detDict, appendDicts); err != nil {
+		return 0, 0, 0, 0, err
 	}
 	if n < 0 || n > maxFramePayload/recordWidth {
 		return 0, 0, 0, 0, fmt.Errorf("%w: block record count %d", ErrFormat, n)
@@ -236,37 +319,44 @@ func parseBlock(p []byte, hwDict *[]failures.HWType, detDict *[]string, appendDi
 	return n, minStart, maxStart, fr.off, nil
 }
 
-// loadBlock parses a block payload: prefix, dictionary deltas, column
-// offsets. It returns false when the block's start-time index proves no
-// record can fall inside the scan window, leaving the column section
-// undecoded.
-func (s *Scanner) loadBlock(p []byte) (bool, error) {
-	n, minStart, maxStart, colOff, err := parseBlock(p, &s.hwDict, &s.detDict, !s.dictFixed)
-	if err != nil {
-		return false, err
+// parseDicts reads a hardware and a detail dictionary section — a
+// block's deltas or the footer's complete tables — appending the
+// entries to *hwDict / *detDict when keep is true.
+func parseDicts(fr *fieldReader, hwDict *[]failures.HWType, detDict *[]string, keep bool) error {
+	nHW := int(fr.u16("hw dict count"))
+	for i := 0; i < nHW && fr.err == nil; i++ {
+		l := int(fr.u16("hw label length"))
+		b := fr.bytes(l, "hw label")
+		if keep && fr.err == nil {
+			if len(*hwDict) >= maxHWDict {
+				return fmt.Errorf("%w: hardware dictionary overflow", ErrFormat)
+			}
+			*hwDict = append(*hwDict, failures.HWType(b))
+		}
 	}
-	if !(BlockInfo{MinStart: minStart, MaxStart: maxStart}).overlaps(s.fromN, s.toInc) {
-		return false, nil
+	nDet := int(fr.u32("detail dict count"))
+	if nDet > maxDetailDict {
+		return fmt.Errorf("%w: detail dictionary count %d", ErrFormat, nDet)
 	}
-	s.payload = p
-	s.n = n
-	s.i = 0
-	s.oStart = colOff
-	s.oEnd = s.oStart + 8*n
-	s.oSys = s.oEnd + 8*n
-	s.oNod = s.oSys + 4*n
-	s.oHW = s.oNod + 4*n
-	s.oWL = s.oHW + 2*n
-	s.oCause = s.oWL + n
-	s.oDet = s.oCause + n
-	return n > 0, nil
+	for i := 0; i < nDet && fr.err == nil; i++ {
+		l := int(fr.u16("detail label length"))
+		b := fr.bytes(l, "detail label")
+		if keep && fr.err == nil {
+			if len(*detDict) >= maxDetailDict {
+				return fmt.Errorf("%w: detail dictionary overflow", ErrFormat)
+			}
+			*detDict = append(*detDict, string(b))
+		}
+	}
+	return fr.err
 }
 
-// decodeColumns appends the records at positions [lo, n) of a block's
-// column section (starting at colOff in p) to dst, keeping only start
-// times inside the inclusive [fromN, toInc] window. The dictionaries
-// must already contain every index the block references.
-func decodeColumns(p []byte, colOff, n, lo int, hwDict []failures.HWType, detDict []string, fromN, toInc int64, dst []failures.Record) ([]failures.Record, error) {
+// decodeColumns appends the n records of a block's column section
+// (starting at colOff in p) to dst, keeping only start times inside the
+// inclusive [fromN, toInc] window. The dictionaries must already
+// contain every index the block references. It is the one record
+// decode loop: every Scanner supplier ends here.
+func decodeColumns(p []byte, colOff, n int, hwDict []failures.HWType, detDict []string, fromN, toInc int64, dst []failures.Record) ([]failures.Record, error) {
 	oStart := colOff
 	oEnd := oStart + 8*n
 	oSys := oEnd + 8*n
@@ -275,7 +365,7 @@ func decodeColumns(p []byte, colOff, n, lo int, hwDict []failures.HWType, detDic
 	oWL := oHW + 2*n
 	oCause := oWL + n
 	oDet := oCause + n
-	for i := lo; i < n; i++ {
+	for i := 0; i < n; i++ {
 		startN := int64(le.Uint64(p[oStart+8*i:]))
 		if startN < fromN || startN > toInc {
 			continue
@@ -300,118 +390,3 @@ func decodeColumns(p []byte, colOff, n, lo int, hwDict []failures.HWType, detDic
 	}
 	return dst, nil
 }
-
-// Scan advances to the next record in the scan window, reporting false
-// at the end of the trace or on the first error (see Err).
-func (s *Scanner) Scan() bool {
-	if s.done || s.err != nil {
-		return false
-	}
-	for {
-		for s.i < s.n {
-			i := s.i
-			s.i++
-			p := s.payload
-			startN := int64(le.Uint64(p[s.oStart+8*i:]))
-			if startN < s.fromN || startN > s.toInc {
-				continue
-			}
-			endD := int64(le.Uint64(p[s.oEnd+8*i:]))
-			hw := int(le.Uint16(p[s.oHW+2*i:]))
-			det := int(le.Uint32(p[s.oDet+4*i:]))
-			if hw >= len(s.hwDict) || det >= len(s.detDict) {
-				s.err = fmt.Errorf("%w: dictionary index out of range (hw %d/%d, detail %d/%d)",
-					ErrFormat, hw, len(s.hwDict), det, len(s.detDict))
-				s.done = true
-				return false
-			}
-			s.rec = failures.Record{
-				System:   int(int32(le.Uint32(p[s.oSys+4*i:]))),
-				Node:     int(int32(le.Uint32(p[s.oNod+4*i:]))),
-				HW:       s.hwDict[hw],
-				Workload: failures.Workload(p[s.oWL+i]),
-				Cause:    failures.RootCause(p[s.oCause+i]),
-				Detail:   s.detDict[det],
-				Start:    time.Unix(0, startN).UTC(),
-				End:      time.Unix(0, startN+endD).UTC(),
-			}
-			s.scanned++
-			return true
-		}
-		if !s.advanceBlock() {
-			return false
-		}
-	}
-}
-
-// advanceBlock pulls frames until one loads a block intersecting the
-// window; false means end of trace or error (both recorded on s).
-func (s *Scanner) advanceBlock() bool {
-	for {
-		p, err := s.next()
-		if err != nil {
-			s.err = err
-			s.done = true
-			return false
-		}
-		if p == nil {
-			s.done = true
-			return false
-		}
-		ok, err := s.loadBlock(p)
-		if err != nil {
-			s.err = err
-			s.done = true
-			return false
-		}
-		if ok {
-			return true
-		}
-	}
-}
-
-// ScanBatch yields the rest of the current block — every in-window
-// record not yet consumed by Scan — or, at a block boundary, the next
-// non-empty decoded block. It returns (nil, nil) at a clean end of
-// trace. The returned slice is valid until the next ScanBatch or Scan
-// call. Together with Scan/Record/Err this makes Scanner an
-// engine.BatchSource, so the fused pipeline folds whole blocks into its
-// streaming shards per dispatch.
-func (s *Scanner) ScanBatch() ([]failures.Record, error) {
-	if s.done || s.err != nil {
-		return nil, s.err
-	}
-	for {
-		if s.i < s.n {
-			lo := s.i
-			s.i = s.n
-			batch, err := decodeColumns(s.payload, s.oStart, s.n, lo, s.hwDict, s.detDict, s.fromN, s.toInc, s.batch[:0])
-			s.batch = batch
-			if err != nil {
-				s.err = err
-				s.done = true
-				return nil, err
-			}
-			if len(batch) > 0 {
-				s.scanned += len(batch)
-				s.rec = batch[len(batch)-1]
-				return batch, nil
-			}
-			continue
-		}
-		if !s.advanceBlock() {
-			return nil, s.err
-		}
-	}
-}
-
-// Record returns the record produced by the last successful Scan (after
-// ScanBatch: the last record of the batch).
-func (s *Scanner) Record() failures.Record { return s.rec }
-
-// Scanned returns how many records have been yielded.
-func (s *Scanner) Scanned() int { return s.scanned }
-
-// Err returns the error that stopped the scan, if any. A clean end of
-// trace is not an error.
-func (s *Scanner) Err() error { return s.err }

@@ -55,8 +55,11 @@ func encode(t testing.TB, recs []failures.Record, opts WriterOptions) []byte {
 	return buf.Bytes()
 }
 
+// scanAll drains s through the Scan/Record interface, failing the test
+// on any scan error, and closes it.
 func scanAll(t testing.TB, s *Scanner) []failures.Record {
 	t.Helper()
+	defer s.Close()
 	var out []failures.Record
 	for s.Scan() {
 		out = append(out, s.Record())
@@ -482,5 +485,100 @@ func TestScannerShortReads(t *testing.T) {
 	}
 	if got := scanAll(t, s); len(got) != len(recs) {
 		t.Fatalf("got %d records through short reads, want %d", len(got), len(recs))
+	}
+}
+
+// patchFooter returns a copy of raw whose footer payload has been edited
+// by mut, with the footer frame's CRC recomputed so the edit passes the
+// checksum and only the format's cross-checks can catch it.
+func patchFooter(t *testing.T, raw []byte, mut func(p []byte)) []byte {
+	t.Helper()
+	bad := append([]byte(nil), raw...)
+	footOff := int(le.Uint64(bad[len(bad)-trailerSize:]))
+	hdr := bad[footOff : footOff+frameSize]
+	if hdr[0] != frameFooter {
+		t.Fatalf("trailer points at frame kind %d", hdr[0])
+	}
+	p := bad[footOff+frameSize : footOff+frameSize+int(le.Uint32(hdr[1:]))]
+	mut(p)
+	le.PutUint32(hdr[5:], crc32Checksum(p))
+	return bad
+}
+
+// TestFileScanChecksIndexCounts is a regression test: File.Scan used to
+// trust the footer index's per-block record counts without comparing
+// them to the blocks, so an index whose counts were shuffled between
+// blocks (keeping the total) read back without error. Every reader
+// must now reject it.
+func TestFileScanChecksIndexCounts(t *testing.T) {
+	raw := encode(t, synthRecords(12), WriterOptions{BlockRecords: 4})
+	bad := patchFooter(t, raw, func(p []byte) {
+		nBlocks := int(le.Uint32(p[8:]))
+		count := func(i int) []byte { return p[12+28*i+8:] }
+		le.PutUint32(count(0), le.Uint32(count(0))-1)
+		le.PutUint32(count(nBlocks-1), le.Uint32(count(nBlocks-1))+1)
+	})
+	f, err := NewFile(bytes.NewReader(bad), int64(len(bad)))
+	if err != nil {
+		t.Fatalf("NewFile rejected a footer whose index still sums to the total: %v", err)
+	}
+	if got := f.Blocks(); len(got) != 3 || got[0].Records != 3 || got[2].Records != 5 {
+		t.Fatalf("patched index = %+v, want counts 3, 4, 5", got)
+	}
+	// Draining to the end or the first error releases any workers.
+	drain := func(s interface {
+		Scan() bool
+		Err() error
+	}) error {
+		for s.Scan() {
+		}
+		return s.Err()
+	}
+	if err := drain(f.Scan(ScanOptions{})); !errors.Is(err, ErrFormat) {
+		t.Fatalf("File.Scan: got %v, want ErrFormat", err)
+	}
+	for _, workers := range []int{1, 4} {
+		if err := drain(f.ScanParallel(ScanOptions{}, workers)); !errors.Is(err, ErrFormat) {
+			t.Fatalf("File.ScanParallel(%d): got %v, want ErrFormat", workers, err)
+		}
+	}
+	s, err := NewScanner(bytes.NewReader(bad), ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drain(s); !errors.Is(err, ErrFormat) {
+		t.Fatalf("NewScanner: got %v, want ErrFormat", err)
+	}
+}
+
+// TestStreamChecksFooter is a regression test: the stream reader used
+// to read the footer frame only to reach the trailer, so a footer
+// dictionary edited from hw-0 to hx-0 (CRC recomputed) streamed back
+// hw-0 while File read hx-0, both without error. The stream reader now
+// compares the footer with what it streamed.
+func TestStreamChecksFooter(t *testing.T) {
+	raw := encode(t, synthRecords(40), WriterOptions{BlockRecords: 8})
+	bad := patchFooter(t, raw, func(p []byte) {
+		i := bytes.Index(p, []byte("hw-0"))
+		if i < 0 {
+			t.Fatal("footer has no hw-0 entry")
+		}
+		p[i+1] = 'x'
+	})
+	f, err := NewFile(bytes.NewReader(bad), int64(len(bad)))
+	if err != nil {
+		t.Fatalf("NewFile rejected the edited footer: %v", err)
+	}
+	if hw := f.HWTypes()[0]; hw != "hx-0" {
+		t.Fatalf("edited footer dictionary starts with %q, want hx-0", hw)
+	}
+	s, err := NewScanner(bytes.NewReader(bad), ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.Scan() {
+	}
+	if err := s.Err(); !errors.Is(err, ErrFormat) {
+		t.Fatalf("NewScanner: got %v, want ErrFormat", err)
 	}
 }
