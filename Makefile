@@ -57,10 +57,12 @@ race-trace:
 
 # Race pass over the sub-shard analysis pipeline: the workers x seeds
 # byte-identity matrix for fleet and stream, the dispatch-order
-# identities, the batched trace-scanner fan-in identity, and the
-# counter-seeded bootstrap partition-invariance tests.
+# identities, the shared stream fold (batched fan-in identity, the
+# record-source adapter, incremental appends at every chunking, stream
+# edge cases), and the counter-seeded bootstrap partition-invariance
+# tests.
 race-engine:
-	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|BatchIdentity' ./internal/engine ./internal/dist
+	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|BatchIdentity|IncrementalMatches|AnalyzeStreamEdge' ./internal/engine ./internal/dist
 
 # perfbench is its own module, so the root go test ./... never reaches
 # its tests: they prove a dropped record, a flipped digest and a refused

@@ -19,14 +19,15 @@ import (
 // they arrive and serves fit/CI/rate/summary queries at any point, with
 // three properties the service contract depends on:
 //
-//   - Fold equivalence: appending records in a given order produces
+//   - Fold equivalence: Incremental and AnalyzeStream fold through the
+//     same fold type, so appending records in a given order builds
 //     exactly the state a one-shot AnalyzeStream pass over the same
-//     sequence would build — same shards, same accumulators bit for bit.
+//     sequence builds, however the sequence is split into appends.
 //
 //   - Lazy, memoized refresh: appends only fold accumulators (cheap, no
-//     fitting) and mark the touched shards dirty; Result refits dirty
-//     shards only, reusing the engine's fit/CI memo, and serves clean
-//     shards from the per-shard cache.
+//     fitting); Result refits only the shards whose record count moved
+//     since their cached result, reusing the engine's fit/CI memo, and
+//     serves the other shards from the per-shard cache.
 //
 //   - Non-blocking queries: Result freezes dirty shards under a short
 //     lock (O(sample) copies) and runs all fitting on the frozen copies
@@ -35,20 +36,11 @@ import (
 // Incremental is safe for concurrent Append and Result calls. Construct
 // with Engine.NewIncremental or restore one with Engine.ReadIncremental.
 type Incremental struct {
-	eng  *Engine
-	opts StreamOptions
-
-	mu         sync.Mutex
-	accums     map[ShardKey]*shardAccum
-	seq        map[ShardKey]uint64 // bumped on every fold into the shard
-	cache      map[ShardKey]cachedShard
-	records    int
-	outOfOrder int
-}
-
-type cachedShard struct {
-	res ShardResult
-	seq uint64
+	mu sync.Mutex
+	fold
+	// cache holds each shard's last computed result; it is current while
+	// its Records equals the shard's fold count.
+	cache map[ShardKey]ShardResult
 }
 
 // NewIncremental builds an empty incremental analysis with the given
@@ -56,79 +48,23 @@ type cachedShard struct {
 // exactly as in AnalyzeStream, so two incrementals fed the same record
 // sequence under engines with equal options are bit-identical.
 func (e *Engine) NewIncremental(opts StreamOptions) *Incremental {
-	return &Incremental{
-		eng:    e,
-		opts:   opts,
-		accums: make(map[ShardKey]*shardAccum),
-		seq:    make(map[ShardKey]uint64),
-		cache:  make(map[ShardKey]cachedShard),
-	}
+	return &Incremental{fold: e.newFold(opts), cache: make(map[ShardKey]ShardResult)}
 }
 
 // Options echoes the stream options the incremental was built with.
 func (inc *Incremental) Options() StreamOptions { return inc.opts }
 
-// fold sends one record through the same shard fanout as AnalyzeStream.
-// Callers hold inc.mu.
-func (inc *Incremental) fold(r failures.Record) error {
-	keys, n := shardKeysFor(inc.opts.Spec, &r)
-	for _, key := range keys[:n] {
-		a, ok := inc.accums[key]
-		if !ok {
-			var err error
-			if a, err = inc.eng.newShardAccum(key, inc.opts); err != nil {
-				return err
-			}
-			inc.accums[key] = a
-		}
-		before := a.outOfOrder
-		a.add(&r)
-		inc.outOfOrder += a.outOfOrder - before
-		inc.seq[key]++
-	}
-	inc.records++
-	return nil
-}
-
 // Append folds a batch of records, in order, and reports how many were
-// folded. Cancellation is checked between records: on ctx.Err the fold
-// stops cleanly mid-batch — every record up to the returned count is
-// fully folded into all of its shards, none beyond it is touched, and
-// the accumulators stay consistent and mergeable — so a caller can
-// resume with the unfolded tail.
+// folded. Cancellation is checked before the first record and every 4096
+// records after it: on ctx.Err the fold stops cleanly mid-batch — every
+// record before the returned count is fully folded into all of its
+// shards, none from it on is touched, and the accumulators stay
+// consistent and mergeable — so a caller can resume with the unfolded
+// tail.
 func (inc *Incremental) Append(ctx context.Context, recs []failures.Record) (int, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	for i, r := range recs {
-		if err := ctx.Err(); err != nil {
-			return i, err
-		}
-		if err := inc.fold(r); err != nil {
-			return i, fmt.Errorf("engine incremental append: %w", err)
-		}
-	}
-	return len(recs), nil
-}
-
-// AppendSource folds records from a RecordSource until it is exhausted,
-// an error occurs, or ctx is cancelled, returning the folded count.
-func (inc *Incremental) AppendSource(ctx context.Context, src RecordSource) (int, error) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	n := 0
-	for src.Scan() {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		if err := inc.fold(src.Record()); err != nil {
-			return n, fmt.Errorf("engine incremental append: %w", err)
-		}
-		n++
-	}
-	if err := src.Err(); err != nil {
-		return n, fmt.Errorf("engine incremental append: %w", err)
-	}
-	return n, nil
+	return inc.add(ctx, recs)
 }
 
 // Records returns the total number of records folded so far.
@@ -143,14 +79,7 @@ func (inc *Incremental) Records() int {
 func (inc *Incremental) Info() StreamInfo {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return inc.infoLocked()
-}
-
-func (inc *Incremental) infoLocked() StreamInfo {
-	info := inc.opts.info()
-	info.RecordsScanned = inc.records
-	info.OutOfOrder = inc.outOfOrder
-	return info
+	return inc.info()
 }
 
 // Result returns the analysis of everything appended so far, in the
@@ -169,17 +98,15 @@ func (inc *Incremental) Result(ctx context.Context) (*FleetResult, *StreamInfo, 
 	keys := shardOrder(inc.accums, inc.opts.Spec)
 	out := make([]ShardResult, len(keys))
 	var jobs []*shardJob
-	var seqs []uint64 // seqs[n] is the fold count jobs[n] was frozen at
 	for i, key := range keys {
-		if c, ok := inc.cache[key]; ok && c.seq == inc.seq[key] {
-			out[i] = c.res
+		if c, ok := inc.cache[key]; ok && c.Records == inc.accums[key].records {
+			out[i] = c
 			continue
 		}
 		acc := inc.accums[key].freeze()
 		jobs = append(jobs, &shardJob{pos: i, key: key, size: acc.records, acc: acc})
-		seqs = append(seqs, inc.seq[key])
 	}
-	info := inc.infoLocked()
+	info := inc.info()
 	inc.mu.Unlock()
 
 	// Fit the dirty shards outside the lock, over the same sub-shard
@@ -191,10 +118,10 @@ func (inc *Incremental) Result(ctx context.Context) (*FleetResult, *StreamInfo, 
 	// Publish to the cache. A concurrent Result may have computed a
 	// fresher view of the same shard; only ever replace older entries.
 	inc.mu.Lock()
-	for n, j := range jobs {
+	for _, j := range jobs {
 		out[j.pos] = j.res
-		if cur, ok := inc.cache[j.key]; !ok || cur.seq < seqs[n] {
-			inc.cache[j.key] = cachedShard{res: j.res, seq: seqs[n]}
+		if cur, ok := inc.cache[j.key]; !ok || cur.Records < j.res.Records {
+			inc.cache[j.key] = j.res
 		}
 	}
 	inc.mu.Unlock()
@@ -281,7 +208,7 @@ func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(inc.opts.SketchEpsilon))
 	buf = binary.AppendVarint(buf, int64(inc.opts.ReservoirSize))
 	buf = binary.AppendUvarint(buf, uint64(inc.records))
-	buf = binary.AppendUvarint(buf, uint64(inc.outOfOrder))
+	buf = binary.AppendUvarint(buf, uint64(inc.info().OutOfOrder))
 
 	keys := shardOrder(inc.accums, spec)
 	if len(keys) != len(inc.accums) {
@@ -410,8 +337,6 @@ func (e *Engine) ReadIncremental(rd io.Reader, opts StreamOptions) (*Incremental
 	if err != nil {
 		return nil, err
 	}
-	inc.records = int(records)
-	inc.outOfOrder = int(outOfOrder)
 	shards, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -474,6 +399,25 @@ func (e *Engine) ReadIncremental(rd io.Reader, opts StreamOptions) (*Incremental
 	}
 	if len(r.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrIncSnapshot, len(r.buf))
+	}
+	// Every shard must be one the spec enumerates, and the header totals
+	// must follow from the shards: the system shards partition the
+	// records, and out-of-order counts are per shard.
+	if n := len(shardOrder(inc.accums, spec)); n != len(inc.accums) {
+		return nil, fmt.Errorf("%w: %d shards, %d under the spec", ErrIncSnapshot, len(inc.accums), n)
+	}
+	var sysRecords uint64
+	for key, a := range inc.accums {
+		if key.System != 0 && key.Workload == 0 && key.Cause == 0 {
+			sysRecords += uint64(a.records)
+		}
+	}
+	if sysRecords != records {
+		return nil, fmt.Errorf("%w: header says %d records, system shards hold %d", ErrIncSnapshot, records, sysRecords)
+	}
+	inc.records = int(records)
+	if ooo := inc.info().OutOfOrder; uint64(ooo) != outOfOrder {
+		return nil, fmt.Errorf("%w: header says %d out of order, shards hold %d", ErrIncSnapshot, outOfOrder, ooo)
 	}
 	return inc, nil
 }

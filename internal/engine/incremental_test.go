@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -52,8 +53,10 @@ func incEngine() *Engine {
 	return New(Options{Workers: 2, BootstrapReps: 8, Seed: 42})
 }
 
-// The fold-equivalence contract: chunked appends reproduce a one-shot
-// AnalyzeStream pass over the same sequence exactly.
+// The fold-equivalence contract: appends at any chunking reproduce a
+// one-shot AnalyzeStream pass over the same sequence exactly, whether
+// that pass reads an in-memory source or a CSV failures.Scanner (both
+// record-at-a-time sources, folded through the batch adapter).
 func TestIncrementalMatchesAnalyzeStream(t *testing.T) {
 	recs := incTrace(1500)
 	ctx := context.Background()
@@ -64,25 +67,49 @@ func TestIncrementalMatchesAnalyzeStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inc := incEngine().NewIncremental(opts)
-	for i := 0; i < len(recs); i += 211 { // uneven chunks
-		end := i + 211
-		if end > len(recs) {
-			end = len(recs)
-		}
-		if n, err := inc.Append(ctx, recs[i:end]); err != nil || n != end-i {
-			t.Fatalf("append [%d:%d): n=%d err=%v", i, end, n, err)
-		}
-	}
-	got, gotInfo, err := inc.Result(ctx)
+	var csvBuf bytes.Buffer
+	cw, err := failures.NewCSVWriter(&csvBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("incremental result differs from one-shot AnalyzeStream")
+	for _, r := range recs {
+		if err := cw.Write(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if *wantInfo != *gotInfo {
-		t.Fatalf("info differs: %+v vs %+v", *wantInfo, *gotInfo)
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := failures.NewScanner(&csvBuf, failures.ReadCSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotInfo, err := incEngine().AnalyzeStream(ctx, sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) || *wantInfo != *gotInfo {
+		t.Fatal("CSV scanner source differs from in-memory source")
+	}
+
+	for _, chunk := range []int{1, 211, len(recs) + 1} {
+		inc := incEngine().NewIncremental(opts)
+		for i := 0; i < len(recs); i += chunk {
+			end := min(i+chunk, len(recs))
+			if n, err := inc.Append(ctx, recs[i:end]); err != nil || n != end-i {
+				t.Fatalf("chunk %d: append [%d:%d): n=%d err=%v", chunk, i, end, n, err)
+			}
+		}
+		got, gotInfo, err := inc.Result(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("chunk %d: incremental result differs from one-shot AnalyzeStream", chunk)
+		}
+		if *wantInfo != *gotInfo {
+			t.Fatalf("chunk %d: info differs: %+v vs %+v", chunk, *wantInfo, *gotInfo)
+		}
 	}
 }
 
@@ -259,6 +286,82 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 	// Corruption is detected.
 	if _, err := incEngine().ReadIncremental(bytes.NewReader(snap.Bytes()[:snap.Len()/2]), opts); !errors.Is(err, ErrIncSnapshot) {
 		t.Fatalf("truncated snapshot: err=%v, want ErrIncSnapshot", err)
+	}
+}
+
+// A snapshot holding shards the restoring spec cannot enumerate is
+// corrupt: restoring it would drop those shards from every Result and
+// fail every later WriteSnapshot.
+func TestReadIncrementalRejectsShardsOutsideSpec(t *testing.T) {
+	opts := StreamOptions{Spec: ShardSpec{ByCause: true}, ReservoirSize: 32}
+	inc := incEngine().NewIncremental(opts)
+	if _, err := inc.Append(context.Background(), incTrace(300)); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := inc.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	b := snap.Bytes()
+	b[len(incMagic)] = 0 // flags: no sub-shards
+	_, err := incEngine().ReadIncremental(bytes.NewReader(b), StreamOptions{ReservoirSize: 32})
+	if !errors.Is(err, ErrIncSnapshot) {
+		t.Fatalf("cause shards under an empty spec: err=%v, want ErrIncSnapshot", err)
+	}
+}
+
+// patchIncHeader rewrites one of a snapshot's header totals: field 0 is
+// the record count, field 1 the out-of-order count.
+func patchIncHeader(t *testing.T, snap []byte, field int, v uint64) []byte {
+	t.Helper()
+	off := len(incMagic) + 1 + 8
+	_, n := binary.Varint(snap[off:]) // reservoir size
+	off += n
+	for ; field > 0; field-- {
+		_, n = binary.Uvarint(snap[off:])
+		off += n
+	}
+	_, n = binary.Uvarint(snap[off:])
+	out := binary.AppendUvarint(append([]byte(nil), snap[:off]...), v)
+	return append(out, snap[off+n:]...)
+}
+
+// The header's record and out-of-order totals must agree with the
+// shards they summarize.
+func TestReadIncrementalChecksHeaderTotals(t *testing.T) {
+	recs := incTrace(300)
+	recs[10], recs[11] = recs[11], recs[10] // out of order in the fleet shard
+	opts := StreamOptions{Spec: incSpec(), ReservoirSize: 32}
+	inc := incEngine().NewIncremental(opts)
+	if _, err := inc.Append(context.Background(), recs); err != nil {
+		t.Fatal(err)
+	}
+	info := inc.Info()
+	if info.OutOfOrder == 0 {
+		t.Fatal("fixture has no out-of-order records")
+	}
+	var snap bytes.Buffer
+	if err := inc.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	// The unpatched header round-trips.
+	if _, err := incEngine().ReadIncremental(bytes.NewReader(patchIncHeader(t, snap.Bytes(), 0, 300)), opts); err != nil {
+		t.Fatalf("unpatched snapshot: %v", err)
+	}
+	for _, c := range []struct {
+		name  string
+		field int
+		v     uint64
+	}{
+		{"records", 0, 135},
+		{"records+1", 0, 301},
+		{"out-of-order", 1, uint64(info.OutOfOrder) + 1},
+		{"out-of-order zero", 1, 0},
+	} {
+		b := patchIncHeader(t, snap.Bytes(), c.field, c.v)
+		if _, err := incEngine().ReadIncremental(bytes.NewReader(b), opts); !errors.Is(err, ErrIncSnapshot) {
+			t.Errorf("%s patched to %d: err=%v, want ErrIncSnapshot", c.name, c.v, err)
+		}
 	}
 }
 

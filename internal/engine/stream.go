@@ -20,10 +20,9 @@ type RecordSource interface {
 // BatchSource is an optional extension of RecordSource for decoders
 // that naturally produce records a block at a time (tracefmt.Scanner).
 // ScanBatch returns the next non-empty run of records, or (nil, nil) at
-// a clean end; the returned slice is only valid until the next call. AnalyzeStream type-asserts for this and
-// folds whole batches, skipping the per-record interface round trip —
-// results are identical to the record-at-a-time path because folding
-// is sequential either way.
+// a clean end; the returned slice is only valid until the next call.
+// AnalyzeStream reads a BatchSource only through ScanBatch and folds
+// each batch in place, skipping the per-record interface round trip.
 type BatchSource interface {
 	RecordSource
 	ScanBatch() ([]failures.Record, error)
@@ -56,19 +55,6 @@ type StreamInfo struct {
 	// SketchEpsilon and ReservoirSize echo the effective configuration.
 	SketchEpsilon float64
 	ReservoirSize int
-}
-
-// info returns the StreamInfo of a pass that has seen nothing yet, with
-// the defaults of unset sketch and reservoir options filled in.
-func (o StreamOptions) info() StreamInfo {
-	info := StreamInfo{SketchEpsilon: o.SketchEpsilon, ReservoirSize: o.ReservoirSize}
-	if info.SketchEpsilon <= 0 {
-		info.SketchEpsilon = streamstats.DefaultSketchEpsilon
-	}
-	if info.ReservoirSize <= 0 {
-		info.ReservoirSize = streamstats.DefaultReservoirSize
-	}
-	return info
 }
 
 // shardAccum is the O(1)-memory state of one shard during a streaming
@@ -156,8 +142,7 @@ func (a *shardAccum) add(r *failures.Record) {
 
 // shardKeysFor enumerates the shards one record belongs to under a spec:
 // its system shard always, plus the optional fleet aggregate, workload
-// and cause sub-shards. Shared by the one-shot streaming pass and the
-// incremental engine so both fold records identically.
+// and cause sub-shards.
 // The record is passed by pointer on purpose: this is the per-record hot
 // path, and a failures.Record is over a hundred bytes — copying it into
 // every helper showed up as measurable duffcopy time in profiles.
@@ -179,11 +164,95 @@ func shardKeysFor(spec ShardSpec, r *failures.Record) ([4]ShardKey, int) {
 	return keys, n
 }
 
+// fold is the streaming shard state shared by AnalyzeStream and
+// Incremental: one accumulator per shard holding records, and the number
+// of records folded. It is not safe for concurrent use.
+type fold struct {
+	eng     *Engine
+	opts    StreamOptions
+	accums  map[ShardKey]*shardAccum
+	records int
+}
+
+func (e *Engine) newFold(opts StreamOptions) fold {
+	return fold{eng: e, opts: opts, accums: make(map[ShardKey]*shardAccum)}
+}
+
+// add folds recs in order into every shard each record belongs to and
+// returns how many it folded. ctx is checked before the first record and
+// every 4096 records after it; on cancellation every record before the
+// returned count is fully folded and none after it is touched.
+func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
+	for i := range recs {
+		if i%4096 == 0 {
+			if err := ctx.Err(); err != nil {
+				return i, err
+			}
+		}
+		r := &recs[i]
+		keys, n := shardKeysFor(f.opts.Spec, r)
+		for _, key := range keys[:n] {
+			a, ok := f.accums[key]
+			if !ok {
+				var err error
+				if a, err = f.eng.newShardAccum(key, f.opts); err != nil {
+					return i, fmt.Errorf("engine fold: %w", err)
+				}
+				f.accums[key] = a
+			}
+			a.add(r)
+		}
+		f.records++
+	}
+	return len(recs), nil
+}
+
+// info reports what the fold has seen, with the defaults of unset sketch
+// and reservoir options filled in.
+func (f *fold) info() StreamInfo {
+	info := StreamInfo{
+		RecordsScanned: f.records,
+		SketchEpsilon:  f.opts.SketchEpsilon,
+		ReservoirSize:  f.opts.ReservoirSize,
+	}
+	if info.SketchEpsilon <= 0 {
+		info.SketchEpsilon = streamstats.DefaultSketchEpsilon
+	}
+	if info.ReservoirSize <= 0 {
+		info.ReservoirSize = streamstats.DefaultReservoirSize
+	}
+	for _, a := range f.accums {
+		info.OutOfOrder += a.outOfOrder
+	}
+	return info
+}
+
+// recordBatches adapts a record-at-a-time RecordSource to BatchSource by
+// copying up to cap(buf) records into a reused buffer per ScanBatch.
+type recordBatches struct {
+	RecordSource
+	buf []failures.Record
+}
+
+// recordBatchLen is the adapter's batch size: large enough to amortize
+// the per-batch call, small enough to stay cache-resident.
+const recordBatchLen = 256
+
+func (b *recordBatches) ScanBatch() ([]failures.Record, error) {
+	b.buf = b.buf[:0]
+	for len(b.buf) < cap(b.buf) && b.Scan() {
+		b.buf = append(b.buf, b.Record())
+	}
+	if len(b.buf) == 0 {
+		return nil, b.Err()
+	}
+	return b.buf, nil
+}
+
 // AnalyzeStream is the bounded-memory counterpart of AnalyzeFleet: it
-// consumes records one at a time from src, sharding each into per-(system,
-// workload, cause) streaming accumulators, and never materializes the
-// trace. Memory is O(shards × reservoir size), independent of trace
-// length.
+// consumes records from src, sharding each into per-(system, workload,
+// cause) streaming accumulators, and never materializes the trace.
+// Memory is O(shards × reservoir size), independent of trace length.
 //
 // The result mirrors AnalyzeFleet's — same shard enumeration order, same
 // ShardResult shape — with the documented accuracy trade:
@@ -196,98 +265,51 @@ func shardKeysFor(spec ShardSpec, r *failures.Record) ([4]ShardKey, int) {
 //     seeded uniform reservoir subsample (exact whenever a shard's sample
 //     fits in the reservoir).
 //
+// A BatchSource is folded a whole batch at a time, addressing records
+// by pointer into the batch; any other source is read through a small
+// fixed-size batch adapter. Either way the fold is sequential, in record
+// order, so the result does not depend on how the records are batched.
+//
 // Interarrival studies assume src yields records in start-time order; see
 // StreamInfo.OutOfOrder.
 func (e *Engine) AnalyzeStream(ctx context.Context, src RecordSource, opts StreamOptions) (*FleetResult, *StreamInfo, error) {
-	spec := opts.Spec
-	accums := make(map[ShardKey]*shardAccum)
-	info := opts.info()
-
-	touch := func(key ShardKey, r *failures.Record) error {
-		a, ok := accums[key]
-		if !ok {
-			var err error
-			if a, err = e.newShardAccum(key, opts); err != nil {
-				return err
-			}
-			accums[key] = a
-		}
-		a.add(r)
-		return nil
+	bs, ok := src.(BatchSource)
+	if !ok {
+		bs = &recordBatches{RecordSource: src, buf: make([]failures.Record, 0, recordBatchLen)}
 	}
-
-	if bs, ok := src.(BatchSource); ok {
-		// Batched fan-in: fold each decoded block in place — records are
-		// addressed by pointer into the batch, so a block of 8192 records
-		// costs one ScanBatch call instead of 8192 Scan/Record round
-		// trips. The fold itself stays sequential, in record order, so
-		// every accumulator sees exactly the per-record path's inputs.
-		for {
-			batch, err := bs.ScanBatch()
-			if err != nil {
-				return nil, nil, fmt.Errorf("engine analyze stream: %w", err)
-			}
-			if batch == nil {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			for i := range batch {
-				if info.RecordsScanned%4096 == 0 && i > 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, nil, err
-					}
-				}
-				r := &batch[i]
-				info.RecordsScanned++
-				keys, n := shardKeysFor(spec, r)
-				for _, key := range keys[:n] {
-					if err := touch(key, r); err != nil {
-						return nil, nil, fmt.Errorf("engine analyze stream: %w", err)
-					}
-				}
-			}
+	f := e.newFold(opts)
+	for {
+		batch, err := bs.ScanBatch()
+		if err != nil {
+			return nil, nil, fmt.Errorf("engine analyze stream: %w", err)
 		}
-	} else {
-		for src.Scan() {
-			if info.RecordsScanned%4096 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, nil, err
-				}
-			}
-			r := src.Record()
-			info.RecordsScanned++
-			keys, n := shardKeysFor(spec, &r)
-			for _, key := range keys[:n] {
-				if err := touch(key, &r); err != nil {
-					return nil, nil, fmt.Errorf("engine analyze stream: %w", err)
-				}
-			}
+		if batch == nil {
+			break
+		}
+		if _, err := f.add(ctx, batch); err != nil {
+			return nil, nil, err
 		}
 	}
 	if err := src.Err(); err != nil {
 		return nil, nil, fmt.Errorf("engine analyze stream: %w", err)
 	}
-	if info.RecordsScanned == 0 {
+	if f.records == 0 {
 		return nil, nil, fmt.Errorf("engine analyze stream: %w", failures.ErrNoRecords)
 	}
-	for _, a := range accums {
-		info.OutOfOrder += a.outOfOrder
-	}
 
-	keys := shardOrder(accums, spec)
+	keys := shardOrder(f.accums, opts.Spec)
 	jobs := make([]*shardJob, len(keys))
 	for i, key := range keys {
-		a := accums[key]
+		a := f.accums[key]
 		jobs[i] = &shardJob{pos: i, key: key, size: a.records, acc: a}
 	}
-	if err := e.analyzeJobs(ctx, jobs, nil, spec); err != nil {
+	if err := e.analyzeJobs(ctx, jobs, nil, opts.Spec); err != nil {
 		return nil, nil, err
 	}
 	results := make([]ShardResult, len(jobs))
 	for i, j := range jobs {
 		results[i] = j.res
 	}
+	info := f.info()
 	return &FleetResult{Shards: results}, &info, nil
 }

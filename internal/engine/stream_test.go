@@ -173,9 +173,9 @@ type erringBatchSource struct {
 func (s *erringBatchSource) ScanBatch() ([]failures.Record, error) { return nil, s.err }
 
 // TestAnalyzeStreamBatchIdentity: folding records by whole batches must
-// produce the identical FleetResult and StreamInfo as the record-at-a-
-// time path, at every batch size — the batched fan-in is a pure
-// dispatch-overhead optimization, never a semantic change.
+// produce the identical FleetResult and StreamInfo as a record-at-a-time
+// source read through the batch adapter, at every batch size — batching
+// is a pure dispatch-overhead optimization, never a semantic change.
 func TestAnalyzeStreamBatchIdentity(t *testing.T) {
 	d, err := lanl.NewGenerator(lanl.Config{Seed: 5}).Generate()
 	if err != nil {
@@ -198,7 +198,7 @@ func TestAnalyzeStreamBatchIdentity(t *testing.T) {
 			t.Fatalf("batchN=%d: %v", batchN, err)
 		}
 		if !reflect.DeepEqual(res, wantRes) {
-			t.Fatalf("batchN=%d: batched result differs from record-at-a-time result", batchN)
+			t.Fatalf("batchN=%d: batched result differs from record-at-a-time source", batchN)
 		}
 		if *info != *wantInfo {
 			t.Fatalf("batchN=%d: info %+v, want %+v", batchN, *info, *wantInfo)
