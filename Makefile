@@ -31,8 +31,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race smoke of the parallel/streaming generator specifically: worker
-# pools, stream back-pressure and early close under the race detector.
+# Race smoke of the parallel/streaming generator specifically: the one
+# worker pool behind Generate, GenerateStream and Stream at 1 and 4+
+# workers, stream back-pressure, block hand-off, early close and the
+# unknown-system and rejected-catalog error paths under the race detector.
 race-gen:
 	$(GO) test -race -run 'Workers|Stream|Subset' ./internal/lanl
 
@@ -118,8 +120,11 @@ bench-trace:
 # 8. bench engine takes the whole list in one run (it records the
 # workers x GOMAXPROCS matrix itself); the others are re-run per
 # GOMAXPROCS into bench_scale/ so the committed BENCH_*.json files keep
-# the default-configuration run. bench trace runs at a reduced scale per
-# point — the full default dataset takes minutes per GOMAXPROCS.
+# the default-configuration run. bench_scale/ is gitignored: the sweep
+# describes the box it ran on, so it is quoted in EXPERIMENTS.md with
+# that box named rather than committed. bench trace runs at a reduced
+# scale per point — the full default dataset takes minutes per
+# GOMAXPROCS.
 bench-scale:
 	mkdir -p bench_scale
 	$(GO) run ./cmd/bench engine -gomaxprocs 1,2,4,8 -out bench_scale/BENCH_engine_scale.json
@@ -131,8 +136,9 @@ bench-scale:
 	done
 
 # CPU and heap profiles of the trace pipeline (the parallel codec plus
-# the batched engine fan-in) into prof/; uses a scratch -out so the
-# committed BENCH_trace.json is not skewed by profiler overhead.
+# the batched engine fan-in) into the gitignored prof/; uses a scratch
+# -out so the committed BENCH_trace.json is not skewed by profiler
+# overhead.
 prof-trace:
 	mkdir -p prof
 	$(GO) run ./cmd/bench trace -scale 20 -cpuprofile prof/trace_cpu.pprof \

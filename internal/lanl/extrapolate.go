@@ -97,11 +97,12 @@ func ExtrapolatedCatalog() []System {
 	return systems
 }
 
-// ValidateCatalog checks a replacement catalog before generation:
-// distinct positive IDs, consistent node/processor geometry, a known
-// hardware calibration, and a non-empty production window for every
-// system. ExtrapolatedCatalog always passes; hand-built catalogs get
-// the same errors the generator would otherwise surface mid-run.
+// ValidateCatalog checks a catalog before generation: distinct positive
+// IDs, consistent node/processor geometry, a known hardware calibration,
+// and a non-empty production window that starts at a UTC midnight, which
+// the generator's table-driven intensity profile requires (profile.go).
+// Catalog and ExtrapolatedCatalog always pass; the generator runs this
+// check on whichever catalog Config selects before any system starts.
 func ValidateCatalog(systems []System) error {
 	if len(systems) == 0 {
 		return fmt.Errorf("lanl: empty catalog")
@@ -121,6 +122,9 @@ func ValidateCatalog(systems []System) error {
 		}
 		if !s.End.After(s.Start) {
 			return fmt.Errorf("lanl: system %d: production window [%v, %v] is empty", s.ID, s.Start, s.End)
+		}
+		if !profileAligned(s.Start) {
+			return fmt.Errorf("lanl: system %d: production window starts at %v, not a UTC midnight", s.ID, s.Start)
 		}
 		nodes, procs := 0, 0
 		for _, c := range s.Categories {

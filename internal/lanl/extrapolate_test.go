@@ -3,6 +3,7 @@ package lanl
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"hpcfail/internal/failures"
 )
@@ -53,6 +54,11 @@ func TestExtrapolatedCatalogShape(t *testing.T) {
 }
 
 func TestValidateCatalogRejects(t *testing.T) {
+	// Table 1 itself must pass: the generator validates it on every run,
+	// and the table-driven profile depends on its UTC-midnight starts.
+	if err := ValidateCatalog(Catalog()); err != nil {
+		t.Fatalf("ValidateCatalog rejects Table 1: %v", err)
+	}
 	good := ExtrapolatedCatalog()
 	mutate := func(f func([]System)) []System {
 		cat := append([]System(nil), good...)
@@ -71,6 +77,7 @@ func TestValidateCatalogRejects(t *testing.T) {
 		{"zero ID", mutate(func(c []System) { c[0].ID = 0 })},
 		{"unknown hardware", mutate(func(c []System) { c[0].HW = "Z" })},
 		{"empty window", mutate(func(c []System) { c[0].End = c[0].Start })},
+		{"start not UTC midnight", mutate(func(c []System) { c[0].Start = c[0].Start.Add(time.Hour) })},
 		{"node mismatch", mutate(func(c []System) { c[0].Categories[0].Nodes-- })},
 		{"proc mismatch", mutate(func(c []System) { c[0].Procs++ })},
 	}

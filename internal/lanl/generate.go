@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,14 +19,17 @@ type Config struct {
 	// dataset. Seed 1 is the reference dataset of EXPERIMENTS.md.
 	Seed int64
 	// Systems optionally restricts generation to a subset of system IDs;
-	// empty means every system of the catalog.
+	// empty means every system of the catalog. An ID the catalog does not
+	// hold is an error.
 	Systems []int
 	// Catalog optionally replaces the Table 1 catalog — e.g. with
 	// ExtrapolatedCatalog() for projected 10k–100k-node machines. Empty
 	// means Catalog(), whose seed-1 output is the frozen oracle of
 	// EXPERIMENTS.md; replacement catalogs get their own randomness
 	// stream layout (one child source per catalog entry, in order), so
-	// they cannot perturb the default catalog's traces.
+	// they cannot perturb the default catalog's traces. Generation first
+	// checks the catalog with ValidateCatalog; in particular every
+	// production window must start at a UTC midnight.
 	Catalog []System
 	// RateScale scales every system's failure rate; 0 means 1.0. It exists
 	// for workload-size sweeps in benchmarks.
@@ -87,18 +91,25 @@ type systemTask struct {
 	src *randx.Source
 }
 
-// systemTasks splits the root source across the catalog and returns the
-// selected systems in catalog order. Splitting happens here, on one
-// goroutine, so the child sources are identical no matter how many
-// workers later consume them.
-func (g *Generator) systemTasks() []systemTask {
-	want := make(map[int]bool, len(g.cfg.Systems))
-	for _, id := range g.cfg.Systems {
-		want[id] = true
-	}
+// systemTasks validates the active catalog and the Systems subset, then
+// splits the root source across the catalog and returns the selected
+// systems in catalog order. Splitting happens here, on one goroutine, so
+// the child sources are identical no matter how many workers later
+// consume them.
+func (g *Generator) systemTasks() ([]systemTask, error) {
 	catalog := g.cfg.Catalog
 	if len(catalog) == 0 {
 		catalog = Catalog()
+	}
+	if err := ValidateCatalog(catalog); err != nil {
+		return nil, err
+	}
+	want := make(map[int]bool, len(g.cfg.Systems))
+	for _, id := range g.cfg.Systems {
+		if !slices.ContainsFunc(catalog, func(s System) bool { return s.ID == id }) {
+			return nil, fmt.Errorf("lanl: no system with ID %d in the catalog", id)
+		}
+		want[id] = true
 	}
 	root := randx.NewSource(g.cfg.Seed)
 	var tasks []systemTask
@@ -111,52 +122,81 @@ func (g *Generator) systemTasks() []systemTask {
 		}
 		tasks = append(tasks, systemTask{sys: sys, src: src})
 	}
-	return tasks
+	return tasks, nil
 }
 
-// generateBlocks runs the per-system generators across a bounded worker
-// pool and returns each system's sorted record block, indexed like tasks.
-// One worker degenerates to a plain loop with no goroutines.
-func (g *Generator) generateBlocks(tasks []systemTask) ([][]failures.Record, error) {
-	blocks := make([][]failures.Record, len(tasks))
-	errs := make([]error, len(tasks))
-	run := func(i int) {
-		t := tasks[i]
-		records, err := g.generateSystem(t.sys, t.src)
-		if err != nil {
-			errs[i] = fmt.Errorf("generate system %d: %w", t.sys.ID, err)
-			return
-		}
-		blocks[i] = records
+// systemBlock is one system's pending output in the worker pool.
+type systemBlock struct {
+	records []failures.Record
+	err     error
+	done    chan struct{}
+}
+
+// systemBlocks is the generator's one worker pool. It generates the
+// selected systems on Config.Workers workers and calls emit with each
+// system's time-sorted block, in catalog order, on the caller's
+// goroutine. A token semaphore admits a system only while fewer than
+// limit blocks are in flight — dispatched and not yet returned from emit
+// — so a slow consumer bounds memory however large the trace is. limit
+// is raised to the worker count and capped at the number of systems. The
+// first error, from a system in catalog order or from emit, stops the
+// pool and is returned.
+func (g *Generator) systemBlocks(limit int, emit func([]failures.Record) error) error {
+	tasks, err := g.systemTasks()
+	if err != nil {
+		return err
 	}
-	if w := g.workers(len(tasks)); w > 1 {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					run(i)
-				}
-			}()
-		}
+	w := g.workers(len(tasks))
+	blocks := make([]systemBlock, len(tasks))
+	for i := range blocks {
+		blocks[i].done = make(chan struct{})
+	}
+	work := make(chan int)
+	tokens := make(chan struct{}, min(max(limit, w), len(tasks)))
+	stop := make(chan struct{})
+	defer close(stop)
+
+	// Dispatcher: admit a system only when a token is free; abandoned on
+	// stop. Closing work lets the workers exit once their current system
+	// is done.
+	go func() {
+		defer close(work)
 		for i := range tasks {
-			idx <- i
+			select {
+			case tokens <- struct{}{}:
+			case <-stop:
+				return
+			}
+			select {
+			case work <- i:
+			case <-stop:
+				return
+			}
 		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i := range tasks {
-			run(i)
-		}
+	}()
+	for k := 0; k < w; k++ {
+		go func() {
+			for i := range work {
+				b := &blocks[i]
+				b.records, b.err = g.generateSystem(tasks[i].sys, tasks[i].src)
+				close(b.done)
+			}
+		}()
 	}
-	for _, err := range errs {
+	for i := range blocks {
+		b := &blocks[i]
+		<-b.done
+		if b.err != nil {
+			return fmt.Errorf("generate system %d: %w", tasks[i].sys.ID, b.err)
+		}
+		err := emit(b.records)
+		b.records = nil
+		<-tokens // block handed over: admit the next system
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return blocks, nil
+	return nil
 }
 
 // Generate produces the full synthetic dataset across the configured
@@ -166,13 +206,14 @@ func (g *Generator) generateBlocks(tasks []systemTask) ([][]failures.Record, err
 // unique — is record-for-record the dataset the sequential reference
 // path produces.
 func (g *Generator) Generate() (*failures.Dataset, error) {
-	if len(g.cfg.Catalog) > 0 {
-		if err := ValidateCatalog(g.cfg.Catalog); err != nil {
-			return nil, err
-		}
-	}
-	tasks := g.systemTasks()
-	blocks, err := g.generateBlocks(tasks)
+	// Every block is kept for the merge, so a bound on the blocks in
+	// flight would save no memory; it would only hold idle workers behind
+	// a slow system still ahead in catalog order.
+	var blocks [][]failures.Record
+	err := g.systemBlocks(math.MaxInt, func(b []failures.Record) error {
+		blocks = append(blocks, b)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -211,10 +252,10 @@ type intensityProfile struct {
 }
 
 // buildProfile computes the intensity profile of a system. src drives the
-// random month-to-month workload-intensity fluctuations. Windows starting
-// at a UTC midnight — all catalog windows — take the table-driven loop of
-// profile.go; anything else falls back to the per-hour reference
-// arithmetic. Both paths produce bitwise-identical profiles.
+// random month-to-month workload-intensity fluctuations. The window must
+// start at a UTC midnight, which ValidateCatalog enforces: the loop reads
+// the hour-of-day and weekday factors from profile.go's tables, which
+// reproduce the per-hour reference arithmetic of ref.go bitwise.
 func (g *Generator) buildProfile(sys System, shape lifecycleShape, infantAmp float64, src *randx.Source) *intensityProfile {
 	hours := int(sys.End.Sub(sys.Start).Hours())
 	p := &intensityProfile{
@@ -233,20 +274,6 @@ func (g *Generator) buildProfile(sys System, shape lifecycleShape, infantAmp flo
 		if g.cfg.DisableTimeModulation {
 			monthFactor[i] = 1
 		}
-	}
-	if !profileAligned(sys.Start) {
-		// Reference arithmetic, hour by hour.
-		for h := 0; h < hours; h++ {
-			t := sys.Start.Add(time.Duration(h) * time.Hour)
-			ageDays := float64(h) / 24
-			m := lifecycleAt(shape, infantAmp, ageDays) * monthFactor[int(float64(h)/hoursPerMonth)]
-			if !g.cfg.DisableTimeModulation {
-				m *= hourFactor(t) * dayFactor(t)
-			}
-			p.rate[h] = m
-			p.cum[h+1] = p.cum[h] + m
-		}
-		return p
 	}
 	lc := lifecycleTable(shape, infantAmp, hours)
 	// Walk month blocks so the month-index division runs once per month
@@ -320,13 +347,15 @@ func lifecycleAt(shape lifecycleShape, infantAmp, ageDays float64) float64 {
 }
 
 // hourFactor is the hour-of-day modulation (Figure 5 left): sinusoidal with
-// its peak at peakHour and a 2x peak-to-trough ratio.
+// its peak at peakHour and a 2x peak-to-trough ratio. Only ref.go calls
+// it; buildProfile reads the same values from hf24.
 func hourFactor(t time.Time) float64 {
 	hod := float64(t.Hour()) + float64(t.Minute())/60
 	return hourFactorAt(hod)
 }
 
-// dayFactor is the day-of-week modulation (Figure 5 right).
+// dayFactor is the day-of-week modulation (Figure 5 right). Only ref.go
+// calls it; buildProfile reads weekTable.
 func dayFactor(t time.Time) float64 {
 	switch t.Weekday() {
 	case time.Saturday, time.Sunday:

@@ -12,9 +12,10 @@ import (
 // cosine, one weekday lookup and one lifecycle exponential per simulated
 // hour, across ~705k hours per full run. All four are loop factors that
 // only depend on the hour index once a system's window starts at a UTC
-// midnight — which every catalog window does (catalog.go's date helper)
-// — so they compile into small shared tables. Each replacement
-// reproduces the reference arithmetic exactly:
+// midnight — which ValidateCatalog requires of every catalog, and which
+// catalog.go's date helper gives every Table 1 window — so they compile
+// into small shared tables. Each replacement reproduces the reference
+// arithmetic of ref.go exactly:
 //
 //   - hourFactor: at whole hours past midnight, hod = float64(h%24), so
 //     the 24-entry hf24 table indexed by h%24 is bitwise hourFactor(t).
@@ -24,10 +25,6 @@ import (
 //   - lifecycleAt: depends only on (shape, amplitude, h), and the catalog
 //     uses three (shape, amplitude) pairs, so the curves are memoized
 //     process-wide and shared across systems and runs.
-//
-// profileAligned guards the whole fast path; a window that is not a UTC
-// midnight start (possible for synthetic test systems) takes the
-// reference loop unchanged.
 
 // hourFactorAt is the hour-of-day modulation at a fractional hour of day.
 // Both the per-time hourFactor and the hf24 table evaluate through this
@@ -95,9 +92,10 @@ func lifecycleTable(shape lifecycleShape, amp float64, hours int) []float64 {
 	return t
 }
 
-// profileAligned reports whether a window start allows the table-driven
+// profileAligned reports whether a window start suits the table-driven
 // profile loop: a UTC midnight, so hour-of-day and weekday follow the
-// hour index by integer arithmetic.
+// hour index by integer arithmetic. ValidateCatalog rejects any other
+// start.
 func profileAligned(t time.Time) bool {
 	return t.Location() == time.UTC &&
 		t.Hour() == 0 && t.Minute() == 0 && t.Second() == 0 && t.Nanosecond() == 0

@@ -2,17 +2,18 @@ package lanl
 
 import (
 	"errors"
-	"fmt"
 
 	"hpcfail/internal/failures"
 )
 
 // This file is the streaming face of the generator: records flow to the
 // consumer as they are produced, so writing a trace to CSV or feeding
-// engine.AnalyzeStream never materializes the full dataset. Generation
-// runs ahead on the worker pool while the consumer drains, with at most
-// Workers system blocks in flight — peak memory is bounded by the
-// largest few systems, independent of RateScale or trace length.
+// engine.AnalyzeStream never materializes the full dataset. Both entry
+// points run on systemBlocks, the pool Generate uses, with at most
+// Workers system blocks in flight (Workers+1 for Stream, see
+// RecordStream): generation runs ahead while the consumer drains, and
+// peak memory is bounded by the largest few systems, independent of
+// RateScale or trace length.
 //
 // Records arrive grouped by system in catalog order, each group sorted
 // by start time — the same order lanlgen's stream mode documents. A
@@ -35,103 +36,29 @@ var errStreamClosed = errors.New("lanl: record stream closed")
 // goroutine; returning a non-nil error stops generation and propagates
 // the error.
 func (g *Generator) GenerateStream(emit func(failures.Record) error) error {
-	if len(g.cfg.Catalog) > 0 {
-		if err := ValidateCatalog(g.cfg.Catalog); err != nil {
-			return err
-		}
-	}
-	tasks := g.systemTasks()
-	if g.workers(len(tasks)) == 1 {
-		for _, t := range tasks {
-			records, err := g.generateSystem(t.sys, t.src)
-			if err != nil {
-				return fmt.Errorf("generate system %d: %w", t.sys.ID, err)
-			}
-			for _, r := range records {
-				if err := emit(r); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return g.generateStreamParallel(tasks, emit)
-}
-
-// streamBlock is one system's pending output in the parallel stream.
-type streamBlock struct {
-	records []failures.Record
-	err     error
-	done    chan struct{}
-}
-
-// generateStreamParallel overlaps generation with consumption: workers
-// fill system blocks while the caller drains them in catalog order. The
-// token semaphore caps how many blocks exist at once (completed but
-// undrained blocks hold their token until consumed), bounding memory at
-// Workers system blocks regardless of trace size.
-func (g *Generator) generateStreamParallel(tasks []systemTask, emit func(failures.Record) error) error {
-	w := g.workers(len(tasks))
-	blocks := make([]*streamBlock, len(tasks))
-	for i := range blocks {
-		blocks[i] = &streamBlock{done: make(chan struct{})}
-	}
-	work := make(chan int)
-	tokens := make(chan struct{}, w)
-	stop := make(chan struct{})
-	defer close(stop)
-
-	// Dispatcher: admit a system only when a token is free, so at most w
-	// blocks are materialized; abandoned on stop.
-	go func() {
-		defer close(work)
-		for i := range tasks {
-			select {
-			case tokens <- struct{}{}:
-			case <-stop:
-				return
-			}
-			select {
-			case work <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	for k := 0; k < w; k++ {
-		go func() {
-			for i := range work {
-				b := blocks[i]
-				b.records, b.err = g.generateSystem(tasks[i].sys, tasks[i].src)
-				close(b.done)
-			}
-		}()
-	}
-	for i, b := range blocks {
-		<-b.done
-		if b.err != nil {
-			return fmt.Errorf("generate system %d: %w", tasks[i].sys.ID, b.err)
-		}
-		for _, r := range b.records {
+	return g.systemBlocks(g.cfg.Workers, func(block []failures.Record) error {
+		for _, r := range block {
 			if err := emit(r); err != nil {
 				return err
 			}
 		}
-		b.records = nil
-		<-tokens // block drained: admit the next system
-	}
-	return nil
+		return nil
+	})
 }
 
-// A RecordStream adapts GenerateStream to the pull-based
+// A RecordStream adapts the generator to the pull-based
 // failures.RecordSource shape engine.AnalyzeStream consumes: Scan/Record
 // iterate the same record sequence GenerateStream emits, with generation
-// running ahead on a background goroutine. Close releases the producer
-// if the consumer stops early; a fully drained stream cleans up itself.
+// running ahead on a background goroutine. The producer hands over whole
+// system blocks, so at most Workers+1 blocks are alive at once: Workers
+// behind the pool's tokens plus the one Scan is walking. Close releases
+// the producer if the consumer stops early; a fully drained stream
+// cleans up itself.
 type RecordStream struct {
-	recs   chan failures.Record
+	blocks chan []failures.Record
 	errc   chan error
 	stop   chan struct{}
+	rest   []failures.Record // unread records of the current block
 	cur    failures.Record
 	err    error
 	closed bool
@@ -140,14 +67,14 @@ type RecordStream struct {
 // Stream starts generation and returns the record iterator.
 func (g *Generator) Stream() *RecordStream {
 	s := &RecordStream{
-		recs: make(chan failures.Record, 256),
-		errc: make(chan error, 1),
-		stop: make(chan struct{}),
+		blocks: make(chan []failures.Record),
+		errc:   make(chan error, 1),
+		stop:   make(chan struct{}),
 	}
 	go func() {
-		err := g.GenerateStream(func(r failures.Record) error {
+		err := g.systemBlocks(g.cfg.Workers, func(block []failures.Record) error {
 			select {
-			case s.recs <- r:
+			case s.blocks <- block:
 				return nil
 			case <-s.stop:
 				return errStreamClosed
@@ -156,7 +83,7 @@ func (g *Generator) Stream() *RecordStream {
 		if err != nil && !errors.Is(err, errStreamClosed) {
 			s.errc <- err
 		}
-		close(s.recs)
+		close(s.blocks)
 	}()
 	return s
 }
@@ -167,16 +94,19 @@ func (s *RecordStream) Scan() bool {
 	if s.err != nil || s.closed {
 		return false
 	}
-	r, ok := <-s.recs
-	if !ok {
-		select {
-		case err := <-s.errc:
-			s.err = err
-		default:
+	for len(s.rest) == 0 {
+		block, ok := <-s.blocks
+		if !ok {
+			select {
+			case err := <-s.errc:
+				s.err = err
+			default:
+			}
+			return false
 		}
-		return false
+		s.rest = block
 	}
-	s.cur = r
+	s.cur, s.rest = s.rest[0], s.rest[1:]
 	return true
 }
 
@@ -193,8 +123,9 @@ func (s *RecordStream) Close() {
 		return
 	}
 	s.closed = true
+	s.rest = nil
 	close(s.stop)
 	// Unblock a producer mid-send and let it observe stop.
-	for range s.recs {
+	for range s.blocks {
 	}
 }

@@ -3,6 +3,7 @@ package lanl
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"hpcfail/internal/failures"
 )
@@ -90,37 +91,109 @@ func TestGenerateStreamPropagatesEmitError(t *testing.T) {
 
 func TestRecordStreamDrain(t *testing.T) {
 	want := collectStream(t, Config{Seed: 3, Systems: []int{19, 20}})
-	s := NewGenerator(Config{Seed: 3, Systems: []int{19, 20}, Workers: 4}).Stream()
-	var got []failures.Record
-	for s.Scan() {
-		got = append(got, s.Record())
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("drained %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs", i)
+	for _, w := range []int{1, 4} {
+		s := NewGenerator(Config{Seed: 3, Systems: []int{19, 20}, Workers: w}).Stream()
+		var got []failures.Record
+		for s.Scan() {
+			got = append(got, s.Record())
+		}
+		if err := s.Err(); err != nil {
+			t.Fatalf("workers %d: %v", w, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers %d: drained %d records, want %d", w, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers %d: record %d differs", w, i)
+			}
 		}
 	}
 }
 
 func TestRecordStreamEarlyClose(t *testing.T) {
-	s := NewGenerator(Config{Seed: 1, Workers: 4}).Stream()
-	for i := 0; i < 10; i++ {
-		if !s.Scan() {
-			t.Fatalf("scan %d returned false: %v", i, s.Err())
+	for _, w := range []int{1, 4} {
+		s := NewGenerator(Config{Seed: 1, Workers: w}).Stream()
+		for i := 0; i < 10; i++ {
+			if !s.Scan() {
+				t.Fatalf("workers %d: scan %d returned false: %v", w, i, s.Err())
+			}
+		}
+		// Close mid-block: the first system's block has arrived and still
+		// holds unread records, while the pool generates the next ones.
+		if len(s.rest) == 0 || s.Record().System != Catalog()[0].ID {
+			t.Fatalf("workers %d: after 10 scans, %d records left of system %d's block",
+				w, len(s.rest), s.Record().System)
+		}
+		s.Close()
+		s.Close() // idempotent
+		if s.Scan() {
+			t.Fatalf("workers %d: Scan returned true after Close", w)
+		}
+		if err := s.Err(); err != nil {
+			t.Fatalf("workers %d: early close surfaced error: %v", w, err)
 		}
 	}
-	s.Close()
-	s.Close() // idempotent
+}
+
+// streamErr opens a Stream over cfg and returns the error it reports,
+// failing the test if the first Scan yields a record.
+func streamErr(t *testing.T, cfg Config) error {
+	t.Helper()
+	s := NewGenerator(cfg).Stream()
+	defer s.Close()
 	if s.Scan() {
-		t.Fatal("Scan returned true after Close")
+		t.Fatalf("Stream yielded record %+v, want an error", s.Record())
 	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("early close surfaced error: %v", err)
+	return s.Err()
+}
+
+func TestRecordStreamErrors(t *testing.T) {
+	unaligned := ExtrapolatedCatalog()
+	unaligned[0].Start = unaligned[0].Start.Add(time.Hour)
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"rejected catalog", Config{Seed: 1, Catalog: unaligned, RateScale: 0.0001}},
+		{"unknown system", Config{Seed: 1, Systems: []int{999}}},
+	}
+	for _, tc := range cases {
+		for _, w := range []int{1, 4} {
+			tc.cfg.Workers = w
+			if err := streamErr(t, tc.cfg); err == nil {
+				t.Fatalf("%s, workers %d: Stream ended without an error", tc.name, w)
+			}
+		}
+	}
+}
+
+// TestSubsetRejectsUnknownSystems: a Systems ID the active catalog does
+// not hold is an error on every entry point, not a silently smaller
+// trace.
+func TestSubsetRejectsUnknownSystems(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 1, Systems: []int{5, 999}},
+		{Seed: 1, Systems: []int{999}},
+		// 5 is a Table 1 ID, absent from the extrapolated catalog.
+		{Seed: 1, Systems: []int{5}, Catalog: ExtrapolatedCatalog(), RateScale: 0.0001},
+	} {
+		for _, w := range []int{1, 4} {
+			cfg.Workers = w
+			if d, err := NewGenerator(cfg).Generate(); err == nil {
+				t.Fatalf("Generate(%v, workers %d) returned %d records and no error", cfg.Systems, w, d.Len())
+			}
+			n := 0
+			err := NewGenerator(cfg).GenerateStream(func(failures.Record) error {
+				n++
+				return nil
+			})
+			if err == nil || n != 0 {
+				t.Fatalf("GenerateStream(%v, workers %d) emitted %d records, err %v", cfg.Systems, w, n, err)
+			}
+			if err := streamErr(t, cfg); err == nil {
+				t.Fatalf("Stream(%v, workers %d) ended without an error", cfg.Systems, w)
+			}
+		}
 	}
 }
