@@ -6,8 +6,9 @@ GO ?= go
 # over every test, focused race passes over the parallel generator, the
 # daemon, the sweep engine, the binary trace pipeline and the sub-shard
 # analysis pipeline, and short fuzz smokes
-# of the CSV reader, the ingest endpoint, the sweep-spec parser and the
-# binary trace round trip, plus the repo benchmark module's own checks.
+# of the CSV reader, the ingest endpoint, the sweep-spec parser, the
+# binary trace round trip, the WAL payload decoder and the sketch
+# snapshot decoder, plus the repo benchmark module's own checks.
 check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-engine fuzz-smoke perfbench-check
 
 vet:
@@ -76,12 +77,14 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/failures
 
 # A 10-second fuzz pass per target, cheap enough for every check run.
-# go test accepts one -fuzz pattern per invocation, hence two runs.
+# go test accepts one -fuzz pattern per invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s -run=^$$ ./internal/failures
 	$(GO) test -fuzz=FuzzIngestHandler -fuzztime=10s -run=^$$ ./internal/serve
 	$(GO) test -fuzz=FuzzParseSweepSpec -fuzztime=10s -run=^$$ ./internal/sweep
 	$(GO) test -fuzz=FuzzTraceRoundTrip -fuzztime=10s -run=^$$ ./internal/tracefmt
+	$(GO) test -fuzz=FuzzWALPayload -fuzztime=10s -run=^$$ ./internal/serve
+	$(GO) test -fuzz=FuzzSketchSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"hpcfail/internal/binx"
 	"hpcfail/internal/failures"
 	"hpcfail/internal/streamstats"
 )
@@ -181,11 +182,6 @@ var (
 	ErrIncMismatch = errors.New("engine: incremental snapshot options mismatch")
 )
 
-func appendTime(buf []byte, t time.Time) []byte {
-	buf = binary.AppendVarint(buf, t.Unix())
-	return binary.AppendUvarint(buf, uint64(t.Nanosecond()))
-}
-
 // WriteSnapshot serializes the full incremental state. The query cache
 // is deliberately excluded: a restored incremental refits lazily on the
 // first Result, reusing the engine's fit memo.
@@ -224,8 +220,8 @@ func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 		buf = binary.AppendUvarint(buf, uint64(a.outOfOrder))
 		if a.haveLast {
 			buf = append(buf, 1)
-			buf = appendTime(buf, a.firstStart)
-			buf = appendTime(buf, a.lastStart)
+			buf = binx.AppendTime(buf, a.firstStart)
+			buf = binx.AppendTime(buf, a.lastStart)
 		} else {
 			buf = append(buf, 0)
 		}
@@ -242,50 +238,6 @@ func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 	return err
 }
 
-// incReader decodes the snapshot byte stream with bounds checking.
-type incReader struct {
-	buf []byte
-}
-
-func (r *incReader) take(n int) ([]byte, error) {
-	if n < 0 || len(r.buf) < n {
-		return nil, fmt.Errorf("%w: truncated", ErrIncSnapshot)
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b, nil
-}
-
-func (r *incReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrIncSnapshot)
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *incReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint", ErrIncSnapshot)
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *incReader) time() (time.Time, error) {
-	sec, err := r.varint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	nsec, err := r.uvarint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	return time.Unix(sec, int64(nsec)).UTC(), nil
-}
-
 // ReadIncremental restores a WriteSnapshot blob into a fresh incremental
 // bound to e. The snapshot's stream options must match opts
 // (ErrIncMismatch otherwise): the restored accumulators were built under
@@ -295,98 +247,46 @@ func (e *Engine) ReadIncremental(rd io.Reader, opts StreamOptions) (*Incremental
 	if err != nil {
 		return nil, fmt.Errorf("engine read incremental: %w", err)
 	}
-	r := incReader{buf: data}
-	magic, err := r.take(len(incMagic))
-	if err != nil {
+	r := binx.NewReader(data, ErrIncSnapshot)
+	magic := r.Bytes(len(incMagic))
+	flags := r.Byte()
+	eps := r.F64()
+	size := r.Varint()
+	records, outOfOrder := r.Uvarint(), r.Uvarint()
+	// A shard is at least six one-byte fields and two blob lengths.
+	shards := r.Count(8)
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if [8]byte(magic) != incMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrIncSnapshot, magic)
 	}
-	flagsB, err := r.take(1)
-	if err != nil {
-		return nil, err
-	}
-	flags := flagsB[0]
 	spec := opts.Spec
 	if spec.IncludeFleet != (flags&1 != 0) || spec.ByWorkload != (flags&2 != 0) || spec.ByCause != (flags&4 != 0) {
 		return nil, fmt.Errorf("%w: sharding flags %03b vs spec {fleet=%t workload=%t cause=%t}",
 			ErrIncMismatch, flags, spec.IncludeFleet, spec.ByWorkload, spec.ByCause)
 	}
-	epsB, err := r.take(8)
-	if err != nil {
-		return nil, err
-	}
-	if eps := math.Float64frombits(binary.LittleEndian.Uint64(epsB)); math.Float64bits(eps) != math.Float64bits(opts.SketchEpsilon) {
+	if math.Float64bits(eps) != math.Float64bits(opts.SketchEpsilon) {
 		return nil, fmt.Errorf("%w: sketch epsilon %g vs %g", ErrIncMismatch, eps, opts.SketchEpsilon)
-	}
-	size, err := r.varint()
-	if err != nil {
-		return nil, err
 	}
 	if int(size) != opts.ReservoirSize {
 		return nil, fmt.Errorf("%w: reservoir size %d vs %d", ErrIncMismatch, size, opts.ReservoirSize)
 	}
 
 	inc := e.NewIncremental(opts)
-	records, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	outOfOrder, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < shards; i++ {
-		system, err := r.varint()
-		if err != nil {
-			return nil, err
+	for i := 0; i < shards; i++ {
+		key := ShardKey{
+			System:   int(r.Varint()),
+			Workload: failures.Workload(r.Uvarint()),
+			Cause:    failures.RootCause(r.Uvarint()),
 		}
-		workload, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		cause, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		key := ShardKey{System: int(system), Workload: failures.Workload(workload), Cause: failures.RootCause(cause)}
-		if _, dup := inc.accums[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate shard %s", ErrIncSnapshot, key)
-		}
-		a := &shardAccum{}
-		recs, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		ooo, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		a.records, a.outOfOrder = int(recs), int(ooo)
-		haveB, err := r.take(1)
-		if err != nil {
-			return nil, err
-		}
-		if a.haveLast = haveB[0] != 0; a.haveLast {
-			if a.firstStart, err = r.time(); err != nil {
-				return nil, err
-			}
-			if a.lastStart, err = r.time(); err != nil {
-				return nil, err
-			}
+		a := &shardAccum{records: int(r.Uvarint()), outOfOrder: int(r.Uvarint())}
+		if a.haveLast = r.Byte() != 0; a.haveLast {
+			a.firstStart, a.lastStart = r.Time(), r.Time()
 		}
 		for _, accp := range []**streamstats.Accumulator{&a.inter, &a.repair} {
-			n, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			b, err := r.take(int(n))
-			if err != nil {
+			b := r.Bytes(r.Count(1))
+			if err := r.Err(); err != nil {
 				return nil, err
 			}
 			acc := &streamstats.Accumulator{}
@@ -395,10 +295,13 @@ func (e *Engine) ReadIncremental(rd io.Reader, opts StreamOptions) (*Incremental
 			}
 			*accp = acc
 		}
+		if _, dup := inc.accums[key]; dup {
+			return nil, fmt.Errorf("%w: duplicate shard %s", ErrIncSnapshot, key)
+		}
 		inc.accums[key] = a
 	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrIncSnapshot, len(r.buf))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	// Every shard must be one the spec enumerates, and the header totals
 	// must follow from the shards: the system shards partition the

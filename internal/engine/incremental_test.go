@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"math"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -39,6 +41,8 @@ func incTrace(n int) []failures.Record {
 	}
 	return recs
 }
+
+var update = flag.Bool("update", false, "rewrite the snapshot golden file")
 
 func incSpec() ShardSpec {
 	return ShardSpec{
@@ -449,5 +453,47 @@ func TestIncrementalConcurrentAppendResult(t *testing.T) {
 	}
 	if _, _, err := inc.Result(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An HFINC01 snapshot of a fixed state encodes to the committed bytes,
+// and those bytes restore and re-encode unchanged. The committed file
+// pins the format across versions, which a round trip within one build
+// cannot.
+func TestIncrementalSnapshotGolden(t *testing.T) {
+	const path = "testdata/incremental.golden"
+	recs := incTrace(40)
+	recs[5], recs[6] = recs[6], recs[5] // out of order in the fleet shard
+	opts := StreamOptions{Spec: incSpec(), ReservoirSize: 4}
+	inc := incEngine().NewIncremental(opts)
+	if _, err := inc.Append(context.Background(), recs); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := inc.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(path, snap.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(snap.Bytes(), want) {
+		t.Fatalf("encoding differs from %s (%d vs %d bytes)", path, snap.Len(), len(want))
+	}
+	restored, err := incEngine().ReadIncremental(bytes.NewReader(want), opts)
+	if err != nil {
+		t.Fatalf("decode golden: %v", err)
+	}
+	var again bytes.Buffer
+	if err := restored.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatal("restoring and re-encoding the golden snapshot changed its bytes")
 	}
 }

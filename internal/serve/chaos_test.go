@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -258,5 +259,20 @@ func TestRestartRefusesOptionChange(t *testing.T) {
 	cfg.Stream.ReservoirSize = 128
 	if _, err := serve.New(cfg); err == nil {
 		t.Fatal("restart with changed reservoir size succeeded; want refusal")
+	}
+}
+
+// A corrupt server snapshot is refused as a corrupt snapshot, not
+// misreported as a corrupt WAL.
+func TestRestartReportsCorruptSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	// The magic, one tenant, and a 5-byte name with 1 byte behind it.
+	snap := append([]byte("HFSRV01\n"), 1, 5, 'a')
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.bin"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := serve.New(testConfig(dir))
+	if !errors.Is(err, serve.ErrSnapshot) || errors.Is(err, serve.ErrWAL) {
+		t.Fatalf("err = %v, want ErrSnapshot and not ErrWAL", err)
 	}
 }

@@ -35,3 +35,10 @@ func (s *Server) QueueLen(tenant string) int {
 	}
 	return len(t.queue)
 }
+
+// AppendWALPayload and DecodeWALPayload expose the WAL payload codec to
+// the format golden and fuzz tests.
+var (
+	AppendWALPayload = appendWALPayload
+	DecodeWALPayload = decodeWALPayload
+)

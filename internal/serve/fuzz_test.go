@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +71,38 @@ func FuzzIngestHandler(f *testing.F) {
 			}
 		default:
 			t.Fatalf("unexpected status %d: %s", rec.Code, rec.Body.String())
+		}
+	})
+}
+
+// FuzzWALPayload throws arbitrary bytes at the WAL payload decoder, which
+// replay runs on every CRC-valid frame. It must never panic, must report
+// every rejection as ErrWAL, and a payload it accepts must re-encode to
+// one that decodes to the same records. The bytes may differ: varints
+// accept overlong encodings.
+func FuzzWALPayload(f *testing.F) {
+	golden, err := os.ReadFile("testdata/wal_payload.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)-1])
+	f.Add(serve.AppendWALPayload(nil, "", nil))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		id, recs, err := serve.DecodeWALPayload(payload)
+		if err != nil {
+			if !errors.Is(err, serve.ErrWAL) {
+				t.Fatalf("rejection is not ErrWAL: %v", err)
+			}
+			return
+		}
+		id2, recs2, err := serve.DecodeWALPayload(serve.AppendWALPayload(nil, id, recs))
+		if err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
+		}
+		if id2 != id || !reflect.DeepEqual(recs2, recs) {
+			t.Fatalf("re-encoded payload decodes to (%q, %+v), want (%q, %+v)", id2, recs2, id, recs)
 		}
 	})
 }

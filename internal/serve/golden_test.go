@@ -1,0 +1,133 @@
+package serve_test
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"hpcfail/internal/failures"
+	"hpcfail/internal/serve"
+)
+
+var update = flag.Bool("update", false, "rewrite the format golden files")
+
+// checkGolden fails unless blob equals the committed file at path (or
+// rewrites the file under -update) and returns the file's bytes. The
+// committed files pin the on-disk formats across versions: a round trip
+// within one build cannot catch an encoder and a decoder that change
+// together.
+func checkGolden(t *testing.T, path string, blob []byte) []byte {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(blob, want) {
+		t.Fatalf("encoding differs from %s (%d vs %d bytes)", path, len(blob), len(want))
+	}
+	return want
+}
+
+// goldenWALRecords are the two records of the golden WAL payload: a
+// label and a sub-second end time on the second exercise every field.
+func goldenWALRecords() []failures.Record {
+	recs := testRecords(2, 0)
+	recs[1].Detail = "DIMM"
+	recs[1].End = recs[1].End.Add(123456789 * time.Nanosecond)
+	return recs
+}
+
+// A WAL payload encodes to the committed bytes, and those bytes decode
+// to the same records and re-encode unchanged.
+func TestWALPayloadGolden(t *testing.T) {
+	recs := goldenWALRecords()
+	want := checkGolden(t, "testdata/wal_payload.golden", serve.AppendWALPayload(nil, "golden-1", recs))
+	id, got, err := serve.DecodeWALPayload(want)
+	if err != nil {
+		t.Fatalf("decode golden: %v", err)
+	}
+	if id != "golden-1" || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("decoded (%q, %+v), want (golden-1, %+v)", id, got, recs)
+	}
+	if again := serve.AppendWALPayload(nil, id, got); !bytes.Equal(again, want) {
+		t.Fatal("decoding and re-encoding the golden payload changed its bytes")
+	}
+}
+
+// snapshotBytes snapshots s and returns the snapshot file's contents.
+func snapshotBytes(t *testing.T, s *serve.Server, dir string) []byte {
+	t.Helper()
+	if err := s.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "snapshot.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func shutdown(t *testing.T, s *serve.Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// A server with one tenant and one fixed ingest snapshots to the
+// committed HFSRV01 bytes, and a server restored from those bytes (and
+// the tenant's WAL) snapshots to them again.
+func TestServerSnapshotGolden(t *testing.T) {
+	const path = "testdata/server_snapshot.golden"
+	dir := t.TempDir()
+	s, err := serve.New(testConfig(dir))
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/tenants/alpha/ingest", bytes.NewReader(csvBody(t, testRecords(30, 0))))
+	req.Header.Set("Ingest-Id", "golden-1")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body)
+	}
+	want := checkGolden(t, path, snapshotBytes(t, s, dir))
+	shutdown(t, s)
+
+	dir2 := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir2, "wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	walFile, err := os.ReadFile(filepath.Join(dir, "wal", "alpha.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir2, "wal", "alpha.wal"), walFile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir2, "snapshot.bin"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := serve.New(testConfig(dir2))
+	if err != nil {
+		t.Fatalf("restore from golden: %v", err)
+	}
+	defer shutdown(t, s2)
+	if got := snapshotBytes(t, s2, dir2); !bytes.Equal(got, want) {
+		t.Fatal("restoring and re-snapshotting the golden snapshot changed its bytes")
+	}
+}

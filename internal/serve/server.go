@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hpcfail/internal/binx"
 	"hpcfail/internal/engine"
 )
 
@@ -396,7 +397,7 @@ func (s *Server) Snapshot() error {
 		if err != nil {
 			return fmt.Errorf("serve: snapshot tenant %s: %w", names[i], err)
 		}
-		buf = appendString(buf, names[i])
+		buf = binx.AppendString(buf, names[i])
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(offset))
 		buf = binary.AppendUvarint(buf, uint64(accepted))
 		buf = binary.AppendUvarint(buf, uint64(quarantined))
@@ -404,7 +405,7 @@ func (s *Server) Snapshot() error {
 		buf = binary.AppendUvarint(buf, uint64(len(order)))
 		for _, id := range order {
 			res := results[id]
-			buf = appendString(buf, id)
+			buf = binx.AppendString(buf, id)
 			buf = binary.AppendUvarint(buf, uint64(res.Accepted))
 			buf = binary.AppendUvarint(buf, uint64(res.Quarantined))
 		}
@@ -496,18 +497,25 @@ func (s *Server) recover() error {
 // not yet open; each tenant's snapshot WAL offset is parked in a
 // placeholder wal struct for recover to pick up.
 func (s *Server) restoreSnapshot(data []byte) error {
-	r := walReader{buf: data}
-	if len(data) < len(srvMagic) || [8]byte(data[:8]) != srvMagic {
+	r := binx.NewReader(data, ErrSnapshot)
+	if magic := r.Bytes(len(srvMagic)); r.Err() != nil || [8]byte(magic) != srvMagic {
 		return fmt.Errorf("%w: bad magic", ErrSnapshot)
 	}
-	r.buf = data[8:]
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		name, err := r.string()
-		if err != nil {
+	// A tenant is at least a one-byte name length, the u64 WAL offset,
+	// four one-byte counts and a blob length; a dedupe entry is three
+	// one-byte fields.
+	n := r.Count(1 + 8 + 4 + 1)
+	for i := 0; i < n; i++ {
+		name := r.Str()
+		offset := int64(r.U64())
+		accepted, quarantined, duplicates := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		dedupe := newDedupeRing(s.cfg.DedupeWindow)
+		for j, m := 0, r.Count(3); j < m; j++ {
+			id := r.Str()
+			dedupe.add(id, IngestResult{Accepted: int(r.Uvarint()), Quarantined: int(r.Uvarint())})
+		}
+		blob := r.Bytes(r.Count(1))
+		if err := r.Err(); err != nil {
 			return err
 		}
 		if !validTenantName(name) {
@@ -516,55 +524,10 @@ func (s *Server) restoreSnapshot(data []byte) error {
 		if _, dup := s.tenants[name]; dup {
 			return fmt.Errorf("%w: duplicate tenant %q", ErrSnapshot, name)
 		}
-		if len(r.buf) < 8 {
-			return fmt.Errorf("%w: truncated", ErrSnapshot)
-		}
-		offset := int64(binary.LittleEndian.Uint64(r.buf))
-		r.buf = r.buf[8:]
-		accepted, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		quarantined, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		duplicates, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		nDedupe, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		dedupe := newDedupeRing(s.cfg.DedupeWindow)
-		for j := uint64(0); j < nDedupe; j++ {
-			id, err := r.string()
-			if err != nil {
-				return err
-			}
-			acc, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			quar, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			dedupe.add(id, IngestResult{Accepted: int(acc), Quarantined: int(quar)})
-		}
-		blobLen, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if blobLen > uint64(len(r.buf)) {
-			return fmt.Errorf("%w: truncated incremental blob", ErrSnapshot)
-		}
-		inc, err := s.eng.ReadIncremental(bytes.NewReader(r.buf[:blobLen]), s.cfg.Stream)
+		inc, err := s.eng.ReadIncremental(bytes.NewReader(blob), s.cfg.Stream)
 		if err != nil {
 			return fmt.Errorf("serve: restore tenant %s: %w", name, err)
 		}
-		r.buf = r.buf[blobLen:]
 		t := s.newTenant(name, inc, &wal{offset: offset})
 		t.accepted = int(accepted)
 		t.quarantined = int(quarantined)
@@ -572,8 +535,5 @@ func (s *Server) restoreSnapshot(data []byte) error {
 		t.dedupe = dedupe
 		s.tenants[name] = t
 	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrSnapshot, len(r.buf))
-	}
-	return nil
+	return r.Done()
 }

@@ -7,8 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"time"
 
+	"hpcfail/internal/binx"
 	"hpcfail/internal/failures"
 )
 
@@ -108,142 +108,44 @@ func (w *wal) appendBatch(ingestID string, recs []failures.Record) error {
 	return nil
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendWALTime(buf []byte, t time.Time) []byte {
-	buf = binary.AppendVarint(buf, t.Unix())
-	return binary.AppendUvarint(buf, uint64(t.Nanosecond()))
-}
-
 func appendWALPayload(buf []byte, ingestID string, recs []failures.Record) []byte {
-	buf = appendString(buf, ingestID)
+	buf = binx.AppendString(buf, ingestID)
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
 	for _, r := range recs {
 		buf = binary.AppendVarint(buf, int64(r.System))
 		buf = binary.AppendVarint(buf, int64(r.Node))
-		buf = appendString(buf, string(r.HW))
+		buf = binx.AppendString(buf, string(r.HW))
 		buf = binary.AppendUvarint(buf, uint64(r.Workload))
 		buf = binary.AppendUvarint(buf, uint64(r.Cause))
-		buf = appendString(buf, r.Detail)
-		buf = appendWALTime(buf, r.Start)
-		buf = appendWALTime(buf, r.End)
+		buf = binx.AppendString(buf, r.Detail)
+		buf = binx.AppendTime(buf, r.Start)
+		buf = binx.AppendTime(buf, r.End)
 	}
 	return buf
 }
 
-// walReader decodes a payload with bounds checking.
-type walReader struct {
-	buf []byte
-}
-
-func (r *walReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrWAL)
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *walReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint", ErrWAL)
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *walReader) string() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(r.buf)) {
-		return "", fmt.Errorf("%w: truncated string", ErrWAL)
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s, nil
-}
-
-func (r *walReader) time() (time.Time, error) {
-	sec, err := r.varint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	nsec, err := r.uvarint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	return time.Unix(sec, int64(nsec)).UTC(), nil
-}
+// walRecordMinSize is the smallest encoding of one WAL record: six
+// one-byte fields and two two-byte times.
+const walRecordMinSize = 10
 
 func decodeWALPayload(payload []byte) (string, []failures.Record, error) {
-	r := walReader{buf: payload}
-	id, err := r.string()
-	if err != nil {
-		return "", nil, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(payload)) {
-		// Each record costs several bytes, so a count beyond the payload
-		// length is impossible for a genuine frame.
-		return "", nil, fmt.Errorf("%w: record count %d exceeds payload", ErrWAL, n)
-	}
-	recs := make([]failures.Record, n)
+	r := binx.NewReader(payload, ErrWAL)
+	id := r.Str()
+	recs := make([]failures.Record, r.Count(walRecordMinSize))
 	for i := range recs {
-		var rec failures.Record
-		sys, err := r.varint()
-		if err != nil {
-			return "", nil, err
+		recs[i] = failures.Record{
+			System:   int(r.Varint()),
+			Node:     int(r.Varint()),
+			HW:       failures.HWType(r.Str()),
+			Workload: failures.Workload(r.Uvarint()),
+			Cause:    failures.RootCause(r.Uvarint()),
+			Detail:   r.Str(),
+			Start:    r.Time(),
+			End:      r.Time(),
 		}
-		node, err := r.varint()
-		if err != nil {
-			return "", nil, err
-		}
-		hw, err := r.string()
-		if err != nil {
-			return "", nil, err
-		}
-		wl, err := r.uvarint()
-		if err != nil {
-			return "", nil, err
-		}
-		cause, err := r.uvarint()
-		if err != nil {
-			return "", nil, err
-		}
-		detail, err := r.string()
-		if err != nil {
-			return "", nil, err
-		}
-		start, err := r.time()
-		if err != nil {
-			return "", nil, err
-		}
-		end, err := r.time()
-		if err != nil {
-			return "", nil, err
-		}
-		rec.System = int(sys)
-		rec.Node = int(node)
-		rec.HW = failures.HWType(hw)
-		rec.Workload = failures.Workload(wl)
-		rec.Cause = failures.RootCause(cause)
-		rec.Detail = detail
-		rec.Start = start
-		rec.End = end
-		recs[i] = rec
 	}
-	if len(r.buf) != 0 {
-		return "", nil, fmt.Errorf("%w: %d trailing payload bytes", ErrWAL, len(r.buf))
+	if err := r.Done(); err != nil {
+		return "", nil, err
 	}
 	return id, recs, nil
 }

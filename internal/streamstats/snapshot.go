@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+
+	"hpcfail/internal/binx"
 )
 
 // Versioned binary snapshot/restore for every streaming structure. The
@@ -33,70 +35,14 @@ const (
 // distinguish a corrupt blob from other errors with errors.Is.
 var ErrSnapshot = errors.New("streamstats: corrupt snapshot")
 
-// binReader walks a snapshot blob with bounds checking.
-type binReader struct {
-	buf []byte
-}
-
-func (r *binReader) bytes(n int) ([]byte, error) {
-	if n < 0 || len(r.buf) < n {
-		return nil, fmt.Errorf("%w: truncated (%d bytes left, need %d)", ErrSnapshot, len(r.buf), n)
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b, nil
-}
-
-func (r *binReader) byte() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *binReader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *binReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrSnapshot)
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *binReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint", ErrSnapshot)
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *binReader) f64() (float64, error) {
-	u, err := r.u64()
-	return math.Float64frombits(u), err
-}
-
-func (r *binReader) header(kind byte) error {
-	k, err := r.byte()
-	if err != nil {
+// readHeader reads a blob's kind and version tags and checks them.
+func readHeader(r *binx.Reader, kind byte) error {
+	k, v := r.Byte(), r.Byte()
+	if err := r.Err(); err != nil {
 		return err
 	}
 	if k != kind {
 		return fmt.Errorf("%w: kind %q, want %q", ErrSnapshot, k, kind)
-	}
-	v, err := r.byte()
-	if err != nil {
-		return err
 	}
 	if v != snapshotVersion {
 		return fmt.Errorf("%w: version %d, want %d", ErrSnapshot, v, snapshotVersion)
@@ -137,32 +83,21 @@ func (m *Moments) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing m.
 func (m *Moments) UnmarshalBinary(data []byte) error {
-	r := binReader{buf: data}
-	if err := r.header(momentsKind); err != nil {
+	r := binx.NewReader(data, ErrSnapshot)
+	if err := readHeader(r, momentsKind); err != nil {
 		return err
 	}
-	var out Moments
-	var err error
-	var nan byte
-	if out.n, err = r.u64(); err != nil {
+	out := Moments{
+		n:      r.U64(),
+		mean:   r.F64(),
+		m2:     r.F64(),
+		min:    r.F64(),
+		max:    r.F64(),
+		hasNaN: r.Byte() != 0,
+	}
+	if err := r.Done(); err != nil {
 		return err
 	}
-	if out.mean, err = r.f64(); err != nil {
-		return err
-	}
-	if out.m2, err = r.f64(); err != nil {
-		return err
-	}
-	if out.min, err = r.f64(); err != nil {
-		return err
-	}
-	if out.max, err = r.f64(); err != nil {
-		return err
-	}
-	if nan, err = r.byte(); err != nil {
-		return err
-	}
-	out.hasNaN = nan != 0
 	*m = out
 	return nil
 }
@@ -182,24 +117,16 @@ func appendBuckets(buf []byte, m map[int]uint64) []byte {
 	return buf
 }
 
-func readBuckets(r *binReader) (map[int]uint64, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+// readBuckets reads one sign's bucket map. An entry is a varint key and
+// a uvarint count, so the entry count is bounded at two bytes an entry.
+func readBuckets(r *binx.Reader) map[int]uint64 {
+	n := r.Count(2)
 	m := make(map[int]uint64, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m[int(k)] = c
+	for i := 0; i < n; i++ {
+		k := r.Varint()
+		m[int(k)] = r.Uvarint()
 	}
-	return m, nil
+	return m
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -220,39 +147,22 @@ func (s *QuantileSketch) MarshalBinary() ([]byte, error) {
 // Gamma and its log are rederived from the stored epsilon bits, so bucket
 // boundaries of future Adds are bit-identical to the snapshotted sketch's.
 func (s *QuantileSketch) UnmarshalBinary(data []byte) error {
-	r := binReader{buf: data}
-	if err := r.header(sketchKind); err != nil {
+	r := binx.NewReader(data, ErrSnapshot)
+	if err := readHeader(r, sketchKind); err != nil {
 		return err
 	}
-	eps, err := r.f64()
-	if err != nil {
+	eps := r.F64()
+	zero, posInf, negInf, nan, n := r.U64(), r.U64(), r.U64(), r.U64(), r.U64()
+	pos, neg := readBuckets(r), readBuckets(r)
+	if err := r.Done(); err != nil {
 		return err
 	}
 	out, err := NewQuantileSketch(eps)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshot, err)
 	}
-	if out.zero, err = r.u64(); err != nil {
-		return err
-	}
-	if out.posInf, err = r.u64(); err != nil {
-		return err
-	}
-	if out.negInf, err = r.u64(); err != nil {
-		return err
-	}
-	if out.nan, err = r.u64(); err != nil {
-		return err
-	}
-	if out.n, err = r.u64(); err != nil {
-		return err
-	}
-	if out.pos, err = readBuckets(&r); err != nil {
-		return err
-	}
-	if out.neg, err = readBuckets(&r); err != nil {
-		return err
-	}
+	out.zero, out.posInf, out.negInf, out.nan, out.n = zero, posInf, negInf, nan, n
+	out.pos, out.neg = pos, neg
 	if err := out.checkRestored(); err != nil {
 		return err
 	}
@@ -320,46 +230,32 @@ func (r *Reservoir) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing r.
 func (r *Reservoir) UnmarshalBinary(data []byte) error {
-	br := binReader{buf: data}
-	if err := br.header(reservoirKind); err != nil {
+	br := binx.NewReader(data, ErrSnapshot)
+	if err := readHeader(br, reservoirKind); err != nil {
 		return err
 	}
-	capacity, err := br.uvarint()
-	if err != nil {
+	capacity, seed, seen, draws := br.Uvarint(), int64(br.U64()), br.U64(), br.U64()
+	n := br.Count(8)
+	if err := br.Err(); err != nil {
 		return err
 	}
 	if capacity == 0 || capacity > math.MaxInt32 {
 		return fmt.Errorf("%w: reservoir capacity %d", ErrSnapshot, capacity)
 	}
-	seed, err := br.u64()
-	if err != nil {
-		return err
-	}
-	seen, err := br.u64()
-	if err != nil {
-		return err
-	}
-	draws, err := br.u64()
-	if err != nil {
-		return err
-	}
-	n, err := br.uvarint()
-	if err != nil {
-		return err
-	}
 	// Add and Merge keep the sample at exactly min(seen, capacity): a
 	// shorter one would make the restored reservoir append where it
 	// should replace, diverging from one that was never snapshotted.
-	if n != min(capacity, seen) {
+	if uint64(n) != min(capacity, seen) {
 		return fmt.Errorf("%w: reservoir sample %d, want min(capacity %d, seen %d)", ErrSnapshot, n, capacity, seen)
 	}
-	out := NewReservoir(int(capacity), int64(seed))
+	out := NewReservoir(int(capacity), seed)
 	out.seen = seen
 	out.sample = make([]float64, n)
 	for i := range out.sample {
-		if out.sample[i], err = br.f64(); err != nil {
-			return err
-		}
+		out.sample[i] = br.F64()
+	}
+	if err := br.Done(); err != nil {
+		return err
 	}
 	out.src.fastForward(draws)
 	*r = *out
@@ -383,28 +279,24 @@ func (a *Accumulator) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing a.
 func (a *Accumulator) UnmarshalBinary(data []byte) error {
-	r := binReader{buf: data}
-	if err := r.header(accumulatorKind); err != nil {
+	r := binx.NewReader(data, ErrSnapshot)
+	if err := readHeader(r, accumulatorKind); err != nil {
 		return err
 	}
 	var out Accumulator
 	out.sketch = &QuantileSketch{}
 	out.res = &Reservoir{}
 	for _, part := range []interface{ UnmarshalBinary([]byte) error }{&out.moments, out.sketch, out.res} {
-		n, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		b, err := r.bytes(int(n))
-		if err != nil {
+		b := r.Bytes(r.Count(1))
+		if err := r.Err(); err != nil {
 			return err
 		}
 		if err := part.UnmarshalBinary(b); err != nil {
 			return err
 		}
 	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrSnapshot, len(r.buf))
+	if err := r.Done(); err != nil {
+		return err
 	}
 	*a = out
 	return nil

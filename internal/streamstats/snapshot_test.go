@@ -1,12 +1,40 @@
 package streamstats
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"flag"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the snapshot golden files")
+
+// checkGolden fails unless blob equals the committed file at path (or
+// rewrites the file under -update) and returns the file's bytes. The
+// committed files pin the format across versions: a round trip within
+// one build cannot catch an encoder and a decoder that change together.
+func checkGolden(t *testing.T, path string, blob []byte) []byte {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(blob, want) {
+		t.Fatalf("encoding differs from %s (%d vs %d bytes)", path, len(blob), len(want))
+	}
+	return want
+}
 
 // bitsEqual compares floats by bit pattern, so NaN == NaN and -0 != 0 —
 // the right notion of identity for snapshot round trips.
@@ -294,6 +322,45 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 }
 
+// A count field that claims more items than the blob's bytes can hold
+// is refused before anything is sized by it: these blobs once made
+// restore allocate gigabytes and only then fail on truncation.
+func TestSnapshotRejectsHostileCounts(t *testing.T) {
+	sketch := appendF64([]byte{sketchKind, snapshotVersion}, 0.01)
+	for i := 0; i < 5; i++ { // zero, ±Inf, NaN and n counters
+		sketch = appendU64(sketch, 0)
+	}
+	sketch = binary.AppendUvarint(sketch, 1<<27) // positive bucket count
+
+	res := binary.AppendUvarint([]byte{reservoirKind, snapshotVersion}, 1<<28) // capacity
+	res = appendU64(res, 1)                                                    // seed
+	res = appendU64(res, 1<<28)                                                // seen
+	res = appendU64(res, 0)                                                    // draws
+	res = binary.AppendUvarint(res, 1<<28)                                     // sample length
+
+	for _, c := range []struct {
+		name string
+		blob []byte
+		into interface{ UnmarshalBinary([]byte) error }
+	}{
+		{"sketch bucket count", sketch, &QuantileSketch{}},
+		{"reservoir sample length", res, &Reservoir{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.into.UnmarshalBinary(c.blob)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("%d-byte blob: want ErrSnapshot, got %v", len(c.blob), err)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Fatalf("%d-byte blob allocated %d bytes before failing", len(c.blob), d)
+			}
+		})
+	}
+}
+
 // A reservoir's sample always holds min(seen, capacity) values; restore
 // must refuse any other length, or later Adds append where they should
 // replace and the restored state drifts from the original.
@@ -392,5 +459,31 @@ func TestSketchSnapshotRejectsCountMismatch(t *testing.T) {
 				t.Fatalf("want ErrSnapshot, got %v", err)
 			}
 		})
+	}
+}
+
+// goldenStream fills the golden accumulator: every sketch counter, both
+// bucket signs, and more values than the reservoir holds, so its
+// generator state has advanced.
+var goldenStream = []float64{1, 2.5, -4, 0, 3.75, 100, 1e-9, math.Inf(1), math.NaN(), 7e12, -0.125, 2}
+
+// An Accumulator snapshot of a fixed state encodes to the committed
+// bytes, and those bytes decode and re-encode unchanged.
+func TestSnapshotGolden(t *testing.T) {
+	blob, err := fillAccumulator(t, goldenStream, 4).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := checkGolden(t, "testdata/accumulator.golden", blob)
+	got := &Accumulator{}
+	if err := got.UnmarshalBinary(want); err != nil {
+		t.Fatalf("decode golden: %v", err)
+	}
+	reblob, err := got.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reblob, want) {
+		t.Fatal("decoding and re-encoding the golden snapshot changed its bytes")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 
+	"hpcfail/internal/binx"
 	"hpcfail/internal/failures"
 )
 
@@ -87,12 +88,9 @@ func NewFile(ra io.ReaderAt, size int64) (*File, error) {
 // footer frame's own offset, which every indexed block must precede.
 func parseFooter(p []byte, footOff int64) (footer, error) {
 	var ft footer
-	fr := fieldReader{buf: p}
-	ft.records = fr.u64("record total")
-	nBlocks := int(fr.u32("block count"))
-	if nBlocks < 0 || nBlocks > maxFramePayload/28 {
-		return ft, fmt.Errorf("%w: footer block count %d", ErrFormat, nBlocks)
-	}
+	r := binx.NewReader(p, ErrFormat)
+	ft.records = r.U64()
+	nBlocks := r.Bound(uint64(r.U32()), footerEntrySize)
 	var sum uint64
 	// Block offsets must be strictly increasing and non-overlapping:
 	// each block's frame needs at least its header, the fixed prefix,
@@ -101,12 +99,12 @@ func parseFooter(p []byte, footOff int64) (footer, error) {
 	// bytes, or past the footer, is rejected here — before ScanParallel
 	// hands the entries to concurrent workers to dereference.
 	minOff := int64(headerSize)
-	for i := 0; i < nBlocks && fr.err == nil; i++ {
+	for i := 0; i < nBlocks; i++ {
 		b := BlockInfo{
-			Offset:   int64(fr.u64("block offset")),
-			Records:  int(fr.u32("block records")),
-			MinStart: fr.i64("block min start"),
-			MaxStart: fr.i64("block max start"),
+			Offset:   int64(r.U64()),
+			Records:  int(r.U32()),
+			MinStart: int64(r.U64()),
+			MaxStart: int64(r.U64()),
 		}
 		if b.Records <= 0 || b.Records > maxFramePayload/recordWidth {
 			return ft, fmt.Errorf("%w: footer block %d: %d records", ErrFormat, i, b.Records)
@@ -118,11 +116,11 @@ func parseFooter(p []byte, footOff int64) (footer, error) {
 		sum += uint64(b.Records)
 		ft.blocks = append(ft.blocks, b)
 	}
-	if err := parseDicts(&fr, &ft.hwDict, &ft.detDict, true); err != nil {
+	if err := parseDicts(r, &ft.hwDict, &ft.detDict, true); err != nil {
 		return ft, err
 	}
-	if fr.off != len(p) {
-		return ft, fmt.Errorf("%w: %d trailing footer bytes", ErrFormat, len(p)-fr.off)
+	if err := r.Done(); err != nil {
+		return ft, err
 	}
 	if sum != ft.records {
 		return ft, fmt.Errorf("%w: footer total %d, blocks sum to %d", ErrFormat, ft.records, sum)

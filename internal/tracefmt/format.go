@@ -38,7 +38,6 @@ package tracefmt
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 )
 
@@ -63,6 +62,10 @@ const (
 	// blockPrefixSize is the fixed head of a block payload: record
 	// count, min start, max start.
 	blockPrefixSize = 4 + 8 + 8
+
+	// footerEntrySize is one footer index entry: offset, record count,
+	// min start, max start.
+	footerEntrySize = 8 + 4 + 8 + 8
 
 	// recordWidth is the total column width of one record:
 	// start i64 + end-delta i64 + system i32 + node i32 +
@@ -150,60 +153,3 @@ func appendU64(b []byte, v uint64) []byte {
 }
 
 func appendI64(b []byte, v int64) []byte { return appendU64(b, uint64(v)) }
-
-// fieldReader cursors over a payload with bounds checking; the first
-// out-of-range read poisons it, and callers check err once at the end of
-// a parse instead of after every field.
-type fieldReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *fieldReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated %s at offset %d", ErrFormat, what, r.off)
-	}
-}
-
-func (r *fieldReader) u16(what string) uint16 {
-	if r.err != nil || r.off+2 > len(r.buf) {
-		r.fail(what)
-		return 0
-	}
-	v := le.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *fieldReader) u32(what string) uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail(what)
-		return 0
-	}
-	v := le.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *fieldReader) u64(what string) uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail(what)
-		return 0
-	}
-	v := le.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *fieldReader) i64(what string) int64 { return int64(r.u64(what)) }
-
-func (r *fieldReader) bytes(n int, what string) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail(what)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"hpcfail/internal/binx"
 	"hpcfail/internal/failures"
 )
 
@@ -303,52 +304,48 @@ func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
 // dictionaries were preloaded from the footer and skipped blocks may
 // already have contributed entries.
 func parseBlock(p []byte, hwDict *[]failures.HWType, detDict *[]string, appendDicts bool) (n int, minStart, maxStart int64, colOff int, err error) {
-	fr := fieldReader{buf: p}
-	n = int(fr.u32("record count"))
-	minStart = fr.i64("min start")
-	maxStart = fr.i64("max start")
-	if err := parseDicts(&fr, hwDict, detDict, appendDicts); err != nil {
+	r := binx.NewReader(p, ErrFormat)
+	n = int(r.U32())
+	minStart = int64(r.U64())
+	maxStart = int64(r.U64())
+	if err := parseDicts(r, hwDict, detDict, appendDicts); err != nil {
 		return 0, 0, 0, 0, err
 	}
 	if n < 0 || n > maxFramePayload/recordWidth {
 		return 0, 0, 0, 0, fmt.Errorf("%w: block record count %d", ErrFormat, n)
 	}
-	if want := fr.off + n*recordWidth; want != len(p) {
+	if want := r.Offset() + n*recordWidth; want != len(p) {
 		return 0, 0, 0, 0, fmt.Errorf("%w: block is %d bytes, columns need %d", ErrFormat, len(p), want)
 	}
-	return n, minStart, maxStart, fr.off, nil
+	return n, minStart, maxStart, r.Offset(), nil
 }
 
 // parseDicts reads a hardware and a detail dictionary section — a
 // block's deltas or the footer's complete tables — appending the
-// entries to *hwDict / *detDict when keep is true.
-func parseDicts(fr *fieldReader, hwDict *[]failures.HWType, detDict *[]string, keep bool) error {
-	nHW := int(fr.u16("hw dict count"))
-	for i := 0; i < nHW && fr.err == nil; i++ {
-		l := int(fr.u16("hw label length"))
-		b := fr.bytes(l, "hw label")
-		if keep && fr.err == nil {
+// entries to *hwDict / *detDict when keep is true. Each entry is a u16
+// length and its bytes, so a count is bounded at two bytes an entry.
+func parseDicts(r *binx.Reader, hwDict *[]failures.HWType, detDict *[]string, keep bool) error {
+	nHW := r.Bound(uint64(r.U16()), 2)
+	for i := 0; i < nHW; i++ {
+		b := r.Bytes(int(r.U16()))
+		if keep {
 			if len(*hwDict) >= maxHWDict {
 				return fmt.Errorf("%w: hardware dictionary overflow", ErrFormat)
 			}
 			*hwDict = append(*hwDict, failures.HWType(b))
 		}
 	}
-	nDet := int(fr.u32("detail dict count"))
-	if nDet > maxDetailDict {
-		return fmt.Errorf("%w: detail dictionary count %d", ErrFormat, nDet)
-	}
-	for i := 0; i < nDet && fr.err == nil; i++ {
-		l := int(fr.u16("detail label length"))
-		b := fr.bytes(l, "detail label")
-		if keep && fr.err == nil {
+	nDet := r.Bound(uint64(r.U32()), 2)
+	for i := 0; i < nDet; i++ {
+		b := r.Bytes(int(r.U16()))
+		if keep {
 			if len(*detDict) >= maxDetailDict {
 				return fmt.Errorf("%w: detail dictionary overflow", ErrFormat)
 			}
 			*detDict = append(*detDict, string(b))
 		}
 	}
-	return fr.err
+	return r.Err()
 }
 
 // decodeColumns appends the n records of a block's column section
