@@ -4,8 +4,8 @@ GO ?= go
 
 # The full gate: what CI runs — static checks, build, the race detector
 # over every test, focused race passes over the parallel generator, the
-# daemon, the sweep engine, the binary trace pipeline and the sub-shard
-# analysis pipeline, and short fuzz smokes
+# daemon, the sweep engine, the binary trace pipeline, the sub-shard
+# analysis pipeline and the par worker pools, and short fuzz smokes
 # of the CSV reader, the ingest endpoint, the sweep-spec parser, the
 # binary trace round trip, the WAL payload decoder and the sketch
 # snapshot decoder, plus the repo benchmark module's own checks.
@@ -33,8 +33,9 @@ race:
 	$(GO) test -race ./...
 
 # Race smoke of the parallel/streaming generator specifically: the one
-# worker pool behind Generate, GenerateStream and Stream at 1 and 4+
-# workers, stream back-pressure, block hand-off, early close and the
+# block iterator over the par.Ordered pool behind Generate,
+# GenerateStream and Stream at 1 and 4+ workers, stream back-pressure,
+# in-order block return, early close (goroutines released) and the
 # unknown-system and rejected-catalog error paths under the race detector.
 race-gen:
 	$(GO) test -race -run 'Workers|Stream|Subset' ./internal/lanl
@@ -51,9 +52,11 @@ race-sweep:
 	$(GO) test -race -run 'Workers|Golden' ./internal/sweep ./cmd/sweep
 
 # Race pass over the binary trace pipeline: the format round trip, the
-# parallel generator feeding the binary writer at workers 1/4/8 (the
-# byte-identity matrix in TestRunBinaryFormatMatchesCSV), and the
-# format-sniffing readers.
+# encode and decode pools (frames written and blocks returned in
+# submission order on the caller's goroutine, poison and I/O errors,
+# early close), the parallel generator feeding the binary writer at
+# workers 1/4/8 (the byte-identity matrix in
+# TestRunBinaryFormatMatchesCSV), and the format-sniffing readers.
 race-trace:
 	$(GO) test -race ./internal/tracefmt
 	$(GO) test -race -run 'Binary|Workers|Stream' ./cmd/lanlgen ./cmd/failstat
@@ -63,9 +66,11 @@ race-trace:
 # identities, the shared stream fold (batched fan-in identity, the
 # record-source adapter, incremental appends at every chunking, stream
 # edge cases), and the counter-seeded bootstrap partition-invariance
-# tests.
+# tests; then the par worker pools every fan-out runs on, repeated
+# because their tests race randomized job timings.
 race-engine:
 	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|BatchIdentity|IncrementalMatches|AnalyzeStreamEdge' ./internal/engine ./internal/dist
+	$(GO) test -race -count=10 ./internal/par
 
 # perfbench is its own module, so the root go test ./... never reaches
 # its tests: they prove a dropped record, a flipped digest and a refused

@@ -84,7 +84,8 @@ type agreement struct {
 //
 //	fused            generator streamed straight into the engine, no file
 //	csv_write        lanl.GenerateStream -> failures.CSVWriter -> file
-//	bin_write        lanl.GenerateStream -> tracefmt.Writer -> file
+//	bin_write        lanl.GenerateStream -> tracefmt.Writer -> file, with
+//	                 one block encoder beside the writing goroutine
 //	bin_write_par    the same, with -workers parallel block encoders
 //	csv_analyze      file -> failures.Scanner -> engine.AnalyzeStream
 //	bin_analyze      file -> tracefmt.Scanner -> engine.AnalyzeStream

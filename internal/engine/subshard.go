@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"hpcfail/internal/dist"
 	"hpcfail/internal/failures"
+	"hpcfail/internal/par"
 	"hpcfail/internal/stats"
 	"hpcfail/internal/streamstats"
 )
@@ -23,8 +23,10 @@ import (
 // analyzeJobs decomposes each shard into independently schedulable tasks —
 // prepare (slice + summarize + intern), one task per (sample, family)
 // point fit, one per bootstrap CI plan, one per counter-seeded rep block —
-// and runs each phase over the bounded pool, dispatching largest shard
-// first. Determinism is preserved by construction: every task's output
+// and runs each phase on the engine's workers with par.Each, which starts
+// indexes in ascending order over the pre-sorted tasks, so the largest
+// shard dispatches first. Cancellation stops the phase from starting
+// further tasks; callers check ctx.Err() between phases. Determinism is preserved by construction: every task's output
 // lands in a position-indexed slot, every bootstrap rep's draws depend
 // only on (task seed, rep index) via dist.CIPlan, and the merge walks the
 // enumeration order. The workers only decide *when* a value is computed,
@@ -56,51 +58,6 @@ type shardJob struct {
 	inter   sampleState
 	repair  sampleState
 	res     ShardResult
-}
-
-// runPhase executes fn(0..n-1) over the engine's bounded worker pool,
-// feeding indexes in order (callers pre-sort for largest-first dispatch).
-// Each index owns its output slot, so phases need no locking beyond the
-// engine's own memo maps. Cancellation stops the feed; callers check
-// ctx.Err() between phases.
-func (e *Engine) runPhase(ctx context.Context, n int, fn func(int)) {
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
 }
 
 // orderJobs returns the jobs in dispatch order: largest first (stable on
@@ -200,7 +157,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 	ord := e.orderJobs(jobs)
 
 	// Phase 1: prepare (slice, summarize, intern), largest shard first.
-	e.runPhase(ctx, len(ord), func(i int) { e.prepareJob(ord[i], d, spec) })
+	par.Each(ctx, len(ord), e.workers, func(i int) { e.prepareJob(ord[i], d, spec) })
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -230,7 +187,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 			}
 		}
 	}
-	e.runPhase(ctx, len(fitTasks), func(i int) { e.fitOne(fitTasks[i].s, fitTasks[i].f) })
+	par.Each(ctx, len(fitTasks), e.workers, func(i int) { e.fitOne(fitTasks[i].s, fitTasks[i].f) })
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -264,7 +221,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 				}
 			}
 		}
-		e.runPhase(ctx, len(targets), func(i int) {
+		par.Each(ctx, len(targets), e.workers, func(i int) {
 			t := targets[i]
 			t.plan, t.planErr = dist.NewCIPlan(t.f, t.s, e.reps, e.level, e.taskSeed(t.s.Hash(), t.f))
 		})
@@ -287,7 +244,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 				btasks = append(btasks, blockTask{t: t, b: b})
 			}
 		}
-		e.runPhase(ctx, len(btasks), func(i int) {
+		par.Each(ctx, len(btasks), e.workers, func(i int) {
 			bt := btasks[i]
 			sp := bt.t.spans[bt.b]
 			bt.t.blocks[bt.b] = bt.t.plan.RunBlock(sp[0], sp[1])

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hpcfail/internal/failures"
+	"hpcfail/internal/par"
 	"hpcfail/internal/randx"
 )
 
@@ -125,79 +126,76 @@ func (g *Generator) systemTasks() ([]systemTask, error) {
 	return tasks, nil
 }
 
-// systemBlock is one system's pending output in the worker pool.
+// systemBlock is one system's job in the generator pool: the task going
+// in, its time-sorted records or its error coming out.
 type systemBlock struct {
+	task    systemTask
 	records []failures.Record
 	err     error
-	done    chan struct{}
 }
 
-// systemBlocks is the generator's one worker pool. It generates the
-// selected systems on Config.Workers workers and calls emit with each
-// system's time-sorted block, in catalog order, on the caller's
-// goroutine. A token semaphore admits a system only while fewer than
-// limit blocks are in flight — dispatched and not yet returned from emit
-// — so a slow consumer bounds memory however large the trace is. limit
-// is raised to the worker count and capped at the number of systems. The
-// first error, from a system in catalog order or from emit, stops the
-// pool and is returned.
-func (g *Generator) systemBlocks(limit int, emit func([]failures.Record) error) error {
+// systemBlocks iterates the selected systems' time-sorted blocks in
+// catalog order while the generator's one worker pool, a par.Ordered on
+// Config.Workers workers, generates the systems ahead of the consumer.
+// Each scan tops the pool up to its depth, so at most depth blocks are
+// pending, and a slow consumer bounds memory however large the trace
+// is. The first error, from a system in catalog order, ends the
+// iteration and stops the pool; close stops it early. Generate,
+// GenerateStream and Stream all consume it.
+type systemBlocks struct {
+	tasks []systemTask
+	next  int // next task to submit
+	pool  *par.Ordered[systemBlock]
+	block []failures.Record
+	err   error
+}
+
+// systemBlocks validates the configuration and returns the block
+// iterator. depth bounds the blocks pending in the pool; it is raised
+// to one more than the worker count, so every worker stays busy while
+// the consumer holds a block, and capped at the number of systems.
+func (g *Generator) systemBlocks(depth int) (*systemBlocks, error) {
 	tasks, err := g.systemTasks()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := g.workers(len(tasks))
-	blocks := make([]systemBlock, len(tasks))
-	for i := range blocks {
-		blocks[i].done = make(chan struct{})
-	}
-	work := make(chan int)
-	tokens := make(chan struct{}, min(max(limit, w), len(tasks)))
-	stop := make(chan struct{})
-	defer close(stop)
-
-	// Dispatcher: admit a system only when a token is free; abandoned on
-	// stop. Closing work lets the workers exit once their current system
-	// is done.
-	go func() {
-		defer close(work)
-		for i := range tasks {
-			select {
-			case tokens <- struct{}{}:
-			case <-stop:
-				return
-			}
-			select {
-			case work <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	for k := 0; k < w; k++ {
-		go func() {
-			for i := range work {
-				b := &blocks[i]
-				b.records, b.err = g.generateSystem(tasks[i].sys, tasks[i].src)
-				close(b.done)
-			}
-		}()
-	}
-	for i := range blocks {
-		b := &blocks[i]
-		<-b.done
-		if b.err != nil {
-			return fmt.Errorf("generate system %d: %w", tasks[i].sys.ID, b.err)
-		}
-		err := emit(b.records)
-		b.records = nil
-		<-tokens // block handed over: admit the next system
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	pool := par.NewOrdered(w, min(max(depth, w+1), len(tasks)), func(_ int, b systemBlock) systemBlock {
+		b.records, b.err = g.generateSystem(b.task.sys, b.task.src)
+		return b
+	})
+	return &systemBlocks{tasks: tasks, pool: pool}, nil
 }
+
+// scan advances to the next system's block, reporting false once every
+// system has been returned or on the first error (see err). Either end
+// stops the pool.
+func (it *systemBlocks) scan() bool {
+	it.block = nil
+	if it.err != nil {
+		return false
+	}
+	for it.pool.Len() < it.pool.Depth() && it.next < len(it.tasks) {
+		it.pool.Submit(systemBlock{task: it.tasks[it.next]})
+		it.next++
+	}
+	if it.pool.Len() == 0 {
+		it.close()
+		return false
+	}
+	b := it.pool.Next()
+	if b.err != nil {
+		it.err = fmt.Errorf("generate system %d: %w", b.task.sys.ID, b.err)
+		it.close()
+		return false
+	}
+	it.block = b.records
+	return true
+}
+
+// close stops the pool, discarding the systems still pending. It is
+// safe to call more than once.
+func (it *systemBlocks) close() { it.pool.Close() }
 
 // Generate produces the full synthetic dataset across the configured
 // systems. Systems generate concurrently (see Config.Workers); the merge
@@ -206,16 +204,19 @@ func (g *Generator) systemBlocks(limit int, emit func([]failures.Record) error) 
 // unique — is record-for-record the dataset the sequential reference
 // path produces.
 func (g *Generator) Generate() (*failures.Dataset, error) {
-	// Every block is kept for the merge, so a bound on the blocks in
-	// flight would save no memory; it would only hold idle workers behind
-	// a slow system still ahead in catalog order.
-	var blocks [][]failures.Record
-	err := g.systemBlocks(math.MaxInt, func(b []failures.Record) error {
-		blocks = append(blocks, b)
-		return nil
-	})
+	// Every block is kept for the merge, so a bound on the blocks pending
+	// would save no memory; it would only hold idle workers behind a slow
+	// system still ahead in catalog order.
+	it, err := g.systemBlocks(math.MaxInt)
 	if err != nil {
 		return nil, err
+	}
+	var blocks [][]failures.Record
+	for it.scan() {
+		blocks = append(blocks, it.block)
+	}
+	if it.err != nil {
+		return nil, it.err
 	}
 	return failures.NewDatasetSorted(failures.MergeSortedBlocks(blocks))
 }

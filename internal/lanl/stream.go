@@ -1,19 +1,16 @@
 package lanl
 
 import (
-	"errors"
-
 	"hpcfail/internal/failures"
 )
 
 // This file is the streaming face of the generator: records flow to the
 // consumer as they are produced, so writing a trace to CSV or feeding
 // engine.AnalyzeStream never materializes the full dataset. Both entry
-// points run on systemBlocks, the pool Generate uses, with at most
-// Workers system blocks in flight (Workers+1 for Stream, see
-// RecordStream): generation runs ahead while the consumer drains, and
-// peak memory is bounded by the largest few systems, independent of
-// RateScale or trace length.
+// points consume systemBlocks, the iterator Generate uses, with at most
+// Workers+1 system blocks pending in its pool: generation runs ahead
+// while the consumer drains, and peak memory is bounded by the largest
+// few systems, independent of RateScale or trace length.
 //
 // Records arrive grouped by system in catalog order, each group sorted
 // by start time — the same order lanlgen's stream mode documents. A
@@ -24,10 +21,6 @@ import (
 // failures.ReadCSV, which re-sorts, and the per-system shards of
 // engine.AnalyzeStream are insensitive to cross-system order.
 
-// errStreamClosed aborts the producer when a RecordStream consumer
-// closes early; it never escapes to callers.
-var errStreamClosed = errors.New("lanl: record stream closed")
-
 // GenerateStream produces the configured trace record by record, calling
 // emit for each one. Records within a system are sorted by start time
 // and systems arrive in catalog order; the concatenation of the emitted
@@ -36,56 +29,42 @@ var errStreamClosed = errors.New("lanl: record stream closed")
 // goroutine; returning a non-nil error stops generation and propagates
 // the error.
 func (g *Generator) GenerateStream(emit func(failures.Record) error) error {
-	return g.systemBlocks(g.cfg.Workers, func(block []failures.Record) error {
-		for _, r := range block {
+	it, err := g.systemBlocks(0)
+	if err != nil {
+		return err
+	}
+	defer it.close()
+	for it.scan() {
+		for _, r := range it.block {
 			if err := emit(r); err != nil {
 				return err
 			}
 		}
-		return nil
-	})
+	}
+	return it.err
 }
 
 // A RecordStream adapts the generator to the pull-based
 // failures.RecordSource shape engine.AnalyzeStream consumes: Scan/Record
-// iterate the same record sequence GenerateStream emits, with generation
-// running ahead on a background goroutine. The producer hands over whole
-// system blocks, so at most Workers+1 blocks are alive at once: Workers
-// behind the pool's tokens plus the one Scan is walking. Close releases
-// the producer if the consumer stops early; a fully drained stream
-// cleans up itself.
+// iterate the same record sequence GenerateStream emits. Scan pulls
+// whole system blocks from the generator pool on the caller's
+// goroutine while the pool's workers generate the next ones, so at most
+// Workers+2 blocks are alive at once: Workers+1 pending in the pool
+// plus the one Scan is walking. Close stops the pool if the consumer
+// stops early; a fully drained stream stops it itself.
 type RecordStream struct {
-	blocks chan []failures.Record
-	errc   chan error
-	stop   chan struct{}
+	blocks *systemBlocks
 	rest   []failures.Record // unread records of the current block
 	cur    failures.Record
 	err    error
 	closed bool
 }
 
-// Stream starts generation and returns the record iterator.
+// Stream validates the configuration and returns the record iterator;
+// a configuration error surfaces from the first Scan, through Err.
 func (g *Generator) Stream() *RecordStream {
-	s := &RecordStream{
-		blocks: make(chan []failures.Record),
-		errc:   make(chan error, 1),
-		stop:   make(chan struct{}),
-	}
-	go func() {
-		err := g.systemBlocks(g.cfg.Workers, func(block []failures.Record) error {
-			select {
-			case s.blocks <- block:
-				return nil
-			case <-s.stop:
-				return errStreamClosed
-			}
-		})
-		if err != nil && !errors.Is(err, errStreamClosed) {
-			s.errc <- err
-		}
-		close(s.blocks)
-	}()
-	return s
+	it, err := g.systemBlocks(0)
+	return &RecordStream{blocks: it, err: err}
 }
 
 // Scan advances to the next record, returning false at the end of the
@@ -95,16 +74,11 @@ func (s *RecordStream) Scan() bool {
 		return false
 	}
 	for len(s.rest) == 0 {
-		block, ok := <-s.blocks
-		if !ok {
-			select {
-			case err := <-s.errc:
-				s.err = err
-			default:
-			}
+		if !s.blocks.scan() {
+			s.err = s.blocks.err
 			return false
 		}
-		s.rest = block
+		s.rest = s.blocks.block
 	}
 	s.cur, s.rest = s.rest[0], s.rest[1:]
 	return true
@@ -116,16 +90,16 @@ func (s *RecordStream) Record() failures.Record { return s.cur }
 // Err returns the first generation error, if any.
 func (s *RecordStream) Err() error { return s.err }
 
-// Close stops the producer without draining the remaining records. It is
-// safe to call multiple times and after exhaustion.
+// Close stops the generator pool without draining the remaining
+// records, waiting for the systems already being generated. It is safe
+// to call multiple times and after exhaustion.
 func (s *RecordStream) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	s.rest = nil
-	close(s.stop)
-	// Unblock a producer mid-send and let it observe stop.
-	for range s.blocks {
+	if s.blocks != nil {
+		s.blocks.close()
 	}
 }

@@ -2,6 +2,7 @@ package lanl
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -113,6 +114,7 @@ func TestRecordStreamDrain(t *testing.T) {
 
 func TestRecordStreamEarlyClose(t *testing.T) {
 	for _, w := range []int{1, 4} {
+		before := runtime.NumGoroutine()
 		s := NewGenerator(Config{Seed: 1, Workers: w}).Stream()
 		for i := 0; i < 10; i++ {
 			if !s.Scan() {
@@ -132,6 +134,14 @@ func TestRecordStreamEarlyClose(t *testing.T) {
 		}
 		if err := s.Err(); err != nil {
 			t.Fatalf("workers %d: early close surfaced error: %v", w, err)
+		}
+		// A pool worker may still be exiting when Close returns.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("workers %d: %d goroutines before Stream, %d after Close: generator pool leaked", w, before, n)
 		}
 	}
 }

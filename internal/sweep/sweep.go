@@ -1,12 +1,13 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"strconv"
-	"sync"
 
+	"hpcfail/internal/par"
 	"hpcfail/internal/randx"
 	"hpcfail/internal/sim"
 	"hpcfail/internal/stats"
@@ -164,36 +165,6 @@ func deriveSeed(master int64, parts ...string) int64 {
 	return int64(h.Sum64() >> 1) // clear the sign bit
 }
 
-// runIndexed executes fn(0..n-1) on up to workers goroutines. Each index
-// owns its output slot, so the pool imposes no ordering on results.
-func runIndexed(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
 // runner carries one sweep's normalized options and counters.
 type runner struct {
 	opts Options
@@ -251,7 +222,7 @@ func (r *runner) evalReplicates(p SystemProfile, pt Point) ([]sim.Metrics, error
 	n := r.opts.Seeds
 	metrics := make([]sim.Metrics, n)
 	errs := make([]error, n)
-	runIndexed(n, r.opts.Workers, func(rep int) {
+	par.Each(context.Background(), n, r.opts.Workers, func(rep int) {
 		spec, err := r.buildSpec(p, pt, rep)
 		if err != nil {
 			errs[rep] = err
@@ -355,7 +326,7 @@ func Run(opts Options) (*Result, error) {
 		nTasks := len(points) * opts.Seeds
 		metrics := make([]sim.Metrics, nTasks)
 		errs := make([]error, nTasks)
-		runIndexed(nTasks, opts.Workers, func(task int) {
+		par.Each(context.Background(), nTasks, opts.Workers, func(task int) {
 			pt, rep := points[task/opts.Seeds], task%opts.Seeds
 			spec, err := r.buildSpec(profile, pt, rep)
 			if err != nil {

@@ -147,32 +147,12 @@ func (f *File) Close() error {
 	return nil
 }
 
-// Scan returns a Scanner over the records in the options' time window.
-// Blocks whose footer index proves them disjoint from the window are
-// never read from the underlying reader — a narrow window over a long
-// trace touches O(matching blocks), not O(file). The Scanner decodes on
-// the caller's goroutine, one indexed block at a time.
-func (f *File) Scan(opts ScanOptions) *Scanner {
-	fromN, toInc := scanBounds(opts)
-	i := 0
-	var frameBuf []byte
-	next := func(buf []failures.Record) ([]failures.Record, error) {
-		for i < len(f.blocks) {
-			b := f.blocks[i]
-			i++
-			if !b.overlaps(fromN, toInc) {
-				continue
-			}
-			var err error
-			buf, frameBuf, err = f.decodeBlockAt(b, frameBuf, fromN, toInc, buf[:0])
-			if err != nil || len(buf) > 0 {
-				return buf, err
-			}
-		}
-		return nil, nil
-	}
-	return &Scanner{next: next}
-}
+// Scan returns a Scanner over the records in the options' time window:
+// ScanParallel at one decode worker. Blocks whose footer index proves
+// them disjoint from the window are never read from the underlying
+// reader — a narrow window over a long trace touches O(matching
+// blocks), not O(file).
+func (f *File) Scan(opts ScanOptions) *Scanner { return f.ScanParallel(opts, 1) }
 
 // decodeBlockAt reads, verifies and decodes one indexed block, appending
 // its in-window records to dst. frameBuf is the caller's reusable frame

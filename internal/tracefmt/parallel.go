@@ -4,33 +4,32 @@ import (
 	"runtime"
 
 	"hpcfail/internal/failures"
+	"hpcfail/internal/par"
 )
 
-// decBatch carries one decoded block from a worker to the consumer.
-// Batches arrive on the out channel in block order; ready is closed
-// once recs and err are final, so the consumer can wait for a specific
-// block while later blocks are still being decoded.
-type decBatch struct {
-	info  BlockInfo
-	recs  []failures.Record
-	err   error
-	ready chan struct{}
+// decJob is one indexed block on its way through the decode pool: the
+// block going in, its in-window records or its error coming out.
+type decJob struct {
+	info BlockInfo
+	recs []failures.Record
+	err  error
 }
 
 // ScanParallel scans the trace with a pool of block-decode workers over
-// the footer index: a dispatcher walks the index in order, skipping
-// blocks the time window cannot touch (they are never read), and
-// publishes each remaining block to the consumer before handing it to
-// the pool, so blocks re-emit strictly in index order no matter which
-// worker finishes first. workers <= 0 uses GOMAXPROCS. The returned
-// Scanner yields exactly the records of f.Scan(opts), in the same
-// order, so analysis results are byte-identical at any worker count.
+// the footer index. Each call for the next block first tops the pool up
+// with the following in-window blocks, in index order, skipping blocks
+// the time window cannot touch (they are never read), then takes the
+// oldest back, so blocks re-emit strictly in index order no matter
+// which worker finishes first. workers <= 0 uses GOMAXPROCS. Every
+// worker count yields exactly the same records in the same order, so
+// analysis results are byte-identical at any worker count.
 //
-// Record buffers are pooled: a fixed set of slices cycles between the
-// workers and the consumer, so steady-state decoding allocates only
-// when a block outgrows its reused buffer. Close releases the worker
-// goroutines early; letting the scan run to its end (or first error)
-// releases them too.
+// Buffers are reused: each worker keeps one frame buffer, and a fixed
+// set of workers+2 record buffers, the one the consumer holds
+// included, cycles between the pool and the consumer, so steady-state
+// decoding allocates only when a block outgrows its reused buffer.
+// Close releases the worker goroutines early; letting the scan run to
+// its end (or first error) releases them too.
 func (f *File) ScanParallel(opts ScanOptions, workers int) *Scanner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -39,87 +38,48 @@ func (f *File) ScanParallel(opts ScanOptions, workers int) *Scanner {
 		workers = n
 	}
 	fromN, toInc := scanBounds(opts)
-	inflight := workers + 2
-	out := make(chan *decBatch, inflight)          // dispatcher → consumer, block order
-	work := make(chan *decBatch, inflight)         // dispatcher → workers
-	free := make(chan []failures.Record, inflight) // recycled record buffers
-	stop := make(chan struct{})
-	for i := 0; i < inflight; i++ {
-		free <- nil
-	}
-
-	// Dispatcher: the free channel is both the buffer pool and the
-	// backpressure bound — at most inflight blocks are decoded ahead
-	// of the consumer. Because order-publication (out) and decode
-	// hand-off (work) both have capacity inflight and every batch
-	// holds a free token, neither send can block; the dispatcher only
-	// ever waits on free or stop.
-	go func() {
-		defer close(work)
-		defer close(out)
-		for _, b := range f.blocks {
-			if !b.overlaps(fromN, toInc) {
-				continue
+	frames := make([][]byte, workers)
+	pool := par.NewOrdered(workers, workers+2, func(w int, d decJob) decJob {
+		d.recs, frames[w], d.err = f.decodeBlockAt(d.info, frames[w], fromN, toInc, d.recs[:0])
+		return d
+	})
+	var (
+		i    int                 // next index entry to consider
+		free [][]failures.Record // record buffers back from the consumer
+		held []failures.Record   // the block the consumer holds
+	)
+	next := func() ([]failures.Record, error) {
+		if held != nil {
+			free, held = append(free, held), nil
+		}
+		for {
+			for pool.Len() < pool.Depth() && i < len(f.blocks) {
+				b := f.blocks[i]
+				i++
+				if !b.overlaps(fromN, toInc) {
+					continue
+				}
+				d := decJob{info: b}
+				if k := len(free) - 1; k >= 0 {
+					d.recs, free = free[k], free[:k]
+				}
+				pool.Submit(d)
 			}
-			var buf []failures.Record
-			select {
-			case buf = <-free:
-			case <-stop:
-				return
+			if pool.Len() == 0 {
+				pool.Close()
+				return nil, nil
 			}
-			d := &decBatch{info: b, recs: buf, ready: make(chan struct{})}
-			out <- d
-			work <- d
-		}
-	}()
-	for i := 0; i < workers; i++ {
-		go func() {
-			var frameBuf []byte
-			for d := range work {
-				d.recs, frameBuf, d.err = f.decodeBlockAt(d.info, frameBuf, fromN, toInc, d.recs[:0])
-				close(d.ready)
-			}
-		}()
-	}
-
-	recycle := func(buf []failures.Record) {
-		select {
-		case free <- buf[:0]:
-		default:
-		}
-	}
-	// shutdown stops the dispatcher and drains every in-flight batch,
-	// so no worker is left blocked on a channel. Only the consumer
-	// calls it; idempotent.
-	stopped := false
-	shutdown := func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		close(stop)
-		for d := range out {
-			<-d.ready
-		}
-	}
-	next := func(buf []failures.Record) ([]failures.Record, error) {
-		// A non-nil buf is a drained block, which holds a free token.
-		if buf != nil {
-			recycle(buf)
-		}
-		for d := range out {
-			<-d.ready
+			d := pool.Next()
 			if d.err != nil {
-				recycle(d.recs)
-				shutdown()
+				pool.Close()
 				return nil, d.err
 			}
 			if len(d.recs) > 0 {
-				return d.recs, nil
+				held = d.recs
+				return held, nil
 			}
-			recycle(d.recs)
+			free = append(free, d.recs)
 		}
-		return nil, nil
 	}
-	return &Scanner{next: next, stop: shutdown}
+	return &Scanner{next: next, stop: pool.Close}
 }

@@ -58,55 +58,78 @@ func TestParallelWriterEmptyTrace(t *testing.T) {
 // offending Write, stick across further Writes and both Closes, and
 // release the pool goroutines instead of deadlocking on them.
 func TestParallelWriterPoison(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterOptions{BlockRecords: 2, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := synthRecords(5)
-	for _, r := range good {
-		if err := w.Write(r); err != nil {
-			t.Fatalf("good record rejected: %v", err)
+	for _, workers := range []int{0, 3, 4} {
+		before := runtime.NumGoroutine()
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, WriterOptions{BlockRecords: 2, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	bad := good[0]
-	bad.Workload = 300
-	if err := w.Write(bad); err == nil {
-		t.Fatalf("Write accepted an unrepresentable record")
-	}
-	if err := w.Write(good[0]); err == nil {
-		t.Fatalf("Write succeeded on a poisoned writer")
-	}
-	if err := w.Close(); err == nil {
-		t.Fatalf("Close succeeded on a poisoned writer")
-	}
-	if err := w.Close(); err == nil {
-		t.Fatalf("second Close forgot the poison")
+		good := synthRecords(5)
+		for _, r := range good {
+			if err := w.Write(r); err != nil {
+				t.Fatalf("workers %d: good record rejected: %v", workers, err)
+			}
+		}
+		bad := good[0]
+		bad.Workload = 300
+		if err := w.Write(bad); err == nil {
+			t.Fatalf("workers %d: Write accepted an unrepresentable record", workers)
+		}
+		if err := w.Write(good[0]); err == nil {
+			t.Fatalf("workers %d: Write succeeded on a poisoned writer", workers)
+		}
+		if err := w.Close(); err == nil {
+			t.Fatalf("workers %d: Close succeeded on a poisoned writer", workers)
+		}
+		if err := w.Close(); err == nil {
+			t.Fatalf("workers %d: second Close forgot the poison", workers)
+		}
+		waitGoroutines(t, before, fmt.Sprintf("workers %d: poisoned writer closed", workers))
 	}
 }
 
 // TestParallelWriterPropagatesIOErrors: an underlying write failure
-// surfaces on a later Write or at Close (the sequencer owns the I/O)
-// and Close never hangs on the dead pool.
+// surfaces on a later Write or at Close (frames are written once the
+// pool is full, or at Close), and Close never hangs on the pool and
+// releases its goroutines.
 func TestParallelWriterPropagatesIOErrors(t *testing.T) {
-	w, err := NewWriter(&failingWriter{after: 1}, WriterOptions{BlockRecords: 4, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawErr error
-	for _, r := range synthRecords(256) {
-		if err := w.Write(r); err != nil {
-			sawErr = err
-			break
+	for _, workers := range []int{0, 3} {
+		before := runtime.NumGoroutine()
+		w, err := NewWriter(&failingWriter{after: 1}, WriterOptions{BlockRecords: 4, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		var sawErr error
+		for _, r := range synthRecords(256) {
+			if err := w.Write(r); err != nil {
+				sawErr = err
+				break
+			}
+		}
+		if sawErr == nil {
+			sawErr = w.Close()
+		} else if err := w.Close(); err == nil {
+			t.Fatalf("workers %d: Close succeeded after a write error", workers)
+		}
+		if !errors.Is(sawErr, errShortWrite) {
+			t.Fatalf("workers %d: write error not propagated: %v", workers, sawErr)
+		}
+		waitGoroutines(t, before, fmt.Sprintf("workers %d: failed writer closed", workers))
 	}
-	if sawErr == nil {
-		sawErr = w.Close()
-	} else if err := w.Close(); err == nil {
-		t.Fatalf("Close succeeded after a write error")
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back
+// to before: a pool worker may still be exiting when the call that
+// stopped its pool returns, so it polls for a while first.
+func waitGoroutines(t *testing.T, before int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
 	}
-	if !errors.Is(sawErr, errShortWrite) {
-		t.Fatalf("write error not propagated: %v", sawErr)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines before, %d after %s: pool goroutines leaked", before, n, after)
 	}
 }
 

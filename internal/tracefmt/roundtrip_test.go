@@ -102,3 +102,33 @@ func TestSeed1CSVBinCSVRoundTrip(t *testing.T) {
 	t.Logf("seed-1 round trip: %d records, CSV %d bytes, bin %d bytes (%.2fx smaller)",
 		ds.Len(), len(direct), bin.Len(), float64(len(direct))/float64(bin.Len()))
 }
+
+// seed1BinSHA pins the binary encoding of the seed-1 Generate dataset,
+// keyed by WriterOptions.BlockRecords (0 is DefaultBlockRecords). The
+// digests were recorded with the inline single-goroutine encoder; every
+// worker count must reproduce them.
+var seed1BinSHA = map[int]string{
+	0: "e42cece5a83c661578dc64919b98daf99c2088e443ecd901440171dc93b8c1cf",
+	7: "da600bca15f5e6b633a7dda47fd9b4d75311cee7649d243d2dbfe5ad97097700",
+}
+
+// TestSeed1BinaryBytesPinned: the .bin bytes of the seed-1 trace are a
+// fixed function of the records and the block size, at every encoder
+// worker count.
+func TestSeed1BinaryBytesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the full seed-1 trace")
+	}
+	seed1, err := lanl.NewGenerator(lanl.Config{Seed: 1}).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blockN, want := range seed1BinSHA {
+		for _, workers := range []int{0, 1, 4} {
+			h := sha256.Sum256(encode(t, seed1.Records(), WriterOptions{BlockRecords: blockN, Workers: workers}))
+			if got := hex.EncodeToString(h[:]); got != want {
+				t.Errorf("BlockRecords %d, Workers %d: sha256 %s, want %s", blockN, workers, got, want)
+			}
+		}
+	}
+}

@@ -28,17 +28,19 @@ type ScanOptions struct {
 // ScanBatch (engine.BatchSource), which hands the fused pipeline a
 // whole decoded block per call.
 //
-// Every Scanner consumes whole decoded blocks from one block supplier:
-// NewScanner reads a stream, File.Scan reads through the footer index,
-// and File.ScanParallel decodes on a worker pool ahead of the consumer.
-// All three decode with the same column loop and yield identical
-// records. Record buffers are reused across blocks, so steady-state
-// scanning allocates only when a block outgrows its buffer; dictionary
-// strings are shared by every record that carries them.
+// Every Scanner consumes whole decoded blocks from one of two block
+// suppliers: NewScanner reads a stream block by block on the caller's
+// goroutine, and File.ScanParallel (File.Scan at one worker) decodes
+// through the footer index on a worker pool ahead of the consumer. Both
+// decode with the same column loop and yield identical records. Record
+// buffers are reused across blocks, so steady-state scanning allocates
+// only when a block outgrows its buffer; dictionary strings are shared
+// by every record that carries them.
 type Scanner struct {
 	// next returns the next non-empty decoded block, or nil at a clean
-	// end. buf is the drained previous block, handed back for reuse.
-	next func(buf []failures.Record) ([]failures.Record, error)
+	// end. The block it returned before is drained by then, so the
+	// supplier may reuse that buffer.
+	next func() ([]failures.Record, error)
 	// stop releases the supplier's goroutines; nil when it has none.
 	stop func()
 
@@ -56,7 +58,7 @@ func (s *Scanner) nextBatch() []failures.Record {
 	if s.done {
 		return nil
 	}
-	b, err := s.next(s.cur[:0])
+	b, err := s.next()
 	s.cur, s.i = b, 0
 	if err != nil || b == nil {
 		s.cur, s.err, s.done = nil, err, true
@@ -135,10 +137,11 @@ func NewScanner(r io.Reader, opts ScanOptions) (*Scanner, error) {
 	fromN, toInc := scanBounds(opts)
 	var (
 		frameBuf []byte
-		seen     footer // the index and dictionaries streamed so far
+		buf      []failures.Record // the decoded block, reused
+		seen     footer            // the index and dictionaries streamed so far
 		off      = int64(headerSize)
 	)
-	next := func(buf []failures.Record) ([]failures.Record, error) {
+	next := func() ([]failures.Record, error) {
 		for {
 			kind, p, err := readFrame(r, frameBuf)
 			if err != nil {

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"hpcfail/internal/failures"
+	"hpcfail/internal/par"
 )
 
 // WriterOptions configures a Writer; the zero value selects every
@@ -17,12 +17,11 @@ type WriterOptions struct {
 	// DefaultBlockRecords.
 	BlockRecords int
 	// Workers sets how many goroutines encode block payloads in
-	// parallel; <= 1 encodes inline on the caller's goroutine. Output
-	// bytes are identical at every worker count: dictionary indexes
-	// are still assigned in record order on the caller's goroutine,
-	// workers only turn finished row batches into frames, and a single
-	// sequencer writes the frames in submission order (see DESIGN.md,
-	// "Block-order sequencing").
+	// parallel; <= 1 means one. Output bytes are identical at every
+	// worker count: dictionary indexes are assigned in record order on
+	// the caller's goroutine, workers only turn finished row batches
+	// into frames, and the caller's goroutine writes the frames in
+	// submission order (see DESIGN.md, "Block-order writes").
 	Workers int
 }
 
@@ -38,11 +37,14 @@ type WriterOptions struct {
 //
 // The per-record path appends a fixed-width row to a reusable block
 // buffer: after the first few blocks it allocates only when a
-// never-before-seen label enters a dictionary. With Workers > 1 the
-// row→frame encode (column transpose, dictionary deltas, CRC) runs on
-// a bounded pool; validation errors still surface synchronously from
-// Write, while I/O errors from the sequencer may surface on a later
-// Write or at Close.
+// never-before-seen label enters a dictionary. Each full block goes to
+// a pool of Workers encoders for the row→frame encode (column
+// transpose, dictionary deltas, CRC); once Workers+2 blocks are
+// pending, the Write that fills the next block first writes the oldest
+// finished frame. Validation errors surface from the offending Write;
+// an encode or I/O error surfaces from the Write or Close that writes
+// the failing frame. Close, successful or not, also stops the pool; it
+// is the only way to release the encode goroutines.
 type Writer struct {
 	w      io.Writer
 	blockN int
@@ -59,17 +61,30 @@ type Writer struct {
 	detIdx map[string]uint32
 	detAll []string
 
-	// File assembly state. With a pool running, offset and index are
-	// owned by the sequencer (in par) until shutdownPool merges them
-	// back; total stays caller-owned, bumped at dispatch.
-	offset  int64 // bytes written so far
-	index   []BlockInfo
-	total   uint64
-	scratch []byte // frame assembly buffer, reused across flushes
-	closed  bool
-	err     error
+	// File assembly state; total counts the records of every block
+	// handed to the pool, index only the blocks written.
+	offset int64 // bytes written so far
+	index  []BlockInfo
+	total  uint64
+	closed bool
+	err    error
 
-	par *parWriter
+	pool *par.Ordered[encJob]
+}
+
+// encJob carries one block's rows through an encode worker, which
+// renders the frame, back to the Writer, which writes it. A written
+// job's buffers are reused for the next block, so a running Writer
+// owns a fixed set of buffers: Workers+2 jobs plus the block under
+// construction.
+type encJob struct {
+	rows   []encRow
+	hwNew  []failures.HWType
+	detNew []string
+	frame  []byte
+	minS   int64
+	maxS   int64
+	err    error
 }
 
 // encRow is one record, validated and dictionary-indexed, waiting to be
@@ -102,9 +117,11 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 	if err := tw.writeRaw(hdr); err != nil {
 		return nil, fmt.Errorf("tracefmt: write header: %w", err)
 	}
-	if opts.Workers > 1 {
-		tw.par = newParWriter(w, tw.offset, opts.Workers)
-	}
+	workers := max(opts.Workers, 1)
+	tw.pool = par.NewOrdered(workers, workers+2, func(_ int, j encJob) encJob {
+		j.frame, j.minS, j.maxS, j.err = appendBlockFrame(j.frame[:0], j.rows, j.hwNew, j.detNew)
+		return j
+	})
 	return tw, nil
 }
 
@@ -171,10 +188,7 @@ func (w *Writer) Write(r failures.Record) error {
 		cause:  byte(r.Cause),
 	})
 	if len(w.rows) >= w.blockN {
-		if w.par != nil {
-			return w.dispatchBlock()
-		}
-		return w.flushBlock()
+		return w.submitBlock()
 	}
 	return nil
 }
@@ -231,8 +245,7 @@ func (w *Writer) detIndex(det string) (uint32, error) {
 // appendBlockFrame appends a complete block frame — header, prefix,
 // dictionary deltas, transposed columns, CRC — to dst and returns the
 // block's start-time bounds. It is pure (touches no Writer state), so
-// the sequential flush and every pool worker produce identical bytes
-// for identical inputs.
+// every pool worker produces identical bytes for identical inputs.
 func appendBlockFrame(dst []byte, rows []encRow, hwNew []failures.HWType, detNew []string) ([]byte, int64, int64, error) {
 	base := len(dst)
 	var zero [frameSize]byte
@@ -295,32 +308,43 @@ func appendBlockFrame(dst []byte, rows []encRow, hwNew []failures.HWType, detNew
 	return dst, minS, maxS, nil
 }
 
-// flushBlock encodes and writes the block under construction inline
-// (the sequential path).
-func (w *Writer) flushBlock() error {
-	if len(w.rows) == 0 {
-		return nil
+// submitBlock hands the block under construction to the encode pool.
+// With the pool full it first writes the oldest pending frame and
+// reuses that job's buffers, so the caller never copies rows.
+func (w *Writer) submitBlock() error {
+	var j encJob
+	if w.pool.Len() == w.pool.Depth() {
+		var err error
+		if j, err = w.writeNext(); err != nil {
+			return err
+		}
 	}
-	frame, minS, maxS, err := appendBlockFrame(w.scratch[:0], w.rows, w.hwNew, w.detNew)
-	w.scratch = frame[:0]
-	if err != nil {
-		return w.poison(err)
+	j.rows, w.rows = w.rows, j.rows[:0]
+	j.hwNew, w.hwNew = w.hwNew, j.hwNew[:0]
+	j.detNew, w.detNew = w.detNew, j.detNew[:0]
+	w.total += uint64(len(j.rows))
+	w.pool.Submit(j)
+	return nil
+}
+
+// writeNext waits for the oldest pending block, writes its frame and
+// indexes it, and returns the job for reuse.
+func (w *Writer) writeNext() (encJob, error) {
+	j := w.pool.Next()
+	if j.err != nil {
+		return j, w.poison(j.err)
 	}
 	info := BlockInfo{
 		Offset:   w.offset,
-		Records:  len(w.rows),
-		MinStart: minS,
-		MaxStart: maxS,
+		Records:  len(j.rows),
+		MinStart: j.minS,
+		MaxStart: j.maxS,
 	}
-	if err := w.writeRaw(frame); err != nil {
-		return fmt.Errorf("tracefmt: write frame: %w", err)
+	if err := w.writeRaw(j.frame); err != nil {
+		return j, fmt.Errorf("tracefmt: write frame: %w", err)
 	}
 	w.index = append(w.index, info)
-	w.total += uint64(len(w.rows))
-	w.rows = w.rows[:0]
-	w.hwNew = w.hwNew[:0]
-	w.detNew = w.detNew[:0]
-	return nil
+	return j, nil
 }
 
 // writeFrame frames a payload with its kind, length and CRC-32C (footer
@@ -345,184 +369,32 @@ func (w *Writer) writeFrame(kind byte, payload []byte) error {
 
 func crc32Checksum(p []byte) uint32 { return crc32Update(0, p) }
 
-// ---- Parallel encode: bounded worker pool + block-order sequencer ----
-
-// encJob carries one block's rows from the caller through a pool worker
-// (which renders the frame) to the sequencer (which writes frames in
-// submission order). Jobs are recycled through the free channel, so a
-// running Writer owns a fixed set of workers+2 row/frame buffers.
-type encJob struct {
-	rows   []encRow
-	hwNew  []failures.HWType
-	detNew []string
-	frame  []byte
-	minS   int64
-	maxS   int64
-	err    error
-	done   chan struct{}
-}
-
-type parWriter struct {
-	w     io.Writer
-	jobs  chan *encJob // caller → workers
-	order chan *encJob // caller → sequencer, in submission order
-	free  chan *encJob // sequencer → caller, recycled
-	seqDn chan struct{}
-
-	// Sequencer-owned until seqDn closes; merged back by shutdownPool.
-	offset int64
-	index  []BlockInfo
-
-	mu  sync.Mutex
-	err error // first async error: encode overflow or write failure
-}
-
-func newParWriter(w io.Writer, offset int64, workers int) *parWriter {
-	inflight := workers + 2
-	p := &parWriter{
-		w:      w,
-		jobs:   make(chan *encJob),
-		order:  make(chan *encJob, inflight),
-		free:   make(chan *encJob, inflight),
-		seqDn:  make(chan struct{}),
-		offset: offset,
-	}
-	for i := 0; i < inflight; i++ {
-		p.free <- &encJob{}
-	}
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	go p.sequence()
-	return p
-}
-
-func (p *parWriter) worker() {
-	for j := range p.jobs {
-		j.frame, j.minS, j.maxS, j.err = appendBlockFrame(j.frame[:0], j.rows, j.hwNew, j.detNew)
-		close(j.done)
-	}
-}
-
-// sequence writes finished frames in submission order — the only
-// goroutine touching the underlying writer while the pool runs. After
-// the first error it keeps draining (so dispatch and Close never block)
-// but writes nothing further.
-func (p *parWriter) sequence() {
-	defer close(p.seqDn)
-	for j := range p.order {
-		<-j.done
-		if p.getErr() == nil {
-			switch {
-			case j.err != nil:
-				p.setErr(j.err)
-			default:
-				info := BlockInfo{
-					Offset:   p.offset,
-					Records:  len(j.rows),
-					MinStart: j.minS,
-					MaxStart: j.maxS,
-				}
-				n, werr := p.w.Write(j.frame)
-				p.offset += int64(n)
-				if werr != nil {
-					p.setErr(fmt.Errorf("tracefmt: write frame: %w", werr))
-				} else {
-					p.index = append(p.index, info)
-				}
-			}
-		}
-		j.rows = j.rows[:0]
-		j.hwNew = j.hwNew[:0]
-		j.detNew = j.detNew[:0]
-		j.err = nil
-		p.free <- j
-	}
-}
-
-func (p *parWriter) getErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-func (p *parWriter) setErr(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-// dispatchBlock hands the full block to the pool, swapping buffers with
-// a recycled job so the caller never copies rows. The free channel is
-// the backpressure bound: with all workers+2 jobs in flight the caller
-// blocks here until the sequencer retires one.
-func (w *Writer) dispatchBlock() error {
-	if err := w.par.getErr(); err != nil {
-		return w.poison(err)
-	}
-	if len(w.rows) == 0 {
-		return nil
-	}
-	j := <-w.par.free
-	j.done = make(chan struct{})
-	j.rows, w.rows = w.rows, j.rows
-	j.hwNew, w.hwNew = w.hwNew, j.hwNew
-	j.detNew, w.detNew = w.detNew, j.detNew
-	w.total += uint64(len(j.rows))
-	// Both sends are non-blocking by construction (order and free share
-	// a capacity, and every job in order came out of free), so the two
-	// channels always observe the same submission order.
-	w.par.order <- j
-	w.par.jobs <- j
-	return nil
-}
-
-// shutdownPool stops the workers and sequencer, waits for every
-// dispatched block to be written, and merges the sequencer's offset and
-// index back into the Writer. Idempotent; returns the first async error.
-func (w *Writer) shutdownPool() error {
-	p := w.par
-	if p == nil {
-		return nil
-	}
-	w.par = nil
-	close(p.jobs)
-	close(p.order)
-	<-p.seqDn
-	w.offset = p.offset
-	w.index = p.index
-	return p.getErr()
-}
-
 // Close flushes the final partial block, then writes the footer (total
 // count, block index, complete dictionaries) and the trailer that lets
 // a random-access reader locate the footer from the end of the file.
-// Close does not close the underlying writer. On a Writer with workers,
-// Close (successful or not) also stops the pool; it is the only way to
-// release those goroutines.
+// Close does not close the underlying writer. Close (successful or not)
+// also stops the encode pool; it is the only way to release those
+// goroutines.
 func (w *Writer) Close() error {
+	defer w.pool.Close()
 	if w.err != nil {
-		w.shutdownPool() // release goroutines; the original error stands
 		return w.err
 	}
 	if w.closed {
 		return nil
 	}
-	if w.par != nil {
-		if err := w.dispatchBlock(); err != nil {
-			w.shutdownPool()
+	if len(w.rows) > 0 {
+		if err := w.submitBlock(); err != nil {
 			return err
 		}
-		if err := w.shutdownPool(); err != nil {
-			return w.poison(err)
+	}
+	for w.pool.Len() > 0 {
+		if _, err := w.writeNext(); err != nil {
+			return err
 		}
-	} else if err := w.flushBlock(); err != nil {
-		return err
 	}
 	footerOffset := w.offset
-	p := w.scratch[:0]
+	var p []byte
 	p = appendU64(p, w.total)
 	p = appendU32(p, uint32(len(w.index)))
 	for _, b := range w.index {
@@ -544,7 +416,6 @@ func (w *Writer) Close() error {
 	if err := w.writeFrame(frameFooter, p); err != nil {
 		return err
 	}
-	w.scratch = p[:0]
 	var tr [trailerSize]byte
 	le.PutUint64(tr[:], uint64(footerOffset))
 	copy(tr[8:], trailerMagic)
