@@ -60,59 +60,82 @@ func incEngine() *Engine {
 // The fold-equivalence contract: appends at any chunking reproduce a
 // one-shot AnalyzeStream pass over the same sequence exactly, whether
 // that pass reads an in-memory source or a CSV failures.Scanner (both
-// record-at-a-time sources, folded through the batch adapter).
+// record-at-a-time sources, folded through the batch adapter), and leave
+// byte-identical snapshots. fold.add caches each key slot's last shard
+// within one call, so one-record appends never hit it and whole-slice
+// appends do: "interleaved" changes system, workload and cause on every
+// record, so only the fleet slot hits; "grouped" keeps each system for a
+// run of 500 records, so the system slot hits too.
 func TestIncrementalMatchesAnalyzeStream(t *testing.T) {
-	recs := incTrace(1500)
 	ctx := context.Background()
 	opts := StreamOptions{Spec: incSpec(), ReservoirSize: 64}
-
-	want, wantInfo, err := incEngine().AnalyzeStream(ctx, &sliceSource{recs: recs}, opts)
-	if err != nil {
-		t.Fatal(err)
+	grouped := incTrace(1500)
+	for i := range grouped {
+		grouped[i].System = 1 + i/500
 	}
-
-	var csvBuf bytes.Buffer
-	cw, err := failures.NewCSVWriter(&csvBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := cw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := failures.NewScanner(&csvBuf, failures.ReadCSVOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotInfo, err := incEngine().AnalyzeStream(ctx, sc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) || *wantInfo != *gotInfo {
-		t.Fatal("CSV scanner source differs from in-memory source")
-	}
-
-	for _, chunk := range []int{1, 211, len(recs) + 1} {
-		inc := incEngine().NewIncremental(opts)
-		for i := 0; i < len(recs); i += chunk {
-			end := min(i+chunk, len(recs))
-			if n, err := inc.Append(ctx, recs[i:end]); err != nil || n != end-i {
-				t.Fatalf("chunk %d: append [%d:%d): n=%d err=%v", chunk, i, end, n, err)
-			}
-		}
-		got, gotInfo, err := inc.Result(ctx)
+	for _, tc := range []struct {
+		name string
+		recs []failures.Record
+	}{{"interleaved", incTrace(1500)}, {"grouped", grouped}} {
+		recs := tc.recs
+		want, wantInfo, err := incEngine().AnalyzeStream(ctx, &sliceSource{recs: recs}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("chunk %d: incremental result differs from one-shot AnalyzeStream", chunk)
+
+		var csvBuf bytes.Buffer
+		cw, err := failures.NewCSVWriter(&csvBuf)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if *wantInfo != *gotInfo {
-			t.Fatalf("chunk %d: info differs: %+v vs %+v", chunk, *wantInfo, *gotInfo)
+		for _, r := range recs {
+			if err := cw.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := failures.NewScanner(&csvBuf, failures.ReadCSVOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotInfo, err := incEngine().AnalyzeStream(ctx, sc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) || *wantInfo != *gotInfo {
+			t.Fatalf("%s: CSV scanner source differs from in-memory source", tc.name)
+		}
+
+		var firstSnap []byte
+		for _, chunk := range []int{1, 211, len(recs) + 1} {
+			inc := incEngine().NewIncremental(opts)
+			for i := 0; i < len(recs); i += chunk {
+				end := min(i+chunk, len(recs))
+				if n, err := inc.Append(ctx, recs[i:end]); err != nil || n != end-i {
+					t.Fatalf("%s: chunk %d: append [%d:%d): n=%d err=%v", tc.name, chunk, i, end, n, err)
+				}
+			}
+			var snap bytes.Buffer
+			if err := inc.WriteSnapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			if firstSnap == nil {
+				firstSnap = snap.Bytes()
+			} else if !bytes.Equal(firstSnap, snap.Bytes()) {
+				t.Fatalf("%s: chunk %d: snapshot differs from one-record appends", tc.name, chunk)
+			}
+			got, gotInfo, err := inc.Result(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: chunk %d: incremental result differs from one-shot AnalyzeStream", tc.name, chunk)
+			}
+			if *wantInfo != *gotInfo {
+				t.Fatalf("%s: chunk %d: info differs: %+v vs %+v", tc.name, chunk, *wantInfo, *gotInfo)
+			}
 		}
 	}
 }

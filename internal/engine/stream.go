@@ -182,7 +182,16 @@ func (e *Engine) newFold(opts StreamOptions) fold {
 // returns how many it folded. ctx is checked before the first record and
 // every 4096 records after it; on cancellation every record before the
 // returned count is fully folded and none after it is touched.
+//
+// Slot j of shardKeysFor always holds the same kind of key (system,
+// fleet, workload or cause), so each slot remembers its last key and
+// accumulator and looks up f.accums only when its key changes. The fleet
+// slot always hits; the others hit while consecutive records share the
+// key, which holds almost throughout for Stream/GenerateStream traces
+// (grouped by system) and far less for Generate's time-sorted merge.
 func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
+	var last [4]ShardKey
+	var lastA [4]*shardAccum
 	for i := range recs {
 		if i%4096 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -191,20 +200,33 @@ func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
 		}
 		r := &recs[i]
 		keys, n := shardKeysFor(f.opts.Spec, r)
-		for _, key := range keys[:n] {
-			a, ok := f.accums[key]
-			if !ok {
+		for j, key := range keys[:n] {
+			a := lastA[j]
+			if a == nil || key != last[j] {
 				var err error
-				if a, err = f.eng.newShardAccum(key, f.opts); err != nil {
-					return i, fmt.Errorf("engine fold: %w", err)
+				if a, err = f.accum(key); err != nil {
+					return i, err
 				}
-				f.accums[key] = a
+				last[j], lastA[j] = key, a
 			}
 			a.add(r)
 		}
 		f.records++
 	}
 	return len(recs), nil
+}
+
+// accum returns the shard's accumulator, creating it on first use.
+func (f *fold) accum(key ShardKey) (*shardAccum, error) {
+	if a, ok := f.accums[key]; ok {
+		return a, nil
+	}
+	a, err := f.eng.newShardAccum(key, f.opts)
+	if err != nil {
+		return nil, fmt.Errorf("engine fold: %w", err)
+	}
+	f.accums[key] = a
+	return a, nil
 }
 
 // info reports what the fold has seen, with the defaults of unset sketch

@@ -212,6 +212,58 @@ func TestAnalyzeStreamBatchIdentity(t *testing.T) {
 	}
 }
 
+// BenchmarkFoldAdd is the per-record cost of the streaming fold (ns/op
+// is per record) over the seed-1 lanl trace in both orders the repo
+// folds: "grouped" is GenerateStream's order (one system's records after
+// another, as in binary traces), where every slot's cache almost always
+// hits; "time-sorted" is Generate's merged order (CSV traces, daemon
+// ingest), where systems interleave and only the fleet slot always hits.
+// "2-shard" folds each record into its system and the fleet shard,
+// "4-shard" into its workload and cause sub-shards as well. The trace is
+// folded repeatedly into one fold.
+func BenchmarkFoldAdd(b *testing.B) {
+	gen := lanl.NewGenerator(lanl.Config{Seed: 1})
+	var grouped []failures.Record
+	if err := gen.GenerateStream(func(r failures.Record) error {
+		grouped = append(grouped, r)
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	d, err := gen.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	orders := []struct {
+		name string
+		recs []failures.Record
+	}{{"grouped", grouped}, {"time-sorted", d.Records()}}
+	specs := []struct {
+		name string
+		spec ShardSpec
+	}{
+		{"2-shard", ShardSpec{IncludeFleet: true}},
+		{"4-shard", ShardSpec{IncludeFleet: true, ByWorkload: true, ByCause: true}},
+	}
+	for _, o := range orders {
+		for _, sc := range specs {
+			b.Run(o.name+"/"+sc.name, func(b *testing.B) {
+				f := New(Options{Workers: 1}).newFold(StreamOptions{Spec: sc.spec})
+				ctx := context.Background()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for done := 0; done < b.N; {
+					n, err := f.add(ctx, o.recs[:min(b.N-done, len(o.recs))])
+					if err != nil {
+						b.Fatal(err)
+					}
+					done += n
+				}
+			})
+		}
+	}
+}
+
 // TestAnalyzeStreamEdgeCases covers the empty source, source errors,
 // cancellation and out-of-order detection.
 func TestAnalyzeStreamEdgeCases(t *testing.T) {

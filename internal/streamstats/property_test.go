@@ -2,6 +2,7 @@ package streamstats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -71,6 +72,77 @@ func TestSketchBucketProperty(t *testing.T) {
 		}
 		check(math.SmallestNonzeroFloat64)
 		check(math.MaxFloat64)
+	}
+}
+
+// powBucket is the reference definition of a bucket key: the Pow settle
+// on every call, with no edge margin. bucket must agree with it key for
+// key.
+func (s *QuantileSketch) powBucket(x float64) int {
+	k := int(math.Ceil(math.Log(x) / s.lnGamma))
+	// The log division carries rounding error, so a value sitting on (or
+	// within an ulp of) a bucket edge can land one bucket off; settle
+	// edge cases against the actual bucket boundaries.
+	if math.Pow(s.gamma, float64(k)) < x {
+		k++
+	} else if math.Pow(s.gamma, float64(k-1)) >= x {
+		k--
+	}
+	if k < s.minKey {
+		return s.minKey
+	}
+	if k > s.maxKey {
+		return s.maxKey
+	}
+	return k
+}
+
+// TestSketchBucketMatchesPowOracle pins that skipping the Pow settle away
+// from bucket edges changes no key. At every epsilon from 1e-12 to 0.9 it
+// checks each edge Pow(gamma, k) for k in [-3000, 3000] and at random keys
+// across the clamp range, each at ±4 ulps, then random positive float64
+// bit patterns. At eps <= 1e-9 Pow itself is off by more than a bucket at
+// large |k|, so this also pins that the margin scales with 1/lnGamma.
+func TestSketchBucketMatchesPowOracle(t *testing.T) {
+	randomKeys, randomBits := 200_000, 1_000_000
+	if testing.Short() {
+		randomKeys, randomBits = 20_000, 100_000
+	}
+	rng := rand.New(rand.NewSource(20))
+	for _, eps := range []float64{1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 0.1, 0.5, 0.9} {
+		s, err := NewQuantileSketch(eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mismatches := 0
+		check := func(x float64) {
+			if !(x > 0) || math.IsInf(x, 0) {
+				return
+			}
+			if got, want := s.bucket(x), s.powBucket(x); got != want {
+				if mismatches++; mismatches <= 5 {
+					t.Errorf("eps %g: bucket(%v) = %d, Pow oracle %d", eps, x, got, want)
+				}
+			}
+		}
+		checkEdge := func(k int) {
+			bits := math.Float64bits(math.Pow(s.gamma, float64(k)))
+			for d := -4; d <= 4; d++ {
+				check(math.Float64frombits(bits + uint64(d)))
+			}
+		}
+		for k := -3000; k <= 3000; k++ {
+			checkEdge(k)
+		}
+		for i := 0; i < randomKeys; i++ {
+			checkEdge(s.minKey + rng.Intn(s.maxKey-s.minKey+1))
+		}
+		for i := 0; i < randomBits; i++ {
+			check(math.Float64frombits(rng.Uint64() >> 1))
+		}
+		if mismatches > 0 {
+			t.Fatalf("eps %g: %d keys differ from the Pow oracle", eps, mismatches)
+		}
 	}
 }
 

@@ -31,6 +31,8 @@ type QuantileSketch struct {
 	// collapse into the edge buckets instead.
 	minKey int
 	maxKey int
+	// slack is 2^-46/lnGamma, bucket's edge margin per unit of |f|.
+	slack  float64
 	pos    map[int]uint64
 	neg    map[int]uint64
 	zero   uint64
@@ -66,6 +68,7 @@ func NewQuantileSketch(eps float64) (*QuantileSketch, error) {
 		lnGamma: lnGamma,
 		minKey:  minKey,
 		maxKey:  maxKey,
+		slack:   0x1p-46 / lnGamma,
 		pos:     make(map[int]uint64),
 		neg:     make(map[int]uint64),
 	}, nil
@@ -80,14 +83,23 @@ func (s *QuantileSketch) N() int { return int(s.n) }
 // bucket returns the geometric bucket index of a positive finite value:
 // the k with x in (gamma^(k-1), gamma^k], clamped to [minKey, maxKey].
 func (s *QuantileSketch) bucket(x float64) int {
-	k := int(math.Ceil(math.Log(x) / s.lnGamma))
-	// The log division carries rounding error, so a value sitting on (or
-	// within an ulp of) a bucket edge can land one bucket off; settle
-	// edge cases against the actual bucket boundaries.
-	if math.Pow(s.gamma, float64(k)) < x {
-		k++
-	} else if math.Pow(s.gamma, float64(k-1)) >= x {
-		k--
+	f := math.Log(x) / s.lnGamma
+	c := math.Ceil(f)
+	k := int(c)
+	// The log division carries rounding error, and Pow is off from the
+	// exact gamma^k by up to ~|k|/2 ulps (repeated squaring), so an
+	// estimate near a bucket edge can land one bucket off. Within a margin
+	// m of either edge, settle against the Pow edges, which define the
+	// buckets; farther out both edges agree with ceil(f), so Pow is
+	// skipped. In x, m is a relative distance of (1+|f|)*2^-46, about
+	// 128(1+|k|) ulps, hence the 1/lnGamma in slack. A NaN f fails both
+	// compares and settles.
+	if m := (1 + math.Abs(f)) * s.slack; !(c-f > m && f-(c-1) > m) {
+		if math.Pow(s.gamma, float64(k)) < x {
+			k++
+		} else if math.Pow(s.gamma, float64(k-1)) >= x {
+			k--
+		}
 	}
 	if k < s.minKey {
 		return s.minKey

@@ -119,14 +119,28 @@ func appendBuckets(buf []byte, m map[int]uint64) []byte {
 
 // readBuckets reads one sign's bucket map. An entry is a varint key and
 // a uvarint count, so the entry count is bounded at two bytes an entry.
-func readBuckets(r *binx.Reader) map[int]uint64 {
+// appendBuckets writes keys strictly increasing with nonzero counts, and
+// no Add or Merge makes anything else, so any other entry is rejected: a
+// repeated key would otherwise silently keep only its last count.
+func readBuckets(r *binx.Reader) (map[int]uint64, error) {
 	n := r.Count(2)
 	m := make(map[int]uint64, n)
+	var prev int64
 	for i := 0; i < n; i++ {
-		k := r.Varint()
-		m[int(k)] = r.Uvarint()
+		k, c := r.Varint(), r.Uvarint()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if i > 0 && k <= prev {
+			return nil, fmt.Errorf("%w: sketch bucket key %d after %d, want strictly increasing", ErrSnapshot, k, prev)
+		}
+		if c == 0 {
+			return nil, fmt.Errorf("%w: sketch bucket key %d has count 0", ErrSnapshot, k)
+		}
+		m[int(k)] = c
+		prev = k
 	}
-	return m
+	return m, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -153,7 +167,14 @@ func (s *QuantileSketch) UnmarshalBinary(data []byte) error {
 	}
 	eps := r.F64()
 	zero, posInf, negInf, nan, n := r.U64(), r.U64(), r.U64(), r.U64(), r.U64()
-	pos, neg := readBuckets(r), readBuckets(r)
+	pos, err := readBuckets(r)
+	if err != nil {
+		return err
+	}
+	neg, err := readBuckets(r)
+	if err != nil {
+		return err
+	}
 	if err := r.Done(); err != nil {
 		return err
 	}

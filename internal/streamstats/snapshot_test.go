@@ -462,6 +462,52 @@ func TestSketchSnapshotRejectsCountMismatch(t *testing.T) {
 	}
 }
 
+// rawSketchBlob encodes an eps-0.01 sketch snapshot with the given
+// bucket entries written as-is, in order, so a test can build blobs that
+// appendBuckets never writes. Each entry is a {key, count} pair.
+func rawSketchBlob(n uint64, pos, neg [][2]int64) []byte {
+	buf := appendHeader(nil, sketchKind)
+	buf = appendF64(buf, 0.01)
+	for _, c := range []uint64{0, 0, 0, 0, n} {
+		buf = appendU64(buf, c)
+	}
+	for _, entries := range [][][2]int64{pos, neg} {
+		buf = binary.AppendUvarint(buf, uint64(len(entries)))
+		for _, e := range entries {
+			buf = binary.AppendVarint(buf, e[0])
+			buf = binary.AppendUvarint(buf, uint64(e[1]))
+		}
+	}
+	return buf
+}
+
+// Bucket entries must be strictly increasing with nonzero counts, as
+// appendBuckets writes them. Each blob but the last has an n that
+// matches what a decoder overwriting repeated keys keeps, so the counts
+// check alone accepts it; the last matches one that sums them.
+func TestSketchSnapshotRejectsNonCanonicalBuckets(t *testing.T) {
+	canonical := [][2]int64{{0, 1}, {35, 1}, {55, 1}}
+	if err := (&QuantileSketch{}).UnmarshalBinary(rawSketchBlob(3, canonical, nil)); err != nil {
+		t.Fatalf("canonical blob: %v", err)
+	}
+	cases := map[string][]byte{
+		"pos duplicate key":  rawSketchBlob(3, [][2]int64{{0, 1}, {0, 1}, {35, 1}, {55, 1}}, nil),
+		"pos descending":     rawSketchBlob(3, [][2]int64{{35, 1}, {0, 1}, {55, 1}}, nil),
+		"pos zero count":     rawSketchBlob(3, [][2]int64{{0, 1}, {35, 1}, {55, 1}, {60, 0}}, nil),
+		"neg duplicate key":  rawSketchBlob(4, canonical, [][2]int64{{7, 5}, {7, 1}}),
+		"neg descending":     rawSketchBlob(5, canonical, [][2]int64{{7, 1}, {-7, 1}}),
+		"neg zero count":     rawSketchBlob(3, canonical, [][2]int64{{7, 0}}),
+		"duplicate, summing": rawSketchBlob(4, [][2]int64{{0, 1}, {0, 1}, {35, 1}, {55, 1}}, nil),
+	}
+	for name, blob := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := (&QuantileSketch{}).UnmarshalBinary(blob); !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("want ErrSnapshot, got %v", err)
+			}
+		})
+	}
+}
+
 // goldenStream fills the golden accumulator: every sketch counter, both
 // bucket signs, and more values than the reservoir holds, so its
 // generator state has advanced.

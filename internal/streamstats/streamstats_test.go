@@ -2,6 +2,7 @@ package streamstats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -316,5 +317,25 @@ func TestReservoirMergeCapacityMismatch(t *testing.T) {
 	b.Add(1)
 	if err := a.Merge(b); err == nil {
 		t.Fatal("capacity mismatch: want error")
+	}
+}
+
+// BenchmarkAccumulatorAdd is the cost of one Accumulator.Add at the
+// default epsilon and reservoir size, over lognormal values spanning
+// seconds to weeks, the range of the fold's interarrivals and repairs.
+func BenchmarkAccumulatorAdd(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 1<<12)
+	for i := range xs {
+		xs[i] = math.Exp(8 + 2.5*rng.NormFloat64())
+	}
+	acc, err := NewAccumulator(Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.Add(xs[i&(len(xs)-1)])
 	}
 }
