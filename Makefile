@@ -7,8 +7,9 @@ GO ?= go
 # daemon, the sweep engine, the binary trace pipeline, the sub-shard
 # analysis pipeline and the par worker pools, and short fuzz smokes
 # of the CSV reader, the ingest endpoint, the sweep-spec parser, the
-# binary trace round trip, the WAL payload decoder and the sketch
-# snapshot decoder, plus the repo benchmark module's own checks.
+# binary trace round trip, the WAL payload decoder and the sketch,
+# reservoir and accumulator snapshot decoders, plus the repo benchmark
+# module's own checks.
 check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-engine fuzz-smoke perfbench-check
 
 vet:
@@ -94,6 +95,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTraceRoundTrip -fuzztime=10s -run=^$$ ./internal/tracefmt
 	$(GO) test -fuzz=FuzzWALPayload -fuzztime=10s -run=^$$ ./internal/serve
 	$(GO) test -fuzz=FuzzSketchSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
+	$(GO) test -fuzz=FuzzReservoirSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
+	$(GO) test -fuzz=FuzzAccumulatorSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

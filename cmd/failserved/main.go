@@ -27,6 +27,7 @@ import (
 
 	"hpcfail/internal/engine"
 	"hpcfail/internal/serve"
+	"hpcfail/internal/streamstats"
 )
 
 func main() {
@@ -56,12 +57,17 @@ func config(args []string) (serve.Config, string, error) {
 	byWorkload := fs.Bool("by-workload", false, "shard each system by workload")
 	byCause := fs.Bool("by-cause", true, "shard each system by root cause")
 	reservoir := fs.Int("reservoir", 0, "per-shard fitting subsample cap (0 = streamstats default)")
-	epsilon := fs.Float64("epsilon", 0, "quantile sketch relative accuracy (0 = streamstats default)")
+	epsilon := fs.Float64("epsilon", 0, fmt.Sprintf("quantile sketch relative accuracy, in [%g, 1) (0 = default %g)",
+		streamstats.MinSketchEpsilon, streamstats.DefaultSketchEpsilon))
 	if err := fs.Parse(args); err != nil {
 		return serve.Config{}, "", err
 	}
 	if *data == "" {
 		return serve.Config{}, "", errors.New("-data is required")
+	}
+	// Every tenant's first ingest would fail on an epsilon out of range.
+	if _, err := streamstats.NewQuantileSketch(*epsilon); err != nil {
+		return serve.Config{}, "", err
 	}
 	cfg := serve.Config{
 		DataDir: *data,

@@ -44,6 +44,7 @@ import (
 	"hpcfail/internal/lanl"
 	"hpcfail/internal/report"
 	"hpcfail/internal/stats"
+	"hpcfail/internal/streamstats"
 	"hpcfail/internal/tracefmt"
 	"hpcfail/internal/trend"
 )
@@ -70,7 +71,8 @@ func run(args []string, w io.Writer) error {
 	bootstrap := fs.Int("bootstrap", 100, "bootstrap resamples per fleet confidence interval (negative disables)")
 	seed := fs.Int64("seed", 1, "bootstrap base seed")
 	stream := fs.Bool("stream", false, "one-pass bounded-memory ingest (fleet analysis only)")
-	epsilon := fs.Float64("epsilon", 0, "streaming quantile-sketch relative error (0 = default)")
+	epsilon := fs.Float64("epsilon", 0, fmt.Sprintf("streaming quantile-sketch relative error, in [%g, 1) (0 = default %g)",
+		streamstats.MinSketchEpsilon, streamstats.DefaultSketchEpsilon))
 	reservoir := fs.Int("reservoir", 0, "streaming per-shard fitting subsample cap (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -15,7 +15,10 @@
 // of one item fits in the bytes left, so a hostile count can neither
 // allocate more than the input's size nor run a loop past its input.
 //
-// Fixed-width fields are little-endian. Varints are encoding/binary's.
+// Fixed-width fields are little-endian. Varints are encoding/binary's,
+// and must be minimally encoded: a varint padded with trailing zero
+// groups is rejected, so a structure that decodes re-encodes to its
+// input bytes.
 // A string is a uvarint length and its bytes (AppendString), a time is
 // varint Unix seconds and uvarint nanoseconds, read back as UTC
 // (AppendTime).
@@ -120,7 +123,7 @@ func (r *Reader) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
+	if n <= 0 || !minimal(r.buf[r.off:], n) {
 		r.fail("bad uvarint at offset %d", r.off)
 		return 0
 	}
@@ -134,13 +137,17 @@ func (r *Reader) Varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
+	if n <= 0 || !minimal(r.buf[r.off:], n) {
 		r.fail("bad varint at offset %d", r.off)
 		return 0
 	}
 	r.off += n
 	return v
 }
+
+// minimal reports whether the n-byte varint at the start of b is the
+// shortest encoding of its value: only a lone zero byte may end in zero.
+func minimal(b []byte, n int) bool { return n == 1 || b[n-1] != 0 }
 
 // Bound checks a count n of items whose smallest encoding is minSize
 // bytes (at least 1) against the bytes left, and returns it as an int,

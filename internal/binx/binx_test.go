@@ -102,6 +102,8 @@ func TestReaderRejects(t *testing.T) {
 		"truncated uvarint":    {[]byte{0x80}, func(r *Reader) { r.Uvarint() }},
 		"overlong uvarint":     {[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, func(r *Reader) { r.Uvarint() }},
 		"truncated varint":     {[]byte{0xff}, func(r *Reader) { r.Varint() }},
+		"padded uvarint":       {[]byte{0x80, 0x00}, func(r *Reader) { r.Uvarint() }},
+		"padded varint":        {[]byte{0x81, 0x80, 0x00}, func(r *Reader) { r.Varint() }},
 		"negative Bytes":       {nil, func(r *Reader) { r.Bytes(-1) }},
 		"string past the end":  {[]byte{5, 'a'}, func(r *Reader) { r.Str() }},
 		"count past the end":   {[]byte{3, 0, 0, 0, 0, 0}, func(r *Reader) { r.Count(2) }},

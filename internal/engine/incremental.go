@@ -30,9 +30,9 @@ import (
 //     since their cached result, reusing the engine's fit/CI memo, and
 //     serves the other shards from the per-shard cache.
 //
-//   - Non-blocking queries: Result freezes dirty shards under a short
-//     lock (O(sample) copies) and runs all fitting on the frozen copies
-//     outside it, so writers never wait on a bootstrap.
+//   - Non-blocking queries: Result copies dirty shards under a short
+//     lock (O(sample) clones) and runs all fitting on the copies outside
+//     it, so writers never wait on a bootstrap.
 //
 // Incremental is safe for concurrent Append and Result calls. Construct
 // with Engine.NewIncremental or restore one with Engine.ReadIncremental.
@@ -60,8 +60,7 @@ func (inc *Incremental) Options() StreamOptions { return inc.opts }
 // records after it: on ctx.Err the fold stops cleanly mid-batch — every
 // record before the returned count is fully folded into all of its
 // shards, none from it on is touched, and the accumulators stay
-// consistent and mergeable — so a caller can resume with the unfolded
-// tail.
+// consistent — so a caller can resume with the unfolded tail.
 func (inc *Incremental) Append(ctx context.Context, recs []failures.Record) (int, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -85,7 +84,7 @@ func (inc *Incremental) Info() StreamInfo {
 
 // Result returns the analysis of everything appended so far, in the
 // canonical shard order. Shards untouched since the last Result are
-// served from cache; dirty shards are frozen under the lock and refitted
+// served from cache; dirty shards are copied under the lock and refitted
 // outside it on the engine's worker pool. The result is a consistent
 // point-in-time view: records appended after Result starts do not leak
 // into it. Calling Result with nothing appended returns
@@ -104,7 +103,7 @@ func (inc *Incremental) Result(ctx context.Context) (*FleetResult, *StreamInfo, 
 			out[i] = c
 			continue
 		}
-		acc := inc.accums[key].freeze()
+		acc := inc.accums[key].clone()
 		jobs = append(jobs, &shardJob{pos: i, key: key, size: acc.records, acc: acc})
 	}
 	info := inc.info()

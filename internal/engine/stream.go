@@ -70,13 +70,12 @@ type shardAccum struct {
 	repair     *streamstats.Accumulator
 }
 
-// freeze returns a read-only deep copy for query-path fitting: identical
-// counts, summaries and subsamples at O(sample) cost. See
-// streamstats.Accumulator.Freeze for why the copy must not be added to.
-func (a *shardAccum) freeze() *shardAccum {
+// clone returns an independent deep copy for query-path fitting:
+// identical counts, summaries and subsamples at O(sample) cost.
+func (a *shardAccum) clone() *shardAccum {
 	c := *a
-	c.inter = a.inter.Freeze()
-	c.repair = a.repair.Freeze()
+	c.inter = a.inter.Clone()
+	c.repair = a.repair.Clone()
 	return &c
 }
 

@@ -66,7 +66,7 @@ func NewScanner(r io.Reader, opts ReadCSVOptions) (*Scanner, error) {
 // so a dropped ingest connection or a server shutdown aborts a scan
 // mid-stream promptly instead of draining the reader. Records already
 // yielded are unaffected, so accumulators folded from a cancelled scan
-// remain consistent and mergeable.
+// remain consistent.
 func NewScannerContext(ctx context.Context, r io.Reader, opts ReadCSVOptions) (*Scanner, error) {
 	sc, err := NewScanner(r, opts)
 	if err != nil {

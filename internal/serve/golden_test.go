@@ -88,11 +88,10 @@ func shutdown(t *testing.T, s *serve.Server) {
 	}
 }
 
-// A server with one tenant and one fixed ingest snapshots to the
-// committed HFSRV01 bytes, and a server restored from those bytes (and
-// the tenant's WAL) snapshots to them again.
-func TestServerSnapshotGolden(t *testing.T) {
-	const path = "testdata/server_snapshot.golden"
+// goldenIngest runs the golden scenario — one tenant, one fixed ingest
+// — on a fresh server and returns its snapshot and the tenant's WAL.
+func goldenIngest(t *testing.T) (snapshot, walFile []byte) {
+	t.Helper()
 	dir := t.TempDir()
 	s, err := serve.New(testConfig(dir))
 	if err != nil {
@@ -105,29 +104,84 @@ func TestServerSnapshotGolden(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body)
 	}
-	want := checkGolden(t, path, snapshotBytes(t, s, dir))
+	snapshot = snapshotBytes(t, s, dir)
 	shutdown(t, s)
-
-	dir2 := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir2, "wal"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	walFile, err := os.ReadFile(filepath.Join(dir, "wal", "alpha.wal"))
+	walFile, err = os.ReadFile(filepath.Join(dir, "wal", "alpha.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir2, "wal", "alpha.wal"), walFile, 0o644); err != nil {
+	return snapshot, walFile
+}
+
+// dataDir returns a fresh data directory holding the given snapshot
+// and, when walFile is non-nil, tenant alpha's WAL.
+func dataDir(t *testing.T, snapshot, walFile []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir2, "snapshot.bin"), want, 0o644); err != nil {
+	if walFile != nil {
+		if err := os.WriteFile(filepath.Join(dir, "wal", "alpha.wal"), walFile, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.bin"), snapshot, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := serve.New(testConfig(dir2))
+	return dir
+}
+
+// A server with one tenant and one fixed ingest snapshots to the
+// committed HFSRV01 bytes, and a server restored from those bytes (and
+// the tenant's WAL) snapshots to them again.
+func TestServerSnapshotGolden(t *testing.T) {
+	snapshot, walFile := goldenIngest(t)
+	want := checkGolden(t, "testdata/server_snapshot.golden", snapshot)
+	dir := dataDir(t, want, walFile)
+	s, err := serve.New(testConfig(dir))
 	if err != nil {
 		t.Fatalf("restore from golden: %v", err)
 	}
-	defer shutdown(t, s2)
-	if got := snapshotBytes(t, s2, dir2); !bytes.Equal(got, want) {
+	defer shutdown(t, s)
+	if got := snapshotBytes(t, s, dir); !bytes.Equal(got, want) {
 		t.Fatal("restoring and re-snapshotting the golden snapshot changed its bytes")
+	}
+}
+
+// A snapshot whose fold state predates the current streamstats format
+// (the golden scenario as written when reservoir snapshots stored a
+// generator draw count) is dropped at restart and the WAL replayed from
+// its start: the server's next snapshot is the current golden. Without
+// the WAL the state cannot be rebuilt, and an option change is refused
+// as for a current snapshot.
+func TestServerSnapshotUpgrade(t *testing.T) {
+	old, err := os.ReadFile("testdata/server_snapshot_v1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/server_snapshot.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, walFile := goldenIngest(t)
+	dir := dataDir(t, old, walFile)
+	s, err := serve.New(testConfig(dir))
+	if err != nil {
+		t.Fatalf("restart from an outdated snapshot: %v", err)
+	}
+	defer shutdown(t, s)
+	if got := snapshotBytes(t, s, dir); !bytes.Equal(got, want) {
+		t.Fatal("the snapshot after rebuilding from the WAL differs from the golden one")
+	}
+
+	noWAL := testConfig(dataDir(t, old, nil))
+	resized := testConfig(dataDir(t, old, walFile))
+	resized.Stream.ReservoirSize = 128
+	for name, cfg := range map[string]serve.Config{"without its WAL": noWAL, "with a changed reservoir size": resized} {
+		if s, err := serve.New(cfg); err == nil {
+			shutdown(t, s)
+			t.Errorf("restart from an outdated snapshot %s succeeded; want refusal", name)
+		}
 	}
 }

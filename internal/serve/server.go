@@ -16,8 +16,10 @@
 //     an atomic snapshot of all tenant state. Restart restores the last
 //     snapshot and replays the WAL suffix behind it, truncating a torn
 //     tail, and reaches a state byte-identical to the pre-crash one —
-//     reservoir generator state included — so every query answers
-//     identically.
+//     reservoir subsamples included — so every query answers
+//     identically. A snapshot whose fold state predates the current
+//     streamstats format is dropped and every WAL replayed from its
+//     start instead.
 //
 //   - Graceful degradation and shutdown: malformed rows are quarantined
 //     (lenient CSV mode) instead of failing the batch; cancellation is
@@ -39,6 +41,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -47,6 +50,7 @@ import (
 
 	"hpcfail/internal/binx"
 	"hpcfail/internal/engine"
+	"hpcfail/internal/streamstats"
 )
 
 // Config parameterizes a Server. The zero value of every optional field
@@ -437,7 +441,8 @@ func (s *Server) Snapshot() error {
 
 // recover rebuilds tenant state: parse the snapshot if present, then open
 // every WAL under DataDir/wal and replay the suffix behind each tenant's
-// snapshot offset (the whole file for tenants the snapshot predates).
+// snapshot offset (the whole file for tenants the snapshot predates, and
+// for every tenant when restoreSnapshot dropped an outdated snapshot).
 func (s *Server) recover() error {
 	snap, err := os.ReadFile(s.snapshotPath())
 	switch {
@@ -496,6 +501,15 @@ func (s *Server) recover() error {
 // restoreSnapshot parses the snapshot blob into tenants whose WALs are
 // not yet open; each tenant's snapshot WAL offset is parked in a
 // placeholder wal struct for recover to pick up.
+//
+// A tenant whose fold state fails only on an older streamstats snapshot
+// version (streamstats.ErrSnapshotVersion) cannot be restored but can be
+// rebuilt: the WAL holds every batch ever folded, since it is truncated
+// only at a torn tail. The whole snapshot is then dropped, leaving no
+// tenants, and recover replays every WAL from its start. The quarantined
+// and duplicate counters, which no WAL frame records, restart at zero. A
+// dropped tenant with no WAL could not be rebuilt at all, so it refuses
+// the start.
 func (s *Server) restoreSnapshot(data []byte) error {
 	r := binx.NewReader(data, ErrSnapshot)
 	if magic := r.Bytes(len(srvMagic)); r.Err() != nil || [8]byte(magic) != srvMagic {
@@ -505,6 +519,7 @@ func (s *Server) restoreSnapshot(data []byte) error {
 	// four one-byte counts and a blob length; a dedupe entry is three
 	// one-byte fields.
 	n := r.Count(1 + 8 + 4 + 1)
+	var outdated []string
 	for i := 0; i < n; i++ {
 		name := r.Str()
 		offset := int64(r.U64())
@@ -521,10 +536,14 @@ func (s *Server) restoreSnapshot(data []byte) error {
 		if !validTenantName(name) {
 			return fmt.Errorf("%w: tenant name %q", ErrSnapshot, name)
 		}
-		if _, dup := s.tenants[name]; dup {
+		if _, dup := s.tenants[name]; dup || slices.Contains(outdated, name) {
 			return fmt.Errorf("%w: duplicate tenant %q", ErrSnapshot, name)
 		}
 		inc, err := s.eng.ReadIncremental(bytes.NewReader(blob), s.cfg.Stream)
+		if errors.Is(err, streamstats.ErrSnapshotVersion) {
+			outdated = append(outdated, name)
+			continue
+		}
 		if err != nil {
 			return fmt.Errorf("serve: restore tenant %s: %w", name, err)
 		}
@@ -535,5 +554,17 @@ func (s *Server) restoreSnapshot(data []byte) error {
 		t.dedupe = dedupe
 		s.tenants[name] = t
 	}
-	return r.Done()
+	if err := r.Done(); err != nil || len(outdated) == 0 {
+		return err
+	}
+	for name := range s.tenants {
+		outdated = append(outdated, name)
+	}
+	for _, name := range outdated {
+		if _, err := os.Stat(s.walPath(name)); err != nil {
+			return fmt.Errorf("serve: snapshot predates the streamstats format and tenant %s has no WAL to rebuild from: %w", name, err)
+		}
+	}
+	clear(s.tenants)
+	return nil
 }

@@ -49,19 +49,6 @@ func (a *Accumulator) Add(x float64) {
 	a.res.Add(x)
 }
 
-// Merge folds another accumulator into a. Sketch epsilons and reservoir
-// capacities must match.
-func (a *Accumulator) Merge(o *Accumulator) error {
-	if err := a.sketch.Merge(o.sketch); err != nil {
-		return err
-	}
-	if err := a.res.Merge(o.res); err != nil {
-		return err
-	}
-	a.moments.Merge(&o.moments)
-	return nil
-}
-
 // N returns the observation count.
 func (a *Accumulator) N() int { return a.moments.N() }
 

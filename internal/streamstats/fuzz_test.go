@@ -1,6 +1,7 @@
 package streamstats
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"testing"
@@ -14,14 +15,7 @@ import (
 // to one that decodes to the same N, quantiles and number of bucket
 // entries the blob declared, so no entry is silently dropped.
 func FuzzSketchSnapshot(f *testing.F) {
-	golden, err := os.ReadFile("testdata/accumulator.golden")
-	if err != nil {
-		f.Fatal(err)
-	}
-	var acc Accumulator
-	if err := acc.UnmarshalBinary(golden); err != nil {
-		f.Fatal(err)
-	}
+	golden, acc := goldenAccumulator(f)
 	blob, err := acc.sketch.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
@@ -61,6 +55,77 @@ func FuzzSketchSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// goldenAccumulator decodes the committed accumulator snapshot.
+func goldenAccumulator(f *testing.F) ([]byte, *Accumulator) {
+	golden, err := os.ReadFile("testdata/accumulator.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var acc Accumulator
+	if err := acc.UnmarshalBinary(golden); err != nil {
+		f.Fatal(err)
+	}
+	return golden, &acc
+}
+
+// snapshotCodec is one decoder under fuzz: it decodes, re-encodes and
+// takes one more observation.
+type snapshotCodec interface {
+	UnmarshalBinary([]byte) error
+	MarshalBinary() ([]byte, error)
+	Add(float64)
+}
+
+// fuzzSnapshot is the contract every snapshot decoder meets on arbitrary
+// bytes: no panic, every rejection is ErrSnapshot, and an accepted blob
+// is canonical — it re-marshals to exactly its own bytes — and the
+// restored state takes further Adds without panicking.
+func fuzzSnapshot(t *testing.T, v snapshotCodec, data []byte) {
+	if err := v.UnmarshalBinary(data); err != nil {
+		if !errors.Is(err, ErrSnapshot) {
+			t.Fatalf("rejection is not ErrSnapshot: %v", err)
+		}
+		return
+	}
+	again, err := v.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("accepted blob re-marshals to different bytes:\n got %x\nwant %x", again, data)
+	}
+	for _, x := range []float64{1, 0.5, 1e300} {
+		v.Add(x)
+	}
+}
+
+// FuzzReservoirSnapshot throws arbitrary bytes at the reservoir decoder.
+// Its seeds include a seen count past math.MaxInt64, which restore must
+// refuse.
+func FuzzReservoirSnapshot(f *testing.F) {
+	_, acc := goldenAccumulator(f)
+	blob, err := acc.res.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add(blob[:len(blob)-1])
+	f.Add(hugeSeenBlob())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzSnapshot(t, &Reservoir{}, data) })
+}
+
+// FuzzAccumulatorSnapshot throws arbitrary bytes at the accumulator
+// decoder, which a daemon restart runs on every shard's two samples.
+func FuzzAccumulatorSnapshot(f *testing.F) {
+	golden, _ := goldenAccumulator(f)
+	f.Add(golden)
+	f.Add(golden[:len(golden)-1])
+	f.Add(append([]byte{golden[0], snapshotVersion - 1}, golden[2:]...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzSnapshot(t, &Accumulator{}, data) })
 }
 
 // declaredBuckets returns the number of bucket entries a sketch blob

@@ -1,16 +1,15 @@
 // Package streamstats provides one-pass, bounded-memory statistics for
-// out-of-core failure traces: Welford online moments, a mergeable
-// relative-error quantile sketch, and seeded reservoir sampling to feed
-// the existing MLE fitters from a bounded subsample. Every structure
-// supports Merge, so shard- or chunk-level accumulators combine into
-// exact (moments) or accuracy-preserving (sketch) aggregates without
-// revisiting the data.
+// out-of-core failure traces: Welford online moments, a relative-error
+// quantile sketch, and seeded reservoir sampling to feed the existing
+// MLE fitters from a bounded subsample. Every structure has a versioned
+// binary snapshot, and Accumulator.Clone copies all three, so a restored
+// or copied accumulator answers and continues exactly as the original.
 //
 // Accuracy contract, relative to the in-memory stats package on the same
 // sample:
 //
 //   - Moments: N, Min, Max are exact; Mean, Variance, StdDev and C2 agree
-//     up to floating-point reassociation (Welford / Chan et al. updates).
+//     up to floating-point reassociation (Welford updates).
 //   - QuantileSketch: any quantile of a positive sample is within a
 //     factor (1 ± eps) of some value between the neighboring order
 //     statistics of the exact type-7 quantile rank.
@@ -55,30 +54,6 @@ func (m *Moments) Add(x float64) {
 	if x > m.max {
 		m.max = x
 	}
-}
-
-// Merge folds another accumulator into m (Chan et al. pairwise update).
-// The result is as if every observation of o had been Added to m.
-func (m *Moments) Merge(o *Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *o
-		return
-	}
-	n := m.n + o.n
-	delta := o.mean - m.mean
-	m.mean += delta * float64(o.n) / float64(n)
-	m.m2 += o.m2 + delta*delta*float64(m.n)*float64(o.n)/float64(n)
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
-	m.hasNaN = m.hasNaN || o.hasNaN
-	m.n = n
 }
 
 // N returns the observation count.

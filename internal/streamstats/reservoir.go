@@ -1,60 +1,20 @@
 package streamstats
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/bits"
 
 // Reservoir keeps a uniform random subsample of fixed capacity from a
-// stream of unknown length (Vitter's Algorithm R), driven by a seeded
-// generator so the subsample is deterministic for a given (seed, stream)
-// pair. It bounds the input to the existing MLE fitters when the full
-// sample cannot be held. Construct with NewReservoir.
+// stream of unknown length (Vitter's Algorithm R). The replacement slot
+// of the i-th observation is a pure function of (seed, i), so the whole
+// state is (capacity, seed, seen, sample): the subsample is deterministic
+// for a given (seed, stream) pair, and a copy or a restored snapshot
+// makes the same future replacement decisions at O(sample) cost. It
+// bounds the input to the existing MLE fitters when the full sample
+// cannot be held. Construct with NewReservoir.
 type Reservoir struct {
 	capacity int
 	seed     int64
 	seen     uint64
 	sample   []float64
-	rng      *rand.Rand
-	src      *countingSource
-}
-
-// countingSource wraps the seeded math/rand source with a draw counter.
-// The generator's state is a pure function of (seed, draws), so snapshot,
-// restore and clone can reproduce it exactly by re-seeding and discarding
-// the same number of draws — without changing a single emitted value
-// relative to an unwrapped rand.New(rand.NewSource(seed)).
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func newCountingSource(seed int64) *countingSource {
-	// rand.NewSource's concrete type implements Source64; the assertion
-	// guards the fast-forward contract (one state step per call).
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
-}
-
-// fastForward discards draws until the counter reaches n.
-func (c *countingSource) fastForward(n uint64) {
-	for c.n < n {
-		c.Uint64()
-	}
 }
 
 // DefaultReservoirSize is the capacity used when NewReservoir is given a
@@ -71,32 +31,15 @@ func NewReservoir(capacity int, seed int64) *Reservoir {
 	// The sample grows on demand rather than preallocating capacity:
 	// analyses shard a stream into many reservoirs, most of which see far
 	// fewer observations than the cap.
-	src := newCountingSource(seed)
-	return &Reservoir{
-		capacity: capacity,
-		seed:     seed,
-		rng:      rand.New(src),
-		src:      src,
-	}
+	return &Reservoir{capacity: capacity, seed: seed}
 }
 
-// Clone returns an independent deep copy: same subsample, and the same
-// future Add/Merge behavior, because the generator state is reproduced by
-// fast-forwarding a fresh seeded source. Cost is O(len(sample) + draws).
+// Clone returns an independent deep copy with the same subsample and the
+// same future Add behavior.
 func (r *Reservoir) Clone() *Reservoir {
-	c := r.frozen()
-	c.src.fastForward(r.src.n)
-	return c
-}
-
-// frozen is Clone without the generator fast-forward: an O(sample) copy
-// whose subsample is identical but whose future replacement draws are
-// not. Backs Accumulator.Freeze.
-func (r *Reservoir) frozen() *Reservoir {
-	c := NewReservoir(r.capacity, r.seed)
-	c.seen = r.seen
+	c := *r
 	c.sample = append([]float64(nil), r.sample...)
-	return c
+	return &c
 }
 
 // Add folds one observation into the reservoir.
@@ -106,51 +49,39 @@ func (r *Reservoir) Add(x float64) {
 		r.sample = append(r.sample, x)
 		return
 	}
-	if j := r.rng.Int63n(int64(r.seen)); j < int64(r.capacity) {
+	if j := slot(r.seed, r.seen); j < uint64(r.capacity) {
 		r.sample[j] = x
 	}
 }
 
-// Merge folds another reservoir into r, keeping the combined sample
-// approximately uniform over both streams: when the union exceeds
-// capacity, each slot is drawn from r or o with probability proportional
-// to their stream lengths. Capacities must match.
-func (r *Reservoir) Merge(o *Reservoir) error {
-	if r.capacity != o.capacity {
-		return fmt.Errorf("streamstats: merge reservoirs with capacity %d and %d", r.capacity, o.capacity)
-	}
-	if o.seen == 0 {
-		return nil
-	}
-	if uint64(len(r.sample))+uint64(len(o.sample)) <= uint64(r.capacity) {
-		r.sample = append(r.sample, o.sample...)
-		r.seen += o.seen
-		return nil
-	}
-	mine, theirs := r.sample, append([]float64(nil), o.sample...)
-	merged := make([]float64, 0, r.capacity)
-	total := r.seen + o.seen
-	wMine := r.seen
-	for len(merged) < r.capacity && (len(mine) > 0 || len(theirs) > 0) {
-		takeMine := len(theirs) == 0
-		if !takeMine && len(mine) > 0 {
-			takeMine = uint64(r.rng.Int63n(int64(total))) < wMine
-		}
-		if takeMine {
-			i := r.rng.Intn(len(mine))
-			merged = append(merged, mine[i])
-			mine[i] = mine[len(mine)-1]
-			mine = mine[:len(mine)-1]
-		} else {
-			i := r.rng.Intn(len(theirs))
-			merged = append(merged, theirs[i])
-			theirs[i] = theirs[len(theirs)-1]
-			theirs = theirs[:len(theirs)-1]
+// slot returns the Algorithm R draw for the i-th observation (i >= 1):
+// an index uniform on [0, i) that depends only on (seed, i). Lemire's
+// multiply-high maps a 64-bit draw onto [0, i); a draw whose low half
+// falls below 2^64 mod i is rejected, which makes every index exactly
+// equally likely, and the retry counter is folded into the key so the
+// redrawn value is still a function of (seed, i) alone.
+func slot(seed int64, i uint64) uint64 {
+	for try := uint64(0); ; try++ {
+		hi, lo := bits.Mul64(slotDraw(seed, i, try), i)
+		if lo >= i || lo >= -i%i {
+			return hi
 		}
 	}
-	r.sample = merged
-	r.seen = total
-	return nil
+}
+
+// slotDraw is the try-th 64-bit draw keyed by (seed, i): output i of a
+// splitmix64 generator seeded from (seed, try). Keying each draw by its
+// coordinates, not by how many draws came before, is the discipline the
+// engine's shard and bootstrap-rep seeds follow too.
+func slotDraw(seed int64, i, try uint64) uint64 {
+	return mix64(mix64(uint64(seed)^try*0xd1b54a32d192ed03) + i*0x9e3779b97f4a7c15)
+}
+
+// mix64 is splitmix64's output finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Seen returns how many observations have been offered.

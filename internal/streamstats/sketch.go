@@ -14,7 +14,7 @@ var ErrEmptySketch = errors.New("streamstats: empty sketch")
 // absorbed NaN observations: order statistics are undefined there.
 var ErrNaNSketch = errors.New("streamstats: sketch contains NaN observations")
 
-// QuantileSketch is a mergeable, bounded-memory quantile estimator in the
+// QuantileSketch is a bounded-memory quantile estimator in the
 // style of DDSketch: values are counted in geometrically spaced buckets,
 // so any reported quantile of a finite nonzero sample is within a factor
 // (1 ± eps) of a true sample value at the queried rank. Zeros, negative
@@ -46,15 +46,27 @@ type QuantileSketch struct {
 // NewQuantileSketch is given a non-positive epsilon: 1% relative error.
 const DefaultSketchEpsilon = 0.01
 
+// MinSketchEpsilon is the finest relative accuracy NewQuantileSketch
+// accepts. Below about 3e-7 the Pow-defined bucket edges drift from the
+// exact gamma^k by enough that a representative can miss its value by
+// more than eps.
+const MinSketchEpsilon = 1e-6
+
 // NewQuantileSketch builds a sketch with the given relative accuracy
-// eps in (0, 1); eps <= 0 uses DefaultSketchEpsilon.
+// eps in [MinSketchEpsilon, 1); eps <= 0 uses DefaultSketchEpsilon.
 func NewQuantileSketch(eps float64) (*QuantileSketch, error) {
 	if eps <= 0 {
 		eps = DefaultSketchEpsilon
 	}
-	if eps >= 1 || math.IsNaN(eps) {
-		return nil, fmt.Errorf("streamstats: sketch epsilon %g outside (0, 1)", eps)
+	if !(eps >= MinSketchEpsilon && eps < 1) {
+		return nil, fmt.Errorf("streamstats: sketch epsilon %g outside [%g, 1)", eps, MinSketchEpsilon)
 	}
+	return newSketch(eps), nil
+}
+
+// newSketch derives a sketch's bucket geometry from eps without checking
+// it against the accepted range.
+func newSketch(eps float64) *QuantileSketch {
 	gamma := (1 + eps) / (1 - eps)
 	lnGamma := math.Log(gamma)
 	// Smallest key whose representative stays a positive normal float
@@ -71,7 +83,7 @@ func NewQuantileSketch(eps float64) (*QuantileSketch, error) {
 		slack:   0x1p-46 / lnGamma,
 		pos:     make(map[int]uint64),
 		neg:     make(map[int]uint64),
-	}, nil
+	}
 }
 
 // Epsilon returns the sketch's relative accuracy.
@@ -133,26 +145,6 @@ func (s *QuantileSketch) Add(x float64) {
 	default:
 		s.neg[s.bucket(-x)]++
 	}
-}
-
-// Merge folds another sketch into s. Both sketches must have been built
-// with the same epsilon, or the accuracy guarantee would silently change.
-func (s *QuantileSketch) Merge(o *QuantileSketch) error {
-	if s.eps != o.eps {
-		return fmt.Errorf("streamstats: merge sketches with eps %g and %g", s.eps, o.eps)
-	}
-	for k, c := range o.pos {
-		s.pos[k] += c
-	}
-	for k, c := range o.neg {
-		s.neg[k] += c
-	}
-	s.zero += o.zero
-	s.posInf += o.posInf
-	s.negInf += o.negInf
-	s.nan += o.nan
-	s.n += o.n
-	return nil
 }
 
 // Quantile returns the estimated q-th quantile (0 <= q <= 1) of the

@@ -14,10 +14,11 @@ import (
 // Versioned binary snapshot/restore for every streaming structure. The
 // format is the crash-recovery contract of the analytics service: a
 // restored structure is indistinguishable from the original — identical
-// Quantile/Mean/Seen answers AND identical future Add/Merge behavior,
-// reservoir generator state included. Each blob opens with a one-byte
-// kind tag and a one-byte version so mixed-up or stale blobs fail loudly
-// instead of decoding garbage.
+// Quantile/Mean/Seen answers AND identical future Add behavior. The
+// reservoir needs no generator state for that: its replacement slots are
+// a function of (seed, seen), both of which the snapshot stores. Each
+// blob opens with a one-byte kind tag and a one-byte version so mixed-up
+// or stale blobs fail loudly instead of decoding garbage.
 //
 // Encodings are deterministic (sketch buckets are written in sorted key
 // order), so equal states produce byte-equal snapshots — the property the
@@ -28,12 +29,20 @@ const (
 	reservoirKind   byte = 'R'
 	accumulatorKind byte = 'A'
 
-	snapshotVersion byte = 1
+	// snapshotVersion 2 dropped the reservoir's generator draw count,
+	// which version 1 stored after seen.
+	snapshotVersion byte = 2
 )
 
 // ErrSnapshot is wrapped by every decode failure, so callers can
 // distinguish a corrupt blob from other errors with errors.Is.
 var ErrSnapshot = errors.New("streamstats: corrupt snapshot")
+
+// ErrSnapshotVersion wraps ErrSnapshot for a blob written by an older
+// version of this format: well-formed once, but no longer decodable.
+// Callers that keep the inputs a snapshot was folded from can rebuild
+// the state instead of refusing it.
+var ErrSnapshotVersion = fmt.Errorf("%w: older format version", ErrSnapshot)
 
 // readHeader reads a blob's kind and version tags and checks them.
 func readHeader(r *binx.Reader, kind byte) error {
@@ -45,7 +54,11 @@ func readHeader(r *binx.Reader, kind byte) error {
 		return fmt.Errorf("%w: kind %q, want %q", ErrSnapshot, k, kind)
 	}
 	if v != snapshotVersion {
-		return fmt.Errorf("%w: version %d, want %d", ErrSnapshot, v, snapshotVersion)
+		sentinel := ErrSnapshot
+		if v > 0 && v < snapshotVersion {
+			sentinel = ErrSnapshotVersion
+		}
+		return fmt.Errorf("%w: version %d, want %d", sentinel, v, snapshotVersion)
 	}
 	return nil
 }
@@ -88,16 +101,20 @@ func (m *Moments) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	out := Moments{
-		n:      r.U64(),
-		mean:   r.F64(),
-		m2:     r.F64(),
-		min:    r.F64(),
-		max:    r.F64(),
-		hasNaN: r.Byte() != 0,
+		n:    r.U64(),
+		mean: r.F64(),
+		m2:   r.F64(),
+		min:  r.F64(),
+		max:  r.F64(),
 	}
+	hasNaN := r.Byte()
 	if err := r.Done(); err != nil {
 		return err
 	}
+	if hasNaN > 1 {
+		return fmt.Errorf("%w: moments NaN flag %d", ErrSnapshot, hasNaN)
+	}
+	out.hasNaN = hasNaN == 1
 	*m = out
 	return nil
 }
@@ -120,7 +137,7 @@ func appendBuckets(buf []byte, m map[int]uint64) []byte {
 // readBuckets reads one sign's bucket map. An entry is a varint key and
 // a uvarint count, so the entry count is bounded at two bytes an entry.
 // appendBuckets writes keys strictly increasing with nonzero counts, and
-// no Add or Merge makes anything else, so any other entry is rejected: a
+// no Add makes anything else, so any other entry is rejected: a
 // repeated key would otherwise silently keep only its last count.
 func readBuckets(r *binx.Reader) (map[int]uint64, error) {
 	n := r.Count(2)
@@ -178,6 +195,10 @@ func (s *QuantileSketch) UnmarshalBinary(data []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
+	// A non-positive epsilon would restore as the default one.
+	if !(eps > 0) {
+		return fmt.Errorf("%w: sketch epsilon %g", ErrSnapshot, eps)
+	}
 	out, err := NewQuantileSketch(eps)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshot, err)
@@ -191,7 +212,7 @@ func (s *QuantileSketch) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// checkRestored rejects decoded state that no sequence of Adds and Merges
+// checkRestored rejects decoded state that no sequence of Adds
 // produces: a bucket key outside [minKey, maxKey], whose representative
 // value would be 0 or +Inf, or counters that do not sum to n.
 func (s *QuantileSketch) checkRestored() error {
@@ -232,16 +253,12 @@ func (s *QuantileSketch) Clone() *QuantileSketch {
 	return &c
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler. The generator state
-// is stored as (seed, draws): restore re-seeds and fast-forwards, which
-// reproduces the exact state because the underlying source advances one
-// step per draw.
+// MarshalBinary implements encoding.BinaryMarshaler.
 func (r *Reservoir) MarshalBinary() ([]byte, error) {
 	buf := appendHeader(nil, reservoirKind)
 	buf = binary.AppendUvarint(buf, uint64(r.capacity))
 	buf = appendU64(buf, uint64(r.seed))
 	buf = appendU64(buf, r.seen)
-	buf = appendU64(buf, r.src.n)
 	buf = binary.AppendUvarint(buf, uint64(len(r.sample)))
 	for _, x := range r.sample {
 		buf = appendF64(buf, x)
@@ -255,7 +272,7 @@ func (r *Reservoir) UnmarshalBinary(data []byte) error {
 	if err := readHeader(br, reservoirKind); err != nil {
 		return err
 	}
-	capacity, seed, seen, draws := br.Uvarint(), int64(br.U64()), br.U64(), br.U64()
+	capacity, seed, seen := br.Uvarint(), int64(br.U64()), br.U64()
 	n := br.Count(8)
 	if err := br.Err(); err != nil {
 		return err
@@ -263,23 +280,24 @@ func (r *Reservoir) UnmarshalBinary(data []byte) error {
 	if capacity == 0 || capacity > math.MaxInt32 {
 		return fmt.Errorf("%w: reservoir capacity %d", ErrSnapshot, capacity)
 	}
-	// Add and Merge keep the sample at exactly min(seen, capacity): a
-	// shorter one would make the restored reservoir append where it
-	// should replace, diverging from one that was never snapshotted.
+	// Seen returns an int, so seen must fit in one.
+	if seen > math.MaxInt64 {
+		return fmt.Errorf("%w: reservoir seen %d", ErrSnapshot, seen)
+	}
+	// Add keeps the sample at exactly min(seen, capacity): a shorter one
+	// would make the restored reservoir append where it should replace,
+	// diverging from one that was never snapshotted.
 	if uint64(n) != min(capacity, seen) {
 		return fmt.Errorf("%w: reservoir sample %d, want min(capacity %d, seen %d)", ErrSnapshot, n, capacity, seen)
 	}
-	out := NewReservoir(int(capacity), seed)
-	out.seen = seen
-	out.sample = make([]float64, n)
+	out := Reservoir{capacity: int(capacity), seed: seed, seen: seen, sample: make([]float64, n)}
 	for i := range out.sample {
 		out.sample[i] = br.F64()
 	}
 	if err := br.Done(); err != nil {
 		return err
 	}
-	out.src.fastForward(draws)
-	*r = *out
+	*r = out
 	return nil
 }
 
@@ -323,28 +341,13 @@ func (a *Accumulator) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Clone returns an independent deep copy of the accumulator: identical
-// summaries, quantiles and subsample, and identical future Add/Merge
-// behavior. Reproducing the reservoir's generator state costs O(draws);
-// use Freeze for read-only copies on a hot query path.
+// Clone returns an independent deep copy of the accumulator at
+// O(sample) cost: identical summaries, quantiles and subsample, and
+// identical future Add behavior.
 func (a *Accumulator) Clone() *Accumulator {
 	return &Accumulator{
 		moments: a.moments,
 		sketch:  a.sketch.Clone(),
 		res:     a.res.Clone(),
-	}
-}
-
-// Freeze returns an independent read-only deep copy: identical summaries,
-// quantiles and subsample, at O(sample) cost. The reservoir's generator
-// state is NOT reproduced, so Add/Merge on a frozen copy diverges from
-// the original's future — freeze to query, clone to keep accumulating.
-// The analytics service freezes dirty shards under a short lock and fits
-// the frozen copies outside it, so queries never block writers.
-func (a *Accumulator) Freeze() *Accumulator {
-	return &Accumulator{
-		moments: a.moments,
-		sketch:  a.sketch.Clone(),
-		res:     a.res.frozen(),
 	}
 }

@@ -151,10 +151,11 @@ func TestAccumulatorSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// The stronger contract: after restore, the accumulator behaves
-// identically under further Add and Merge — reservoir RNG state included.
-// Capacity 8 over hundreds of adds forces replacement draws, so any
-// generator-state drift changes the subsample.
+// The stronger contract: after restore or clone, the accumulator
+// behaves identically under further Adds. Capacity 8 over hundreds of
+// adds forces replacement decisions, so a restored or cloned reservoir
+// that keyed its slots off anything but (seed, seen) would change the
+// subsample.
 func TestAccumulatorSnapshotFutureBehavior(t *testing.T) {
 	for name, xs := range snapshotStreams() {
 		t.Run(name, func(t *testing.T) {
@@ -163,36 +164,12 @@ func TestAccumulatorSnapshotFutureBehavior(t *testing.T) {
 			clone := orig.Clone()
 
 			rng := rand.New(rand.NewSource(99))
-			future := make([]float64, 300)
-			for i := range future {
-				future[i] = rng.ExpFloat64() * 50
-			}
-			other := fillAccumulator(t, future[:150], 8)
-			otherCopy := fillAccumulator(t, future[:150], 8)
-			otherCopy2 := fillAccumulator(t, future[:150], 8)
-
-			for _, pair := range []struct {
-				label string
-				acc   *Accumulator
-				merge *Accumulator
-			}{
-				{"restored", rest, otherCopy},
-				{"cloned", clone, otherCopy2},
-			} {
-				for _, x := range future {
-					pair.acc.Add(x)
-				}
-				if err := pair.acc.Merge(pair.merge); err != nil {
-					t.Fatalf("%s merge: %v", pair.label, err)
+			for i := 0; i < 300; i++ {
+				x := rng.ExpFloat64() * 50
+				for _, acc := range []*Accumulator{orig, rest, clone} {
+					acc.Add(x)
 				}
 			}
-			for _, x := range future {
-				orig.Add(x)
-			}
-			if err := orig.Merge(other); err != nil {
-				t.Fatalf("orig merge: %v", err)
-			}
-
 			assertAccumulatorsIdentical(t, orig, rest)
 			assertAccumulatorsIdentical(t, orig, clone)
 		})
@@ -335,7 +312,6 @@ func TestSnapshotRejectsHostileCounts(t *testing.T) {
 	res := binary.AppendUvarint([]byte{reservoirKind, snapshotVersion}, 1<<28) // capacity
 	res = appendU64(res, 1)                                                    // seed
 	res = appendU64(res, 1<<28)                                                // seen
-	res = appendU64(res, 0)                                                    // draws
 	res = binary.AppendUvarint(res, 1<<28)                                     // sample length
 
 	for _, c := range []struct {
@@ -390,6 +366,41 @@ func TestReservoirSnapshotRejectsSampleLength(t *testing.T) {
 				t.Fatalf("want ErrSnapshot, got %v", err)
 			}
 		})
+	}
+}
+
+// hugeSeenBlob is a reservoir snapshot with capacity 2, two samples and
+// a seen count of 2^63, one past what Seen's int can report.
+func hugeSeenBlob() []byte {
+	blob := binary.AppendUvarint(appendHeader(nil, reservoirKind), 2) // capacity
+	blob = appendU64(blob, 1)                                         // seed
+	blob = appendU64(blob, 1<<63)                                     // seen
+	blob = binary.AppendUvarint(blob, 2)                              // sample length
+	return appendF64(appendF64(blob, 1), 2)
+}
+
+// Restore refuses a seen count past math.MaxInt64: Seen would report it
+// as negative.
+func TestReservoirSnapshotRejectsHugeSeen(t *testing.T) {
+	if err := (&Reservoir{}).UnmarshalBinary(hugeSeenBlob()); !errors.Is(err, ErrSnapshot) {
+		t.Fatalf("want ErrSnapshot, got %v", err)
+	}
+}
+
+// A blob written by an older format version is told apart from other
+// corruption with ErrSnapshotVersion, which still matches ErrSnapshot;
+// an unknown newer version is plain corruption.
+func TestSnapshotOlderVersion(t *testing.T) {
+	blob, err := fillAccumulator(t, goldenStream, 4).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, wantOlder := range map[byte]bool{0: false, snapshotVersion - 1: true, snapshotVersion + 1: false} {
+		old := append([]byte{blob[0], v}, blob[2:]...)
+		err := (&Accumulator{}).UnmarshalBinary(old)
+		if !errors.Is(err, ErrSnapshot) || errors.Is(err, ErrSnapshotVersion) != wantOlder {
+			t.Errorf("version %d: got %v, want ErrSnapshot with older-version %t", v, err, wantOlder)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package streamstats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -46,46 +47,6 @@ func TestMomentsMatchSummarize(t *testing.T) {
 	approx("c2", m.C2(), want.C2)
 	if m.Min() != want.Min || m.Max() != want.Max {
 		t.Errorf("min/max = %g/%g, want %g/%g", m.Min(), m.Max(), want.Min, want.Max)
-	}
-}
-
-func TestMomentsMergeEqualsSequential(t *testing.T) {
-	rng := lcg(7)
-	var whole, a, b Moments
-	for i := 0; i < 3000; i++ {
-		x := rng.float()*200 - 100
-		whole.Add(x)
-		if i < 1100 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	for name, pair := range map[string][2]float64{
-		"mean":     {a.Mean(), whole.Mean()},
-		"variance": {a.Variance(), whole.Variance()},
-		"min":      {a.Min(), whole.Min()},
-		"max":      {a.Max(), whole.Max()},
-	} {
-		if math.Abs(pair[0]-pair[1]) > 1e-9*math.Max(1, math.Abs(pair[1])) {
-			t.Errorf("merged %s = %g, sequential %g", name, pair[0], pair[1])
-		}
-	}
-	// Merging into an empty accumulator copies; merging an empty one is a
-	// no-op.
-	var empty Moments
-	empty.Merge(&whole)
-	if empty.N() != whole.N() || empty.Mean() != whole.Mean() {
-		t.Fatal("merge into empty accumulator lost state")
-	}
-	n := whole.N()
-	whole.Merge(&Moments{})
-	if whole.N() != n {
-		t.Fatal("merging an empty accumulator changed N")
 	}
 }
 
@@ -182,45 +143,23 @@ func TestSketchSpecialValues(t *testing.T) {
 	if _, err := NewQuantileSketch(1.5); err == nil {
 		t.Fatal("eps >= 1: want error")
 	}
-	if s, err := NewQuantileSketch(0); err != nil || s.Epsilon() != DefaultSketchEpsilon {
-		t.Fatalf("default eps: %v, %v", s, err)
+	// Below MinSketchEpsilon the bucket edges no longer honor eps; a
+	// snapshot decodes through the constructor and is refused too.
+	if _, err := NewQuantileSketch(MinSketchEpsilon / 2); err == nil {
+		t.Fatal("eps below MinSketchEpsilon: want error")
 	}
-}
-
-func TestSketchMerge(t *testing.T) {
-	a, _ := NewQuantileSketch(0.01)
-	b, _ := NewQuantileSketch(0.01)
-	rng := lcg(5)
-	xs := make([]float64, 8000)
-	whole, _ := NewQuantileSketch(0.01)
-	for i := range xs {
-		xs[i] = 1 + 1000*rng.float()
-		whole.Add(xs[i])
-		if i%2 == 0 {
-			a.Add(xs[i])
-		} else {
-			b.Add(xs[i])
-		}
-	}
-	if err := a.Merge(b); err != nil {
+	fine, err := newSketch(MinSketchEpsilon / 2).MarshalBinary()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
+	if err := (&QuantileSketch{}).UnmarshalBinary(fine); !errors.Is(err, ErrSnapshot) {
+		t.Fatalf("snapshot with eps below MinSketchEpsilon: got %v, want ErrSnapshot", err)
 	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		got, err1 := a.Quantile(q)
-		want, err2 := whole.Quantile(q)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if got != want {
-			t.Errorf("q=%g: merged %g != sequential %g", q, got, want)
-		}
+	if s, err := NewQuantileSketch(MinSketchEpsilon); err != nil || s.Epsilon() != MinSketchEpsilon {
+		t.Fatalf("eps = MinSketchEpsilon: %v, %v", s, err)
 	}
-	c, _ := NewQuantileSketch(0.05)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merging mismatched epsilons: want error")
+	if s, err := NewQuantileSketch(0); err != nil || s.Epsilon() != DefaultSketchEpsilon {
+		t.Fatalf("default eps: %v, %v", s, err)
 	}
 }
 
@@ -264,59 +203,76 @@ func TestReservoir(t *testing.T) {
 	}
 }
 
-func TestReservoirMerge(t *testing.T) {
-	// Under capacity: exact union.
-	a := NewReservoir(10, 1)
-	b := NewReservoir(10, 2)
-	a.Add(1)
-	a.Add(2)
-	b.Add(3)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Seen() != 3 || len(a.Sample()) != 3 {
-		t.Fatalf("merged seen=%d len=%d, want 3/3", a.Seen(), len(a.Sample()))
-	}
-	// Over capacity: bounded, and every kept value came from an input.
-	c := NewReservoir(50, 3)
-	d := NewReservoir(50, 4)
-	in := make(map[float64]bool)
-	for i := 0; i < 500; i++ {
-		x, y := float64(i), float64(1000+i)
-		in[x], in[y] = true, true
-		c.Add(x)
-		d.Add(y)
-	}
-	if err := c.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	if c.Seen() != 1000 || len(c.Sample()) != 50 {
-		t.Fatalf("merged seen=%d len=%d, want 1000/50", c.Seen(), len(c.Sample()))
-	}
-	fromD := 0
-	for _, x := range c.Sample() {
-		if !in[x] {
-			t.Fatalf("merged sample contains %g, not from either input", x)
+// TestReservoirInclusionUniform checks Algorithm R's defining property
+// position by position, not just through the sample mean: over many
+// seeds, every stream position lands in the final sample at rate
+// capacity/n. The reservoirs are snapshotted and restored halfway
+// through, so the check also covers the restored state; at that point
+// each of the first half's positions must be held at rate
+// capacity/half. Each position's count must be within 5 standard
+// deviations of its expectation, and the counts together must pass a
+// chi-square test at the same level.
+func TestReservoirInclusionUniform(t *testing.T) {
+	const (
+		capacity = 8
+		n        = 200
+		half     = n / 2
+		seeds    = 4000
+	)
+	mid, end := make([]int, half), make([]int, n)
+	for seed := int64(0); seed < seeds; seed++ {
+		r := NewReservoir(capacity, seed)
+		for i := 0; i < half; i++ {
+			r.Add(float64(i))
 		}
-		if x >= 1000 {
-			fromD++
+		for _, x := range r.sample {
+			mid[int(x)]++
+		}
+		blob, err := r.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = &Reservoir{}
+		if err := r.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		for i := half; i < n; i++ {
+			r.Add(float64(i))
+		}
+		for _, x := range r.sample {
+			end[int(x)]++
 		}
 	}
-	// Both halves should be represented (equal stream lengths).
-	if fromD == 0 || fromD == 50 {
-		t.Fatalf("merged sample all from one side (fromD=%d)", fromD)
-	}
-	e := NewReservoir(50, 5)
-	if err := c.Merge(e); err != nil || c.Seen() != 1000 {
-		t.Fatalf("merging an empty reservoir: err=%v seen=%d", err, c.Seen())
-	}
+	checkInclusion(t, "mid-stream", mid, capacity, seeds)
+	checkInclusion(t, "after restore", end, capacity, seeds)
 }
 
-func TestReservoirMergeCapacityMismatch(t *testing.T) {
-	a, b := NewReservoir(10, 1), NewReservoir(20, 1)
-	b.Add(1)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("capacity mismatch: want error")
+// checkInclusion tests the inclusion counts of m = len(counts) stream
+// positions over draws uniform samples of capacity positions each. Each
+// count is Binomial(draws, p) with p = capacity/m; since every sample
+// holds exactly capacity positions, the counts' sum of squared
+// standardized deviations, scaled by (m-1)/m, is chi-square with m-1
+// degrees of freedom.
+func checkInclusion(t *testing.T, label string, counts []int, capacity, draws int) {
+	t.Helper()
+	const z = 5
+	m := float64(len(counts))
+	p := float64(capacity) / m
+	mean, sd := float64(draws)*p, math.Sqrt(float64(draws)*p*(1-p))
+	var chi2 float64
+	for i, c := range counts {
+		d := (float64(c) - mean) / sd
+		if math.Abs(d) > z {
+			t.Errorf("%s: position %d held %d times, want %.0f ± %.0f", label, i, c, mean, z*sd)
+		}
+		chi2 += d * d
+	}
+	chi2 *= (m - 1) / m
+	// Wilson–Hilferty upper quantile of chi-square(df) at z.
+	df := m - 1
+	bound := df * math.Pow(1-2/(9*df)+z*math.Sqrt(2/(9*df)), 3)
+	if chi2 > bound {
+		t.Errorf("%s: inclusion chi-square %.1f over %.0f positions exceeds %.1f", label, chi2, m, bound)
 	}
 }
 
