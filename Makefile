@@ -7,9 +7,10 @@ GO ?= go
 # daemon, the sweep engine, the binary trace pipeline, the sub-shard
 # analysis pipeline and the par worker pools, and short fuzz smokes
 # of the CSV reader, the ingest endpoint, the sweep-spec parser, the
-# binary trace round trip, the WAL payload decoder and the sketch,
-# reservoir and accumulator snapshot decoders, plus the repo benchmark
-# module's own checks.
+# binary trace round trip, the WAL payload decoder, the sketch,
+# reservoir and accumulator snapshot decoders and the incremental
+# (HFINC01) snapshot decoder, plus the repo benchmark module's own
+# checks.
 check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-engine fuzz-smoke perfbench-check
 
 vet:
@@ -45,8 +46,9 @@ race-gen:
 	$(GO) test -race -run 'Workers|Stream|Subset' ./internal/lanl
 
 # Race pass over the daemon and its client: concurrent ingest, queries
-# against copy-on-write snapshots, drain/shutdown, and crash recovery
-# all under the race detector.
+# against copy-on-write snapshots, drain/shutdown, crash recovery and
+# the flat live heap across append/result cycles, all under the race
+# detector.
 race-serve:
 	$(GO) test -race ./internal/serve/...
 
@@ -70,11 +72,13 @@ race-trace:
 # identities, the shared stream fold (batched fan-in identity, the
 # record-source adapter, incremental appends at every chunking — which
 # also pins the per-slot shard cache against one-record appends — stream
-# edge cases), and the counter-seeded bootstrap partition-invariance
-# tests; then the par worker pools every fan-out runs on, repeated
-# because their tests race randomized job timings.
+# edge cases), the per-call fit table (dedup across shards, interning,
+# hash-collision handling) whose slots par.Each workers fill, and the
+# counter-seeded bootstrap partition-invariance tests; then the par
+# worker pools every fan-out runs on, repeated because their tests race
+# randomized job timings.
 race-engine:
-	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|BatchIdentity|IncrementalMatches|AnalyzeStreamEdge' ./internal/engine ./internal/dist
+	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|BatchIdentity|IncrementalMatches|AnalyzeStreamEdge|FitTable|MemoDetects|Intern' ./internal/engine ./internal/dist
 	$(GO) test -race -count=10 ./internal/par
 
 # perfbench is its own module, so the root go test ./... never reaches
@@ -97,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSketchSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
 	$(GO) test -fuzz=FuzzReservoirSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
 	$(GO) test -fuzz=FuzzAccumulatorSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
+	$(GO) test -fuzz=FuzzIncrementalSnapshot -fuzztime=10s -run=^$$ ./internal/engine
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

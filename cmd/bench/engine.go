@@ -85,8 +85,8 @@ func shardSubsets(d *failures.Dataset) []*failures.Dataset {
 }
 
 // timeFleet times engine.AnalyzeFleet over ciSpec, each rep on a fresh
-// engine so the memo cache never hides work, and returns the shard count
-// and fit-cache misses of the last rep with the timings.
+// engine, and returns the shard count and the fits and intervals the
+// last rep computed with the timings.
 func timeFleet(reps int, d *failures.Dataset, opts engine.Options) (best, mean time.Duration, shards int, misses uint64, err error) {
 	best, mean, err = bestOf(reps, func() (time.Duration, error) {
 		eng := engine.New(opts)

@@ -157,7 +157,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprint(w, report.Figure5(p))
 	case "interarrival":
 		boundary := time.Date(*split, 1, 1, 0, 0, 0, 0, time.UTC)
-		panels, err := analysis.Figure6With(ctx, eng, dataset, *system, *node, boundary)
+		panels, err := analysis.Figure6(dataset, *system, *node, boundary)
 		if err != nil {
 			return err
 		}
@@ -176,7 +176,7 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprint(w, report.Table2(rows))
-		study, err := analysis.RepairTimeFitsWith(ctx, eng, dataset)
+		study, err := analysis.RepairTimeFits(dataset)
 		if err != nil {
 			return err
 		}

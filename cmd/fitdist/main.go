@@ -86,7 +86,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	ctx := context.Background()
 	eng := engine.New(engine.Options{Workers: *workers, BootstrapReps: *bootstrap, Seed: *seed})
-	cmp, err := eng.FitAll(ctx, xs, families...)
+	cmp, err := dist.FitAll(xs, families...)
 	if err != nil {
 		return fmt.Errorf("fit: %w", err)
 	}

@@ -211,7 +211,7 @@ func run(args []string, w io.Writer) error {
 	// ---- Figure 6 ----
 	section("Figure 6: time between failures, system 20 / node 22, early vs late")
 	boundary := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
-	panels, err := analysis.Figure6With(ctx, eng, dataset, 20, 22, boundary)
+	panels, err := analysis.Figure6(dataset, 20, 22, boundary)
 	if err != nil {
 		return err
 	}
@@ -247,7 +247,7 @@ func run(args []string, w io.Writer) error {
 
 	// ---- Figure 7 ----
 	section("Figure 7(a): repair-time distribution and fits")
-	fitStudy, err := analysis.RepairTimeFitsWith(ctx, eng, dataset)
+	fitStudy, err := analysis.RepairTimeFits(dataset)
 	if err != nil {
 		return err
 	}
@@ -275,7 +275,7 @@ func run(args []string, w io.Writer) error {
 
 	// ---- Pareto footnote ----
 	section("Footnote 1: Pareto comparison on system-wide late interarrivals")
-	pareto, err := eng.FitAll(ctx, panels.SystemLate.Seconds, append(dist.StandardFamilies(), dist.FamilyPareto)...)
+	pareto, err := dist.FitAll(panels.SystemLate.Seconds, append(dist.StandardFamilies(), dist.FamilyPareto)...)
 	if err != nil {
 		return err
 	}
@@ -289,7 +289,7 @@ func run(args []string, w io.Writer) error {
 
 	// ---- Section 3 phase-type remark ----
 	section("Section 3 remark: phase-type distributions")
-	withHE, err := eng.FitAll(ctx, panels.SystemLate.Seconds,
+	withHE, err := dist.FitAll(panels.SystemLate.Seconds,
 		append(dist.StandardFamilies(), dist.FamilyHyperExp)...)
 	if err != nil {
 		return err

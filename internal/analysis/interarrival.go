@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -62,16 +61,8 @@ type InterarrivalStudy struct {
 
 // StudyInterarrivals fits the four standard distributions to the time
 // between failures in d (already filtered to the node or system and window
-// of interest), taking the given view purely as labeling. It fits
-// sequentially; StudyInterarrivalsWith accepts an engine-backed Fitter.
+// of interest), taking the given view purely as labeling.
 func StudyInterarrivals(d *failures.Dataset, view InterarrivalView, window string) (*InterarrivalStudy, error) {
-	return StudyInterarrivalsWith(context.Background(), seqFitter{}, d, view, window)
-}
-
-// StudyInterarrivalsWith is StudyInterarrivals with the fitting delegated to
-// an explicit Fitter (e.g. a shared *engine.Engine, which memoizes fits and
-// bounds concurrency).
-func StudyInterarrivalsWith(ctx context.Context, fitter Fitter, d *failures.Dataset, view InterarrivalView, window string) (*InterarrivalStudy, error) {
 	xs := d.PositiveInterarrivals()
 	if len(xs) < 10 {
 		return nil, fmt.Errorf("interarrival study %s %s: %d positive interarrivals, need >= 10: %w",
@@ -81,7 +72,7 @@ func StudyInterarrivalsWith(ctx context.Context, fitter Fitter, d *failures.Data
 	if err != nil {
 		return nil, fmt.Errorf("interarrival study: %w", err)
 	}
-	fits, err := fitAllVia(ctx, fitter, xs)
+	fits, err := dist.FitAll(xs)
 	if err != nil {
 		return nil, fmt.Errorf("interarrival study: %w", err)
 	}
@@ -145,13 +136,6 @@ type Figure6Panels struct {
 // (the paper uses system 20, node 22), windows split at the boundary
 // (paper: end of 1999).
 func Figure6(d *failures.Dataset, system, node int, boundary time.Time) (*Figure6Panels, error) {
-	return Figure6With(context.Background(), seqFitter{}, d, system, node, boundary)
-}
-
-// Figure6With is Figure 6 with the four panel fits delegated to an explicit
-// Fitter; with an engine-backed fitter the per-panel model comparisons are
-// memoized and bounded by the engine's worker pool.
-func Figure6With(ctx context.Context, fitter Fitter, d *failures.Dataset, system, node int, boundary time.Time) (*Figure6Panels, error) {
 	sys := d.BySystem(system)
 	if sys.Len() == 0 {
 		return nil, fmt.Errorf("figure 6: system %d: %w", system, failures.ErrNoRecords)
@@ -166,19 +150,19 @@ func Figure6With(ctx context.Context, fitter Fitter, d *failures.Dataset, system
 
 	nodeData := sys.ByNode(system, node)
 	panels := &Figure6Panels{}
-	panels.NodeEarly, err = StudyInterarrivalsWith(ctx, fitter, nodeData.Between(first, boundary), ViewNode, earlyWindow)
+	panels.NodeEarly, err = StudyInterarrivals(nodeData.Between(first, boundary), ViewNode, earlyWindow)
 	if err != nil {
 		return nil, fmt.Errorf("figure 6 node early: %w", err)
 	}
-	panels.NodeLate, err = StudyInterarrivalsWith(ctx, fitter, nodeData.Between(boundary, end), ViewNode, lateWindow)
+	panels.NodeLate, err = StudyInterarrivals(nodeData.Between(boundary, end), ViewNode, lateWindow)
 	if err != nil {
 		return nil, fmt.Errorf("figure 6 node late: %w", err)
 	}
-	panels.SystemEarly, err = StudyInterarrivalsWith(ctx, fitter, sys.Between(first, boundary), ViewSystem, earlyWindow)
+	panels.SystemEarly, err = StudyInterarrivals(sys.Between(first, boundary), ViewSystem, earlyWindow)
 	if err != nil {
 		return nil, fmt.Errorf("figure 6 system early: %w", err)
 	}
-	panels.SystemLate, err = StudyInterarrivalsWith(ctx, fitter, sys.Between(boundary, end), ViewSystem, lateWindow)
+	panels.SystemLate, err = StudyInterarrivals(sys.Between(boundary, end), ViewSystem, lateWindow)
 	if err != nil {
 		return nil, fmt.Errorf("figure 6 system late: %w", err)
 	}

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 
 	"hpcfail/internal/dist"
@@ -77,12 +76,6 @@ type RepairFitStudy struct {
 
 // RepairTimeFits computes Figure 7(a) on all repair times in the dataset.
 func RepairTimeFits(d *failures.Dataset) (*RepairFitStudy, error) {
-	return RepairTimeFitsWith(context.Background(), seqFitter{}, d)
-}
-
-// RepairTimeFitsWith is RepairTimeFits with the fitting delegated to an
-// explicit Fitter (e.g. a shared *engine.Engine).
-func RepairTimeFitsWith(ctx context.Context, fitter Fitter, d *failures.Dataset) (*RepairFitStudy, error) {
 	minutes := d.RepairTimes()
 	if len(minutes) < 10 {
 		return nil, fmt.Errorf("repair time fits: %d repairs, need >= 10: %w",
@@ -92,7 +85,7 @@ func RepairTimeFitsWith(ctx context.Context, fitter Fitter, d *failures.Dataset)
 	if err != nil {
 		return nil, fmt.Errorf("repair time fits: %w", err)
 	}
-	fits, err := fitAllVia(ctx, fitter, minutes)
+	fits, err := dist.FitAll(minutes)
 	if err != nil {
 		return nil, fmt.Errorf("repair time fits: %w", err)
 	}

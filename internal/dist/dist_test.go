@@ -522,6 +522,27 @@ func TestFitAllToleratesFailingFamily(t *testing.T) {
 	}
 }
 
+// A fit whose likelihood is infinite on its own data (here a Weibull
+// shape so small the density diverges at the tiny value) is recorded as
+// an error with +Inf NLL and AIC, so it ranks last instead of first.
+func TestFitOneRejectsInfiniteLikelihood(t *testing.T) {
+	xs := []float64{1e-300, 1e300, 1, 2}
+	wb := FitOne(FamilyWeibull, NewSample(xs))
+	if wb.Err == nil || !errors.Is(wb.Err, ErrBadParam) {
+		t.Fatalf("weibull err = %v, want ErrBadParam", wb.Err)
+	}
+	if !math.IsInf(wb.NLL, 1) || !math.IsInf(wb.AIC, 1) {
+		t.Fatalf("weibull NLL %v AIC %v, want +Inf", wb.NLL, wb.AIC)
+	}
+	cmp, err := FitAll(xs, FamilyWeibull, FamilyLogNormal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best, err := cmp.Best(); err != nil || best.Family != FamilyLogNormal {
+		t.Fatalf("best = %v (%v), want lognormal", best.Family, err)
+	}
+}
+
 func TestFitAllEmptyAndUnknownFamily(t *testing.T) {
 	if _, err := FitAll(nil); err == nil {
 		t.Fatal("empty data: want error")

@@ -128,37 +128,59 @@ func FitAllSample(s *Sample, families ...Family) (*Comparison, error) {
 	if len(families) == 0 {
 		families = StandardFamilies()
 	}
-	ecdf, err := s.ECDF()
-	if err != nil {
+	if _, err := s.ECDF(); err != nil {
 		return nil, fmt.Errorf("fit all: %w", err)
 	}
 	results := make([]FitResult, 0, len(families))
 	for _, fam := range families {
-		res := FitResult{Family: fam}
-		d, err := FitSample(fam, s)
-		if err != nil {
-			res.Err = err
-			res.NLL = math.Inf(1)
-			res.AIC = math.Inf(1)
-			res.KS = math.NaN()
-		} else {
-			res.Dist = d
-			nll, err := NegLogLikelihoodSample(d, s)
-			if err != nil {
-				res.Err = err
-				res.NLL = math.Inf(1)
-			} else {
-				res.NLL = nll
-				res.AIC = 2*float64(d.NumParams()) + 2*nll
-			}
-			res.KS = ecdf.KolmogorovSmirnov(d.CDF)
-		}
-		results = append(results, res)
+		results = append(results, FitOne(fam, s))
 	}
+	return Rank(results), nil
+}
+
+// Rank orders results by NLL, best first, keeping the input order among
+// equal scores, and wraps them as a Comparison. It sorts results in place.
+func Rank(results []FitResult) *Comparison {
 	sort.SliceStable(results, func(i, j int) bool {
 		return results[i].NLL < results[j].NLL
 	})
-	return &Comparison{Results: results}, nil
+	return &Comparison{Results: results}
+}
+
+// FitOne fits one family to the sample and scores it: NLL, AIC and the
+// Kolmogorov–Smirnov distance to the sample's ECDF. A family that cannot
+// be fitted, or whose fit gives no finite likelihood, is recorded with
+// its error and +Inf NLL and AIC, so it ranks last.
+func FitOne(f Family, s *Sample) FitResult {
+	res := FitResult{Family: f}
+	d, err := FitSample(f, s)
+	if err != nil {
+		res.Err = err
+		res.NLL = math.Inf(1)
+		res.AIC = math.Inf(1)
+		res.KS = math.NaN()
+		return res
+	}
+	res.Dist = d
+	nll, err := NegLogLikelihoodSample(d, s)
+	if err == nil && (math.IsNaN(nll) || math.IsInf(nll, 0)) {
+		err = fmt.Errorf("fit %v: NLL %v: %w", f, nll, ErrBadParam)
+	}
+	if err != nil {
+		res.Err = err
+		res.NLL = math.Inf(1)
+		res.AIC = math.Inf(1)
+	} else {
+		res.NLL = nll
+		res.AIC = 2*float64(d.NumParams()) + 2*nll
+	}
+	ecdf, err := s.ECDF()
+	if err != nil {
+		res.KS = math.NaN()
+		return res
+	}
+	res.KS = ecdf.KolmogorovSmirnov(d.CDF)
+	return res
 }
 
 // Best returns the best successfully fitted result, or an error if every

@@ -262,8 +262,8 @@ func (s *Sample) Max() float64 { return s.t.max }
 func (s *Sample) Positive() bool { return s.t.positive }
 
 // Hash returns the sample's FNV-1a identity hash (stats.HashSample of the
-// values), computed once. It is the memoization key the analysis engine
-// shares with this kernel layer.
+// values), computed once. The analysis engine keys its per-call fit
+// table and its bootstrap seeds on it.
 func (s *Sample) Hash() uint64 {
 	s.hashOnce.Do(func() { s.hash = stats.HashSample(s.t.xs) })
 	return s.hash

@@ -10,80 +10,86 @@ import (
 )
 
 // Crafting two float64 slices that genuinely collide on 64-bit FNV-1a is
-// infeasible at test time, so these tests forge the collision: they plant a
-// poisoned cache entry under the victim sample's hash with a different
-// fingerprint, exactly the state a real collision would leave behind. The
-// engine must detect the fingerprint mismatch, chain a fresh entry, and
-// never serve the poisoned result.
+// infeasible at test time, so these tests forge the collision: they build
+// samples with a supplied hash (dist.NewSamplePrehashed), exactly the
+// state a real collision would leave in a call's fit table. The table
+// must keep the samples apart, count the collision, and never serve the
+// other sample's entry.
 
-var errPoisoned = errors.New("poisoned cache entry served")
+var errPoisoned = errors.New("poisoned table entry served")
 
+// TestFitMemoDetectsHashCollision plants a same-hash entry with a
+// poisoned fit in a call's fit table: the victim sample must get a fresh,
+// chained entry, never the poisoned fit.
 func TestFitMemoDetectsHashCollision(t *testing.T) {
 	e := New(Options{Workers: 1, BootstrapReps: -1})
 	xs := sample(t, 200)
 	hash := stats.HashSample(xs)
 
-	// A same-hash entry whose sample was 3 observations long with other
-	// endpoint bits: fingerprints cannot match.
-	forged := &fitEntry{fp: fingerprint{n: 3, first: 1, last: 2}}
-	forged.once.Do(func() { forged.res = dist.FitResult{Family: dist.FamilyWeibull, Err: errPoisoned} })
-	key := fitKey{hash: hash, family: dist.FamilyWeibull}
-	e.mu.Lock()
-	e.fits[key] = []*fitEntry{forged}
-	e.mu.Unlock()
+	forged := &tableEntry{
+		s:    dist.NewSamplePrehashed([]float64{1, 2, 3}, hash),
+		fits: []dist.FitResult{{Family: dist.FamilyWeibull, Err: errPoisoned}},
+	}
+	tab := fitTable{hash: {forged}}
 
-	cmp, err := e.FitAll(context.Background(), xs, dist.FamilyWeibull)
-	if err != nil {
-		t.Fatal(err)
+	ent, fresh := e.intern(tab, dist.NewSamplePrehashed(xs, hash))
+	if ent == forged {
+		t.Fatal("intern served the colliding entry")
 	}
-	res, ok := cmp.ByFamily(dist.FamilyWeibull)
-	if !ok {
-		t.Fatal("no weibull result")
+	if !fresh || ent.fits != nil {
+		t.Fatal("colliding sample did not get a fresh entry")
 	}
-	if errors.Is(res.Err, errPoisoned) {
-		t.Fatal("engine served the colliding entry's result")
+	if ent.s.N() != len(xs) {
+		t.Fatalf("entry N = %d, want %d", ent.s.N(), len(xs))
 	}
-	if res.Err != nil {
-		t.Fatalf("fresh fit failed: %v", res.Err)
+	if got := e.Collisions(); got != 1 {
+		t.Fatalf("Collisions = %d, want 1", got)
 	}
-	if got := e.Collisions(); got < 1 {
-		t.Fatalf("Collisions = %d, want >= 1", got)
-	}
-
-	// Both entries now chain under the same key.
-	e.mu.Lock()
-	chained := len(e.fits[key])
-	e.mu.Unlock()
-	if chained != 2 {
+	if chained := len(tab[hash]); chained != 2 {
 		t.Fatalf("chain length = %d, want 2", chained)
 	}
 
-	// A repeat lookup must hit the correct chained entry, not recompute or
-	// grow the chain.
-	if _, err := e.FitAll(context.Background(), xs, dist.FamilyWeibull); err != nil {
-		t.Fatal(err)
+	// A repeat of the same values must find the chained entry, without
+	// another collision or a third entry.
+	again, fresh := e.intern(tab, dist.NewSamplePrehashed(append([]float64(nil), xs...), hash))
+	if again != ent || fresh {
+		t.Fatal("re-intern did not return the chained entry")
 	}
-	e.mu.Lock()
-	chained = len(e.fits[key])
-	e.mu.Unlock()
-	if chained != 2 {
+	if got := e.Collisions(); got != 1 {
+		t.Fatalf("Collisions after repeat = %d, want 1", got)
+	}
+	if chained := len(tab[hash]); chained != 2 {
 		t.Fatalf("chain length after repeat = %d, want 2", chained)
 	}
 }
 
+// TestCIMemoDetectsHashCollision plants a same-hash entry with a poisoned
+// interval target: the victim's fresh entry carries no interval of the
+// other sample, and the interval computed for the victim succeeds.
 func TestCIMemoDetectsHashCollision(t *testing.T) {
 	e := New(Options{Workers: 1, BootstrapReps: 16})
 	xs := sample(t, 200)
 	hash := stats.HashSample(xs)
 
-	forged := &ciEntry{fp: fingerprint{n: 1, first: 42, last: 42}}
-	forged.once.Do(func() { forged.err = errPoisoned })
-	key := fitKey{hash: hash, family: dist.FamilyWeibull}
-	e.mu.Lock()
-	e.cis[key] = []*ciEntry{forged}
-	e.mu.Unlock()
+	forged := &tableEntry{
+		s:    dist.NewSamplePrehashed([]float64{42}, hash),
+		fits: []dist.FitResult{{Family: dist.FamilyWeibull}},
+		cis:  []*ciTarget{{f: dist.FamilyWeibull, err: errPoisoned}},
+	}
+	tab := fitTable{hash: {forged}}
 
-	_, cis, err := e.FitCI(context.Background(), xs, dist.FamilyWeibull)
+	ent, fresh := e.intern(tab, dist.NewSamplePrehashed(xs, hash))
+	if ent == forged || !fresh {
+		t.Fatal("intern served the colliding entry")
+	}
+	if ent.cis != nil {
+		t.Fatal("fresh entry carries the colliding entry's intervals")
+	}
+	if got := e.Collisions(); got != 1 {
+		t.Fatalf("Collisions = %d, want 1", got)
+	}
+
+	_, cis, err := e.FitCISample(context.Background(), ent.s, dist.FamilyWeibull)
 	if errors.Is(err, errPoisoned) {
 		t.Fatal("engine served the colliding entry's error")
 	}
@@ -93,51 +99,53 @@ func TestCIMemoDetectsHashCollision(t *testing.T) {
 	if len(cis) == 0 {
 		t.Fatal("no intervals returned")
 	}
-	if got := e.Collisions(); got < 1 {
-		t.Fatalf("Collisions = %d, want >= 1", got)
-	}
 }
 
+// TestSampleInternDetectsHashCollision covers same-hash samples that a
+// cheap identity check would merge: the table compares every value.
 func TestSampleInternDetectsHashCollision(t *testing.T) {
-	e := New(Options{Workers: 1})
 	xs := sample(t, 50)
-	hash := stats.HashSample(xs)
-
-	// Plant a different sample under the victim's hash bucket.
-	other := dist.NewSamplePrehashed([]float64{1, 2, 3}, hash)
-	e.mu.Lock()
-	e.samples[hash] = []*sampleEntry{{fp: fingerprint{n: 3, first: 7, last: 9}, s: other}}
-	e.mu.Unlock()
-
-	s := e.Intern(xs)
-	if s == other {
-		t.Fatal("Intern returned the colliding sample")
-	}
-	if s.N() != len(xs) {
-		t.Fatalf("interned N = %d, want %d", s.N(), len(xs))
-	}
-	if e.Collisions() < 1 {
-		t.Fatalf("Collisions = %d, want >= 1", e.Collisions())
-	}
-	// Re-interning must return the chained entry, not build a third.
-	if again := e.Intern(xs); again != s {
-		t.Fatal("re-intern did not return the chained sample")
+	// Same length, first and last value as xs; only a middle value
+	// differs.
+	middle := append([]float64(nil), xs...)
+	middle[len(middle)/2] *= 2
+	for _, tc := range []struct {
+		name  string
+		other []float64
+	}{
+		{"other length", []float64{1, 2, 3}},
+		{"same endpoints", middle},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Options{Workers: 1})
+			hash := stats.HashSample(xs)
+			tab := make(fitTable)
+			a, _ := e.intern(tab, dist.NewSamplePrehashed(tc.other, hash))
+			b, fresh := e.intern(tab, dist.NewSamplePrehashed(xs, hash))
+			if b == a || !fresh {
+				t.Fatal("intern merged samples with different values")
+			}
+			if got := e.Collisions(); got != 1 {
+				t.Fatalf("Collisions = %d, want 1", got)
+			}
+		})
 	}
 }
 
 // TestInternSharesSample pins the interning contract itself: equal content
-// yields the same *dist.Sample, different content does not.
+// yields the same entry, different content does not.
 func TestInternSharesSample(t *testing.T) {
 	e := New(Options{})
 	xs := sample(t, 100)
-	ys := make([]float64, len(xs))
-	copy(ys, xs)
-	a, b := e.Intern(xs), e.Intern(ys)
-	if a != b {
-		t.Fatal("equal-content slices interned to different Samples")
+	ys := append([]float64(nil), xs...)
+	tab := make(fitTable)
+	a, _ := e.intern(tab, dist.NewSample(xs))
+	b, fresh := e.intern(tab, dist.NewSample(ys))
+	if a != b || fresh {
+		t.Fatal("equal-content slices interned to different entries")
 	}
-	if c := e.Intern(xs[:50]); c == a {
-		t.Fatal("different content interned to the same Sample")
+	if c, _ := e.intern(tab, dist.NewSample(xs[:50])); c == a {
+		t.Fatal("different content interned to the same entry")
 	}
 	if e.Collisions() != 0 {
 		t.Fatalf("Collisions = %d, want 0", e.Collisions())

@@ -24,16 +24,26 @@ func sample(t *testing.T, n int) []float64 {
 	return xs
 }
 
-// The engine's FitAll must agree exactly with the sequential dist.FitAll:
-// same families, same ranking, same parameters and scores.
+// A fleet study's comparison must agree exactly with the sequential
+// dist.FitAll on the same sample: same families, same ranking, same
+// parameters and scores.
 func TestFitAllMatchesSequential(t *testing.T) {
-	xs := sample(t, 800)
-	eng := New(Options{Workers: 4, Seed: 1})
-	got, err := eng.FitAll(context.Background(), xs)
+	d, err := lanl.NewGenerator(lanl.Config{Seed: 3}).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := dist.FitAll(xs)
+	sys := d.BySystem(20)
+	eng := New(Options{Workers: 4, BootstrapReps: -1, Seed: 1})
+	res, err := eng.AnalyzeFleet(context.Background(), sys, ShardSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, ok := res.Shard(ShardKey{System: 20})
+	if !ok || shard.Interarrival == nil {
+		t.Fatal("no system 20 interarrival study")
+	}
+	got := shard.Interarrival.Fits
+	want, err := dist.FitAll(sys.PositiveInterarrivals())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,31 +61,46 @@ func TestFitAllMatchesSequential(t *testing.T) {
 	}
 }
 
-// Repeated fits of the same sample must come from the cache.
-func TestFitMemoization(t *testing.T) {
-	xs := sample(t, 300)
-	eng := New(Options{Workers: 2, Seed: 1})
-	ctx := context.Background()
-	if _, err := eng.FitAll(ctx, xs); err != nil {
+// Shards holding identical samples share one fit table entry: each
+// (sample, family) fit and interval is computed once per call, the
+// duplicate shard's requests count as hits, and the counts do not depend
+// on the worker count.
+func TestFitTableDedup(t *testing.T) {
+	d, err := lanl.NewGenerator(lanl.Config{Seed: 3}).Generate()
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfterFirst := eng.Stats()
-	if _, err := eng.FitAll(ctx, xs); err != nil {
-		t.Fatal(err)
+	// With one system in the trace, the fleet shard holds exactly the
+	// system shard's samples.
+	sys := d.BySystem(20)
+	spec := ShardSpec{IncludeFleet: true, CIFamilies: []dist.Family{dist.FamilyWeibull}}
+	run := func(workers int) (hits, misses uint64) {
+		eng := New(Options{Workers: workers, BootstrapReps: 8, Seed: 1})
+		res, err := eng.AnalyzeFleet(context.Background(), sys, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Shards) != 2 {
+			t.Fatalf("%d shards, want fleet and system 20", len(res.Shards))
+		}
+		fleet, system := res.Shards[0], res.Shards[1]
+		if !reflect.DeepEqual(fleet.Interarrival, system.Interarrival) || !reflect.DeepEqual(fleet.Repair, system.Repair) {
+			t.Fatal("identical samples gave different studies")
+		}
+		if eng.Collisions() != 0 {
+			t.Fatalf("Collisions = %d, want 0", eng.Collisions())
+		}
+		return eng.Stats()
 	}
-	hits, misses := eng.Stats()
-	if misses != missesAfterFirst {
-		t.Errorf("second FitAll added misses: %d -> %d", missesAfterFirst, misses)
+	// Two distinct samples (interarrival, repair), each fitted to the
+	// standard four families and given one Weibull interval.
+	perShard := uint64(2 * (len(dist.StandardFamilies()) + 1))
+	hits, misses := run(1)
+	if misses != perShard || hits != perShard {
+		t.Fatalf("workers 1: %d hits / %d misses, want %d / %d", hits, misses, perShard, perShard)
 	}
-	if hits < uint64(len(dist.StandardFamilies())) {
-		t.Errorf("second FitAll hit %d cache entries, want >= %d", hits, len(dist.StandardFamilies()))
-	}
-	// A different sample must miss.
-	if _, err := eng.FitAll(ctx, xs[:200]); err != nil {
-		t.Fatal(err)
-	}
-	if _, m := eng.Stats(); m <= misses {
-		t.Error("distinct sample did not add cache misses")
+	if h8, m8 := run(8); h8 != hits || m8 != misses {
+		t.Fatalf("workers 8: %d hits / %d misses, workers 1: %d / %d", h8, m8, hits, misses)
 	}
 }
 
@@ -90,9 +115,6 @@ func TestAnalyzeFleetCancellation(t *testing.T) {
 	eng := New(Options{Workers: 2, BootstrapReps: 16, Seed: 1})
 	if _, err := eng.AnalyzeFleet(ctx, d, ShardSpec{IncludeFleet: true}); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if _, err := eng.FitAll(ctx, sample(t, 100)); err != context.Canceled {
-		t.Fatalf("FitAll: got %v, want context.Canceled", err)
 	}
 	if _, _, err := eng.FitCI(ctx, sample(t, 100), dist.FamilyWeibull); err != context.Canceled {
 		t.Fatalf("FitCI: got %v, want context.Canceled", err)

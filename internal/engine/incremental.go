@@ -25,10 +25,9 @@ import (
 //     exactly the state a one-shot AnalyzeStream pass over the same
 //     sequence builds, however the sequence is split into appends.
 //
-//   - Lazy, memoized refresh: appends only fold accumulators (cheap, no
-//     fitting); Result refits only the shards whose record count moved
-//     since their cached result, reusing the engine's fit/CI memo, and
-//     serves the other shards from the per-shard cache.
+//   - Lazy refresh: appends only fold accumulators (cheap, no fitting);
+//     Result refits only the shards whose record count moved since their
+//     cached result and serves the other shards from the per-shard cache.
 //
 //   - Non-blocking queries: Result copies dirty shards under a short
 //     lock (O(sample) clones) and runs all fitting on the copies outside
@@ -164,8 +163,8 @@ func (inc *Incremental) Rates() []ShardRate {
 
 // Incremental snapshot codec. The format captures everything that
 // determines future folds and query answers — counters, per-shard
-// interarrival state and both accumulators (reservoir generator state
-// included, via the streamstats codec) — so restore + replay of a WAL
+// interarrival state and both accumulators (each reservoir's seed, seen
+// count and sample, via the streamstats codec) — so restore + replay of a WAL
 // suffix reproduces the exact in-memory state of an uninterrupted run.
 // The shard order is the canonical enumeration, making equal states
 // byte-equal snapshots.
@@ -182,8 +181,8 @@ var (
 )
 
 // WriteSnapshot serializes the full incremental state. The query cache
-// is deliberately excluded: a restored incremental refits lazily on the
-// first Result, reusing the engine's fit memo.
+// is deliberately excluded: a restored incremental refits every shard
+// lazily on its first Result.
 func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -292,6 +291,9 @@ func (e *Engine) ReadIncremental(rd io.Reader, opts StreamOptions) (*Incremental
 			if err := acc.UnmarshalBinary(b); err != nil {
 				return nil, fmt.Errorf("engine read incremental shard %s: %w", key, err)
 			}
+			if err := checkFolded(acc); err != nil {
+				return nil, fmt.Errorf("%w: shard %s: %v", ErrIncSnapshot, key, err)
+			}
 			*accp = acc
 		}
 		if _, dup := inc.accums[key]; dup {
@@ -322,4 +324,32 @@ func (e *Engine) ReadIncremental(rd io.Reader, opts StreamOptions) (*Incremental
 		return nil, fmt.Errorf("%w: header says %d out of order, shards hold %d", ErrIncSnapshot, outOfOrder, ooo)
 	}
 	return inc, nil
+}
+
+// checkFolded rejects an accumulator state no fold can produce. The fold
+// adds only positive, finite interarrival and repair times, so a folded
+// accumulator has a finite summary with a positive minimum and a
+// subsample of positive, finite values.
+func checkFolded(acc *streamstats.Accumulator) error {
+	if acc.N() == 0 {
+		return nil
+	}
+	s, err := acc.Summary()
+	if err != nil {
+		return err
+	}
+	for _, v := range []float64{s.Mean, s.Median, s.StdDev, s.Variance, s.C2, s.Min, s.Max} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite summary %+v", s)
+		}
+	}
+	if s.Min <= 0 {
+		return fmt.Errorf("summary minimum %g, want > 0", s.Min)
+	}
+	for _, x := range acc.Sample() {
+		if !(x > 0) || math.IsInf(x, 0) {
+			return fmt.Errorf("subsample value %g, want positive and finite", x)
+		}
+	}
+	return nil
 }

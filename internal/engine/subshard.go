@@ -21,8 +21,9 @@ import (
 // therefore share one scheduler below the shard.
 //
 // analyzeJobs decomposes each shard into independently schedulable tasks —
-// prepare (slice + summarize + intern), one task per (sample, family)
-// point fit, one per bootstrap CI plan, one per counter-seeded rep block —
+// prepare (slice + summarize + build the Sample), one task per distinct
+// (sample, family) point fit, one per bootstrap CI plan, one per
+// counter-seeded rep block —
 // and runs each phase on the engine's workers with par.Each, which starts
 // indexes in ascending order over the pre-sorted tasks, so the largest
 // shard dispatches first. Cancellation stops the phase from starting
@@ -33,17 +34,21 @@ import (
 // never *what* it is.
 
 // sampleState is one shard sample (interarrival or repair) after the
-// prepare phase: its size, summary and interned Sample, or the reason it
-// is not studied.
+// prepare phase: its size, summary and Sample, then the fit table entry
+// that holds its fits, or the reason it is not studied.
 type sampleState struct {
 	n       int
 	summary stats.Summary
 	sample  *dist.Sample
+	ent     *tableEntry
 	// skip marks a sample below the spec's minimum size — not studied,
 	// not an error.
 	skip bool
 	err  error
 }
+
+// studied reports whether the sample gets fitted.
+func (st *sampleState) studied() bool { return !st.skip && st.err == nil }
 
 // shardJob carries one shard through the phases. Exactly one of the
 // dataset path (sliced from d by prepare) and the streaming path (acc)
@@ -99,7 +104,7 @@ func (e *Engine) prepMem(st *sampleState, xs []float64, spec ShardSpec) {
 	if st.err != nil {
 		return
 	}
-	st.sample = e.Intern(xs)
+	st.sample = dist.NewSamplePrehashed(xs, stats.HashSample(xs))
 }
 
 func (e *Engine) prepStream(st *sampleState, acc *streamstats.Accumulator, spec ShardSpec) {
@@ -112,7 +117,8 @@ func (e *Engine) prepStream(st *sampleState, acc *streamstats.Accumulator, spec 
 	if st.err != nil {
 		return
 	}
-	st.sample = e.Intern(acc.Sample())
+	xs := acc.Sample()
+	st.sample = dist.NewSamplePrehashed(xs, stats.HashSample(xs))
 }
 
 // ciSpans partitions reps into contiguous rep blocks sized for the pool:
@@ -138,92 +144,100 @@ func ciSpans(reps, workers int) [][2]int {
 	return spans
 }
 
-// ciTarget is one (sample, family) confidence interval the pipeline owns:
-// the memo entry it will publish into, the plan, and its rep blocks.
+// ciTarget is one (sample, family) confidence interval of a call: its
+// plan and rep blocks, then the merged intervals or the error.
 type ciTarget struct {
-	ent     *ciEntry
-	s       *dist.Sample
-	f       dist.Family
-	plan    *dist.CIPlan
-	planErr error
-	spans   [][2]int
-	blocks  []dist.CIBlock
+	s      *dist.Sample
+	f      dist.Family
+	plan   *dist.CIPlan
+	spans  [][2]int
+	blocks []dist.CIBlock
+	cis    []dist.ParamCI
+	err    error
 }
 
 // analyzeJobs runs the sub-shard pipeline over the jobs: prepare, point
 // fits, CI plans, counter-seeded rep blocks, then a sequential merge and
-// assembly in enumeration order. It fills each job's res field.
+// assembly in enumeration order. It fills each job's res field. All fit
+// state lives in the call's fitTable and is dropped when the call returns.
 func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.Dataset, spec ShardSpec) error {
 	ord := e.orderJobs(jobs)
 
-	// Phase 1: prepare (slice, summarize, intern), largest shard first.
+	// Phase 1: prepare (slice, summarize, build the Sample), largest
+	// shard first.
 	par.Each(ctx, len(ord), e.workers, func(i int) { e.prepareJob(ord[i], d, spec) })
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
-	// Phase 2: point fits — one task per (sample, family), deduplicated
-	// through the interned sample pointer so shards sharing a sample do
-	// not queue the same fit twice.
+	// Phase 2: point fits. Shards holding the same sample share one table
+	// entry, so each (sample, family) is fitted once, into its slot.
 	type fitTask struct {
-		s *dist.Sample
-		f dist.Family
+		ent *tableEntry
+		k   int
 	}
-	fams := spec.families()
+	fams, ciFams := spec.families(), spec.ciFamilies()
+	tab := make(fitTable)
 	var fitTasks []fitTask
-	seenFit := make(map[fitTask]bool)
 	for _, j := range ord {
 		for _, st := range [2]*sampleState{&j.inter, &j.repair} {
-			if st.skip || st.err != nil {
+			if !st.studied() {
 				continue
 			}
-			for _, f := range fams {
-				t := fitTask{s: st.sample, f: f}
-				if seenFit[t] {
-					continue
-				}
-				seenFit[t] = true
-				fitTasks = append(fitTasks, t)
+			ent, fresh := e.intern(tab, st.sample)
+			st.ent = ent
+			if !fresh {
+				e.hits.Add(uint64(len(fams)))
+				continue
+			}
+			e.misses.Add(uint64(len(fams)))
+			ent.fits = make([]dist.FitResult, len(fams))
+			ent.cis = make([]*ciTarget, len(ciFams))
+			for k := range fams {
+				fitTasks = append(fitTasks, fitTask{ent: ent, k: k})
 			}
 		}
 	}
-	par.Each(ctx, len(fitTasks), e.workers, func(i int) { e.fitOne(fitTasks[i].s, fitTasks[i].f) })
+	par.Each(ctx, len(fitTasks), e.workers, func(i int) {
+		t := fitTasks[i]
+		t.ent.fits[t.k] = dist.FitOne(fams[t.k], t.ent.s)
+	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
-	// Phase 3: bootstrap intervals. Collect the CI targets assembly will
-	// ask for — same filter as assembleStudy: family requested,
-	// fitted, and not already in the memo — then fan the work out in two
-	// wavefronts (plan creation, rep blocks) and merge sequentially.
+	// Phase 3: bootstrap intervals for every requested family that
+	// fitted, one target per (sample, family), fanned out in two
+	// wavefronts (plan creation, rep blocks) and merged sequentially.
 	if e.reps >= 0 {
-		inFams := make(map[dist.Family]bool, len(fams))
-		for _, f := range fams {
-			inFams[f] = true
+		famAt := make(map[dist.Family]int, len(fams))
+		for k, f := range fams {
+			famAt[f] = k
 		}
 		var targets []*ciTarget
-		seenCI := make(map[*ciEntry]bool)
 		for _, j := range ord {
 			for _, st := range [2]*sampleState{&j.inter, &j.repair} {
-				if st.skip || st.err != nil {
+				if !st.studied() {
 					continue
 				}
-				for _, f := range spec.ciFamilies() {
-					if !inFams[f] || e.fitOne(st.sample, f).Err != nil {
+				ent := st.ent
+				for k, f := range ciFams {
+					if fk, ok := famAt[f]; !ok || ent.fits[fk].Err != nil {
 						continue
 					}
-					ent, _ := e.lookupCI(st.sample, f, false)
-					if seenCI[ent] || ent.done.Load() {
+					if ent.cis[k] != nil {
+						e.hits.Add(1)
 						continue
 					}
-					seenCI[ent] = true
-					targets = append(targets, &ciTarget{ent: ent, s: st.sample, f: f})
+					e.misses.Add(1)
+					ent.cis[k] = &ciTarget{s: ent.s, f: f}
+					targets = append(targets, ent.cis[k])
 				}
 			}
 		}
 		par.Each(ctx, len(targets), e.workers, func(i int) {
 			t := targets[i]
-			t.plan, t.planErr = dist.NewCIPlan(t.f, t.s, e.reps, e.level, e.taskSeed(t.s.Hash(), t.f))
+			t.plan, t.err = dist.NewCIPlan(t.f, t.s, e.reps, e.level, e.taskSeed(t.s.Hash(), t.f))
 		})
 		if err := ctx.Err(); err != nil {
 			return err
@@ -235,7 +249,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 		}
 		var btasks []blockTask
 		for _, t := range targets {
-			if t.planErr != nil {
+			if t.err != nil {
 				continue
 			}
 			t.spans = ciSpans(t.plan.Reps(), e.workers)
@@ -252,79 +266,63 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-
-		// Merge in rep order and publish through the entry's once, so a
-		// racing direct FitCISample call sees either nothing (and
-		// computes) or the complete result — never a partial one.
 		for _, t := range targets {
-			t := t
-			t.ent.once.Do(func() {
-				if t.planErr != nil {
-					t.ent.err = t.planErr
-				} else {
-					t.ent.dist, t.ent.cis, t.ent.err = t.plan.Merge(t.blocks)
-				}
-				t.ent.done.Store(true)
-			})
+			if t.err == nil {
+				_, t.cis, t.err = t.plan.Merge(t.blocks)
+			}
 		}
 	}
 
 	// Phase 4: assemble per-shard results sequentially in enumeration
-	// order. Every fit and interval is a memo hit now; this phase only
-	// shapes output (an interarrival error suppresses the repair study).
+	// order from the table; this phase only shapes output (an
+	// interarrival error suppresses the repair study).
 	for _, j := range jobs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		e.assembleJob(ctx, j, spec)
+		e.assembleJob(j, spec)
 	}
 	return ctx.Err()
 }
 
-func (e *Engine) assembleJob(ctx context.Context, j *shardJob, spec ShardSpec) {
+func (e *Engine) assembleJob(j *shardJob, spec ShardSpec) {
 	j.res = ShardResult{Key: j.key, Records: j.records}
 	var err error
-	j.res.Interarrival, err = e.assembleStudy(ctx, &j.inter, spec)
+	j.res.Interarrival, err = e.assembleStudy(&j.inter, spec)
 	if err != nil {
 		j.res.Err = fmt.Errorf("shard %s interarrival: %w", j.key, err)
 		return
 	}
-	j.res.Repair, err = e.assembleStudy(ctx, &j.repair, spec)
+	j.res.Repair, err = e.assembleStudy(&j.repair, spec)
 	if err != nil {
 		j.res.Err = fmt.Errorf("shard %s repair: %w", j.key, err)
 	}
 }
 
-// assembleStudy fits one prepared sample: summary, ranked comparison,
-// and bootstrap intervals for the requested families. A sample below the
-// spec's minimum size yields (nil, nil) — too small to study, not an
-// error. The fits and intervals were computed by the phases above, so the
-// calls here resolve from the memo.
-func (e *Engine) assembleStudy(ctx context.Context, st *sampleState, spec ShardSpec) (*Study, error) {
+// assembleStudy shapes one prepared sample's study: summary, ranked
+// comparison, and bootstrap intervals for the requested families, all
+// read from the sample's table entry. A sample below the spec's minimum
+// size yields (nil, nil) — too small to study, not an error.
+func (e *Engine) assembleStudy(st *sampleState, spec ShardSpec) (*Study, error) {
 	if st.skip {
 		return nil, nil
 	}
 	if st.err != nil {
 		return nil, st.err
 	}
-	fits, err := e.FitAllSample(ctx, st.sample, spec.families()...)
-	if err != nil {
-		return nil, err
+	ent := st.ent
+	if _, err := ent.s.ECDF(); err != nil {
+		return nil, fmt.Errorf("engine fit all: %w", err)
 	}
+	fits := dist.Rank(append([]dist.FitResult(nil), ent.fits...))
 	study := &Study{N: st.n, Summary: st.summary, Fits: fits}
 	if e.reps < 0 {
 		return study, nil
 	}
 	study.CIs = make(map[dist.Family][]dist.ParamCI)
-	for _, f := range spec.ciFamilies() {
-		r, ok := fits.ByFamily(f)
-		if !ok || r.Err != nil {
-			continue
-		}
-		if _, cis, err := e.FitCISample(ctx, st.sample, f); err == nil {
-			study.CIs[f] = cis
-		} else if ctx.Err() != nil {
-			return nil, ctx.Err()
+	for k, f := range spec.ciFamilies() {
+		if t := ent.cis[k]; t != nil && t.err == nil {
+			study.CIs[f] = t.cis
 		}
 	}
 	return study, nil

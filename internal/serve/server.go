@@ -59,8 +59,8 @@ type Config struct {
 	// DataDir is the durability root: the snapshot lives at
 	// DataDir/snapshot.bin, per-tenant WALs under DataDir/wal/. Required.
 	DataDir string
-	// Engine configures the fitting engine shared by all tenants (fits
-	// are memoized by sample content, so sharing is safe and saves work).
+	// Engine configures the fitting engine shared by all tenants. The
+	// engine keeps no fit state between calls, so sharing it is safe.
 	Engine engine.Options
 	// Stream configures sharding and streaming accuracy for every
 	// tenant's incremental analysis. Changing it across restarts is
@@ -290,7 +290,7 @@ func (s *Server) TenantNames() []string {
 	return names
 }
 
-// Engine exposes the shared fitting engine (memo statistics, etc.).
+// Engine exposes the shared fitting engine (work counters, etc.).
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Draining reports whether Shutdown has begun.

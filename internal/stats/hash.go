@@ -3,12 +3,11 @@ package stats
 import "math"
 
 // HashSample returns a 64-bit FNV-1a hash of a float sample, covering the
-// length and the exact bit pattern of every value in order. It is the
-// dataset-identity key the fit-memoization layer uses: two slices hash
-// equal iff they hold the same values in the same order (NaNs with
-// different payloads differ). Collisions between distinct samples are
-// possible in principle but negligible for the few dozen samples a process
-// analyzes.
+// length and the exact bit pattern of every value in order. It keys the
+// analysis engine's per-call fit table and its bootstrap seeds: slices
+// holding the same values in the same order hash equal (NaNs with
+// different payloads differ). Distinct samples may collide in principle,
+// so the fit table confirms every hash match by comparing the values.
 func HashSample(xs []float64) uint64 {
 	const (
 		offset64 = 14695981039346656037
