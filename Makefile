@@ -8,7 +8,8 @@ GO ?= go
 # analysis pipeline and the par worker pools, and short fuzz smokes
 # of the CSV reader, the ingest endpoint, the sweep-spec parser, the
 # binary trace round trip, the WAL payload decoder, the sketch,
-# reservoir and accumulator snapshot decoders and the incremental
+# reservoir and accumulator snapshot decoders, the sketch's dense bucket
+# store against the map store it replaced, and the incremental
 # (HFINC01) snapshot decoder, plus the repo benchmark module's own
 # checks.
 check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-engine fuzz-smoke perfbench-check
@@ -31,11 +32,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The sketch key oracle sweep is single-goroutine float arithmetic, so
-# it runs once at full size without the race detector instead of under it.
+# The sketch key oracle sweeps (bucket against the Pow oracle and
+# against its exact slowBucket fallback) are single-goroutine float
+# arithmetic, so they run once at full size without the race detector
+# instead of under it.
 race:
-	$(GO) test -race -skip '^TestSketchBucketMatchesPowOracle$$' ./...
-	$(GO) test -run '^TestSketchBucketMatchesPowOracle$$' ./internal/streamstats
+	$(GO) test -race -skip '^TestSketchBucketMatches(PowOracle|SlowPath)$$' ./...
+	$(GO) test -run '^TestSketchBucketMatches(PowOracle|SlowPath)$$' ./internal/streamstats
 
 # Race smoke of the parallel/streaming generator specifically: the one
 # block iterator over the par.Ordered pool behind Generate,
@@ -99,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTraceRoundTrip -fuzztime=10s -run=^$$ ./internal/tracefmt
 	$(GO) test -fuzz=FuzzWALPayload -fuzztime=10s -run=^$$ ./internal/serve
 	$(GO) test -fuzz=FuzzSketchSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
+	$(GO) test -fuzz=FuzzSketchAdd -fuzztime=10s -run=^$$ ./internal/streamstats
 	$(GO) test -fuzz=FuzzReservoirSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
 	$(GO) test -fuzz=FuzzAccumulatorSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
 	$(GO) test -fuzz=FuzzIncrementalSnapshot -fuzztime=10s -run=^$$ ./internal/engine

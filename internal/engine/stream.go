@@ -111,14 +111,15 @@ func (e *Engine) newShardAccum(key ShardKey, opts StreamOptions) (*shardAccum, e
 	return &shardAccum{inter: inter, repair: repair}, nil
 }
 
-// add folds one record into the shard: repair minutes unconditionally
-// (positive only, like Dataset.RepairTimes), the start-time delta against
-// the shard's previous record as an interarrival (positive only, like
-// Dataset.PositiveInterarrivals).
-func (a *shardAccum) add(r *failures.Record) {
+// add folds one record into the shard: its downtime in minutes, which
+// the caller computes once for all the record's shards, as a repair time
+// (positive only, like Dataset.RepairTimes), and the start-time delta
+// against the shard's previous record as an interarrival (positive only,
+// like Dataset.PositiveInterarrivals).
+func (a *shardAccum) add(r *failures.Record, downMin float64) {
 	a.records++
-	if m := r.Downtime().Minutes(); m > 0 {
-		a.repair.Add(m)
+	if downMin > 0 {
+		a.repair.Add(downMin)
 	}
 	if a.haveLast {
 		if r.Start.Before(a.lastStart) {
@@ -198,6 +199,7 @@ func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
 			}
 		}
 		r := &recs[i]
+		downMin := r.Downtime().Minutes()
 		keys, n := shardKeysFor(f.opts.Spec, r)
 		for j, key := range keys[:n] {
 			a := lastA[j]
@@ -208,7 +210,7 @@ func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
 				}
 				last[j], lastA[j] = key, a
 			}
-			a.add(r)
+			a.add(r, downMin)
 		}
 		f.records++
 	}

@@ -44,7 +44,7 @@ func FuzzSketchSnapshot(f *testing.F) {
 		if got.N() != s.N() {
 			t.Fatalf("N: %d after re-marshal, %d before", got.N(), s.N())
 		}
-		if declared, kept := declaredBuckets(data), len(got.pos)+len(got.neg); kept != declared {
+		if declared, kept := declaredBuckets(data), got.pos.len()+got.neg.len(); kept != declared {
 			t.Fatalf("re-marshal keeps %d bucket entries, blob declared %d", kept, declared)
 		}
 		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.99, 1} {

@@ -145,6 +145,117 @@ func TestSketchBucketMatchesPowOracle(t *testing.T) {
 	}
 }
 
+// TestSketchBucketMatchesSlowPath pins that bucket's fastLog path
+// returns slowBucket's key: over the Pow-oracle sweep's edges at ±4
+// ulps, random keys and random bit patterns, plus the normal/subnormal
+// boundary, at every epsilon of that sweep, those below
+// MinSketchEpsilon included.
+func TestSketchBucketMatchesSlowPath(t *testing.T) {
+	randomKeys, randomBits := 200_000, 1_000_000
+	if testing.Short() {
+		randomKeys, randomBits = 20_000, 100_000
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, eps := range []float64{1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 0.1, 0.5, 0.9} {
+		s := newSketch(eps)
+		mismatches := 0
+		check := func(x float64) {
+			if !(x > 0) || math.IsInf(x, 0) {
+				return
+			}
+			got, want := s.bucket(x), s.slowBucket(x)
+			if got != want {
+				if mismatches++; mismatches <= 5 {
+					t.Errorf("eps %g: bucket(%v) = %d, slowBucket %d", eps, x, got, want)
+				}
+			}
+		}
+		checkEdge := func(k int) {
+			bits := math.Float64bits(math.Pow(s.gamma, float64(k)))
+			for d := -4; d <= 4; d++ {
+				check(math.Float64frombits(bits + uint64(d)))
+			}
+		}
+		for k := -3000; k <= 3000; k++ {
+			checkEdge(k)
+		}
+		for i := 0; i < randomKeys; i++ {
+			checkEdge(s.minKey + rng.Intn(s.maxKey-s.minKey+1))
+		}
+		for i := 0; i < randomBits; i++ {
+			check(math.Float64frombits(rng.Uint64() >> 1))
+		}
+		for d := -4; d <= 4; d++ {
+			check(math.Float64frombits(math.Float64bits(0x1p-1022) + uint64(d)))
+		}
+		if mismatches > 0 {
+			t.Fatalf("eps %g: %d keys differ from slowBucket", eps, mismatches)
+		}
+	}
+}
+
+// fastLog's error against math.Log must stay within 1/64 of the bound
+// bucket assumes, 2^-40*(1+|ln x|): over random normal bit patterns,
+// every power of two, and both sides of every table cell's edge at
+// several exponents.
+func TestFastLogErrorBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	worst, worstX := 0.0, 0.0
+	check := func(x float64) {
+		want := math.Log(x)
+		err := math.Abs(fastLog(x) - want)
+		if err > 0x1p-46*(1+math.Abs(want)) {
+			t.Fatalf("fastLog(%v) = %v, math.Log %v: error %g over 2^-46*(1+|ln x|)", x, fastLog(x), want, err)
+		}
+		if rel := err / (1 + math.Abs(want)); rel > worst {
+			worst, worstX = rel, x
+		}
+	}
+	for i := 0; i < 1_000_000; i++ {
+		// A positive normal: biased exponent in [1, 2046].
+		exp := uint64(1 + rng.Intn(2046))
+		check(math.Float64frombits(exp<<52 | rng.Uint64()&(1<<52-1)))
+	}
+	for e := -1022; e <= 1023; e++ {
+		check(math.Ldexp(1, e))
+	}
+	for _, e := range []int{-1022, -500, -1, 0, 1, 500, 1023} {
+		for j := 0; j < 256; j++ {
+			edge := math.Ldexp(1+float64(j)/256, e)
+			for _, x := range []float64{edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1))} {
+				if x >= 0x1p-1022 && x <= math.MaxFloat64 {
+					check(x)
+				}
+			}
+		}
+	}
+	t.Logf("worst |fastLog - math.Log|/(1+|ln x|) = %.3g at x = %v", worst, worstX)
+}
+
+// A warm Accumulator.Add — reservoir full, sketch window grown over the
+// sample's keys — allocates nothing.
+func TestAccumulatorAddAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 1<<12)
+	for i := range xs {
+		xs[i] = math.Exp(8 + 2.5*rng.NormFloat64())
+	}
+	acc, err := NewAccumulator(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*DefaultReservoirSize; i++ {
+		acc.Add(xs[i&(len(xs)-1)])
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(10_000, func() {
+		acc.Add(xs[i&(len(xs)-1)])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("warm Accumulator.Add allocates %v times per call", allocs)
+	}
+}
+
 // TestSketchTinyValuesBoundMapGrowth pins the memory half of the bucket
 // clamp: a stream sweeping the subnormal range must not mint a map key
 // per magnitude, and the resulting quantiles must stay positive (the
@@ -160,14 +271,15 @@ func TestSketchTinyValuesBoundMapGrowth(t *testing.T) {
 		s.Add(-x)
 		n++
 	}
-	for k := range s.pos {
+	s.pos.each(false, func(k int, _ uint64) bool {
 		if k < s.minKey || k > s.maxKey {
 			t.Fatalf("subnormal stream minted out-of-range key %d", k)
 		}
-	}
-	if len(s.pos) > 2 || len(s.neg) > 2 {
+		return true
+	})
+	if s.pos.len() > 2 || s.neg.len() > 2 {
 		t.Fatalf("subnormal stream grew %d pos / %d neg buckets, want them collapsed at the clamp edge",
-			len(s.pos), len(s.neg))
+			s.pos.len(), s.neg.len())
 	}
 	q, err := s.Quantile(0.75)
 	if err != nil {
@@ -176,7 +288,7 @@ func TestSketchTinyValuesBoundMapGrowth(t *testing.T) {
 	if !(q > 0) || math.IsInf(q, 0) {
 		t.Fatalf("quantile of positive subnormal observations = %g, want finite positive", q)
 	}
-	t.Logf("%d subnormal magnitudes -> %d pos buckets", n, len(s.pos))
+	t.Logf("%d subnormal magnitudes -> %d pos buckets", n, s.pos.len())
 }
 
 // TestAccumulatorAgreesWithSummarize is the streaming layer's accuracy

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrEmptySketch is returned when a quantile of an empty sketch is taken.
@@ -27,19 +26,22 @@ type QuantileSketch struct {
 	// minKey and maxKey bound the bucket index range: outside it the
 	// representative value would underflow to 0 or overflow past
 	// MaxFloat64, and unclamped subnormal inputs would mint tens of
-	// thousands of distinct map keys. Magnitudes beyond the range
+	// thousands of distinct bucket keys. Magnitudes beyond the range
 	// collapse into the edge buckets instead.
 	minKey int
 	maxKey int
-	// slack is 2^-46/lnGamma, bucket's edge margin per unit of |f|.
-	slack  float64
-	pos    map[int]uint64
-	neg    map[int]uint64
-	zero   uint64
-	posInf uint64
-	negInf uint64
-	nan    uint64
-	n      uint64
+	// slack is 2^-46/lnGamma, slowBucket's edge margin per unit of |f|.
+	slack float64
+	// logSlack is 2^-40/lnGamma: fastLog's error bound, per unit of
+	// 1+|ln x|, in bucket-index units.
+	logSlack float64
+	pos      bucketCounts
+	neg      bucketCounts
+	zero     uint64
+	posInf   uint64
+	negInf   uint64
+	nan      uint64
+	n        uint64
 }
 
 // DefaultSketchEpsilon is the relative accuracy used when
@@ -75,14 +77,13 @@ func newSketch(eps float64) *QuantileSketch {
 	minKey := int(math.Ceil(math.Log(0x1p-1022) / lnGamma))
 	maxKey := int(math.Floor(math.Log(math.MaxFloat64/2) / lnGamma))
 	return &QuantileSketch{
-		eps:     eps,
-		gamma:   gamma,
-		lnGamma: lnGamma,
-		minKey:  minKey,
-		maxKey:  maxKey,
-		slack:   0x1p-46 / lnGamma,
-		pos:     make(map[int]uint64),
-		neg:     make(map[int]uint64),
+		eps:      eps,
+		gamma:    gamma,
+		lnGamma:  lnGamma,
+		minKey:   minKey,
+		maxKey:   maxKey,
+		slack:    0x1p-46 / lnGamma,
+		logSlack: 0x1p-40 / lnGamma,
 	}
 }
 
@@ -94,7 +95,43 @@ func (s *QuantileSketch) N() int { return int(s.n) }
 
 // bucket returns the geometric bucket index of a positive finite value:
 // the k with x in (gamma^(k-1), gamma^k], clamped to [minKey, maxKey].
+//
+// It estimates slowBucket's f = ln x / lnGamma as g from fastLog, whose
+// error in index units is at most d = (1+|ln x|)*logSlack, and returns
+// ceil(g) when g is farther than slowBucket's margin plus d from both
+// ceil(g) and ceil(g)-1. Then f lies in the same bucket interval and
+// farther than its own margin from both edges, where slowBucket returns
+// ceil(f) without settling, so the key is slowBucket's. Every other
+// value (subnormals, values near an edge, and any value at an eps so
+// small that the margin spans a bucket) takes slowBucket itself.
 func (s *QuantileSketch) bucket(x float64) int {
+	if x >= 0x1p-1022 && x <= math.MaxFloat64 {
+		lx := fastLog(x)
+		g := lx / s.lnGamma
+		c := math.Ceil(g)
+		d := (1 + math.Abs(lx)) * s.logSlack
+		// slowBucket's margin at any f within d of g, plus d.
+		if m := (1+math.Abs(g)+d)*s.slack + d; c-g > m && g-(c-1) > m {
+			return s.clamp(int(c))
+		}
+	}
+	return s.slowBucket(x)
+}
+
+// clamp limits a bucket index to [minKey, maxKey].
+func (s *QuantileSketch) clamp(k int) int {
+	if k < s.minKey {
+		return s.minKey
+	}
+	if k > s.maxKey {
+		return s.maxKey
+	}
+	return k
+}
+
+// slowBucket is bucket's exact fallback: math.Log for the estimate and
+// the Pow settle near an edge.
+func (s *QuantileSketch) slowBucket(x float64) int {
 	f := math.Log(x) / s.lnGamma
 	c := math.Ceil(f)
 	k := int(c)
@@ -141,9 +178,9 @@ func (s *QuantileSketch) Add(x float64) {
 	case x == 0:
 		s.zero++
 	case x > 0:
-		s.pos[s.bucket(x)]++
+		s.pos.add(s.bucket(x))
 	default:
-		s.neg[s.bucket(-x)]++
+		s.neg.add(s.bucket(-x))
 	}
 }
 
@@ -167,6 +204,12 @@ func (s *QuantileSketch) Quantile(q float64) (float64, error) {
 	// type-7 quantile definition used by stats.Quantile.
 	rank := uint64(math.Round(q * float64(s.n-1)))
 	var seen uint64
+	found, at := false, 0
+	find := func(k int, c uint64) bool {
+		seen += c
+		found, at = rank < seen, k
+		return !found
+	}
 
 	// Ascending value order: -Inf, negatives (large magnitude first),
 	// zero, positives (small magnitude first), +Inf.
@@ -176,11 +219,8 @@ func (s *QuantileSketch) Quantile(q float64) (float64, error) {
 			return math.Inf(-1), nil
 		}
 	}
-	for _, k := range s.sortedKeys(s.neg, true) {
-		seen += s.neg[k]
-		if rank < seen {
-			return -s.value(k), nil
-		}
+	if s.neg.each(true, find); found {
+		return -s.value(at), nil
 	}
 	if s.zero > 0 {
 		seen += s.zero
@@ -188,11 +228,8 @@ func (s *QuantileSketch) Quantile(q float64) (float64, error) {
 			return 0, nil
 		}
 	}
-	for _, k := range s.sortedKeys(s.pos, false) {
-		seen += s.pos[k]
-		if rank < seen {
-			return s.value(k), nil
-		}
+	if s.pos.each(false, find); found {
+		return s.value(at), nil
 	}
 	return math.Inf(1), nil
 }
@@ -200,18 +237,34 @@ func (s *QuantileSketch) Quantile(q float64) (float64, error) {
 // Median returns the estimated 0.5 quantile.
 func (s *QuantileSketch) Median() (float64, error) { return s.Quantile(0.5) }
 
-// sortedKeys returns the bucket indices of one sign's map, descending for
-// the negative half (so iteration is in ascending value order).
-func (s *QuantileSketch) sortedKeys(m map[int]uint64, descending bool) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// ln2Hi + ln2Lo is ln 2 split as in math.Log: ln2Hi has its low 21
+// mantissa bits clear, so e*ln2Hi is exact for every float64 exponent e.
+const (
+	ln2Hi = 6.93147180369123816490e-01 // 0x3fe62e42fee00000
+	ln2Lo = 1.90821492927058770002e-10 // 0x3dea39ef35793c76
+)
+
+// logTable[j] is ln(1 + j/256) and invTable[j] is 1/(1 + j/256).
+var logTable, invTable = func() (lt, it [256]float64) {
+	for j := range lt {
+		lt[j] = math.Log1p(float64(j) / 256)
+		it[j] = 1 / (1 + float64(j)/256)
 	}
-	sort.Ints(keys)
-	if descending {
-		for i, j := 0, len(keys)-1; i < j; i, j = i+1, j-1 {
-			keys[i], keys[j] = keys[j], keys[i]
-		}
-	}
-	return keys
+	return lt, it
+}()
+
+// fastLog returns ln x for a positive normal float64 x, to within
+// 2^-40*(1+|ln x|); tests measure under 6e-16*(1+|ln x|). x = 2^e * m with
+// m in [1, 2), c = 1 + j/256 is m truncated to 8 fraction bits, and
+// ln x = e*ln 2 + ln c + log1p(r) for r = (m-c)/c in [0, 2^-8), where
+// the degree-5 Taylor polynomial of log1p is off by under r^6/6 < 6e-16.
+func fastLog(x float64) float64 {
+	b := math.Float64bits(x)
+	e := float64(int(b>>52) - 1023)
+	j := b >> 44 & 0xff
+	m := math.Float64frombits(b&(1<<52-1) | 1023<<52)
+	c := math.Float64frombits(b&(0xff<<44) | 1023<<52)
+	r := (m - c) * invTable[j] // m-c is exact: c is m's leading bits
+	p := r * (1 + r*(-1.0/2+r*(1.0/3+r*(-1.0/4+r*(1.0/5)))))
+	return e*ln2Hi + (logTable[j] + (p + e*ln2Lo))
 }

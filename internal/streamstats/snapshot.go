@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"hpcfail/internal/binx"
 )
@@ -119,29 +118,26 @@ func (m *Moments) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// appendBuckets writes one sign's bucket map in sorted key order.
-func appendBuckets(buf []byte, m map[int]uint64) []byte {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
+// appendBuckets writes one sign's buckets in ascending key order.
+func appendBuckets(buf []byte, b *bucketCounts) []byte {
+	buf = binary.AppendUvarint(buf, uint64(b.len()))
+	b.each(false, func(k int, c uint64) bool {
 		buf = binary.AppendVarint(buf, int64(k))
-		buf = binary.AppendUvarint(buf, m[k])
-	}
+		buf = binary.AppendUvarint(buf, c)
+		return true
+	})
 	return buf
 }
 
-// readBuckets reads one sign's bucket map. An entry is a varint key and
-// a uvarint count, so the entry count is bounded at two bytes an entry.
-// appendBuckets writes keys strictly increasing with nonzero counts, and
-// no Add makes anything else, so any other entry is rejected: a
-// repeated key would otherwise silently keep only its last count.
-func readBuckets(r *binx.Reader) (map[int]uint64, error) {
+// readBuckets reads one sign's bucket entries. An entry is a varint key
+// and a uvarint count, so the entry count is bounded at two bytes an
+// entry. appendBuckets writes keys strictly increasing with nonzero
+// counts, and no Add makes anything else, so any other entry is
+// rejected: a repeated key would otherwise silently keep only its last
+// count.
+func readBuckets(r *binx.Reader) ([]bucketEntry, error) {
 	n := r.Count(2)
-	m := make(map[int]uint64, n)
+	entries := make([]bucketEntry, 0, n)
 	var prev int64
 	for i := 0; i < n; i++ {
 		k, c := r.Varint(), r.Uvarint()
@@ -154,10 +150,10 @@ func readBuckets(r *binx.Reader) (map[int]uint64, error) {
 		if c == 0 {
 			return nil, fmt.Errorf("%w: sketch bucket key %d has count 0", ErrSnapshot, k)
 		}
-		m[int(k)] = c
+		entries = append(entries, bucketEntry{key: int(k), count: c})
 		prev = k
 	}
-	return m, nil
+	return entries, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -169,8 +165,8 @@ func (s *QuantileSketch) MarshalBinary() ([]byte, error) {
 	buf = appendU64(buf, s.negInf)
 	buf = appendU64(buf, s.nan)
 	buf = appendU64(buf, s.n)
-	buf = appendBuckets(buf, s.pos)
-	buf = appendBuckets(buf, s.neg)
+	buf = appendBuckets(buf, &s.pos)
+	buf = appendBuckets(buf, &s.neg)
 	return buf, nil
 }
 
@@ -204,35 +200,42 @@ func (s *QuantileSketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: %v", ErrSnapshot, err)
 	}
 	out.zero, out.posInf, out.negInf, out.nan, out.n = zero, posInf, negInf, nan, n
-	out.pos, out.neg = pos, neg
-	if err := out.checkRestored(); err != nil {
+	if err := out.checkRestored(pos, neg); err != nil {
 		return err
 	}
 	*s = *out
 	return nil
 }
 
-// checkRestored rejects decoded state that no sequence of Adds
-// produces: a bucket key outside [minKey, maxKey], whose representative
-// value would be 0 or +Inf, or counters that do not sum to n.
-func (s *QuantileSketch) checkRestored() error {
+// checkRestored loads decoded bucket entries into s, rejecting state
+// that no sequence of Adds produces: a bucket key outside [minKey,
+// maxKey], whose representative value would be 0 or +Inf, or counters
+// that do not sum to n. Entries arrive in ascending key order, so the
+// first and last keys bound them all.
+func (s *QuantileSketch) checkRestored(pos, neg []bucketEntry) error {
+	for _, entries := range [][]bucketEntry{pos, neg} {
+		if n := len(entries); n > 0 {
+			for _, k := range []int{entries[0].key, entries[n-1].key} {
+				if k < s.minKey || k > s.maxKey {
+					return fmt.Errorf("%w: sketch bucket key %d outside [%d, %d]", ErrSnapshot, k, s.minKey, s.maxKey)
+				}
+			}
+		}
+	}
+	s.pos.load(pos)
+	s.neg.load(neg)
 	var sum, carry uint64
-	add := func(c uint64) {
+	add := func(_ int, c uint64) bool {
 		var cc uint64
 		sum, cc = bits.Add64(sum, c, 0)
 		carry |= cc
+		return true
 	}
 	for _, c := range []uint64{s.zero, s.posInf, s.negInf, s.nan} {
-		add(c)
+		add(0, c)
 	}
-	for _, m := range []map[int]uint64{s.pos, s.neg} {
-		for k, c := range m {
-			if k < s.minKey || k > s.maxKey {
-				return fmt.Errorf("%w: sketch bucket key %d outside [%d, %d]", ErrSnapshot, k, s.minKey, s.maxKey)
-			}
-			add(c)
-		}
-	}
+	s.pos.each(false, add)
+	s.neg.each(false, add)
 	if carry != 0 || sum != s.n {
 		return fmt.Errorf("%w: sketch counts do not sum to n = %d", ErrSnapshot, s.n)
 	}
@@ -242,14 +245,8 @@ func (s *QuantileSketch) checkRestored() error {
 // Clone returns an independent deep copy of the sketch.
 func (s *QuantileSketch) Clone() *QuantileSketch {
 	c := *s
-	c.pos = make(map[int]uint64, len(s.pos))
-	for k, v := range s.pos {
-		c.pos[k] = v
-	}
-	c.neg = make(map[int]uint64, len(s.neg))
-	for k, v := range s.neg {
-		c.neg[k] = v
-	}
+	c.pos = s.pos.clone()
+	c.neg = s.neg.clone()
 	return &c
 }
 

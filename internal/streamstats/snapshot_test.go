@@ -427,12 +427,12 @@ func sketchBlob(t *testing.T, mutate func(s *QuantileSketch)) []byte {
 // of 0 or +Inf, undoing the clamp Add applies; restore must refuse it.
 func TestSketchSnapshotRejectsOutOfRangeKey(t *testing.T) {
 	cases := map[string]func(s *QuantileSketch){
-		"pos 2^40":      func(s *QuantileSketch) { s.pos[1<<40] = 1; s.n++ },
-		"pos above max": func(s *QuantileSketch) { s.pos[s.maxKey+1] = 1; s.n++ },
-		"pos below min": func(s *QuantileSketch) { s.pos[s.minKey-1] = 1; s.n++ },
-		"neg above max": func(s *QuantileSketch) { s.neg[s.maxKey+1] = 1; s.n++ },
-		"neg below min": func(s *QuantileSketch) { s.neg[s.minKey-1] = 1; s.n++ },
-		"neg -2^40":     func(s *QuantileSketch) { s.neg[-1<<40] = 1; s.n++ },
+		"pos 2^40":      func(s *QuantileSketch) { s.pos.add(1 << 40); s.n++ },
+		"pos above max": func(s *QuantileSketch) { s.pos.add(s.maxKey + 1); s.n++ },
+		"pos below min": func(s *QuantileSketch) { s.pos.add(s.minKey - 1); s.n++ },
+		"neg above max": func(s *QuantileSketch) { s.neg.add(s.maxKey + 1); s.n++ },
+		"neg below min": func(s *QuantileSketch) { s.neg.add(s.minKey - 1); s.n++ },
+		"neg -2^40":     func(s *QuantileSketch) { s.neg.add(-1 << 40); s.n++ },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -443,7 +443,7 @@ func TestSketchSnapshotRejectsOutOfRangeKey(t *testing.T) {
 		})
 	}
 	// The edge keys themselves are reachable by Add and must restore.
-	edges := sketchBlob(t, func(s *QuantileSketch) { s.pos[s.minKey]++; s.neg[s.maxKey]++; s.n += 2 })
+	edges := sketchBlob(t, func(s *QuantileSketch) { s.pos.add(s.minKey); s.neg.add(s.maxKey); s.n += 2 })
 	if err := (&QuantileSketch{}).UnmarshalBinary(edges); err != nil {
 		t.Fatalf("edge keys: %v", err)
 	}
@@ -455,13 +455,13 @@ func TestSketchSnapshotRejectsCountMismatch(t *testing.T) {
 	cases := map[string]func(s *QuantileSketch){
 		"n too large":    func(s *QuantileSketch) { s.n += 5 },
 		"n too small":    func(s *QuantileSketch) { s.n-- },
-		"extra bucket":   func(s *QuantileSketch) { s.pos[0]++ },
+		"extra bucket":   func(s *QuantileSketch) { s.pos.add(0) },
 		"extra zero":     func(s *QuantileSketch) { s.zero++ },
 		"extra +Inf":     func(s *QuantileSketch) { s.posInf++ },
 		"extra -Inf":     func(s *QuantileSketch) { s.negInf++ },
 		"extra NaN":      func(s *QuantileSketch) { s.nan++ },
 		"sum wraps to n": func(s *QuantileSketch) { s.zero = math.MaxUint64 - 2; s.nan = 3 },
-		"empty with n=1": func(s *QuantileSketch) { s.pos = map[int]uint64{}; s.n = 1 },
+		"empty with n=1": func(s *QuantileSketch) { s.pos = bucketCounts{}; s.n = 1 },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -477,8 +477,13 @@ func TestSketchSnapshotRejectsCountMismatch(t *testing.T) {
 // bucket entries written as-is, in order, so a test can build blobs that
 // appendBuckets never writes. Each entry is a {key, count} pair.
 func rawSketchBlob(n uint64, pos, neg [][2]int64) []byte {
+	return rawSketchBlobEps(0.01, n, pos, neg)
+}
+
+// rawSketchBlobEps is rawSketchBlob at a given epsilon.
+func rawSketchBlobEps(eps float64, n uint64, pos, neg [][2]int64) []byte {
 	buf := appendHeader(nil, sketchKind)
-	buf = appendF64(buf, 0.01)
+	buf = appendF64(buf, eps)
 	for _, c := range []uint64{0, 0, 0, 0, n} {
 		buf = appendU64(buf, c)
 	}
