@@ -9,9 +9,10 @@ GO ?= go
 # of the CSV reader, the ingest endpoint, the sweep-spec parser, the
 # binary trace round trip, the WAL payload decoder, the sketch,
 # reservoir and accumulator snapshot decoders, the sketch's dense bucket
-# store against the map store it replaced, and the incremental
-# (HFINC01) snapshot decoder, plus the repo benchmark module's own
-# checks.
+# store against the map store it replaced, the keyed accumulator add
+# against Add, the incremental (HFINC01) and server (HFSRV01) snapshot
+# decoders, and the fold's integer start instants against time.Time,
+# plus the repo benchmark module's own checks.
 check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-engine fuzz-smoke perfbench-check
 
 vet:
@@ -105,7 +106,10 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSketchAdd -fuzztime=10s -run=^$$ ./internal/streamstats
 	$(GO) test -fuzz=FuzzReservoirSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
 	$(GO) test -fuzz=FuzzAccumulatorSnapshot -fuzztime=10s -run=^$$ ./internal/streamstats
+	$(GO) test -fuzz=FuzzAccumulatorAddKeyed -fuzztime=10s -run=^$$ ./internal/streamstats
 	$(GO) test -fuzz=FuzzIncrementalSnapshot -fuzztime=10s -run=^$$ ./internal/engine
+	$(GO) test -fuzz=FuzzInstantSub -fuzztime=10s -run=^$$ ./internal/engine
+	$(GO) test -fuzz=FuzzServerSnapshot -fuzztime=10s -run=^$$ ./internal/serve
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -106,10 +106,13 @@ type agreement struct {
 //
 // -scale multiplies the reference failure rate; the trace grows linearly
 // with it (scale 1 is ~23k records, scale 100 ~2.1M, scale 5000 ~100M,
-// scale 47000 ~1B). Every streaming window is bounded-memory, so the
-// 100M–1B-record regime differs from the committed run only in wall
-// clock and disk, not in peak heap; -skip-inmem drops the materialized
-// path, which is the one window that cannot survive that regime.
+// scale 47000 ~1B). The analysis windows are bounded-memory, so there
+// the 100M–1B-record regime differs from the committed run only in wall
+// clock and disk. The write windows are not: generation holds whole
+// system blocks, about 125 B/record (68 MB, 298 MB and 1.09 GB VmHWM for
+// 0.53M, 2.1M and 8.5M records from lanlgen -stream -format bin at
+// -workers 2). -skip-inmem drops the materialized path, the one analysis
+// window that cannot survive that regime.
 // -cpuprofile and -memprofile capture pprof profiles of the whole run
 // (make prof-trace) for finding the fused pipeline's next serial term.
 func runTrace(args []string) error {
@@ -371,10 +374,13 @@ func runTrace(args []string) error {
 			"(not RSS). Write windows include generation, identically for both formats. " +
 			"The _par windows rerun the binary codec with -workers block encode/decode " +
 			"goroutines; their speedups are wall-clock, bounded by min(workers, gomaxprocs). " +
-			"All streaming windows are bounded-memory, so -scale extends to the " +
-			"100M-1B-record regime without changing their peak heap; csv_inmem is the " +
-			"one window that cannot (it materializes the dataset) and is what the fused " +
-			"binary pipeline replaces. agreement compares csv_analyze with csv_inmem: " +
+			"The streaming analysis windows are bounded-memory, so -scale extends them to " +
+			"the 100M-1B-record regime without changing their peak heap; csv_inmem is the " +
+			"one analysis window that cannot (it materializes the dataset) and is what the " +
+			"fused binary pipeline replaces. The write windows are not bounded: generation " +
+			"holds whole system blocks, about 125 B/record (lanlgen -stream -format bin at " +
+			"-workers 2 peaks at 68 MB, 298 MB and 1.09 GB VmHWM for 0.53M, 2.1M and 8.5M " +
+			"records). agreement compares csv_analyze with csv_inmem: " +
 			"streaming moments are exact up to fp reassociation, medians are sketched " +
 			"within sketch_epsilon of the anchored order statistic, and fits use seeded " +
 			"reservoir subsamples.",

@@ -132,7 +132,7 @@ func (inc *Incremental) Result(ctx context.Context) (*FleetResult, *StreamInfo, 
 type ShardRate struct {
 	Key     ShardKey
 	Records int
-	// First and Last bound the observed start times.
+	// First and Last bound the observed start times, in UTC.
 	First, Last time.Time
 	// PerDay is Records divided by the span in days; for a span of zero
 	// (a single record, or all records simultaneous) it is NaN.
@@ -151,8 +151,8 @@ func (inc *Incremental) Rates() []ShardRate {
 		a := inc.accums[key]
 		r := ShardRate{Key: key, Records: a.records, PerDay: math.NaN()}
 		if a.haveLast {
-			r.First, r.Last = a.firstStart, a.lastStart
-			if span := a.lastStart.Sub(a.firstStart); span > 0 {
+			r.First, r.Last = a.firstStart.time(), a.lastStart.time()
+			if span := a.lastStart.sub(a.firstStart); span > 0 {
 				r.PerDay = float64(a.records) / (span.Hours() / 24)
 			}
 		}
@@ -218,8 +218,8 @@ func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 		buf = binary.AppendUvarint(buf, uint64(a.outOfOrder))
 		if a.haveLast {
 			buf = append(buf, 1)
-			buf = binx.AppendTime(buf, a.firstStart)
-			buf = binx.AppendTime(buf, a.lastStart)
+			buf = binx.AppendTime(buf, a.firstStart.time())
+			buf = binx.AppendTime(buf, a.lastStart.time())
 		} else {
 			buf = append(buf, 0)
 		}
@@ -280,7 +280,7 @@ func (e *Engine) ReadIncremental(rd io.Reader, opts StreamOptions) (*Incremental
 		}
 		a := &shardAccum{records: int(r.Uvarint()), outOfOrder: int(r.Uvarint())}
 		if a.haveLast = r.Byte() != 0; a.haveLast {
-			a.firstStart, a.lastStart = r.Time(), r.Time()
+			a.firstStart, a.lastStart = instantOf(r.Time()), instantOf(r.Time())
 		}
 		for _, accp := range []**streamstats.Accumulator{&a.inter, &a.repair} {
 			b := r.Bytes(r.Count(1))

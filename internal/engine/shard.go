@@ -215,9 +215,10 @@ func shardOrder[V any](m map[ShardKey]V, spec ShardSpec) []ShardKey {
 // and never influence a result.
 func fleetShardSizes(d *failures.Dataset, spec ShardSpec) map[ShardKey]int {
 	counts := make(map[ShardKey]int)
+	var ks [4]ShardKey
 	for i := 0; i < d.Len(); i++ {
 		r := d.At(i)
-		ks, n := shardKeysFor(spec, &r)
+		n := shardKeysFor(spec, &r, &ks)
 		for _, k := range ks[:n] {
 			counts[k]++
 		}

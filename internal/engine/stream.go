@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"hpcfail/internal/failures"
 	"hpcfail/internal/streamstats"
@@ -58,13 +57,13 @@ type StreamInfo struct {
 }
 
 // shardAccum is the O(1)-memory state of one shard during a streaming
-// pass: counts, the first/previous start times for rate and interarrival
-// accounting, and one streaming accumulator per sample kind.
+// pass: counts, the earliest and latest start times for rate and
+// interarrival accounting, and one streaming accumulator per sample kind.
 type shardAccum struct {
 	records    int
 	haveLast   bool
-	firstStart time.Time
-	lastStart  time.Time
+	firstStart instant
+	lastStart  instant
 	outOfOrder int
 	inter      *streamstats.Accumulator
 	repair     *streamstats.Accumulator
@@ -111,43 +110,45 @@ func (e *Engine) newShardAccum(key ShardKey, opts StreamOptions) (*shardAccum, e
 	return &shardAccum{inter: inter, repair: repair}, nil
 }
 
-// add folds one record into the shard: its downtime in minutes, which
-// the caller computes once for all the record's shards, as a repair time
-// (positive only, like Dataset.RepairTimes), and the start-time delta
-// against the shard's previous record as an interarrival (positive only,
-// like Dataset.PositiveInterarrivals).
-func (a *shardAccum) add(r *failures.Record, downMin float64) {
+// add folds one record into the shard, given its start time and its
+// downtime in minutes with that downtime's repair sketch key, which the
+// caller computes once for all the record's shards. The downtime counts
+// as a repair time when positive (like Dataset.RepairTimes), and the
+// start-time delta against the shard's latest start as an interarrival
+// when positive (like Dataset.PositiveInterarrivals).
+func (a *shardAccum) add(start instant, downMin float64, repair streamstats.Key) {
 	a.records++
 	if downMin > 0 {
-		a.repair.Add(downMin)
+		a.repair.AddKeyed(repair)
 	}
 	if a.haveLast {
-		if r.Start.Before(a.lastStart) {
+		if start.before(a.lastStart) {
 			a.outOfOrder++
-		} else if d := r.Start.Sub(a.lastStart).Seconds(); d > 0 {
+		} else if d := start.sub(a.lastStart).Seconds(); d > 0 {
 			a.inter.Add(d)
 		}
-		if r.Start.After(a.lastStart) {
-			a.lastStart = r.Start
+		if a.lastStart.before(start) {
+			a.lastStart = start
 		}
-		if r.Start.Before(a.firstStart) {
-			a.firstStart = r.Start
+		if start.before(a.firstStart) {
+			a.firstStart = start
 		}
 	} else {
 		a.haveLast = true
-		a.firstStart = r.Start
-		a.lastStart = r.Start
+		a.firstStart = start
+		a.lastStart = start
 	}
 }
 
-// shardKeysFor enumerates the shards one record belongs to under a spec:
-// its system shard always, plus the optional fleet aggregate, workload
-// and cause sub-shards.
-// The record is passed by pointer on purpose: this is the per-record hot
-// path, and a failures.Record is over a hundred bytes — copying it into
-// every helper showed up as measurable duffcopy time in profiles.
-func shardKeysFor(spec ShardSpec, r *failures.Record) ([4]ShardKey, int) {
-	keys := [4]ShardKey{{System: r.System}}
+// shardKeysFor writes the shards one record belongs to under a spec into
+// keys and returns how many it wrote: its system shard always, plus the
+// optional fleet aggregate, workload and cause sub-shards.
+// The record and the keys are passed by pointer on purpose: this is the
+// per-record hot path, and copying a failures.Record (over a hundred
+// bytes) or returning the 96-byte key array showed up as measurable
+// duffcopy time in profiles.
+func shardKeysFor(spec ShardSpec, r *failures.Record, keys *[4]ShardKey) int {
+	keys[0] = ShardKey{System: r.System}
 	n := 1
 	if spec.IncludeFleet {
 		keys[n] = ShardKey{}
@@ -161,7 +162,7 @@ func shardKeysFor(spec ShardSpec, r *failures.Record) ([4]ShardKey, int) {
 		keys[n] = ShardKey{System: r.System, Cause: r.Cause}
 		n++
 	}
-	return keys, n
+	return n
 }
 
 // fold is the streaming shard state shared by AnalyzeStream and
@@ -189,8 +190,13 @@ func (e *Engine) newFold(opts StreamOptions) fold {
 // slot always hits; the others hit while consecutive records share the
 // key, which holds almost throughout for Stream/GenerateStream traces
 // (grouped by system) and far less for Generate's time-sorted merge.
+//
+// Per record, the start and end times become instants once, and a
+// positive downtime is keyed once for the repair sketches: every shard
+// of a fold has the same sketch epsilon, so slot 0's key is every
+// shard's key.
 func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
-	var last [4]ShardKey
+	var keys, last [4]ShardKey
 	var lastA [4]*shardAccum
 	for i := range recs {
 		if i%4096 == 0 {
@@ -199,8 +205,10 @@ func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
 			}
 		}
 		r := &recs[i]
-		downMin := r.Downtime().Minutes()
-		keys, n := shardKeysFor(f.opts.Spec, r)
+		start := instantOf(r.Start)
+		downMin := instantOf(r.End).sub(start).Minutes()
+		var repair streamstats.Key
+		n := shardKeysFor(f.opts.Spec, r, &keys)
 		for j, key := range keys[:n] {
 			a := lastA[j]
 			if a == nil || key != last[j] {
@@ -210,7 +218,10 @@ func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
 				}
 				last[j], lastA[j] = key, a
 			}
-			a.add(r, downMin)
+			if j == 0 && downMin > 0 {
+				repair = a.repair.Key(downMin)
+			}
+			a.add(start, downMin, repair)
 		}
 		f.records++
 	}

@@ -1,5 +1,7 @@
 package serve
 
+import "hpcfail/internal/engine"
+
 // SetFoldHook installs fn to run in each tenant's folder goroutine just
 // before a batch is applied — the deterministic lever the backpressure
 // tests use to hold a queue full. A nil fn removes the hook.
@@ -42,3 +44,15 @@ var (
 	AppendWALPayload = appendWALPayload
 	DecodeWALPayload = decodeWALPayload
 )
+
+// RestoreSnapshot runs the server-snapshot decoder over data for a
+// server configured by cfg, without recovering WALs or starting any
+// goroutine, and returns the restored state re-marshaled.
+func RestoreSnapshot(cfg Config, data []byte) ([]byte, error) {
+	cfg.applyDefaults()
+	s := &Server{cfg: cfg, eng: engine.New(cfg.Engine), tenants: make(map[string]*tenant)}
+	if err := s.restoreSnapshot(data); err != nil {
+		return nil, err
+	}
+	return s.marshalSnapshot()
+}

@@ -106,3 +106,46 @@ func FuzzWALPayload(f *testing.F) {
 		}
 	})
 }
+
+// FuzzServerSnapshot throws arbitrary bytes at the HFSRV01 decoder, which
+// every daemon start runs on the snapshot file. It must never panic,
+// every rejection must wrap ErrSnapshot, and a snapshot it accepts must
+// be canonical: the restored state re-marshals to exactly its bytes. The
+// dedupe window is sized past any entry count the input can hold, so no
+// accepted window is trimmed.
+func FuzzServerSnapshot(f *testing.F) {
+	golden, err := os.ReadFile("testdata/server_snapshot.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1, err := os.ReadFile("testdata/server_snapshot_v1.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	magic := golden[:8]
+	if golden[8] != 1 {
+		f.Fatalf("golden snapshot holds %d tenants, want 1", golden[8])
+	}
+	tenant := golden[9:]
+	f.Add(golden)
+	f.Add(v1) // predates the streamstats format, with no WAL to rebuild from
+	f.Add(golden[:len(golden)-1])
+	f.Add(append(append([]byte(nil), magic...), 0))                                       // no tenants
+	f.Add(append(append(append(append([]byte(nil), magic...), 2), tenant...), tenant...)) // repeated tenant
+	f.Add([]byte{})
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg := testConfig(dir)
+		cfg.DedupeWindow = len(data)/3 + 1
+		again, err := serve.RestoreSnapshot(cfg, data)
+		if err != nil {
+			if !errors.Is(err, serve.ErrSnapshot) {
+				t.Fatalf("rejection does not wrap ErrSnapshot: %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted snapshot re-marshals to different bytes:\n got %x\nwant %x", again, data)
+		}
+	})
+}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,5 +184,63 @@ func TestServerSnapshotUpgrade(t *testing.T) {
 			shutdown(t, s)
 			t.Errorf("restart from an outdated snapshot %s succeeded; want refusal", name)
 		}
+	}
+}
+
+// The fold reads only the instants of record times, never their zones:
+// a CSV ingest whose timestamps carry a -07:00 offset answers /rates with
+// the same bytes and snapshots to the same HFSRV01 bytes (and so the
+// same HFINC01 fold state) as the same records written in UTC.
+func TestZoneOffsetsFoldIdentically(t *testing.T) {
+	recs := testRecords(300, 0)
+	recs[7].End = recs[7].End.Add(123456789 * time.Nanosecond)
+	utc := csvBody(t, recs)
+	zone := time.FixedZone("", -7*3600)
+	lines := strings.Split(strings.TrimSuffix(string(utc), "\n"), "\n")
+	for i := 1; i < len(lines); i++ {
+		f := strings.Split(lines[i], ",")
+		for _, j := range []int{len(f) - 2, len(f) - 1} {
+			ts, err := time.Parse(time.RFC3339Nano, f[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			f[j] = ts.In(zone).Format(time.RFC3339Nano)
+		}
+		lines[i] = strings.Join(f, ",")
+	}
+	offset := []byte(strings.Join(lines, "\n") + "\n")
+	if !bytes.Contains(offset, []byte("-07:00")) || bytes.Contains(offset, []byte("Z,")) {
+		t.Fatalf("rewritten trace is not all -07:00:\n%s", offset[:200])
+	}
+
+	run := func(body []byte) (rates, snapshot []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		s, err := serve.New(testConfig(dir))
+		if err != nil {
+			t.Fatalf("serve.New: %v", err)
+		}
+		defer shutdown(t, s)
+		req := httptest.NewRequest(http.MethodPost, "/v1/tenants/alpha/ingest", bytes.NewReader(body))
+		req.Header.Set("Ingest-Id", "zone-1")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body)
+		}
+		rec = httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/tenants/alpha/rates", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("rates: status %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes(), snapshotBytes(t, s, dir)
+	}
+	wantRates, wantSnap := run(utc)
+	gotRates, gotSnap := run(offset)
+	if !bytes.Equal(gotRates, wantRates) {
+		t.Fatalf("/rates of the -07:00 ingest:\n%s\nwant (UTC ingest):\n%s", gotRates, wantRates)
+	}
+	if !bytes.Equal(gotSnap, wantSnap) {
+		t.Fatal("snapshot of the -07:00 ingest differs from the UTC ingest's")
 	}
 }

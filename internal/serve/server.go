@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -357,11 +356,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //	  uvarint blob length | engine.Incremental snapshot blob
 //
 // Equal states produce byte-equal files (tenants sorted, incremental
-// codec deterministic) — the chaos tests compare recovery by bytes.
+// codec deterministic) — the chaos tests compare recovery by bytes. The
+// decoder accepts only that canonical form (names strictly ascending,
+// dedupe ids distinct and non-empty), so a snapshot it restores
+// re-encodes to its own bytes — unless the configured dedupe window
+// shrank since it was written, which keeps only the newest ids.
 var srvMagic = [8]byte{'H', 'F', 'S', 'R', 'V', '0', '1', '\n'}
 
-// ErrSnapshot wraps server-snapshot decode failures.
-var ErrSnapshot = errors.New("serve: corrupt server snapshot")
+// ErrSnapshot wraps every failure to restore a server snapshot: a
+// corrupt one, one whose fold state disagrees with the configured stream
+// options, and one too old to restore whose WAL is missing.
+var ErrSnapshot = errors.New("serve: cannot restore server snapshot")
 
 // Snapshot writes a point-in-time snapshot of all tenant state to
 // DataDir/snapshot.bin via a temp file and an atomic rename. Each
@@ -371,7 +376,36 @@ var ErrSnapshot = errors.New("serve: corrupt server snapshot")
 func (s *Server) Snapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
+	buf, err := s.marshalSnapshot()
+	if err != nil {
+		return err
+	}
 
+	tmp, err := os.CreateTemp(s.cfg.DataDir, "snapshot-*.tmp")
+	if err != nil {
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(buf); err != nil {
+		tmp.Close()
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), s.snapshotPath()); err != nil {
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	return nil
+}
+
+// marshalSnapshot encodes every tenant's recovery state in the HFSRV01
+// format.
+func (s *Server) marshalSnapshot() ([]byte, error) {
 	s.mu.Lock()
 	names := make([]string, 0, len(s.tenants))
 	for name := range s.tenants {
@@ -399,7 +433,7 @@ func (s *Server) Snapshot() error {
 		}
 		t.foldMu.Unlock()
 		if err != nil {
-			return fmt.Errorf("serve: snapshot tenant %s: %w", names[i], err)
+			return nil, fmt.Errorf("serve: snapshot tenant %s: %w", names[i], err)
 		}
 		buf = binx.AppendString(buf, names[i])
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(offset))
@@ -416,27 +450,7 @@ func (s *Server) Snapshot() error {
 		buf = binary.AppendUvarint(buf, uint64(blob.Len()))
 		buf = append(buf, blob.Bytes()...)
 	}
-
-	tmp, err := os.CreateTemp(s.cfg.DataDir, "snapshot-*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.snapshotPath()); err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	return nil
+	return buf, nil
 }
 
 // recover rebuilds tenant state: parse the snapshot if present, then open
@@ -520,6 +534,7 @@ func (s *Server) restoreSnapshot(data []byte) error {
 	// one-byte fields.
 	n := r.Count(1 + 8 + 4 + 1)
 	var outdated []string
+	prev := ""
 	for i := 0; i < n; i++ {
 		name := r.Str()
 		offset := int64(r.U64())
@@ -527,6 +542,9 @@ func (s *Server) restoreSnapshot(data []byte) error {
 		dedupe := newDedupeRing(s.cfg.DedupeWindow)
 		for j, m := 0, r.Count(3); j < m; j++ {
 			id := r.Str()
+			if _, dup := dedupe.get(id); r.Err() == nil && (id == "" || dup) {
+				return fmt.Errorf("%w: tenant %q: dedupe id %q empty or repeated", ErrSnapshot, name, id)
+			}
 			dedupe.add(id, IngestResult{Accepted: int(r.Uvarint()), Quarantined: int(r.Uvarint())})
 		}
 		blob := r.Bytes(r.Count(1))
@@ -536,16 +554,17 @@ func (s *Server) restoreSnapshot(data []byte) error {
 		if !validTenantName(name) {
 			return fmt.Errorf("%w: tenant name %q", ErrSnapshot, name)
 		}
-		if _, dup := s.tenants[name]; dup || slices.Contains(outdated, name) {
-			return fmt.Errorf("%w: duplicate tenant %q", ErrSnapshot, name)
+		if i > 0 && name <= prev {
+			return fmt.Errorf("%w: tenant %q after %q, want ascending names", ErrSnapshot, name, prev)
 		}
+		prev = name
 		inc, err := s.eng.ReadIncremental(bytes.NewReader(blob), s.cfg.Stream)
 		if errors.Is(err, streamstats.ErrSnapshotVersion) {
 			outdated = append(outdated, name)
 			continue
 		}
 		if err != nil {
-			return fmt.Errorf("serve: restore tenant %s: %w", name, err)
+			return fmt.Errorf("%w: restore tenant %s: %w", ErrSnapshot, name, err)
 		}
 		t := s.newTenant(name, inc, &wal{offset: offset})
 		t.accepted = int(accepted)
@@ -562,7 +581,7 @@ func (s *Server) restoreSnapshot(data []byte) error {
 	}
 	for _, name := range outdated {
 		if _, err := os.Stat(s.walPath(name)); err != nil {
-			return fmt.Errorf("serve: snapshot predates the streamstats format and tenant %s has no WAL to rebuild from: %w", name, err)
+			return fmt.Errorf("%w: it predates the streamstats format and tenant %s has no WAL to rebuild from: %w", ErrSnapshot, name, err)
 		}
 	}
 	clear(s.tenants)

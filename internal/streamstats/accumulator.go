@@ -42,11 +42,22 @@ func NewAccumulator(cfg Config) (*Accumulator, error) {
 	}, nil
 }
 
-// Add folds one observation into all three structures.
-func (a *Accumulator) Add(x float64) {
-	a.moments.Add(x)
-	a.sketch.Add(x)
-	a.res.Add(x)
+// Add folds one observation into all three structures: it keys x for
+// the sketch and applies the key.
+func (a *Accumulator) Add(x float64) { a.AddKeyed(a.Key(x)) }
+
+// Key classifies and buckets x for the accumulator's sketch. The key can
+// be applied to any accumulator with AddKeyed; one whose sketch epsilon
+// matches uses it as is.
+func (a *Accumulator) Key(x float64) Key { return a.sketch.key(x) }
+
+// AddKeyed folds the observation k was computed for, exactly as Add of
+// that value would. A key from an accumulator with a different sketch
+// epsilon is recomputed for this one's sketch.
+func (a *Accumulator) AddKeyed(k Key) {
+	a.moments.Add(k.x)
+	a.sketch.addKey(k)
+	a.res.Add(k.x)
 }
 
 // N returns the observation count.

@@ -2,7 +2,9 @@ package streamstats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"testing"
 
@@ -143,4 +145,61 @@ func declaredBuckets(data []byte) int {
 		}
 	}
 	return declared
+}
+
+// FuzzAccumulatorAddKeyed checks the keyed add against Add: each value
+// is keyed once and the key applied to several accumulators, which must
+// end byte-identical to twins that took the value through Add. The key
+// comes alternately from a sketch at eps 0.01 and at eps 0.05, and every
+// key goes to accumulators at both, so half the applications cross
+// epsilons and must fall back to keying the value afresh.
+func FuzzAccumulatorAddKeyed(f *testing.F) {
+	vals := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(vals(1, 2.5, 1e9, 3.7e-3))
+	f.Add(vals(math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)))
+	f.Add(vals(5e-324, -5e-324, 0x1p-1022, 0x1p-1023, math.MaxFloat64, -math.MaxFloat64))
+	f.Add(vals(-1, -2.5e-300, 7, 1.0000000001, 1.01, 1.0202))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		epss := []float64{0.01, 0.01, 0.05, 0.01, 0.05}
+		keyed := make([]*Accumulator, len(epss))
+		plain := make([]*Accumulator, len(epss))
+		for i, eps := range epss {
+			cfg := Config{SketchEpsilon: eps, ReservoirSize: 8, Seed: int64(i)}
+			var err error
+			if keyed[i], err = NewAccumulator(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if plain[i], err = NewAccumulator(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j+8 <= len(data); j += 8 {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data[j:]))
+			k := keyed[(j/8)%2*2].Key(x) // accumulator 0 (eps 0.01) or 2 (eps 0.05)
+			for i := range keyed {
+				keyed[i].AddKeyed(k)
+				plain[i].Add(x)
+			}
+		}
+		for i := range keyed {
+			got, err := keyed[i].MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain[i].MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("accumulator %d (eps %g): keyed adds give\n%x\nAdd gives\n%x", i, epss[i], got, want)
+			}
+		}
+	})
 }

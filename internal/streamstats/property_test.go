@@ -233,7 +233,7 @@ func TestFastLogErrorBound(t *testing.T) {
 }
 
 // A warm Accumulator.Add — reservoir full, sketch window grown over the
-// sample's keys — allocates nothing.
+// sample's keys — allocates nothing, and neither does a warm AddKeyed.
 func TestAccumulatorAddAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 1<<12)
@@ -253,6 +253,22 @@ func TestAccumulatorAddAllocs(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Fatalf("warm Accumulator.Add allocates %v times per call", allocs)
+	}
+
+	// The keyed path the engine fold takes for repair times: one key
+	// applied to a second accumulator with the same epsilon.
+	other, err := NewAccumulator(Config{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*DefaultReservoirSize; i++ {
+		other.AddKeyed(acc.Key(xs[i&(len(xs)-1)]))
+	}
+	if allocs := testing.AllocsPerRun(10_000, func() {
+		other.AddKeyed(acc.Key(xs[i&(len(xs)-1)]))
+		i++
+	}); allocs != 0 {
+		t.Fatalf("warm Accumulator.AddKeyed allocates %v times per call", allocs)
 	}
 }
 

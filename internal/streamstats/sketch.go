@@ -165,22 +165,76 @@ func (s *QuantileSketch) value(k int) float64 {
 	return 2 * math.Pow(s.gamma, float64(k)) / (s.gamma + 1)
 }
 
-// Add folds one observation into the sketch.
-func (s *QuantileSketch) Add(x float64) {
-	s.n++
+// Key is one observation classified for a quantile sketch: the counter
+// it lands in and, for a finite nonzero value, its bucket index under the
+// geometry of the sketch that keyed it. Computing a key is the costly
+// half of an add; applying one is a counter increment. So a value folded
+// into several sketches with the same epsilon is keyed once and applied
+// to each (Accumulator.Key, Accumulator.AddKeyed).
+type Key struct {
+	x      float64
+	gamma  float64 // the keying sketch's bucket ratio
+	bucket int
+	kind   keyKind
+}
+
+// keyKind names the counter an observation lands in.
+type keyKind uint8
+
+const (
+	keyNaN keyKind = iota
+	keyPosInf
+	keyNegInf
+	keyZero
+	keyPos
+	keyNeg
+)
+
+// key classifies x and, for a finite nonzero x, buckets its magnitude.
+func (s *QuantileSketch) key(x float64) Key {
+	k := Key{x: x, gamma: s.gamma}
 	switch {
 	case math.IsNaN(x):
-		s.nan++
+		k.kind = keyNaN
 	case math.IsInf(x, 1):
-		s.posInf++
+		k.kind = keyPosInf
 	case math.IsInf(x, -1):
-		s.negInf++
+		k.kind = keyNegInf
 	case x == 0:
-		s.zero++
+		k.kind = keyZero
 	case x > 0:
-		s.pos.add(s.bucket(x))
+		k.kind, k.bucket = keyPos, s.bucket(x)
 	default:
-		s.neg.add(s.bucket(-x))
+		k.kind, k.bucket = keyNeg, s.bucket(-x)
+	}
+	return k
+}
+
+// Add folds one observation into the sketch.
+func (s *QuantileSketch) Add(x float64) { s.addKey(s.key(x)) }
+
+// addKey folds the observation k was computed for. Every bucket index is
+// a function of x and gamma alone, so a key from a sketch with the same
+// gamma is this sketch's own; a key from any other geometry (or the zero
+// Key) is recomputed here from its value.
+func (s *QuantileSketch) addKey(k Key) {
+	if k.gamma != s.gamma {
+		k = s.key(k.x)
+	}
+	s.n++
+	switch k.kind {
+	case keyNaN:
+		s.nan++
+	case keyPosInf:
+		s.posInf++
+	case keyNegInf:
+		s.negInf++
+	case keyZero:
+		s.zero++
+	case keyPos:
+		s.pos.add(k.bucket)
+	default:
+		s.neg.add(k.bucket)
 	}
 }
 
