@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-engine perfbench-check fuzz fuzz-smoke bench bench-fold bench-engine bench-fit bench-gen bench-serve bench-sweep bench-trace bench-scale prof-trace golden golden-sweep
+.PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-engine perfbench-check fuzz fuzz-smoke bench bench-fold bench-engine bench-serve bench-sweep bench-trace bench-scale prof-trace golden golden-sweep
 
 # The full gate: what CI runs — static checks, build, the race detector
 # over every test, focused race passes over the parallel generator, the
@@ -121,35 +121,30 @@ bench:
 bench-fold:
 	$(GO) test -bench='AccumulatorAdd|FoldAdd' -benchmem -run=^$$ ./internal/streamstats ./internal/engine
 
+# The bench-* and bench-scale targets build with -buildvcs=true so each
+# report's header names the commit it was measured at (plain go run
+# stamps nothing, and the header then says "unknown").
+
 # Sequential-vs-parallel engine wall clock; refreshes BENCH_engine.json.
 bench-engine:
-	$(GO) run ./cmd/bench engine
-
-# Fit kernels vs the frozen slice-path fitters; refreshes BENCH_fit.json.
-bench-fit:
-	$(GO) run ./cmd/bench fit
-
-# Generator: frozen reference vs compiled parallel vs streaming, with a
-# record-identity check before timing; refreshes BENCH_gen.json.
-bench-gen:
-	$(GO) run ./cmd/bench gen
+	$(GO) run -buildvcs=true ./cmd/bench engine
 
 # Daemon over loopback HTTP: concurrent ingest throughput plus /result
 # latency under live appends; refreshes BENCH_serve.json.
 bench-serve:
-	$(GO) run ./cmd/bench serve
+	$(GO) run -buildvcs=true ./cmd/bench serve
 
 # Sweep engine at one worker vs every core, with a byte-identity check
 # before timing; refreshes BENCH_sweep.json.
 bench-sweep:
-	$(GO) run ./cmd/bench sweep
+	$(GO) run -buildvcs=true ./cmd/bench sweep
 
 # Trace I/O paths — fused generator->engine, CSV and binary write and
 # scan-analyze, and the materialized CSV baseline — with a streaming
 # result-identity check and the streamed-vs-materialized agreement
 # before reporting; refreshes BENCH_trace.json.
 bench-trace:
-	$(GO) run ./cmd/bench trace
+	$(GO) run -buildvcs=true ./cmd/bench trace
 
 # The scaling sweep: the parallel benchmarks at GOMAXPROCS 1, 2, 4 and
 # 8. bench engine takes the whole list in one run (it records the
@@ -162,12 +157,10 @@ bench-trace:
 # GOMAXPROCS.
 bench-scale:
 	mkdir -p bench_scale
-	$(GO) run ./cmd/bench engine -gomaxprocs 1,2,4,8 -out bench_scale/BENCH_engine_scale.json
+	$(GO) run -buildvcs=true ./cmd/bench engine -gomaxprocs 1,2,4,8 -out bench_scale/BENCH_engine_scale.json
 	for p in 1 2 4 8; do \
-		GOMAXPROCS=$$p $(GO) run ./cmd/bench fit -out bench_scale/BENCH_fit_p$$p.json && \
-		GOMAXPROCS=$$p $(GO) run ./cmd/bench gen -out bench_scale/BENCH_gen_p$$p.json && \
-		GOMAXPROCS=$$p $(GO) run ./cmd/bench sweep -out bench_scale/BENCH_sweep_p$$p.json && \
-		GOMAXPROCS=$$p $(GO) run ./cmd/bench trace -scale 20 -out bench_scale/BENCH_trace_p$$p.json || exit 1; \
+		GOMAXPROCS=$$p $(GO) run -buildvcs=true ./cmd/bench sweep -out bench_scale/BENCH_sweep_p$$p.json && \
+		GOMAXPROCS=$$p $(GO) run -buildvcs=true ./cmd/bench trace -scale 20 -out bench_scale/BENCH_trace_p$$p.json || exit 1; \
 	done
 
 # CPU and heap profiles of the trace pipeline (the parallel codec plus
@@ -176,7 +169,7 @@ bench-scale:
 # overhead.
 prof-trace:
 	mkdir -p prof
-	$(GO) run ./cmd/bench trace -scale 20 -cpuprofile prof/trace_cpu.pprof \
+	$(GO) run -buildvcs=true ./cmd/bench trace -scale 20 -cpuprofile prof/trace_cpu.pprof \
 		-memprofile prof/trace_mem.pprof -out prof/BENCH_trace_prof.json
 	@echo "profiles in prof/: go tool pprof prof/trace_cpu.pprof"
 

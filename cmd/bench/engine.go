@@ -67,7 +67,7 @@ type engineReport struct {
 	Note          string         `json:"note"`
 }
 
-// ciSpec is the analysis the engine, fit and trace benchmarks all run:
+// ciSpec is the analysis the engine and trace benchmarks both run:
 // the fleet aggregate plus every system, with Weibull and lognormal
 // intervals.
 var ciSpec = engine.ShardSpec{

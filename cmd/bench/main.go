@@ -5,8 +5,6 @@
 //
 //	bench engine [-out BENCH_engine.json] [-bootstrap 32] [-reps 3]
 //	             [-workers 1,2,4,8] [-gomaxprocs 1,2,4,8] [-seed 1]
-//	bench fit    [-out BENCH_fit.json] [-bootstrap 32] [-reps 3] [-seed 1]
-//	bench gen    [-out BENCH_gen.json] [-seed 1] [-workers 8] [-reps 5] [-scale 1]
 //	bench serve  [-out BENCH_serve.json] [-scale 2] [-batch 500] [-clients 4]
 //	             [-queries 100] [-bootstrap -1] [-seed 1]
 //	bench sweep  [-out BENCH_sweep.json] [-seed 1] [-workers 0] [-reps 3] [-seeds 3]
@@ -26,14 +24,13 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 )
 
 var subcommands = map[string]func(args []string) error{
 	"engine": runEngine,
-	"fit":    runFit,
-	"gen":    runGen,
 	"serve":  runServe,
 	"sweep":  runSweep,
 	"trace":  runTrace,
@@ -48,35 +45,54 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return errors.New("missing subcommand: engine, fit, gen, serve, sweep or trace")
+		return errors.New("missing subcommand: engine, serve, sweep or trace")
 	}
 	sub, ok := subcommands[args[0]]
 	if !ok {
-		return fmt.Errorf("unknown subcommand %q: want engine, fit, gen, serve, sweep or trace", args[0])
+		return fmt.Errorf("unknown subcommand %q: want engine, serve, sweep or trace", args[0])
 	}
 	return sub(args[1:])
 }
 
-// header opens every report: what was measured and the machine it was
-// measured on. Reports embed it, so its keys stay at the top level.
+// header opens every report: what was measured, the commit it was built
+// from and the machine it was measured on. Reports embed it, so its keys
+// stay at the top level.
 type header struct {
-	Benchmark  string `json:"benchmark"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
+	Benchmark string `json:"benchmark"`
+	// VCSRevision and VCSModified are the build's vcs.revision and
+	// vcs.modified stamps, "unknown" when the binary carries none (plain
+	// go run stamps nothing; go run -buildvcs=true does).
+	VCSRevision string `json:"vcs_revision"`
+	VCSModified string `json:"vcs_modified"`
+	GOOS        string `json:"goos"`
+	GOARCH      string `json:"goarch"`
+	GoVersion   string `json:"go_version"`
+	NumCPU      int    `json:"num_cpu"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
 }
 
 func newHeader(benchmark string) header {
-	return header{
-		Benchmark:  benchmark,
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	h := header{
+		Benchmark:   benchmark,
+		VCSRevision: "unknown",
+		VCSModified: "unknown",
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		GoVersion:   runtime.Version(),
+		NumCPU:      runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				h.VCSRevision = s.Value
+			case "vcs.modified":
+				h.VCSModified = s.Value
+			}
+		}
+	}
+	return h
 }
 
 // writeReport writes rep to path as indented JSON once every gate has

@@ -109,6 +109,54 @@ func TestDowntimeBreakdown(t *testing.T) {
 	}
 }
 
+// TestDowntimeBreakdownPastDurationRange builds records whose per-cause
+// downtime totals far more than the ~292 years a time.Duration holds: six
+// century-long hardware repairs and two software ones. Summed as
+// durations the hardware total wraps to about 15 years, a wrong positive
+// value that passes without an error; summed as float minutes the shares
+// are exactly 3/4 and 1/4.
+func TestDowntimeBreakdownPastDurationRange(t *testing.T) {
+	start := time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC)
+	end := start.AddDate(100, 0, 0)
+	century := end.Sub(start).Minutes()
+	var records []failures.Record
+	for node, cause := range []failures.RootCause{
+		failures.CauseHardware, failures.CauseHardware, failures.CauseHardware,
+		failures.CauseHardware, failures.CauseHardware, failures.CauseHardware,
+		failures.CauseSoftware, failures.CauseSoftware,
+	} {
+		records = append(records, failures.Record{
+			System: 1, Node: node, HW: "E", Workload: failures.WorkloadCompute,
+			Cause: cause, Start: start, End: end,
+		})
+	}
+	d, err := failures.NewDataset(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bds, err := DowntimeBreakdown(d, []failures.HWType{"E"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bd := range bds {
+		if bd.Total != 8*century {
+			t.Errorf("%s: total %v minutes, want %v", bd.Label, bd.Total, 8*century)
+		}
+		for _, c := range failures.Causes() {
+			want := 0.0
+			switch c {
+			case failures.CauseHardware:
+				want = 0.75
+			case failures.CauseSoftware:
+				want = 0.25
+			}
+			if bd.Share[c] != want {
+				t.Errorf("%s: %v share %v, want %v", bd.Label, c, bd.Share[c], want)
+			}
+		}
+	}
+}
+
 func TestBreakdownErrors(t *testing.T) {
 	empty, err := failures.NewDataset(nil)
 	if err != nil {

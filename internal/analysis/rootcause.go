@@ -8,7 +8,6 @@ package analysis
 
 import (
 	"fmt"
-	"time"
 
 	"hpcfail/internal/failures"
 )
@@ -93,18 +92,18 @@ func downtimeBreakdown(label string, d *failures.Dataset) (CauseBreakdown, error
 		return CauseBreakdown{}, failures.ErrNoRecords
 	}
 	byCause := d.DowntimeByCause()
-	var total time.Duration
-	for _, dt := range byCause {
-		total += dt
+	var total float64
+	for _, c := range failures.Causes() {
+		total += byCause[c]
 	}
 	if total <= 0 {
 		return CauseBreakdown{}, fmt.Errorf("downtime breakdown %q: zero total downtime", label)
 	}
 	share := make(map[failures.RootCause]float64, len(byCause))
 	for _, c := range failures.Causes() {
-		share[c] = float64(byCause[c]) / float64(total)
+		share[c] = byCause[c] / total
 	}
-	return CauseBreakdown{Label: label, Total: total.Minutes(), Share: share}, nil
+	return CauseBreakdown{Label: label, Total: total, Share: share}, nil
 }
 
 // DetailShare returns the fraction of ALL failures in d whose low-level

@@ -36,9 +36,8 @@ func BootstrapKSTest(f Family, xs []float64, reps int, seed int64) (KSTestResult
 // (devirtualized) CDF call over a reused sort buffer — no per-rep slice,
 // ECDF or interface allocation. Each replication draws from its own
 // counter-derived seed, so this one-block call is bit-identical to any
-// partition of the same reps across workers via KSPlan.RunBlock — but NOT
-// to the historical single-stream draw order, frozen as
-// RefStreamBootstrapKSTest.
+// partition of the same reps across workers via KSPlan.RunBlock, and to a
+// replication loop that refits each reseeded sample with RefFit.
 func BootstrapKSTestSample(f Family, s *Sample, reps int, seed int64) (KSTestResult, error) {
 	p, err := NewKSPlan(f, s, reps, seed)
 	if err != nil {

@@ -116,8 +116,8 @@ func newRefitFn(f Family) refitFn {
 // family kernels refit from the gathered transforms. Each rep draws from
 // its own counter-derived seed (FNV-1a over the task seed and the rep
 // index), so this one-block call is bit-identical to any partition of the
-// same reps across workers via CIPlan.RunBlock — but NOT to the historical
-// single-stream draw order, which is frozen as RefStreamFitCI.
+// same reps across workers via CIPlan.RunBlock, and to a rep loop that
+// refits each reseeded resample with RefFit.
 func FitCISample(f Family, s *Sample, reps int, level float64, seed int64) (Continuous, []ParamCI, error) {
 	p, err := NewCIPlan(f, s, reps, level, seed)
 	if err != nil {

@@ -11,14 +11,13 @@ import (
 
 // Counter-seeded bootstrap plans.
 //
-// The sequential-stream bootstrap (frozen in refstream.go) draws all B reps
-// from one advancing source, so rep r cannot run until reps 0..r-1 have
-// consumed their draws — the whole loop is one task. The plan API breaks
-// that: rep r's source state is a pure function of (plan seed, r), derived
-// by FNV-1a exactly like internal/sweep's replicate seeds, so any
-// contiguous block of reps can run on any worker in any order. Merging the
-// blocks in rep-index order reproduces the single-threaded result bit for
-// bit at every worker count.
+// A bootstrap that draws all B reps from one advancing source cannot run
+// rep r until reps 0..r-1 have consumed their draws — the whole loop is
+// one task. The plan API breaks that: rep r's source state is a pure
+// function of (plan seed, r), derived by FNV-1a exactly like
+// internal/sweep's replicate seeds, so any contiguous block of reps can
+// run on any worker in any order. Merging the blocks in rep-index order
+// reproduces the single-threaded result bit for bit at every worker count.
 //
 // The lifecycle is NewCIPlan (validate + point fit, once) → RunBlock (any
 // worker, any order; one scratch buffer and one reseedable source per
@@ -346,7 +345,8 @@ func (p *KSPlan) Merge(blocks []KSBlock) (KSTestResult, error) {
 
 // ksBlock runs KS replications [lo, hi) for one concrete family, one
 // reseed per replication. The generic instantiation devirtualizes Rand and
-// CDF exactly as the frozen sequential loop did.
+// CDF; the draws and the statistic carry the same bits as fitted.Rand and
+// stats.ECDF.KolmogorovSmirnov through the Continuous interface.
 func ksBlock[D Continuous](fitted D, refit func(*xform) (D, error), n, lo, hi int, seed int64, src *randx.Source, observed float64) (exceed, ok int) {
 	var scratch xform
 	scratch.xs = growFloats(scratch.xs, n)

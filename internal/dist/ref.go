@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"hpcfail/internal/mathx"
-	"hpcfail/internal/randx"
 	"hpcfail/internal/stats"
 )
 
@@ -14,9 +13,9 @@ import (
 // shipped before the precomputed-transform Sample layer existed. They are
 // deliberately NOT optimized: the property tests assert that every kernel
 // fitter is bit-identical (== on parameters, not within-epsilon) to its
-// reference here, and `bench fit` times them as the honest "before" column
-// of BENCH_fit.json. Do not modernize these bodies; their value is that they
-// do not change.
+// reference here, and the bootstrap tests refit every live resample with
+// RefFit. Do not modernize these bodies; their value is that they do not
+// change.
 
 // RefFit dispatches to the frozen reference maximum-likelihood fitter for
 // the family.
@@ -353,123 +352,4 @@ func RefFitAll(xs []float64, families ...Family) (*Comparison, error) {
 		return results[i].NLL < results[j].NLL
 	})
 	return &Comparison{Results: results}, nil
-}
-
-// RefFitCI is the frozen pre-kernel FitCI: a fresh resample slice and a full
-// slice-path refit (with its per-rep allocations) for every bootstrap rep.
-func RefFitCI(f Family, xs []float64, reps int, level float64, seed int64) (Continuous, []ParamCI, error) {
-	if level <= 0 || level >= 1 {
-		return nil, nil, fmt.Errorf("fit CI %v: level %g outside (0, 1): %w", f, level, ErrBadParam)
-	}
-	if reps <= 0 {
-		reps = 200
-	}
-	fitted, err := RefFit(f, xs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fit CI %v: %w", f, err)
-	}
-	params, ok := fitted.(Parameterized)
-	if !ok {
-		return nil, nil, fmt.Errorf("fit CI %v: %T does not expose parameters: %w", f, fitted, ErrUnsupported)
-	}
-	names := params.ParamNames()
-	estimates := params.ParamValues()
-	if len(names) != len(estimates) {
-		return nil, nil, fmt.Errorf("fit CI %v: %d names vs %d values", f, len(names), len(estimates))
-	}
-
-	src := randx.NewSource(seed)
-	resampled := make([][]float64, len(names))
-	resample := make([]float64, len(xs))
-	fitOK := 0
-	for r := 0; r < reps; r++ {
-		for i := range resample {
-			resample[i] = xs[src.Intn(len(xs))]
-		}
-		refit, err := RefFit(f, resample)
-		if err != nil {
-			continue
-		}
-		vals := refit.(Parameterized).ParamValues()
-		for i, v := range vals {
-			resampled[i] = append(resampled[i], v)
-		}
-		fitOK++
-	}
-	if fitOK < (reps+1)/2 {
-		return nil, nil, fmt.Errorf("fit CI %v: only %d of %d resamples fitted: %w",
-			f, fitOK, reps, ErrInsufficientData)
-	}
-	alpha := (1 - level) / 2
-	cis := make([]ParamCI, len(names))
-	for i, name := range names {
-		lo, err := stats.Quantile(resampled[i], alpha)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fit CI %v %s: %w", f, name, err)
-		}
-		hi, err := stats.Quantile(resampled[i], 1-alpha)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fit CI %v %s: %w", f, name, err)
-		}
-		if math.IsNaN(lo) || math.IsNaN(hi) {
-			return nil, nil, fmt.Errorf("fit CI %v: NaN bound for %s", f, name)
-		}
-		cis[i] = ParamCI{Name: name, Estimate: estimates[i], Lo: lo, Hi: hi}
-	}
-	return fitted, cis, nil
-}
-
-// refBootstrapKSTest is the frozen pre-kernel BootstrapKSTest, kept for the
-// bit-identity property tests.
-func refBootstrapKSTest(f Family, xs []float64, reps int, seed int64) (KSTestResult, error) {
-	if len(xs) < 5 {
-		return KSTestResult{}, fmt.Errorf("bootstrap KS: need >= 5 observations: %w", ErrInsufficientData)
-	}
-	if reps <= 0 {
-		reps = 200
-	}
-	fitted, err := RefFit(f, xs)
-	if err != nil {
-		return KSTestResult{}, fmt.Errorf("bootstrap KS: %w", err)
-	}
-	ecdf, err := stats.NewECDF(xs)
-	if err != nil {
-		return KSTestResult{}, fmt.Errorf("bootstrap KS: %w", err)
-	}
-	observed := ecdf.KolmogorovSmirnov(fitted.CDF)
-
-	src := randx.NewSource(seed)
-	exceed, ok := 0, 0
-	sample := make([]float64, len(xs))
-	for r := 0; r < reps; r++ {
-		for i := range sample {
-			sample[i] = fitted.Rand(src)
-		}
-		refit, err := RefFit(f, sample)
-		if err != nil {
-			continue
-		}
-		e, err := stats.NewECDF(sample)
-		if err != nil {
-			continue
-		}
-		ok++
-		if e.KolmogorovSmirnov(refit.CDF) >= observed {
-			exceed++
-		}
-	}
-	if ok == 0 {
-		return KSTestResult{}, fmt.Errorf("bootstrap KS: every replication failed: %w", ErrInsufficientData)
-	}
-	p := float64(exceed) / float64(ok)
-	if math.IsNaN(p) {
-		return KSTestResult{}, fmt.Errorf("bootstrap KS: NaN p-value")
-	}
-	return KSTestResult{
-		Family:       f,
-		Dist:         fitted,
-		KS:           observed,
-		P:            p,
-		Replications: ok,
-	}, nil
 }

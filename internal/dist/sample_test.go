@@ -1,9 +1,13 @@
 package dist
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
+	"hpcfail/internal/failures"
+	"hpcfail/internal/lanl"
 	"hpcfail/internal/randx"
 	"hpcfail/internal/stats"
 )
@@ -38,6 +42,58 @@ func identitySamples() map[string][]float64 {
 		"single":      {3},
 		"empty":       {},
 	}
+}
+
+// namedSample is one test input with the name its subtests carry.
+type namedSample struct {
+	name string
+	xs   []float64
+}
+
+// shardSamples are the engine's fleet-analysis inputs on a small generated
+// trace (seed 1, rate scale 0.05): the fleet and then every system, each
+// giving its positive interarrivals and its repair times when it has at
+// least 10 of them. lanl does not import dist, so the trace is generated
+// here rather than committed.
+var shardSamples = sync.OnceValues(func() ([]namedSample, error) {
+	d, err := lanl.NewGenerator(lanl.Config{Seed: 1, RateScale: 0.05}).Generate()
+	if err != nil {
+		return nil, err
+	}
+	var out []namedSample
+	add := func(label string, sub *failures.Dataset) {
+		for _, in := range []namedSample{
+			{"shard-" + label + "-tbf", sub.PositiveInterarrivals()},
+			{"shard-" + label + "-ttr", sub.RepairTimes()},
+		} {
+			if len(in.xs) >= 10 {
+				out = append(out, in)
+			}
+		}
+	}
+	add("fleet", d)
+	for _, id := range d.Systems() {
+		add(fmt.Sprintf("sys%d", id), d.BySystem(id))
+	}
+	return out, nil
+})
+
+// inputsWithShards returns the named identity samples followed by every
+// shard sample.
+func inputsWithShards(t *testing.T, names ...string) []namedSample {
+	t.Helper()
+	shards, err := shardSamples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) < 2 {
+		t.Fatalf("only %d shard samples", len(shards))
+	}
+	out := make([]namedSample, 0, len(names)+len(shards))
+	for _, name := range names {
+		out = append(out, namedSample{name, identitySamples()[name]})
+	}
+	return append(out, shards...)
 }
 
 var identityFamilies = []Family{
@@ -116,11 +172,12 @@ func TestFitSampleBitIdenticalToReference(t *testing.T) {
 
 // TestFitAllSampleBitIdenticalToReference checks the full comparison —
 // NLL, AIC and KS per family, and the ranked order — against the frozen
-// reference.
+// reference, on the identity samples and on every shard sample of a small
+// generated trace.
 func TestFitAllSampleBitIdenticalToReference(t *testing.T) {
-	for _, name := range []string{"weibull", "lognormal", "exponential", "tied", "huge"} {
-		xs := identitySamples()[name]
-		t.Run(name, func(t *testing.T) {
+	for _, in := range inputsWithShards(t, "weibull", "lognormal", "exponential", "tied", "huge") {
+		xs := in.xs
+		t.Run(in.name, func(t *testing.T) {
 			ref, refErr := RefFitAll(xs, identityFamilies...)
 			ker, kerErr := FitAllSample(NewSample(xs), identityFamilies...)
 			if sameError(t, refErr, kerErr) {
@@ -154,13 +211,104 @@ func TestFitAllSampleBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestFitCIBitIdenticalToReference checks that the gather-based
-// zero-allocation sequential-stream bootstrap (frozen as RefStreamFitCI
-// when the live path moved to counter-seeded reps) reproduces the frozen
-// slice-path bootstrap exactly: same fitted estimates and the same
-// interval bounds, bit for bit, at the same (reps, level, seed). The live
-// FitCI draws per-rep seeds and is pinned separately by the partition-
-// invariance tests in plan_test.go.
+// refLoopFitCI is FitCISample written out against the frozen reference
+// fitter: each rep reseeds from repSeed(seed, r), draws its resample the
+// way xform.gather does (one src.Intn(n) per element, in order), refits
+// with RefFit and skips the rep where RefFit errors; the epilogue is the
+// same stats.Quantile percentile step.
+func refLoopFitCI(f Family, xs []float64, reps int, level float64, seed int64) (Continuous, []ParamCI, error) {
+	fitted, err := RefFit(f, xs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fit CI %v: %w", f, err)
+	}
+	params := fitted.(Parameterized)
+	names, estimates := params.ParamNames(), params.ParamValues()
+	src := randx.NewSource(0)
+	resample := make([]float64, len(xs))
+	resampled := make([][]float64, len(names))
+	fitOK := 0
+	for r := 0; r < reps; r++ {
+		src.Reseed(repSeed(seed, r))
+		for i := range resample {
+			resample[i] = xs[src.Intn(len(xs))]
+		}
+		refit, err := RefFit(f, resample)
+		if err != nil {
+			continue
+		}
+		for i, v := range refit.(Parameterized).ParamValues() {
+			resampled[i] = append(resampled[i], v)
+		}
+		fitOK++
+	}
+	if fitOK < (reps+1)/2 {
+		return nil, nil, fmt.Errorf("fit CI %v: only %d of %d resamples fitted: %w",
+			f, fitOK, reps, ErrInsufficientData)
+	}
+	alpha := (1 - level) / 2
+	cis := make([]ParamCI, len(names))
+	for i, name := range names {
+		lo, err := stats.Quantile(resampled[i], alpha)
+		if err != nil {
+			return nil, nil, err
+		}
+		hi, err := stats.Quantile(resampled[i], 1-alpha)
+		if err != nil {
+			return nil, nil, err
+		}
+		cis[i] = ParamCI{Name: name, Estimate: estimates[i], Lo: lo, Hi: hi}
+	}
+	return fitted, cis, nil
+}
+
+// refLoopKSTest is BootstrapKSTestSample written out against the frozen
+// reference fitter: each replication reseeds from repSeed(seed, r), draws
+// a parametric sample with fitted.Rand, refits with RefFit and counts the
+// replication as exceeding when stats.NewECDF(sample).KolmogorovSmirnov
+// of the refit is at least the observed statistic.
+func refLoopKSTest(f Family, xs []float64, reps int, seed int64) (KSTestResult, error) {
+	fitted, err := RefFit(f, xs)
+	if err != nil {
+		return KSTestResult{}, fmt.Errorf("bootstrap KS: %w", err)
+	}
+	ecdf, err := stats.NewECDF(xs)
+	if err != nil {
+		return KSTestResult{}, err
+	}
+	observed := ecdf.KolmogorovSmirnov(fitted.CDF)
+	src := randx.NewSource(0)
+	sample := make([]float64, len(xs))
+	exceed, ok := 0, 0
+	for r := 0; r < reps; r++ {
+		src.Reseed(repSeed(seed, r))
+		for i := range sample {
+			sample[i] = fitted.Rand(src)
+		}
+		refit, err := RefFit(f, sample)
+		if err != nil {
+			continue
+		}
+		e, err := stats.NewECDF(sample)
+		if err != nil {
+			continue
+		}
+		ok++
+		if e.KolmogorovSmirnov(refit.CDF) >= observed {
+			exceed++
+		}
+	}
+	if ok == 0 {
+		return KSTestResult{}, fmt.Errorf("bootstrap KS: every replication failed: %w", ErrInsufficientData)
+	}
+	return KSTestResult{Family: f, Dist: fitted, KS: observed,
+		P: float64(exceed) / float64(ok), Replications: ok}, nil
+}
+
+// TestFitCIBitIdenticalToReference pins the live counter-seeded bootstrap
+// rep by rep against the frozen reference fitter: FitCISample must return
+// refLoopFitCI's fitted estimates and interval bounds bit for bit, so the
+// gather, the reused family solvers (newRefitFn) and the block merge are
+// each checked against RefFit on the same resamples.
 func TestFitCIBitIdenticalToReference(t *testing.T) {
 	const (
 		reps  = 64
@@ -171,8 +319,8 @@ func TestFitCIBitIdenticalToReference(t *testing.T) {
 		xs := identitySamples()[name]
 		for _, f := range identityFamilies {
 			t.Run(name+"/"+f.String(), func(t *testing.T) {
-				refD, refCIs, refErr := RefFitCI(f, xs, reps, level, seed)
-				kerD, kerCIs, kerErr := RefStreamFitCI(f, NewSample(xs), reps, level, seed)
+				refD, refCIs, refErr := refLoopFitCI(f, xs, reps, level, seed)
+				kerD, kerCIs, kerErr := FitCISample(f, NewSample(xs), reps, level, seed)
 				if sameError(t, refErr, kerErr) {
 					return
 				}
@@ -191,12 +339,11 @@ func TestFitCIBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestBootstrapKSBitIdenticalToReference checks the sequential-stream
-// parametric-bootstrap KS test (frozen as RefStreamBootstrapKSTest): same
-// observed statistic, p-value and replication count as the frozen
-// slice-path reference at the same seed. The live BootstrapKSTest draws
-// per-rep seeds and is pinned by plan_test.go's partition-invariance
-// tests.
+// TestBootstrapKSBitIdenticalToReference pins the live parametric-bootstrap
+// KS test the same way: BootstrapKSTestSample must return refLoopKSTest's
+// observed statistic, p-value and replication count, so the devirtualized
+// draw, the reused solvers and ksStat are checked against RefFit and the
+// ECDF's own KolmogorovSmirnov on every replication.
 func TestBootstrapKSBitIdenticalToReference(t *testing.T) {
 	const (
 		reps = 50
@@ -206,8 +353,8 @@ func TestBootstrapKSBitIdenticalToReference(t *testing.T) {
 		xs := identitySamples()[name]
 		for _, f := range identityFamilies {
 			t.Run(name+"/"+f.String(), func(t *testing.T) {
-				ref, refErr := refBootstrapKSTest(f, xs, reps, seed)
-				ker, kerErr := RefStreamBootstrapKSTest(f, NewSample(xs), reps, seed)
+				ref, refErr := refLoopKSTest(f, xs, reps, seed)
+				ker, kerErr := BootstrapKSTestSample(f, NewSample(xs), reps, seed)
 				if sameError(t, refErr, kerErr) {
 					return
 				}
@@ -415,8 +562,8 @@ func BenchmarkFitWeibull(b *testing.B) {
 	})
 }
 
-// BenchmarkFitCI compares the frozen per-rep-allocating bootstrap with the
-// gather-based zero-allocation kernel loop (Weibull, the costliest family).
+// BenchmarkFitCI times the gather-based zero-allocation bootstrap loop
+// (Weibull, the costliest family).
 func BenchmarkFitCI(b *testing.B) {
 	xs := benchSample[:1000]
 	const (
@@ -424,22 +571,11 @@ func BenchmarkFitCI(b *testing.B) {
 		level = 0.95
 		seed  = 5
 	)
-	b.Run("ref", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := RefFitCI(FamilyWeibull, xs, reps, level, seed); err != nil {
-				b.Fatal(err)
-			}
+	s := NewSample(xs)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := FitCISample(FamilyWeibull, s, reps, level, seed); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("kernel", func(b *testing.B) {
-		s := NewSample(xs)
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := FitCISample(FamilyWeibull, s, reps, level, seed); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

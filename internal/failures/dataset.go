@@ -362,15 +362,6 @@ func (d *Dataset) RepairTimes() []float64 {
 	return out
 }
 
-// TotalDowntime sums the downtime over all records.
-func (d *Dataset) TotalDowntime() time.Duration {
-	var total time.Duration
-	for _, r := range d.records {
-		total += r.Downtime()
-	}
-	return total
-}
-
 // CountByCause returns the number of records per root-cause category.
 func (d *Dataset) CountByCause() map[RootCause]int {
 	out := make(map[RootCause]int)
@@ -380,11 +371,14 @@ func (d *Dataset) CountByCause() map[RootCause]int {
 	return out
 }
 
-// DowntimeByCause returns the total downtime per root-cause category.
-func (d *Dataset) DowntimeByCause() map[RootCause]time.Duration {
-	out := make(map[RootCause]time.Duration)
+// DowntimeByCause returns the total downtime in minutes per root-cause
+// category, summed in record order. The sums are float minutes, as in the
+// streaming fold: a time.Duration sum wraps past about 292 years, which a
+// large trace's per-cause downtime exceeds.
+func (d *Dataset) DowntimeByCause() map[RootCause]float64 {
+	out := make(map[RootCause]float64)
 	for _, r := range d.records {
-		out[r.Cause] += r.Downtime()
+		out[r.Cause] += r.Downtime().Minutes()
 	}
 	return out
 }

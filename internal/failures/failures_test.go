@@ -208,11 +208,8 @@ func TestRepairAndDowntime(t *testing.T) {
 	if len(rt) != 2 || rt[0] != 30 || rt[1] != 90 {
 		t.Fatalf("repair times = %v", rt)
 	}
-	if d.TotalDowntime() != 120*time.Minute {
-		t.Fatalf("total downtime = %v", d.TotalDowntime())
-	}
 	byCause := d.DowntimeByCause()
-	if byCause[CauseHardware] != 30*time.Minute || byCause[CauseSoftware] != 90*time.Minute {
+	if byCause[CauseHardware] != 30 || byCause[CauseSoftware] != 90 || byCause[CauseHuman] != 0 {
 		t.Fatalf("downtime by cause = %v", byCause)
 	}
 	counts := d.CountByCause()

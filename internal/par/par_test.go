@@ -27,23 +27,27 @@ func TestEachRunsEveryIndexOnce(t *testing.T) {
 }
 
 // TestEachStopsAfterCancel: once ctx is done no index starts. A worker
-// that passed its check just before the cancel may still start one
-// index, so at most workers-1 indexes start after the cancelling one;
-// with a single worker the cut is exact.
+// that passed its check just before the cancel may still claim and start
+// one index, so at most workers indexes start after the cancelling call
+// returns. The bound counts from that moment, not from the cancelling
+// index: before cancel runs, the other workers may start any number of
+// indexes while the cancelling one is descheduled. With a single worker
+// the cut is exact.
 func TestEachStopsAfterCancel(t *testing.T) {
 	const n, cancelAt = 10000, 10
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var started atomic.Int32
+		var started, atCancel atomic.Int32
 		Each(ctx, n, workers, func(i int) {
 			started.Add(1)
 			if i == cancelAt {
 				cancel()
+				atCancel.Store(started.Load())
 			}
 		})
 		cancel()
-		if got, most := int(started.Load()), cancelAt+workers; got > most {
-			t.Fatalf("workers %d: %d indexes started, want at most %d after cancelling at %d", workers, got, most, cancelAt)
+		if after := int(started.Load() - atCancel.Load()); after > workers {
+			t.Fatalf("workers %d: %d indexes started after the cancel returned, want at most %d", workers, after, workers)
 		}
 		if workers == 1 && started.Load() != cancelAt+1 {
 			t.Fatalf("one worker: %d indexes started, want exactly %d", started.Load(), cancelAt+1)
