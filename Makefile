@@ -73,16 +73,17 @@ race-trace:
 
 # Race pass over the sub-shard analysis pipeline: the workers x seeds
 # byte-identity matrix for fleet and stream, the dispatch-order
-# identities, the shared stream fold (batched fan-in identity, the
-# record-source adapter, incremental appends at every chunking — which
-# also pins the per-slot shard cache against one-record appends — stream
-# edge cases), the per-call fit table (dedup across shards, interning,
+# identities, the shared stream fold (batched fan-in identity against
+# the inline incremental fold, the record-source adapter, incremental
+# appends at every chunking — which also pins the per-slot shard cache
+# against one-record appends — stream edge cases, and the prep
+# goroutine stopped on every early return), the per-call fit table (dedup across shards, interning,
 # hash-collision handling) whose slots par.Each workers fill, and the
 # counter-seeded bootstrap partition-invariance tests; then the par
 # worker pools every fan-out runs on, repeated because their tests race
 # randomized job timings.
 race-engine:
-	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|BatchIdentity|IncrementalMatches|AnalyzeStreamEdge|FitTable|MemoDetects|Intern' ./internal/engine ./internal/dist
+	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|BatchIdentity|IncrementalMatches|AnalyzeStreamEdge|AnalyzeStreamStops|FitTable|MemoDetects|Intern' ./internal/engine ./internal/dist
 	$(GO) test -race -count=10 ./internal/par
 
 # perfbench is its own module, so the root go test ./... never reaches
@@ -115,36 +116,46 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # The per-record fold hot path without perfbench: one Accumulator.Add
-# (perfbench's streamstats.add_ns) and one record through the engine
-# fold at 2 and 4 shards per record, on system-grouped and time-sorted
-# traces.
+# (perfbench's streamstats.add_ns), one record through the inline
+# engine fold at 2 and 4 shards per record, on system-grouped and
+# time-sorted traces, and one record through a whole two-stage
+# AnalyzeStream pass as trace-scan runs it.
 bench-fold:
-	$(GO) test -bench='AccumulatorAdd|FoldAdd' -benchmem -run=^$$ ./internal/streamstats ./internal/engine
+	$(GO) test -bench='AccumulatorAdd|FoldAdd|AnalyzeStream' -benchmem -run=^$$ ./internal/streamstats ./internal/engine
 
-# The bench-* and bench-scale targets build with -buildvcs=true so each
-# report's header names the commit it was measured at (plain go run
-# stamps nothing, and the header then says "unknown").
+# The bench-*, bench-scale and prof-trace targets run one cmd/bench
+# binary, built with -buildvcs=true so each report's header names the
+# commit it was measured at (plain go run stamps nothing, and the header
+# then says "unknown"). The binary is built before any report is written
+# and rebuilt only when a Go source changes: one built after an earlier
+# target had rewritten a tracked BENCH_*.json would stamp
+# vcs_modified: true on every later report.
+BENCH := bin/bench
+BENCH_SOURCES := go.mod $(shell find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*')
+
+$(BENCH): $(BENCH_SOURCES)
+	$(GO) build -buildvcs=true -o $@ ./cmd/bench
 
 # Sequential-vs-parallel engine wall clock; refreshes BENCH_engine.json.
-bench-engine:
-	$(GO) run -buildvcs=true ./cmd/bench engine
+bench-engine: $(BENCH)
+	$(BENCH) engine
 
 # Daemon over loopback HTTP: concurrent ingest throughput plus /result
 # latency under live appends; refreshes BENCH_serve.json.
-bench-serve:
-	$(GO) run -buildvcs=true ./cmd/bench serve
+bench-serve: $(BENCH)
+	$(BENCH) serve
 
 # Sweep engine at one worker vs every core, with a byte-identity check
 # before timing; refreshes BENCH_sweep.json.
-bench-sweep:
-	$(GO) run -buildvcs=true ./cmd/bench sweep
+bench-sweep: $(BENCH)
+	$(BENCH) sweep
 
 # Trace I/O paths — fused generator->engine, CSV and binary write and
 # scan-analyze, and the materialized CSV baseline — with a streaming
 # result-identity check and the streamed-vs-materialized agreement
 # before reporting; refreshes BENCH_trace.json.
-bench-trace:
-	$(GO) run -buildvcs=true ./cmd/bench trace
+bench-trace: $(BENCH)
+	$(BENCH) trace
 
 # The scaling sweep: the parallel benchmarks at GOMAXPROCS 1, 2, 4 and
 # 8. bench engine takes the whole list in one run (it records the
@@ -155,21 +166,21 @@ bench-trace:
 # that box named rather than committed. bench trace runs at a reduced
 # scale per point — the full default dataset takes minutes per
 # GOMAXPROCS.
-bench-scale:
+bench-scale: $(BENCH)
 	mkdir -p bench_scale
-	$(GO) run -buildvcs=true ./cmd/bench engine -gomaxprocs 1,2,4,8 -out bench_scale/BENCH_engine_scale.json
+	$(BENCH) engine -gomaxprocs 1,2,4,8 -out bench_scale/BENCH_engine_scale.json
 	for p in 1 2 4 8; do \
-		GOMAXPROCS=$$p $(GO) run -buildvcs=true ./cmd/bench sweep -out bench_scale/BENCH_sweep_p$$p.json && \
-		GOMAXPROCS=$$p $(GO) run -buildvcs=true ./cmd/bench trace -scale 20 -out bench_scale/BENCH_trace_p$$p.json || exit 1; \
+		GOMAXPROCS=$$p $(BENCH) sweep -out bench_scale/BENCH_sweep_p$$p.json && \
+		GOMAXPROCS=$$p $(BENCH) trace -scale 20 -out bench_scale/BENCH_trace_p$$p.json || exit 1; \
 	done
 
 # CPU and heap profiles of the trace pipeline (the parallel codec plus
 # the batched engine fan-in) into the gitignored prof/; uses a scratch
 # -out so the committed BENCH_trace.json is not skewed by profiler
 # overhead.
-prof-trace:
+prof-trace: $(BENCH)
 	mkdir -p prof
-	$(GO) run -buildvcs=true ./cmd/bench trace -scale 20 -cpuprofile prof/trace_cpu.pprof \
+	$(BENCH) trace -scale 20 -cpuprofile prof/trace_cpu.pprof \
 		-memprofile prof/trace_mem.pprof -out prof/BENCH_trace_prof.json
 	@echo "profiles in prof/: go tool pprof prof/trace_cpu.pprof"
 

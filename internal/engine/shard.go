@@ -218,7 +218,7 @@ func fleetShardSizes(d *failures.Dataset, spec ShardSpec) map[ShardKey]int {
 	var ks [4]ShardKey
 	for i := 0; i < d.Len(); i++ {
 		r := d.At(i)
-		n := shardKeysFor(spec, &r, &ks)
+		n := shardKeysFor(spec, ShardKey{System: r.System, Workload: r.Workload, Cause: r.Cause}, &ks)
 		for _, k := range ks[:n] {
 			counts[k]++
 		}

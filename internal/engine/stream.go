@@ -20,8 +20,10 @@ type RecordSource interface {
 // that naturally produce records a block at a time (tracefmt.Scanner).
 // ScanBatch returns the next non-empty run of records, or (nil, nil) at
 // a clean end; the returned slice is only valid until the next call.
-// AnalyzeStream reads a BatchSource only through ScanBatch and folds
-// each batch in place, skipping the per-record interface round trip.
+// AnalyzeStream reads a BatchSource only through ScanBatch, called from
+// a goroutine of its own, and preps each batch in place, skipping the
+// per-record interface round trip; it calls Err on its own goroutine
+// once that one has exited.
 type BatchSource interface {
 	RecordSource
 	ScanBatch() ([]failures.Record, error)
@@ -140,26 +142,26 @@ func (a *shardAccum) add(start instant, downMin float64, repair streamstats.Key)
 	}
 }
 
-// shardKeysFor writes the shards one record belongs to under a spec into
-// keys and returns how many it wrote: its system shard always, plus the
-// optional fleet aggregate, workload and cause sub-shards.
-// The record and the keys are passed by pointer on purpose: this is the
-// per-record hot path, and copying a failures.Record (over a hundred
-// bytes) or returning the 96-byte key array showed up as measurable
-// duffcopy time in profiles.
-func shardKeysFor(spec ShardSpec, r *failures.Record, keys *[4]ShardKey) int {
-	keys[0] = ShardKey{System: r.System}
+// shardKeysFor writes the shards a record with the given system,
+// workload and cause belongs to under a spec into keys and returns how
+// many it wrote: its system shard always, plus the optional fleet
+// aggregate, workload and cause sub-shards.
+// The keys are written through a pointer on purpose: this is the
+// per-record hot path, and returning the 96-byte key array showed up as
+// measurable duffcopy time in profiles.
+func shardKeysFor(spec ShardSpec, rec ShardKey, keys *[4]ShardKey) int {
+	keys[0] = ShardKey{System: rec.System}
 	n := 1
 	if spec.IncludeFleet {
 		keys[n] = ShardKey{}
 		n++
 	}
 	if spec.ByWorkload {
-		keys[n] = ShardKey{System: r.System, Workload: r.Workload}
+		keys[n] = ShardKey{System: rec.System, Workload: rec.Workload}
 		n++
 	}
 	if spec.ByCause {
-		keys[n] = ShardKey{System: r.System, Cause: r.Cause}
+		keys[n] = ShardKey{System: rec.System, Cause: rec.Cause}
 		n++
 	}
 	return n
@@ -167,22 +169,78 @@ func shardKeysFor(spec ShardSpec, r *failures.Record, keys *[4]ShardKey) int {
 
 // fold is the streaming shard state shared by AnalyzeStream and
 // Incremental: one accumulator per shard holding records, and the number
-// of records folded. It is not safe for concurrent use.
+// of records folded. It folds in two stages, prep and apply; see add and
+// addSource. It is not safe for concurrent use, except that prep may
+// run on another goroutine than apply.
 type fold struct {
 	eng     *Engine
 	opts    StreamOptions
 	accums  map[ShardKey]*shardAccum
 	records int
+	// keyer keys downtimes for the shards' repair sketches in prep. It
+	// is never added to, so prep only reads it.
+	keyer *streamstats.QuantileSketch
+	// rows is add's row buffer.
+	rows []row
 }
 
 func (e *Engine) newFold(opts StreamOptions) fold {
-	return fold{eng: e, opts: opts, accums: make(map[ShardKey]*shardAccum)}
+	keyer, err := streamstats.NewQuantileSketch(opts.SketchEpsilon)
+	if err != nil {
+		// The first record's accumulator reports the bad epsilon. Until
+		// then any geometry will do: AddKeyed re-keys a key from another.
+		keyer, _ = streamstats.NewQuantileSketch(0)
+	}
+	return fold{eng: e, opts: opts, accums: make(map[ShardKey]*shardAccum), keyer: keyer}
 }
 
-// add folds recs in order into every shard each record belongs to and
-// returns how many it folded. ctx is checked before the first record and
-// every 4096 records after it; on cancellation every record before the
-// returned count is fully folded and none after it is touched.
+// row is one record as the apply stage reads it: the record's system,
+// workload and cause, its start time, and its downtime in minutes with,
+// when positive, that downtime's repair sketch key.
+type row struct {
+	rec     ShardKey
+	start   instant
+	downMin float64
+	repair  streamstats.Key
+}
+
+// foldChunk is the most records one prep call turns into rows, and the
+// interval at which apply checks for cancellation. A chunk of rows
+// (80 B each) stays within a core's L2 cache between the stages.
+const foldChunk = 4096
+
+// prep turns recs into rows, reusing rows' storage, and returns them.
+// It converts the start and end times to instants once per record and
+// keys a positive downtime once for every shard the record folds into:
+// all shards of a fold share one sketch epsilon, so the keyer's key is
+// each shard's own. prep reads only the fold's keyer, so it may run
+// concurrently with apply.
+func (f *fold) prep(rows []row, recs []failures.Record) []row {
+	if cap(rows) < len(recs) {
+		rows = make([]row, len(recs))
+	}
+	rows = rows[:len(recs)]
+	// The keyer is loaded once: apply writes f.records on every row, and
+	// reading f.keyer beside it on every record from another core would
+	// pull that cache line back and forth between the two.
+	keyer := f.keyer
+	for i := range recs {
+		r, p := &recs[i], &rows[i]
+		p.rec = ShardKey{System: r.System, Workload: r.Workload, Cause: r.Cause}
+		p.start = instantOf(r.Start)
+		p.downMin = instantOf(r.End).sub(p.start).Minutes()
+		p.repair = streamstats.Key{}
+		if p.downMin > 0 {
+			p.repair = keyer.Key(p.downMin)
+		}
+	}
+	return rows
+}
+
+// apply folds rows in order into every shard each row's record belongs
+// to and returns how many it folded. ctx is checked before the first row
+// and every foldChunk rows after it; on cancellation every row before
+// the returned count is fully folded and none after it is touched.
 //
 // Slot j of shardKeysFor always holds the same kind of key (system,
 // fleet, workload or cause), so each slot remembers its last key and
@@ -190,25 +248,17 @@ func (e *Engine) newFold(opts StreamOptions) fold {
 // slot always hits; the others hit while consecutive records share the
 // key, which holds almost throughout for Stream/GenerateStream traces
 // (grouped by system) and far less for Generate's time-sorted merge.
-//
-// Per record, the start and end times become instants once, and a
-// positive downtime is keyed once for the repair sketches: every shard
-// of a fold has the same sketch epsilon, so slot 0's key is every
-// shard's key.
-func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
+func (f *fold) apply(ctx context.Context, rows []row) (int, error) {
 	var keys, last [4]ShardKey
 	var lastA [4]*shardAccum
-	for i := range recs {
-		if i%4096 == 0 {
+	for i := range rows {
+		if i%foldChunk == 0 {
 			if err := ctx.Err(); err != nil {
 				return i, err
 			}
 		}
-		r := &recs[i]
-		start := instantOf(r.Start)
-		downMin := instantOf(r.End).sub(start).Minutes()
-		var repair streamstats.Key
-		n := shardKeysFor(f.opts.Spec, r, &keys)
+		p := &rows[i]
+		n := shardKeysFor(f.opts.Spec, p.rec, &keys)
 		for j, key := range keys[:n] {
 			a := lastA[j]
 			if a == nil || key != last[j] {
@@ -218,14 +268,103 @@ func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
 				}
 				last[j], lastA[j] = key, a
 			}
-			if j == 0 && downMin > 0 {
-				repair = a.repair.Key(downMin)
-			}
-			a.add(start, downMin, repair)
+			a.add(p.start, p.downMin, p.repair)
 		}
 		f.records++
 	}
-	return len(recs), nil
+	return len(rows), nil
+}
+
+// add folds recs in order, running prep and then apply on each chunk of
+// foldChunk records on the caller's goroutine, and returns how many it
+// folded, with apply's cancellation semantics: ctx is checked before the
+// first record and every foldChunk records after it.
+func (f *fold) add(ctx context.Context, recs []failures.Record) (int, error) {
+	done := 0
+	for done < len(recs) {
+		f.rows = f.prep(f.rows, recs[done:min(done+foldChunk, len(recs))])
+		n, err := f.apply(ctx, f.rows)
+		done += n
+		if err != nil {
+			return done, err
+		}
+	}
+	return done, nil
+}
+
+// prepBufs is how many row buffers addSource circulates between its
+// stages: one being applied, one being filled and one ready between
+// them, so a stage that runs briefly ahead does not wait on the other.
+const prepBufs = 3
+
+// addSource folds every record bs yields, in order. A goroutine of its
+// own calls ScanBatch and preps each batch a chunk at a time into one of
+// prepBufs reused row buffers; the caller's goroutine applies the
+// buffers in the order they were filled and hands each back. Every
+// record goes through the same prep and apply as in add, in the same
+// order, so the fold's state does not depend on which of the two ran.
+//
+// addSource returns only after the prep goroutine has exited, on every
+// path: end of input, a source error, ctx cancellation and an
+// accumulator error. So bs sees no ScanBatch call once addSource has
+// returned, and the caller may close it at once. Nor does bs see one
+// once ctx is done: the prep goroutine checks ctx before every call.
+func (f *fold) addSource(ctx context.Context, bs BatchSource) error {
+	// Both channels hold every buffer, so a send on either never blocks.
+	free := make(chan []row, prepBufs)
+	full := make(chan []row, prepBufs)
+	for i := 0; i < prepBufs; i++ {
+		free <- nil
+	}
+	// stop ends the prep goroutine early: when ctx is done, or when
+	// apply fails.
+	prepCtx, stop := context.WithCancel(ctx)
+	var srcErr error
+	go func() {
+		defer close(full)
+		for prepCtx.Err() == nil {
+			batch, err := bs.ScanBatch()
+			if err != nil || batch == nil {
+				srcErr = err
+				return
+			}
+			// A batch is valid only until the next ScanBatch, so it is
+			// fully prepped before the next call.
+			for len(batch) > 0 {
+				var rows []row
+				select {
+				case rows = <-free:
+				case <-prepCtx.Done():
+					return
+				}
+				n := min(len(batch), foldChunk)
+				full <- f.prep(rows, batch[:n])
+				batch = batch[n:]
+			}
+		}
+	}()
+	// Join the prep goroutine before returning: stop it, then take what
+	// it still sends until it closes full.
+	defer func() {
+		stop()
+		for range full {
+		}
+	}()
+	for rows := range full {
+		if _, err := f.apply(ctx, rows); err != nil {
+			return err
+		}
+		free <- rows
+	}
+	// full is closed, so the prep goroutine has exited: at the end of
+	// input, with srcErr set, or because ctx is done.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if srcErr != nil {
+		return fmt.Errorf("engine analyze stream: %w", srcErr)
+	}
+	return nil
 }
 
 // accum returns the shard's accumulator, creating it on first use.
@@ -299,10 +438,16 @@ func (b *recordBatches) ScanBatch() ([]failures.Record, error) {
 //     seeded uniform reservoir subsample (exact whenever a shard's sample
 //     fits in the reservoir).
 //
-// A BatchSource is folded a whole batch at a time, addressing records
-// by pointer into the batch; any other source is read through a small
-// fixed-size batch adapter. Either way the fold is sequential, in record
-// order, so the result does not depend on how the records are batched.
+// src is read on a goroutine of its own, which turns each batch into
+// compact rows (shard fields, start time, downtime and its repair sketch
+// key) while the caller's goroutine folds the previous rows into the
+// shard accumulators. src is never read after AnalyzeStream returns, on
+// any path, so the caller may close it at once. A BatchSource is read a
+// whole batch at a time, addressing records by pointer into the batch;
+// any other source goes through a small fixed-size batch adapter.
+// Either way the rows are folded in record order, exactly as
+// Incremental folds them, so the result does not depend on how the
+// records are batched.
 //
 // Interarrival studies assume src yields records in start-time order; see
 // StreamInfo.OutOfOrder.
@@ -312,17 +457,8 @@ func (e *Engine) AnalyzeStream(ctx context.Context, src RecordSource, opts Strea
 		bs = &recordBatches{RecordSource: src, buf: make([]failures.Record, 0, recordBatchLen)}
 	}
 	f := e.newFold(opts)
-	for {
-		batch, err := bs.ScanBatch()
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine analyze stream: %w", err)
-		}
-		if batch == nil {
-			break
-		}
-		if _, err := f.add(ctx, batch); err != nil {
-			return nil, nil, err
-		}
+	if err := f.addSource(ctx, bs); err != nil {
+		return nil, nil, err
 	}
 	if err := src.Err(); err != nil {
 		return nil, nil, fmt.Errorf("engine analyze stream: %w", err)

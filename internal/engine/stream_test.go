@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,34 +175,55 @@ func (s *erringBatchSource) ScanBatch() ([]failures.Record, error) { return nil,
 
 // TestAnalyzeStreamBatchIdentity: folding records by whole batches must
 // produce the identical FleetResult and StreamInfo as a record-at-a-time
-// source read through the batch adapter, at every batch size — batching
-// is a pure dispatch-overhead optimization, never a semantic change.
+// source read through the batch adapter, and as Incremental's inline
+// fold of the same records, at every batch size — batching is a pure
+// dispatch-overhead optimization, never a semantic change. The sizes
+// cover one record per batch, odd sizes on both sides of foldChunk
+// (which split a batch across row buffers) and the whole trace in one
+// batch, under the fleet+system and the fleet+cause specs.
 func TestAnalyzeStreamBatchIdentity(t *testing.T) {
 	d, err := lanl.NewGenerator(lanl.Config{Seed: 5}).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := d.Records()
-	spec := ShardSpec{IncludeFleet: true, ByCause: true, CIFamilies: []dist.Family{dist.FamilyWeibull}}
 	ctx := context.Background()
 	eng := func() *Engine { return New(Options{Workers: 2, BootstrapReps: 16, Seed: 42}) }
-
-	wantRes, wantInfo, err := eng().AnalyzeStream(ctx, &sliceSource{recs: recs},
-		StreamOptions{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batchN := range []int{1, 3, 1000, len(recs) + 1} {
-		src := &batchSource{sliceSource: sliceSource{recs: recs}, batchN: batchN}
-		res, info, err := eng().AnalyzeStream(ctx, src, StreamOptions{Spec: spec})
+	for _, sc := range []struct {
+		name string
+		spec ShardSpec
+	}{
+		{"fleet+system", ShardSpec{IncludeFleet: true, CIFamilies: []dist.Family{dist.FamilyWeibull}}},
+		{"fleet+cause", ShardSpec{IncludeFleet: true, ByCause: true, CIFamilies: []dist.Family{dist.FamilyWeibull}}},
+	} {
+		opts := StreamOptions{Spec: sc.spec}
+		wantRes, wantInfo, err := eng().AnalyzeStream(ctx, &sliceSource{recs: recs}, opts)
 		if err != nil {
-			t.Fatalf("batchN=%d: %v", batchN, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res, wantRes) {
-			t.Fatalf("batchN=%d: batched result differs from record-at-a-time source", batchN)
+		inc := eng().NewIncremental(opts)
+		if n, err := inc.Append(ctx, recs); err != nil || n != len(recs) {
+			t.Fatalf("%s: append: n=%d err=%v", sc.name, n, err)
 		}
-		if *info != *wantInfo {
-			t.Fatalf("batchN=%d: info %+v, want %+v", batchN, *info, *wantInfo)
+		res, info, err := inc.Result(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, wantRes) || *info != *wantInfo {
+			t.Fatalf("%s: incremental fold differs from AnalyzeStream", sc.name)
+		}
+		for _, batchN := range []int{1, 3, 1000, foldChunk - 1, foldChunk + 1, 3*foldChunk + 7, len(recs) + 1} {
+			src := &batchSource{sliceSource: sliceSource{recs: recs}, batchN: batchN}
+			res, info, err := eng().AnalyzeStream(ctx, src, opts)
+			if err != nil {
+				t.Fatalf("%s: batchN=%d: %v", sc.name, batchN, err)
+			}
+			if !reflect.DeepEqual(res, wantRes) {
+				t.Fatalf("%s: batchN=%d: batched result differs from record-at-a-time source", sc.name, batchN)
+			}
+			if *info != *wantInfo {
+				t.Fatalf("%s: batchN=%d: info %+v, want %+v", sc.name, batchN, *info, *wantInfo)
+			}
 		}
 	}
 
@@ -209,6 +231,102 @@ func TestAnalyzeStreamBatchIdentity(t *testing.T) {
 	boom := errors.New("batch source failure")
 	if _, _, err := eng().AnalyzeStream(ctx, &erringBatchSource{err: boom}, StreamOptions{}); !errors.Is(err, boom) {
 		t.Fatalf("batch source error not propagated: %v", err)
+	}
+}
+
+// stopSource is a cycleSource that notes every ScanBatch call: how
+// many there were, whether one is running, and whether one began after
+// the test marked AnalyzeStream as returned. Every call after the first
+// takes a millisecond, like a decoder waiting on I/O, so a reader left
+// running is caught inside a call. At call failAt it runs onFail
+// (cancelling a context, say) and, if err is set, returns err.
+type stopSource struct {
+	cycleSource
+	failAt   int
+	onFail   func()
+	err      error
+	calls    atomic.Int64
+	inFlight atomic.Int64
+	returned atomic.Bool
+	late     atomic.Int64
+}
+
+func (s *stopSource) ScanBatch() ([]failures.Record, error) {
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	if s.returned.Load() {
+		s.late.Add(1)
+	}
+	n := int(s.calls.Add(1))
+	if n > 1 {
+		time.Sleep(time.Millisecond)
+	}
+	if n == s.failAt {
+		if s.onFail != nil {
+			s.onFail()
+		}
+		if s.err != nil {
+			return nil, s.err
+		}
+	}
+	return s.cycleSource.ScanBatch()
+}
+
+// TestAnalyzeStreamStopsSource: AnalyzeStream reads its source on a
+// goroutine of its own, and must have stopped that goroutine by the time
+// it returns on every early path (a source error, a context cancelled
+// mid-stream, an accumulator error), so a caller may close the source
+// at once. After a source error or a cancellation the source sees no
+// further call at all.
+func TestAnalyzeStreamStopsSource(t *testing.T) {
+	recs := groupedTrace(t)
+	boom := errors.New("source failure")
+	for _, tc := range []struct {
+		name      string
+		opts      StreamOptions
+		fail      bool
+		cancel    bool
+		wantCalls int
+	}{
+		{name: "source error", fail: true, wantCalls: 5},
+		{name: "cancel", cancel: true, wantCalls: 5},
+		// An epsilon outside the sketch's range fails the first shard's
+		// accumulator, while the source never ends.
+		{name: "accumulator error", opts: StreamOptions{SketchEpsilon: 2}},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		// An endless source: a reader never stopped would read it forever.
+		src := &stopSource{cycleSource: cycleSource{sliceSource: sliceSource{recs: recs}, n: math.MaxInt, batchN: 1000}}
+		if tc.fail {
+			src.failAt, src.err = 5, boom
+		}
+		if tc.cancel {
+			src.failAt, src.onFail = 5, cancel
+		}
+		_, _, err := New(Options{Workers: 1, BootstrapReps: -1}).AnalyzeStream(ctx, src, tc.opts)
+		if n := src.inFlight.Load(); n != 0 {
+			t.Errorf("%s: %d ScanBatch calls still running after AnalyzeStream returned", tc.name, n)
+		}
+		src.returned.Store(true)
+		cancel()
+		switch {
+		case tc.fail && !errors.Is(err, boom):
+			t.Errorf("%s: err = %v, want the source error", tc.name, err)
+		case tc.cancel && !errors.Is(err, context.Canceled):
+			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		case err == nil:
+			t.Errorf("%s: AnalyzeStream succeeded on a source that never ends", tc.name)
+		}
+		if got := int(src.calls.Load()); tc.wantCalls != 0 && got != tc.wantCalls {
+			t.Errorf("%s: %d ScanBatch calls, want %d", tc.name, got, tc.wantCalls)
+		}
+		// A prep goroutine left running would go on reading the endless
+		// source; every call it made would count here.
+		t.Cleanup(func() {
+			if n := src.late.Load(); n != 0 {
+				t.Errorf("%s: %d ScanBatch calls after AnalyzeStream returned", tc.name, n)
+			}
+		})
 	}
 }
 
@@ -222,22 +340,14 @@ func TestAnalyzeStreamBatchIdentity(t *testing.T) {
 // "4-shard" into its workload and cause sub-shards as well. The trace is
 // folded repeatedly into one fold.
 func BenchmarkFoldAdd(b *testing.B) {
-	gen := lanl.NewGenerator(lanl.Config{Seed: 1})
-	var grouped []failures.Record
-	if err := gen.GenerateStream(func(r failures.Record) error {
-		grouped = append(grouped, r)
-		return nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-	d, err := gen.Generate()
+	d, err := lanl.NewGenerator(lanl.Config{Seed: 1}).Generate()
 	if err != nil {
 		b.Fatal(err)
 	}
 	orders := []struct {
 		name string
 		recs []failures.Record
-	}{{"grouped", grouped}, {"time-sorted", d.Records()}}
+	}{{"grouped", groupedTrace(b)}, {"time-sorted", d.Records()}}
 	specs := []struct {
 		name string
 		spec ShardSpec
@@ -261,6 +371,56 @@ func BenchmarkFoldAdd(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// groupedTrace is the seed-1 lanl trace in GenerateStream's order: one
+// system's records after another, as in binary traces.
+func groupedTrace(tb testing.TB) []failures.Record {
+	var recs []failures.Record
+	if err := lanl.NewGenerator(lanl.Config{Seed: 1}).GenerateStream(func(r failures.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return recs
+}
+
+// cycleSource is a BatchSource of n records: recs over and over, in
+// batches of at most batchN that never span the wrap.
+type cycleSource struct {
+	sliceSource
+	n, batchN int
+}
+
+func (s *cycleSource) ScanBatch() ([]failures.Record, error) {
+	if s.n == 0 {
+		return nil, nil
+	}
+	if s.i == len(s.recs) {
+		s.i = 0
+	}
+	hi := min(s.i+s.batchN, len(s.recs), s.i+s.n)
+	b := s.recs[s.i:hi]
+	s.n -= len(b)
+	s.i = hi
+	return b, nil
+}
+
+// BenchmarkAnalyzeStream is the per-record cost of a whole AnalyzeStream
+// pass (ns/op is per record) as trace-scan runs it: the system-grouped
+// seed-1 trace, repeated to b.N records, in batches of tracefmt's
+// default 8192-record block, into the fleet and per-system shards with
+// bootstrap intervals off. It times both fold stages, their handoff and
+// the final fits; the fits' cost is fixed, so it fades as b.N grows.
+func BenchmarkAnalyzeStream(b *testing.B) {
+	src := &cycleSource{sliceSource: sliceSource{recs: groupedTrace(b)}, n: b.N, batchN: 8192}
+	eng := New(Options{Workers: 2, BootstrapReps: -1, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, _, err := eng.AnalyzeStream(context.Background(), src, StreamOptions{Spec: ShardSpec{IncludeFleet: true}}); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -49,7 +49,7 @@ func (a *Accumulator) Add(x float64) { a.AddKeyed(a.Key(x)) }
 // Key classifies and buckets x for the accumulator's sketch. The key can
 // be applied to any accumulator with AddKeyed; one whose sketch epsilon
 // matches uses it as is.
-func (a *Accumulator) Key(x float64) Key { return a.sketch.key(x) }
+func (a *Accumulator) Key(x float64) Key { return a.sketch.Key(x) }
 
 // AddKeyed folds the observation k was computed for, exactly as Add of
 // that value would. A key from an accumulator with a different sketch

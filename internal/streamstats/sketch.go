@@ -190,8 +190,11 @@ const (
 	keyNeg
 )
 
-// key classifies x and, for a finite nonzero x, buckets its magnitude.
-func (s *QuantileSketch) key(x float64) Key {
+// Key classifies x and, for a finite nonzero x, buckets its magnitude
+// under the sketch's geometry. It reads only that geometry, fixed at
+// construction, and never the counts: a sketch used only for keying can
+// key values for any accumulator of the same epsilon, from any goroutine.
+func (s *QuantileSketch) Key(x float64) Key {
 	k := Key{x: x, gamma: s.gamma}
 	switch {
 	case math.IsNaN(x):
@@ -211,7 +214,7 @@ func (s *QuantileSketch) key(x float64) Key {
 }
 
 // Add folds one observation into the sketch.
-func (s *QuantileSketch) Add(x float64) { s.addKey(s.key(x)) }
+func (s *QuantileSketch) Add(x float64) { s.addKey(s.Key(x)) }
 
 // addKey folds the observation k was computed for. Every bucket index is
 // a function of x and gamma alone, so a key from a sketch with the same
@@ -219,7 +222,7 @@ func (s *QuantileSketch) Add(x float64) { s.addKey(s.key(x)) }
 // Key) is recomputed here from its value.
 func (s *QuantileSketch) addKey(k Key) {
 	if k.gamma != s.gamma {
-		k = s.key(k.x)
+		k = s.Key(k.x)
 	}
 	s.n++
 	switch k.kind {
