@@ -115,13 +115,14 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# The per-record fold hot path without perfbench: one Accumulator.Add
-# (perfbench's streamstats.add_ns), one record through the inline
-# engine fold at 2 and 4 shards per record, on system-grouped and
-# time-sorted traces, and one record through a whole two-stage
-# AnalyzeStream pass as trace-scan runs it.
+# The per-record fold hot path without perfbench: one sketch key of an
+# interarrival or repair value at eps 0.01 (the cell table) and 1e-4
+# (slowBucket), one Accumulator.Add (perfbench's streamstats.add_ns),
+# one record through the inline engine fold at 2 and 4 shards per
+# record, on system-grouped and time-sorted traces, and one record
+# through a whole two-stage AnalyzeStream pass as trace-scan runs it.
 bench-fold:
-	$(GO) test -bench='AccumulatorAdd|FoldAdd|AnalyzeStream' -benchmem -run=^$$ ./internal/streamstats ./internal/engine
+	$(GO) test -bench='SketchKey|AccumulatorAdd|FoldAdd|AnalyzeStream' -benchmem -run=^$$ ./internal/streamstats ./internal/engine
 
 # The bench-*, bench-scale and prof-trace targets run one cmd/bench
 # binary, built with -buildvcs=true so each report's header names the

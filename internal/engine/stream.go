@@ -45,8 +45,9 @@ type StreamOptions struct {
 type StreamInfo struct {
 	// RecordsScanned is the number of records consumed from the source.
 	RecordsScanned int
-	// OutOfOrder counts records whose start time preceded the previous
-	// record's within the same shard. Streaming interarrivals assume a
+	// OutOfOrder counts records whose start time preceded the latest
+	// start seen so far in the same shard: starts 10, 5, 7 count two
+	// records, since 7 still precedes 10. Streaming interarrivals assume a
 	// start-time-sorted trace (WriteCSV emits one); out-of-order records
 	// yield non-positive deltas, which are dropped exactly like the
 	// simultaneous failures the in-memory path drops, but a large count

@@ -458,7 +458,9 @@ func TestAnalyzeStreamEdgeCases(t *testing.T) {
 	}
 
 	// An unsorted trace is detected, and its negative deltas are not
-	// folded into the interarrival sample.
+	// folded into the interarrival sample. A start is out of order
+	// against the shard's latest start, not the previous record's: 7
+	// follows 5 but precedes 10, so it counts too.
 	t0 := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 	mk := func(minStart int) failures.Record {
 		return failures.Record{
@@ -467,19 +469,20 @@ func TestAnalyzeStreamEdgeCases(t *testing.T) {
 			End:   t0.Add(time.Duration(minStart+30) * time.Minute),
 		}
 	}
-	unsorted := &sliceSource{recs: []failures.Record{mk(0), mk(60), mk(30), mk(90)}}
+	unsorted := &sliceSource{recs: []failures.Record{mk(0), mk(10), mk(5), mk(7), mk(40)}}
 	res, info, err := eng.AnalyzeStream(ctx, unsorted, StreamOptions{Spec: ShardSpec{MinN: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.OutOfOrder != 1 {
-		t.Fatalf("OutOfOrder = %d, want 1", info.OutOfOrder)
+	if info.OutOfOrder != 2 {
+		t.Fatalf("OutOfOrder = %d, want 2", info.OutOfOrder)
 	}
 	shard, ok := res.Shard(ShardKey{System: 1})
 	if !ok || shard.Interarrival == nil {
 		t.Fatalf("missing system shard or interarrival study: %+v", res.Shards)
 	}
-	// Deltas: +60, -30 (dropped), +30 — two positive interarrivals.
+	// Deltas against the latest start: +10, -5 and -3 (dropped), +30 —
+	// two positive interarrivals.
 	if shard.Interarrival.N != 2 {
 		t.Fatalf("interarrival N = %d, want 2", shard.Interarrival.N)
 	}

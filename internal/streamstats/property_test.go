@@ -1,9 +1,11 @@
 package streamstats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +99,173 @@ func (s *QuantileSketch) powBucket(x float64) int {
 	return k
 }
 
+// tabulated returns newSketch(eps) with its cell table attached whenever
+// its geometry has one, whether or not the process-wide cache still had
+// room for it when the sketch was made.
+func tabulated(eps float64) *QuantileSketch {
+	s := newSketch(eps)
+	if c := cellBits(s.gamma); c >= 0 && len(s.table.cells) == 0 {
+		s.table = buildKeyTable(s, c)
+	}
+	return s
+}
+
+// TestSketchKeyTableExhaustive checks every cell of the table at each
+// tabulated epsilon of the oracle sweeps against the Pow oracle: the
+// cell's low end, its last float, the stored edge and the float after
+// that edge. It also checks values just outside the window, the
+// normal/subnormal boundary, and that eps 1e-4, whose cells would need
+// more than maxCellBits, has no table.
+func TestSketchKeyTableExhaustive(t *testing.T) {
+	for _, eps := range []float64{1e-3, 0.01, 0.1, 0.5, 0.9} {
+		s := newSketch(eps)
+		c := cellBits(s.gamma)
+		if c < 0 {
+			t.Fatalf("eps %g: no cell width under a bucket", eps)
+		}
+		s.table = buildKeyTable(s, c)
+		tab := s.table
+		if len(tab.cells) != tableOctaves<<c {
+			t.Fatalf("eps %g: table has %d cells, want %d", eps, len(tab.cells), tableOctaves<<c)
+		}
+		mismatches := 0
+		check := func(x float64) {
+			if got, want := s.bucket(x), s.powBucket(x); got != want {
+				if mismatches++; mismatches <= 5 {
+					t.Errorf("eps %g: bucket(%v) = %d, Pow oracle %d", eps, x, got, want)
+				}
+			}
+		}
+		for i, cell := range tab.cells {
+			lo := math.Float64frombits((tab.base + uint64(i)) << tab.shift)
+			check(lo)
+			check(math.Float64frombits(math.Float64bits(lo) + 1<<tab.shift - 1))
+			check(cell.edge)
+			check(math.Nextafter(cell.edge, math.Inf(1)))
+		}
+		for _, x := range []float64{0x1p-17, 0x1p-16, math.Nextafter(0x1p-16, 0), 0x1p48, math.Nextafter(0x1p48, 0)} {
+			check(x)
+		}
+		for d := -4; d <= 4; d++ {
+			check(math.Float64frombits(math.Float64bits(0x1p-1022) + uint64(d)))
+		}
+		if mismatches > 0 {
+			t.Fatalf("eps %g: %d keys differ from the Pow oracle", eps, mismatches)
+		}
+	}
+	if s := newSketch(1e-4); cellBits(s.gamma) >= 0 || len(s.table.cells) != 0 {
+		t.Fatalf("eps 1e-4: cell bits %d, %d table cells; want no table", cellBits(s.gamma), len(s.table.cells))
+	}
+}
+
+// emptyKeyTables empties the process-wide table cache for one test and
+// restores it afterwards.
+func emptyKeyTables(t *testing.T) {
+	keyTables.Lock()
+	savedGammas, savedTables := keyTables.gammas, keyTables.tables
+	keyTables.gammas, keyTables.tables = nil, nil
+	keyTables.Unlock()
+	t.Cleanup(func() {
+		keyTables.Lock()
+		keyTables.gammas, keyTables.tables = savedGammas, savedTables
+		keyTables.Unlock()
+	})
+}
+
+// TestSketchKeyTableConcurrent makes sketches of a few geometries from
+// several goroutines at once, on an empty cache, so first uses race each
+// other: every geometry must end up cached once, and every key must
+// stay slowBucket's. Run it under -race.
+func TestSketchKeyTableConcurrent(t *testing.T) {
+	emptyKeyTables(t)
+	epsilons := []float64{0.01, 0.02, 0.05, 0.1}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 50; i++ {
+				s := newSketch(epsilons[(g+i)%len(epsilons)])
+				for j := 0; j < 20; j++ {
+					x := math.Ldexp(1+rng.Float64(), rng.Intn(80)-24)
+					if got, want := s.Key(x).bucket, s.slowBucket(x); got != want {
+						t.Errorf("eps %g: key of %v = %d, slowBucket %d", s.eps, x, got, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	keyTables.Lock()
+	defer keyTables.Unlock()
+	if n := len(keyTables.gammas); n != len(epsilons) {
+		t.Fatalf("cache holds %d tables after %d geometries", n, len(epsilons))
+	}
+}
+
+// TestSketchKeyTableCacheBound decodes sketch snapshots at many distinct
+// epsilons, as a hostile snapshot could carry: geometries too fine to
+// tabulate build nothing, the cache stops at maxKeyTables, sketches
+// beyond it key without a table, and every key stays slowBucket's.
+func TestSketchKeyTableCacheBound(t *testing.T) {
+	blob, err := newSketch(DefaultSketchEpsilon).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyKeyTables(t)
+	cached := func() int {
+		keyTables.Lock()
+		defer keyTables.Unlock()
+		return len(keyTables.gammas)
+	}
+	decode := func(eps float64) *QuantileSketch {
+		t.Helper()
+		b := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint64(b[2:], math.Float64bits(eps))
+		var s QuantileSketch
+		if err := s.UnmarshalBinary(b); err != nil {
+			t.Fatalf("eps %g: %v", eps, err)
+		}
+		return &s
+	}
+	rng := rand.New(rand.NewSource(28))
+	xs := make([]float64, 2000)
+	for i := range xs {
+		xs[i] = math.Ldexp(1+rng.Float64(), rng.Intn(80)-24)
+	}
+	checkKeys := func(s *QuantileSketch) {
+		t.Helper()
+		for _, x := range xs {
+			if got, want := s.Key(x).bucket, s.slowBucket(x); got != want {
+				t.Fatalf("eps %g: key of %v = %d, slowBucket %d", s.eps, x, got, want)
+			}
+		}
+	}
+	for _, eps := range []float64{MinSketchEpsilon, 1e-5, 1e-4, 2e-4, 4e-4} {
+		s := decode(eps)
+		if len(s.table.cells) != 0 || cached() != 0 {
+			t.Fatalf("eps %g: %d table cells, %d cached tables; want none", eps, len(s.table.cells), cached())
+		}
+		checkKeys(s)
+	}
+	for i := 0; i < 3*maxKeyTables; i++ {
+		eps := 0.001 + 0.03*float64(i)
+		s := decode(eps)
+		if n := cached(); n != min(i+1, maxKeyTables) {
+			t.Fatalf("after %d tabulated epsilons the cache holds %d tables", i+1, n)
+		}
+		if tabled := len(s.table.cells) > 0; tabled != (i < maxKeyTables) {
+			t.Fatalf("eps %g (geometry %d): has table %v", eps, i+1, tabled)
+		}
+		checkKeys(s)
+		if again := decode(eps); len(again.table.cells) > 0 && &again.table.cells[0] != &s.table.cells[0] {
+			t.Fatalf("eps %g: a second sketch of the geometry got its own table", eps)
+		}
+	}
+}
+
 // TestSketchBucketMatchesPowOracle pins that skipping the Pow settle away
 // from bucket edges changes no key. At every epsilon from 1e-12 to 0.9 it
 // checks each edge Pow(gamma, k) for k in [-3000, 3000] and at random keys
@@ -110,9 +279,9 @@ func TestSketchBucketMatchesPowOracle(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20))
 	for _, eps := range []float64{1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 0.1, 0.5, 0.9} {
-		// newSketch, not NewQuantileSketch: the sweep reaches below
+		// Not NewQuantileSketch: the sweep reaches below
 		// MinSketchEpsilon on purpose, where the margin is tightest.
-		s := newSketch(eps)
+		s := tabulated(eps)
 		mismatches := 0
 		check := func(x float64) {
 			if !(x > 0) || math.IsInf(x, 0) {
@@ -145,11 +314,11 @@ func TestSketchBucketMatchesPowOracle(t *testing.T) {
 	}
 }
 
-// TestSketchBucketMatchesSlowPath pins that bucket's fastLog path
+// TestSketchBucketMatchesSlowPath pins that bucket's cell table
 // returns slowBucket's key: over the Pow-oracle sweep's edges at ±4
 // ulps, random keys and random bit patterns, plus the normal/subnormal
 // boundary, at every epsilon of that sweep, those below
-// MinSketchEpsilon included.
+// MinSketchEpsilon included (which have no table and take slowBucket).
 func TestSketchBucketMatchesSlowPath(t *testing.T) {
 	randomKeys, randomBits := 200_000, 1_000_000
 	if testing.Short() {
@@ -157,7 +326,7 @@ func TestSketchBucketMatchesSlowPath(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	for _, eps := range []float64{1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 0.1, 0.5, 0.9} {
-		s := newSketch(eps)
+		s := tabulated(eps)
 		mismatches := 0
 		check := func(x float64) {
 			if !(x > 0) || math.IsInf(x, 0) {
@@ -192,44 +361,6 @@ func TestSketchBucketMatchesSlowPath(t *testing.T) {
 			t.Fatalf("eps %g: %d keys differ from slowBucket", eps, mismatches)
 		}
 	}
-}
-
-// fastLog's error against math.Log must stay within 1/64 of the bound
-// bucket assumes, 2^-40*(1+|ln x|): over random normal bit patterns,
-// every power of two, and both sides of every table cell's edge at
-// several exponents.
-func TestFastLogErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	worst, worstX := 0.0, 0.0
-	check := func(x float64) {
-		want := math.Log(x)
-		err := math.Abs(fastLog(x) - want)
-		if err > 0x1p-46*(1+math.Abs(want)) {
-			t.Fatalf("fastLog(%v) = %v, math.Log %v: error %g over 2^-46*(1+|ln x|)", x, fastLog(x), want, err)
-		}
-		if rel := err / (1 + math.Abs(want)); rel > worst {
-			worst, worstX = rel, x
-		}
-	}
-	for i := 0; i < 1_000_000; i++ {
-		// A positive normal: biased exponent in [1, 2046].
-		exp := uint64(1 + rng.Intn(2046))
-		check(math.Float64frombits(exp<<52 | rng.Uint64()&(1<<52-1)))
-	}
-	for e := -1022; e <= 1023; e++ {
-		check(math.Ldexp(1, e))
-	}
-	for _, e := range []int{-1022, -500, -1, 0, 1, 500, 1023} {
-		for j := 0; j < 256; j++ {
-			edge := math.Ldexp(1+float64(j)/256, e)
-			for _, x := range []float64{edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1))} {
-				if x >= 0x1p-1022 && x <= math.MaxFloat64 {
-					check(x)
-				}
-			}
-		}
-	}
-	t.Logf("worst |fastLog - math.Log|/(1+|ln x|) = %.3g at x = %v", worst, worstX)
 }
 
 // A warm Accumulator.Add — reservoir full, sketch window grown over the

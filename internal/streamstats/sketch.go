@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // ErrEmptySketch is returned when a quantile of an empty sketch is taken.
@@ -32,16 +33,16 @@ type QuantileSketch struct {
 	maxKey int
 	// slack is 2^-46/lnGamma, slowBucket's edge margin per unit of |f|.
 	slack float64
-	// logSlack is 2^-40/lnGamma: fastLog's error bound, per unit of
-	// 1+|ln x|, in bucket-index units.
-	logSlack float64
-	pos      bucketCounts
-	neg      bucketCounts
-	zero     uint64
-	posInf   uint64
-	negInf   uint64
-	nan      uint64
-	n        uint64
+	// table is bucket's cell table for this geometry, shared by every
+	// sketch of the same gamma; empty when the geometry has none.
+	table  keyTable
+	pos    bucketCounts
+	neg    bucketCounts
+	zero   uint64
+	posInf uint64
+	negInf uint64
+	nan    uint64
+	n      uint64
 }
 
 // DefaultSketchEpsilon is the relative accuracy used when
@@ -76,15 +77,16 @@ func newSketch(eps float64) *QuantileSketch {
 	// numerator stays finite (gamma^k <= MaxFloat64/2).
 	minKey := int(math.Ceil(math.Log(0x1p-1022) / lnGamma))
 	maxKey := int(math.Floor(math.Log(math.MaxFloat64/2) / lnGamma))
-	return &QuantileSketch{
-		eps:      eps,
-		gamma:    gamma,
-		lnGamma:  lnGamma,
-		minKey:   minKey,
-		maxKey:   maxKey,
-		slack:    0x1p-46 / lnGamma,
-		logSlack: 0x1p-40 / lnGamma,
+	s := &QuantileSketch{
+		eps:     eps,
+		gamma:   gamma,
+		lnGamma: lnGamma,
+		minKey:  minKey,
+		maxKey:  maxKey,
+		slack:   0x1p-46 / lnGamma,
 	}
+	s.table = keyTableFor(s)
+	return s
 }
 
 // Epsilon returns the sketch's relative accuracy.
@@ -95,38 +97,130 @@ func (s *QuantileSketch) N() int { return int(s.n) }
 
 // bucket returns the geometric bucket index of a positive finite value:
 // the k with x in (gamma^(k-1), gamma^k], clamped to [minKey, maxKey].
-//
-// It estimates slowBucket's f = ln x / lnGamma as g from fastLog, whose
-// error in index units is at most d = (1+|ln x|)*logSlack, and returns
-// ceil(g) when g is farther than slowBucket's margin plus d from both
-// ceil(g) and ceil(g)-1. Then f lies in the same bucket interval and
-// farther than its own margin from both edges, where slowBucket returns
-// ceil(f) without settling, so the key is slowBucket's. Every other
-// value (subnormals, values near an edge, and any value at an eps so
-// small that the margin spans a bucket) takes slowBucket itself.
+// A value in the cell table's window is one lookup and one compare;
+// every other value, and every value of a geometry without a table,
+// takes slowBucket.
 func (s *QuantileSketch) bucket(x float64) int {
-	if x >= 0x1p-1022 && x <= math.MaxFloat64 {
-		lx := fastLog(x)
-		g := lx / s.lnGamma
-		c := math.Ceil(g)
-		d := (1 + math.Abs(lx)) * s.logSlack
-		// slowBucket's margin at any f within d of g, plus d.
-		if m := (1+math.Abs(g)+d)*s.slack + d; c-g > m && g-(c-1) > m {
-			return s.clamp(int(c))
+	t := &s.table
+	// shift&63 spares the compiler's check for shifts of 64 and more.
+	if i := math.Float64bits(x)>>(t.shift&63) - t.base; i < uint64(len(t.cells)) {
+		c := &t.cells[i]
+		k := int(c.k)
+		if x > c.edge {
+			k++
 		}
+		return k
 	}
 	return s.slowBucket(x)
 }
 
-// clamp limits a bucket index to [minKey, maxKey].
-func (s *QuantileSketch) clamp(k int) int {
-	if k < s.minKey {
-		return s.minKey
+// The cell table spans [2^tableMinExp, 2^(tableMinExp+tableOctaves)),
+// about 1.5e-5 to 2.8e14: interarrival seconds and repair minutes from
+// microseconds to millions of years. Values outside it, subnormals
+// included, take slowBucket.
+const (
+	tableMinExp  = -16
+	tableOctaves = 64
+	// maxCellBits bounds a table at tableOctaves<<10 cells (1 MiB); a
+	// geometry that needs finer cells (eps below about 5e-4) has none.
+	maxCellBits = 10
+	// maxKeyTables bounds the process-wide table cache, so snapshots
+	// carrying many epsilons cannot grow memory: sketches of further
+	// geometries key with slowBucket.
+	maxKeyTables = 8
+)
+
+// keyTable is bucket's lookup table for one geometry. Cell i holds the
+// positive floats whose bits shifted right by shift equal base+i: one
+// binary exponent and the top 52-shift mantissa bits. Cells are
+// narrower than a bucket, so at most one bucket edge falls inside one.
+type keyTable struct {
+	shift uint
+	base  uint64
+	cells []keyCell
+}
+
+// keyCell keys every value of its cell: k is the bucket of the cell's
+// low end and edge = Pow(gamma, k) its top, so a value x in the cell has
+// key k, or k+1 when x > edge.
+type keyCell struct {
+	edge float64
+	k    int32
+}
+
+// keyTables is the process-wide cache of cell tables by gamma.
+var keyTables struct {
+	sync.Mutex
+	gammas []float64
+	tables []keyTable
+}
+
+// keyTableFor returns the cell table of s's geometry, building it on
+// the geometry's first use. It returns an empty table when the geometry
+// needs cells finer than maxCellBits, when its table failed to build,
+// and for new geometries once the cache holds maxKeyTables.
+func keyTableFor(s *QuantileSketch) keyTable {
+	c := cellBits(s.gamma)
+	if c < 0 {
+		return keyTable{}
 	}
-	if k > s.maxKey {
-		return s.maxKey
+	keyTables.Lock()
+	defer keyTables.Unlock()
+	for i, g := range keyTables.gammas {
+		if g == s.gamma {
+			return keyTables.tables[i]
+		}
 	}
-	return k
+	if len(keyTables.gammas) == maxKeyTables {
+		return keyTable{}
+	}
+	t := buildKeyTable(s, c)
+	keyTables.gammas = append(keyTables.gammas, s.gamma)
+	keyTables.tables = append(keyTables.tables, t)
+	return t
+}
+
+// cellBits returns the fewest mantissa bits c whose cells are narrower
+// than a bucket, 2^-c < gamma-1, or -1 when that takes more than
+// maxCellBits.
+func cellBits(gamma float64) int {
+	for c := 0; c <= maxCellBits; c++ {
+		if math.Ldexp(1, -c) < gamma-1 {
+			return c
+		}
+	}
+	return -1
+}
+
+// buildKeyTable tabulates s's geometry at c mantissa bits per cell. It
+// walks the cells in ascending order with the bucket k of the current
+// cell's low end lo, starting from slowBucket's key of the first, and
+// moves to the next bucket when lo passes Pow(gamma, k). Every cell is
+// checked against the Pow edges around it: Pow(gamma, k-1) < lo <=
+// Pow(gamma, k), the cell's last float is at most Pow(gamma, k+1), and
+// k is inside the clamp range. Then every x in the cell lies in bucket
+// k when x <= Pow(gamma, k) and in bucket k+1 otherwise, which is the
+// bucket's definition, so the table's keys are exact. Should a check
+// fail, the geometry gets no table rather than a wrong key.
+func buildKeyTable(s *QuantileSketch, c int) keyTable {
+	t := keyTable{shift: uint(52 - c), cells: make([]keyCell, tableOctaves<<c)}
+	t.base = math.Float64bits(math.Ldexp(1, tableMinExp)) >> t.shift
+	pow := func(k int) float64 { return math.Pow(s.gamma, float64(k)) }
+	k := s.slowBucket(math.Ldexp(1, tableMinExp))
+	below, edge, above := pow(k-1), pow(k), pow(k+1)
+	for i := range t.cells {
+		lo := math.Float64frombits((t.base + uint64(i)) << t.shift)
+		last := math.Float64frombits((t.base+uint64(i)+1)<<t.shift - 1)
+		if lo > edge {
+			k++
+			below, edge, above = edge, above, pow(k+1)
+		}
+		if !(k > s.minKey && k < s.maxKey && below < lo && lo <= edge && last <= above) {
+			return keyTable{}
+		}
+		t.cells[i] = keyCell{edge: edge, k: int32(k)}
+	}
+	return t
 }
 
 // slowBucket is bucket's exact fallback: math.Log for the estimate and
@@ -293,35 +387,3 @@ func (s *QuantileSketch) Quantile(q float64) (float64, error) {
 
 // Median returns the estimated 0.5 quantile.
 func (s *QuantileSketch) Median() (float64, error) { return s.Quantile(0.5) }
-
-// ln2Hi + ln2Lo is ln 2 split as in math.Log: ln2Hi has its low 21
-// mantissa bits clear, so e*ln2Hi is exact for every float64 exponent e.
-const (
-	ln2Hi = 6.93147180369123816490e-01 // 0x3fe62e42fee00000
-	ln2Lo = 1.90821492927058770002e-10 // 0x3dea39ef35793c76
-)
-
-// logTable[j] is ln(1 + j/256) and invTable[j] is 1/(1 + j/256).
-var logTable, invTable = func() (lt, it [256]float64) {
-	for j := range lt {
-		lt[j] = math.Log1p(float64(j) / 256)
-		it[j] = 1 / (1 + float64(j)/256)
-	}
-	return lt, it
-}()
-
-// fastLog returns ln x for a positive normal float64 x, to within
-// 2^-40*(1+|ln x|); tests measure under 6e-16*(1+|ln x|). x = 2^e * m with
-// m in [1, 2), c = 1 + j/256 is m truncated to 8 fraction bits, and
-// ln x = e*ln 2 + ln c + log1p(r) for r = (m-c)/c in [0, 2^-8), where
-// the degree-5 Taylor polynomial of log1p is off by under r^6/6 < 6e-16.
-func fastLog(x float64) float64 {
-	b := math.Float64bits(x)
-	e := float64(int(b>>52) - 1023)
-	j := b >> 44 & 0xff
-	m := math.Float64frombits(b&(1<<52-1) | 1023<<52)
-	c := math.Float64frombits(b&(0xff<<44) | 1023<<52)
-	r := (m - c) * invTable[j] // m-c is exact: c is m's leading bits
-	p := r * (1 + r*(-1.0/2+r*(1.0/3+r*(-1.0/4+r*(1.0/5)))))
-	return e*ln2Hi + (logTable[j] + (p + e*ln2Lo))
-}
