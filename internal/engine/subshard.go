@@ -117,7 +117,8 @@ func (e *Engine) prepStream(st *sampleState, acc *streamstats.Accumulator, spec 
 	if st.err != nil {
 		return
 	}
-	xs := acc.Sample()
+	// NewSamplePrehashed copies xs, so the reservoir's own storage will do.
+	xs := acc.SampleView()
 	st.sample = dist.NewSamplePrehashed(xs, stats.HashSample(xs))
 }
 

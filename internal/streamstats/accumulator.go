@@ -72,6 +72,10 @@ func (a *Accumulator) Quantile(q float64) (float64, error) { return a.sketch.Qua
 // Sample returns the reservoir subsample for fitting.
 func (a *Accumulator) Sample() []float64 { return a.res.Sample() }
 
+// SampleView is Sample without the copy: the slice is the reservoir's
+// own storage, which callers must not modify, valid until the next Add.
+func (a *Accumulator) SampleView() []float64 { return a.res.sample }
+
 // Summary assembles a stats.Summary from the streaming state: moments are
 // exact (up to floating-point reassociation), the median comes from the
 // sketch within its relative-accuracy guarantee. A sample that contained

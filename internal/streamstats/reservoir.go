@@ -45,13 +45,27 @@ func (r *Reservoir) Clone() *Reservoir {
 // Add folds one observation into the reservoir.
 func (r *Reservoir) Add(x float64) {
 	r.seen++
-	if len(r.sample) < r.capacity {
+	if n := len(r.sample); n < r.capacity {
+		if n == cap(r.sample) {
+			r.grow()
+		}
 		r.sample = append(r.sample, x)
 		return
 	}
 	if j := slot(r.seed, r.seen); j < uint64(r.capacity) {
 		r.sample[j] = x
 	}
+}
+
+// grow doubles the sample's storage, up to the capacity. Left to
+// append, storage past a few hundred values grows by about a quarter at
+// a time, so filling a reservoir would allocate about five times its
+// final size and end above the capacity; doubling allocates about twice
+// and ends at it.
+func (r *Reservoir) grow() {
+	s := make([]float64, len(r.sample), min(max(2*cap(r.sample), 16), r.capacity))
+	copy(s, r.sample)
+	r.sample = s
 }
 
 // slot returns the Algorithm R draw for the i-th observation (i >= 1):

@@ -26,10 +26,12 @@ type decJob struct {
 //
 // Buffers are reused: each worker keeps one frame buffer, and a fixed
 // set of workers+2 record buffers, the one the consumer holds
-// included, cycles between the pool and the consumer, so steady-state
-// decoding allocates only when a block outgrows its reused buffer.
-// Close releases the worker goroutines early; letting the scan run to
-// its end (or first error) releases them too.
+// included, cycles between the pool and the consumer. A record buffer
+// is allocated at its block's indexed record count rather than grown by
+// append, so a scan allocates once per buffer, again only for a block
+// longer than the buffer it is given, and lets every buffer go at the
+// end of input. Close releases the worker goroutines early; letting the
+// scan run to its end (or first error) releases them too.
 func (f *File) ScanParallel(opts ScanOptions, workers int) *Scanner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -63,10 +65,14 @@ func (f *File) ScanParallel(opts ScanOptions, workers int) *Scanner {
 				if k := len(free) - 1; k >= 0 {
 					d.recs, free = free[k], free[:k]
 				}
+				if cap(d.recs) < b.Records {
+					d.recs = make([]failures.Record, 0, b.Records)
+				}
 				pool.Submit(d)
 			}
 			if pool.Len() == 0 {
 				pool.Close()
+				free, frames = nil, nil
 				return nil, nil
 			}
 			d := pool.Next()

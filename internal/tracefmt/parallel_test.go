@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hpcfail/internal/failures"
 )
@@ -441,6 +442,45 @@ func TestParallelScanBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if perBatch := avg / perRun; perBatch > 16 {
 		t.Fatalf("steady-state ScanBatch allocates %.1f allocs/block, want a small constant (buffer pooling broken)", perBatch)
+	}
+}
+
+// TestParallelScanBufferBytes pins how a whole scan allocates its record
+// buffers: each is allocated once at its block's record count, so a
+// scan of many blocks allocates about workers+2 blocks' worth of
+// records. Buffers grown by append would cost several times that.
+func TestParallelScanBufferBytes(t *testing.T) {
+	const blockRecs, workers = 4096, 2
+	recs := synthRecords(40 * blockRecs)
+	raw := encode(t, recs, WriterOptions{BlockRecords: blockRecs})
+	f, err := NewFile(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ps := f.ScanParallel(ScanOptions{}, workers)
+	n := 0
+	for {
+		b, err := ps.ScanBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		n += len(b)
+	}
+	ps.Close()
+	runtime.ReadMemStats(&after)
+	if n != len(recs) {
+		t.Fatalf("scanned %d records, want %d", n, len(recs))
+	}
+	block := uint64(blockRecs) * uint64(unsafe.Sizeof(failures.Record{}))
+	// workers+2 buffers, plus room for frames and the pool's bookkeeping.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, (workers+4)*block; got > limit {
+		t.Fatalf("scan allocated %d bytes, want at most %d (%d blocks of %d bytes)", got, limit, workers+4, block)
 	}
 }
 
