@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-engine perfbench-check fuzz fuzz-smoke bench bench-fold bench-engine bench-serve bench-sweep bench-trace bench-scale prof-trace golden golden-sweep
+.PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-engine perfbench-check fuzz fuzz-smoke bench bench-fold bench-gen bench-engine bench-serve bench-sweep bench-trace bench-scale prof-trace golden golden-sweep
 
 # The full gate: what CI runs — static checks, build, the race detector
 # over every test, focused race passes over the parallel generator, the
@@ -123,6 +123,13 @@ bench:
 # through a whole two-stage AnalyzeStream pass as trace-scan runs it.
 bench-fold:
 	$(GO) test -bench='SketchKey|AccumulatorAdd|FoldAdd|AnalyzeStream' -benchmem -run=^$$ ./internal/streamstats ./internal/engine
+
+# The generator without perfbench: one whole Generate at rate scales
+# 0.25, 1 and 4, and one drain of a rate-scale-25 Stream, reported per
+# record, each with its bytes allocated.
+bench-gen:
+	$(GO) test -bench='^BenchmarkGenerate$$' -benchmem -run=^$$ .
+	$(GO) test -bench='^BenchmarkStream$$' -benchmem -run=^$$ ./internal/lanl
 
 # The bench-*, bench-scale and prof-trace targets run one cmd/bench
 # binary, built with -buildvcs=true so each report's header names the

@@ -296,7 +296,7 @@ func TestAnalyzeStreamStopsSource(t *testing.T) {
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		// An endless source: a reader never stopped would read it forever.
-		src := &stopSource{cycleSource: cycleSource{sliceSource: sliceSource{recs: recs}, n: math.MaxInt, batchN: 1000}}
+		src := &stopSource{cycleSource: *newCycleSource(recs, math.MaxInt, 1000)}
 		if tc.fail {
 			src.failAt, src.err = 5, boom
 		}
@@ -338,7 +338,8 @@ func TestAnalyzeStreamStopsSource(t *testing.T) {
 // ingest), where systems interleave and only the fleet slot always hits.
 // "2-shard" folds each record into its system and the fleet shard,
 // "4-shard" into its workload and cause sub-shards as well. The trace is
-// folded repeatedly into one fold.
+// folded repeatedly into one fold, each replay shifted past the one
+// before; the shift is not timed.
 func BenchmarkFoldAdd(b *testing.B) {
 	d, err := lanl.NewGenerator(lanl.Config{Seed: 1}).Generate()
 	if err != nil {
@@ -360,14 +361,19 @@ func BenchmarkFoldAdd(b *testing.B) {
 			b.Run(o.name+"/"+sc.name, func(b *testing.B) {
 				f := New(Options{Workers: 1}).newFold(StreamOptions{Spec: sc.spec})
 				ctx := context.Background()
+				src := newCycleSource(o.recs, b.N, len(o.recs))
 				b.ReportAllocs()
 				b.ResetTimer()
-				for done := 0; done < b.N; {
-					n, err := f.add(ctx, o.recs[:min(b.N-done, len(o.recs))])
-					if err != nil {
+				for {
+					b.StopTimer()
+					batch, _ := src.ScanBatch()
+					b.StartTimer()
+					if batch == nil {
+						break
+					}
+					if _, err := f.add(ctx, batch); err != nil {
 						b.Fatal(err)
 					}
-					done += n
 				}
 			})
 		}
@@ -388,10 +394,30 @@ func groupedTrace(tb testing.TB) []failures.Record {
 }
 
 // cycleSource is a BatchSource of n records: recs over and over, in
-// batches of at most batchN that never span the wrap.
+// batches of at most batchN that never span the wrap. Every replay
+// starts after the one before ended: at each wrap the source moves its
+// own copy of recs later by their start span plus a second, so a replay
+// folds as the first did, interarrivals and all, instead of as
+// out-of-order records. A batch is valid only until the next ScanBatch,
+// so none handed out is still read when the copy moves.
 type cycleSource struct {
 	sliceSource
 	n, batchN int
+	shift     time.Duration
+}
+
+func newCycleSource(recs []failures.Record, n, batchN int) *cycleSource {
+	own := append([]failures.Record(nil), recs...)
+	lo, hi := own[0].Start, own[0].Start
+	for _, r := range own {
+		if r.Start.Before(lo) {
+			lo = r.Start
+		}
+		if hi.Before(r.Start) {
+			hi = r.Start
+		}
+	}
+	return &cycleSource{sliceSource: sliceSource{recs: own}, n: n, batchN: batchN, shift: hi.Sub(lo) + time.Second}
 }
 
 func (s *cycleSource) ScanBatch() ([]failures.Record, error) {
@@ -399,6 +425,10 @@ func (s *cycleSource) ScanBatch() ([]failures.Record, error) {
 		return nil, nil
 	}
 	if s.i == len(s.recs) {
+		for i := range s.recs {
+			s.recs[i].Start = s.recs[i].Start.Add(s.shift)
+			s.recs[i].End = s.recs[i].End.Add(s.shift)
+		}
 		s.i = 0
 	}
 	hi := min(s.i+s.batchN, len(s.recs), s.i+s.n)
@@ -408,14 +438,43 @@ func (s *cycleSource) ScanBatch() ([]failures.Record, error) {
 	return b, nil
 }
 
+// TestCycleSourceReplaysFoldInOrder: a replay folds like the first pass.
+// Three replays of the system-grouped trace count as many out-of-order
+// records in the system shards as one pass (none: each system's
+// records are sorted), and three times as many in the fleet shard, which
+// sees the systems one after another in every replay.
+func TestCycleSourceReplaysFoldInOrder(t *testing.T) {
+	recs := groupedTrace(t)
+	eng := New(Options{Workers: 1, BootstrapReps: -1})
+	outOfOrder := func(spec ShardSpec, replays int) int {
+		t.Helper()
+		_, info, err := eng.AnalyzeStream(context.Background(), newCycleSource(recs, replays*len(recs), 8192), StreamOptions{Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.RecordsScanned != replays*len(recs) {
+			t.Fatalf("%d replays scanned %d records, want %d", replays, info.RecordsScanned, replays*len(recs))
+		}
+		return info.OutOfOrder
+	}
+	if one, three := outOfOrder(ShardSpec{}, 1), outOfOrder(ShardSpec{}, 3); three != one {
+		t.Errorf("system shards: 3 replays count %d out-of-order records, one pass %d", three, one)
+	}
+	fleet := ShardSpec{IncludeFleet: true}
+	if one, three := outOfOrder(fleet, 1), outOfOrder(fleet, 3); one == 0 || three != 3*one {
+		t.Errorf("with the fleet shard: 3 replays count %d out-of-order records, one pass %d", three, one)
+	}
+}
+
 // BenchmarkAnalyzeStream is the per-record cost of a whole AnalyzeStream
 // pass (ns/op is per record) as trace-scan runs it: the system-grouped
 // seed-1 trace, repeated to b.N records, in batches of tracefmt's
 // default 8192-record block, into the fleet and per-system shards with
 // bootstrap intervals off. It times both fold stages, their handoff and
 // the final fits; the fits' cost is fixed, so it fades as b.N grows.
+// Each replay is shifted past the one before, on the prep goroutine.
 func BenchmarkAnalyzeStream(b *testing.B) {
-	src := &cycleSource{sliceSource: sliceSource{recs: groupedTrace(b)}, n: b.N, batchN: 8192}
+	src := newCycleSource(groupedTrace(b), b.N, 8192)
 	eng := New(Options{Workers: 2, BootstrapReps: -1, Seed: 1})
 	b.ReportAllocs()
 	b.ResetTimer()

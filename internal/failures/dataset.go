@@ -22,10 +22,7 @@ func NewDataset(records []Record) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset record %d: %w", i, err)
 		}
 	}
-	rs := make([]Record, len(records))
-	copy(rs, records)
-	SortByStart(rs)
-	return &Dataset{records: rs}, nil
+	return &Dataset{records: SortedByStart([][]Record{records})}, nil
 }
 
 // NewDatasetSorted is NewDataset for records already in non-decreasing
@@ -45,154 +42,22 @@ func NewDatasetSorted(records []Record) (*Dataset, error) {
 		}
 	}
 	if !sorted {
-		SortByStart(records)
+		records = SortedByStart([][]Record{records})
 	}
 	return &Dataset{records: records}, nil
 }
 
-// startKey is the compact sort key SortByStart merges instead of whole
-// Records: the start instant as wall-clock seconds and nanoseconds plus
-// the original position. The position makes every comparison strict, so
-// a plain merge is automatically stable, and a 16-byte pointer-free key
-// moves through the merge passes for the price of two machine words
-// instead of a full Record with its write barriers.
-type startKey struct {
-	sec  int64
-	nsec int32
-	idx  int32
-}
-
-func (a startKey) less(b startKey) bool {
-	if a.sec != b.sec {
-		return a.sec < b.sec
-	}
-	if a.nsec != b.nsec {
-		return a.nsec < b.nsec
-	}
-	return a.idx < b.idx
-}
-
 // SortByStart stably sorts records by start time (the wall-clock
-// instant; monotonic clock readings are ignored) in place. It is the
-// sorting kernel behind NewDataset: a bottom-up natural merge over the
-// slice's pre-existing non-decreasing runs — O(n) on sorted input and
-// cheap on the run-structured slices the trace generator emits — run on
-// compact index keys, with the records themselves moved exactly once by
-// a final permutation pass. A stable order is unique, so the result is
-// element-for-element the order sort.SliceStable would produce.
+// instant; monotonic clock readings are ignored) in place. Sorted input
+// is left untouched; anything else is ordered by SortedByStart and
+// copied back.
 func SortByStart(rs []Record) {
-	n := len(rs)
-	if n < 2 {
-		return
-	}
-	// Boundaries of the maximal non-decreasing runs, terminated by n.
-	bounds := make([]int, 1, 64)
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(rs); i++ {
 		if rs[i].Start.Before(rs[i-1].Start) {
-			bounds = append(bounds, i)
+			copy(rs, SortedByStart([][]Record{rs}))
+			return
 		}
 	}
-	if len(bounds) == 1 {
-		return
-	}
-	bounds = append(bounds, n)
-	keys := make([]startKey, n)
-	for i := range rs {
-		t := rs[i].Start
-		keys[i] = startKey{sec: t.Unix(), nsec: int32(t.Nanosecond()), idx: int32(i)}
-	}
-	buf := make([]startKey, n)
-	src, dst := keys, buf
-	for len(bounds) > 2 {
-		next := make([]int, 0, len(bounds)/2+2)
-		var k int
-		for k = 0; k+2 < len(bounds); k += 2 {
-			lo, mid, hi := bounds[k], bounds[k+1], bounds[k+2]
-			mergeKeys(dst[lo:hi], src[lo:mid], src[mid:hi])
-			next = append(next, lo)
-		}
-		if k+1 < len(bounds) {
-			// Odd run count: the last run passes through unmerged.
-			copy(dst[bounds[k]:n], src[bounds[k]:n])
-			next = append(next, bounds[k])
-		}
-		next = append(next, n)
-		bounds = next
-		src, dst = dst, src
-	}
-	out := make([]Record, n)
-	for k, key := range src {
-		out[k] = rs[key.idx]
-	}
-	copy(rs, out)
-}
-
-// mergeKeys merges two sorted key runs; keys are strictly ordered (the
-// index breaks ties), so stability falls out of the comparison.
-func mergeKeys(out, a, b []startKey) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].less(a[i]) {
-			out[k] = b[j]
-			j++
-		} else {
-			out[k] = a[i]
-			i++
-		}
-		k++
-	}
-	k += copy(out[k:], a[i:])
-	copy(out[k:], b[j:])
-}
-
-// MergeSortedBlocks merges blocks that are each already sorted by start
-// time into one sorted slice, moving every record exactly once. The
-// merge is stable across blocks — on equal start times the record from
-// the earlier block comes first — so merging per-source sorted blocks in
-// source order reproduces exactly the stable sort of their raw
-// concatenation. Head keys are cached as integers, so the k-way scan
-// compares machine words rather than time.Times.
-func MergeSortedBlocks(blocks [][]Record) []Record {
-	total := 0
-	for _, b := range blocks {
-		total += len(b)
-	}
-	out := make([]Record, 0, total)
-	type head struct {
-		sec  int64
-		nsec int32
-		bi   int32
-	}
-	heads := make([]head, 0, len(blocks))
-	next := make([]int, len(blocks))
-	for bi, b := range blocks {
-		if len(b) > 0 {
-			t := b[0].Start
-			heads = append(heads, head{sec: t.Unix(), nsec: int32(t.Nanosecond()), bi: int32(bi)})
-		}
-	}
-	for len(heads) > 0 {
-		best := 0
-		for i := 1; i < len(heads); i++ {
-			h, b := heads[i], heads[best]
-			if h.sec < b.sec ||
-				(h.sec == b.sec && (h.nsec < b.nsec || (h.nsec == b.nsec && h.bi < b.bi))) {
-				best = i
-			}
-		}
-		bi := heads[best].bi
-		block := blocks[bi]
-		out = append(out, block[next[bi]])
-		next[bi]++
-		if next[bi] < len(block) {
-			t := block[next[bi]].Start
-			heads[best] = head{sec: t.Unix(), nsec: int32(t.Nanosecond()), bi: bi}
-		} else {
-			heads[best] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-	}
-	return out
 }
 
 // Len returns the number of records.
@@ -405,12 +270,11 @@ func (d *Dataset) CountByDetail() map[string]int {
 
 // Merge combines several datasets into one time-ordered dataset.
 func Merge(ds ...*Dataset) *Dataset {
-	var all []Record
-	for _, d := range ds {
-		all = append(all, d.records...)
+	parts := make([][]Record, len(ds))
+	for i, d := range ds {
+		parts[i] = d.records
 	}
-	SortByStart(all)
-	return &Dataset{records: all}
+	return &Dataset{records: SortedByStart(parts)}
 }
 
 // OffsetHours returns each record's start time as hours since origin,

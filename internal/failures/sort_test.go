@@ -2,6 +2,7 @@ package failures
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -90,7 +91,10 @@ func TestSortByStartEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMergeSortedBlocksMatchesStableSortOfConcatenation(t *testing.T) {
+// TestSortedByStartMatchesStableSortOfConcatenation: blocks that are
+// each sorted, in the form Generate hands over its system blocks, come
+// out as the stable sort of their concatenation.
+func TestSortedByStartMatchesStableSortOfConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
 		blocks := make([][]Record, rng.Intn(6))
@@ -106,22 +110,21 @@ func TestMergeSortedBlocksMatchesStableSortOfConcatenation(t *testing.T) {
 			blocks[bi] = b
 			concat = append(concat, b...)
 		}
-		got := MergeSortedBlocks(blocks)
+		got := SortedByStart(blocks)
 		assertStableSorted(t, "merge", got, concat)
 	}
 }
 
-func TestMergeSortedBlocksEdgeCases(t *testing.T) {
-	// No blocks and all-empty blocks: an empty, non-nil-safe result.
-	if got := MergeSortedBlocks(nil); len(got) != 0 {
-		t.Fatalf("merge of no blocks produced %d records", len(got))
+func TestSortedByStartPartsEdgeCases(t *testing.T) {
+	// No parts and all-empty parts: an empty, non-nil-safe result.
+	if got := SortedByStart(nil); len(got) != 0 {
+		t.Fatalf("no parts produced %d records", len(got))
 	}
-	if got := MergeSortedBlocks([][]Record{nil, {}, nil}); len(got) != 0 {
-		t.Fatalf("merge of empty blocks produced %d records", len(got))
+	if got := SortedByStart([][]Record{nil, {}, nil}); len(got) != 0 {
+		t.Fatalf("empty parts produced %d records", len(got))
 	}
 
-	// Single-record blocks interleaved with empties: the heap degenerates
-	// to selection over one head per block.
+	// Single-record parts interleaved with empties.
 	singles := [][]Record{
 		{rec(1, 0, 30, 1, CauseHardware)},
 		{},
@@ -129,14 +132,14 @@ func TestMergeSortedBlocksEdgeCases(t *testing.T) {
 		{rec(1, 2, 20, 1, CauseUnknown)},
 		nil,
 	}
-	got := MergeSortedBlocks(singles)
+	got := SortedByStart(singles)
 	if len(got) != 3 || got[0].Node != 1 || got[1].Node != 2 || got[2].Node != 0 {
-		t.Fatalf("single-record merge order: %v", got)
+		t.Fatalf("single-record order: %v", got)
 	}
 
-	// All-equal keys across blocks: ties must resolve by block order, then
-	// by position within the block — the same stability contract as
-	// SortByStart on the concatenation.
+	// All-equal keys across parts: ties must resolve by part order, then
+	// by position within the part, as SortByStart does on the
+	// concatenation.
 	eq := make([][]Record, 4)
 	pos := 0
 	var concat []Record
@@ -149,7 +152,128 @@ func TestMergeSortedBlocksEdgeCases(t *testing.T) {
 		eq[bi] = b
 		concat = append(concat, b...)
 	}
-	assertStableSorted(t, "all-equal", MergeSortedBlocks(eq), concat)
+	assertStableSorted(t, "all-equal", SortedByStart(eq), concat)
+
+	// The result is a new slice: sorted input is copied, not aliased.
+	in := []Record{rec(1, 0, 1, 1, CauseHardware), rec(1, 1, 2, 1, CauseHardware)}
+	out := SortedByStart([][]Record{in})
+	out[0].Node = 99
+	if in[0].Node != 0 {
+		t.Fatal("SortedByStart aliased its input")
+	}
+}
+
+// at is a record starting at the given instant; node is its stability
+// witness.
+func at(node int, start time.Time) Record {
+	return Record{System: 1, Node: node, HW: "E", Workload: WorkloadCompute, Cause: CauseHardware, Start: start, End: start}
+}
+
+// checkParts asserts SortedByStart on parts against sort.SliceStable on
+// their concatenation, numbering every record's Node by its position in
+// the concatenation first.
+func checkParts(t *testing.T, label string, parts [][]Record) {
+	t.Helper()
+	var concat []Record
+	for _, p := range parts {
+		for i := range p {
+			p[i].Node = len(concat)
+			concat = append(concat, p[i])
+		}
+	}
+	assertStableSorted(t, label, SortedByStart(parts), concat)
+}
+
+// split cuts rs into parts of the given lengths, cycling through them,
+// so parts may be empty and ties fall across part boundaries.
+func split(rs []Record, lens ...int) [][]Record {
+	var parts [][]Record
+	for i := 0; len(rs) > 0; i++ {
+		n := min(lens[i%len(lens)], len(rs))
+		parts = append(parts, rs[:n])
+		rs = rs[n:]
+	}
+	return parts
+}
+
+// TestSortedByStartMatchesSliceStable runs the primitive over the start
+// ranges its keys must cover: sub-second starts, starts before 1970 and
+// the zero time, spans wider than 2^32 s at whole-second and at
+// nanosecond resolution (the latter too wide for one key word), ties
+// across part boundaries and part lists with empty parts.
+func TestSortedByStartMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	epoch := time.Unix(0, 0).UTC()
+	ranges := []struct {
+		name  string
+		start func() time.Time
+	}{
+		{"sub-second", func() time.Time {
+			return t0.Add(time.Duration(rng.Intn(5))*time.Second + time.Duration(rng.Intn(4))*250*time.Millisecond)
+		}},
+		{"nanosecond", func() time.Time {
+			return t0.Add(time.Duration(rng.Int63n(3e9)))
+		}},
+		{"millisecond-zones", func() time.Time {
+			// Equal instants in different zones are ties.
+			tm := t0.Add(time.Duration(rng.Intn(8)) * time.Millisecond)
+			if rng.Intn(2) == 0 {
+				tm = tm.In(time.FixedZone("X", 3600))
+			}
+			return tm
+		}},
+		{"before-1970", func() time.Time {
+			return epoch.Add(-time.Duration(rng.Intn(6)) * 1000 * time.Hour)
+		}},
+		{"zero-time", func() time.Time {
+			if rng.Intn(3) == 0 {
+				return time.Time{}
+			}
+			return t0.Add(time.Duration(rng.Intn(3)) * time.Hour)
+		}},
+		{"span-over-2^32s", func() time.Time {
+			return time.Date(1+rng.Intn(4)*3000, 1, 1, 0, 0, rng.Intn(3), 0, time.UTC)
+		}},
+		{"nanosecond-span-over-2^32s", func() time.Time {
+			return time.Date(1+rng.Intn(4)*3000, 1, 1, 0, 0, rng.Intn(3), rng.Intn(3), time.UTC)
+		}},
+		{"extremes", func() time.Time {
+			switch rng.Intn(4) {
+			case 0:
+				return time.Unix(math.MinInt64/2, 999_999_999)
+			case 1:
+				return time.Unix(math.MaxInt64/2, 1)
+			}
+			return time.Time{}.Add(time.Duration(rng.Intn(3)))
+		}},
+	}
+	for _, r := range ranges {
+		for trial := 0; trial < 40; trial++ {
+			rs := make([]Record, 1+rng.Intn(300))
+			for i := range rs {
+				rs[i] = at(0, r.start())
+			}
+			checkParts(t, r.name+"/one part", [][]Record{rs})
+			checkParts(t, r.name+"/chunks", split(rs, 1+rng.Intn(16)))
+			checkParts(t, r.name+"/empty parts", split(rs, 0, 1+rng.Intn(9), 0, 0, 1+rng.Intn(4)))
+		}
+	}
+}
+
+// TestSortedByStartLargeInput sorts enough records for full-width radix
+// digits and several parts of a power-of-two length, the shape of a
+// generated system block.
+func TestSortedByStartLargeInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rs := make([]Record, 50_000)
+	for i := range rs {
+		rs[i] = at(0, t0.Add(time.Duration(rng.Intn(1<<28))*time.Second))
+	}
+	checkParts(t, "seconds", split(rs, 1<<12))
+	for i := range rs {
+		rs[i].Start = t0.Add(time.Duration(rng.Int63n(1 << 50)))
+	}
+	checkParts(t, "nanoseconds", split(rs, 1<<8, 1<<14))
 }
 
 func TestCSVWriterEdgeCases(t *testing.T) {
