@@ -9,8 +9,8 @@ import (
 // engine.AnalyzeStream never materializes the full dataset. Both entry
 // points consume systemBlocks, the iterator Generate uses, with at most
 // Workers+1 system blocks pending in its pool: generation runs ahead
-// while the consumer drains, and peak memory is bounded by the largest
-// few systems, independent of RateScale or trace length.
+// while the consumer drains. Peak memory follows the largest few
+// systems, so it still grows with RateScale.
 //
 // Records arrive grouped by system in catalog order, each group sorted
 // by start time — the same order lanlgen's stream mode documents. A
