@@ -42,10 +42,10 @@ race:
 	$(GO) test -run '^TestSketchBucketMatches(PowOracle|SlowPath)$$' ./internal/streamstats
 
 # Race smoke of the parallel/streaming generator specifically: the one
-# block iterator over the par.Ordered pool behind Generate,
-# GenerateStream and Stream at 1 and 4+ workers, stream back-pressure,
-# in-order block return, early close (goroutines released) and the
-# unknown-system and rejected-catalog error paths under the race detector.
+# block iterator over the par.Ordered pool behind Generate and Stream at
+# 1 and 4+ workers, stream back-pressure, in-order block return, early
+# close (goroutines released) and the unknown-system and rejected-catalog
+# error paths under the race detector.
 race-gen:
 	$(GO) test -race -run 'Workers|Stream|Subset' ./internal/lanl
 

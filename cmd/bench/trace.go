@@ -83,8 +83,8 @@ type agreement struct {
 // and sampled heap peak:
 //
 //	fused            generator streamed straight into the engine, no file
-//	csv_write        lanl.GenerateStream -> failures.CSVWriter -> file
-//	bin_write        lanl.GenerateStream -> tracefmt.Writer -> file, with
+//	csv_write        lanl.Generator.Stream -> failures.CSVWriter -> file
+//	bin_write        lanl.Generator.Stream -> tracefmt.Writer -> file, with
 //	                 one block encoder beside the writing goroutine
 //	bin_write_par    the same, with -workers parallel block encoders
 //	csv_analyze      file -> failures.Scanner -> engine.AnalyzeStream
@@ -499,7 +499,15 @@ func writeTrace(path string, cfg lanl.Config, open func(*os.File) (sink, error))
 		f.Close()
 		return err
 	}
-	gerr := lanl.NewGenerator(cfg).GenerateStream(s.write)
+	rs := lanl.NewGenerator(cfg).Stream()
+	defer rs.Close()
+	var gerr error
+	for gerr == nil && rs.Scan() {
+		gerr = s.write(rs.Record())
+	}
+	if gerr == nil {
+		gerr = rs.Err()
+	}
 	if gerr == nil {
 		gerr = s.finish()
 	}

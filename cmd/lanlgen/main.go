@@ -121,8 +121,8 @@ func run(args []string, stdout io.Writer) error {
 	gen := lanl.NewGenerator(cfg)
 
 	// The two formats share one record-at-a-time sink, so the fused
-	// GenerateStream path and the sorted Generate path both work against
-	// either; only the encoding differs.
+	// Stream path and the sorted Generate path both work against either;
+	// only the encoding differs.
 	var sink func(failures.Record) error
 	var finish func() error
 	var count func() int
@@ -145,7 +145,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *stream {
-		if err := gen.GenerateStream(sink); err != nil {
+		rs := gen.Stream()
+		defer rs.Close()
+		for rs.Scan() {
+			if err := sink(rs.Record()); err != nil {
+				return fmt.Errorf("write: %w", err)
+			}
+		}
+		if err := rs.Err(); err != nil {
 			return fmt.Errorf("generate: %w", err)
 		}
 	} else {

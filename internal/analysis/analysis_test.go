@@ -168,9 +168,6 @@ func TestBreakdownErrors(t *testing.T) {
 	if _, err := DowntimeBreakdown(empty, paperHWTypes); err == nil {
 		t.Error("empty dataset: want error")
 	}
-	if _, err := DetailShare(empty, "memory"); err == nil {
-		t.Error("empty dataset: want error")
-	}
 	// Unknown hardware type yields no records -> error mentioning the type.
 	d := referenceDataset(t)
 	if _, err := RootCauseBreakdown(d, []failures.HWType{"Z"}); err == nil {
@@ -183,19 +180,11 @@ func TestDetailShareMemory(t *testing.T) {
 	// Section 4: memory is a significant share everywhere; F and H above
 	// 25%.
 	for _, hw := range []failures.HWType{"F", "H"} {
-		share, err := DetailShare(d.ByHW(hw), "memory")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if share < 0.2 {
+		if share := detailShare(t, d.ByHW(hw), "memory"); share < 0.2 {
 			t.Errorf("type %s memory share = %.3f", hw, share)
 		}
 	}
-	share, err := DetailShare(d.ByHW("E"), "cpu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if share < 0.4 {
+	if share := detailShare(t, d.ByHW("E"), "cpu"); share < 0.4 {
 		t.Errorf("type E cpu share = %.3f, want ~0.5", share)
 	}
 }

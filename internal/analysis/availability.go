@@ -89,20 +89,3 @@ func DetailBreakdown(d *failures.Dataset, topK int) ([]DetailCount, error) {
 	}
 	return out, nil
 }
-
-// TopDetail returns the most frequent non-empty low-level cause — the
-// quantity behind Section 4's "memory was the single most common low-level
-// root cause for all systems, except for system E [CPU]".
-func TopDetail(d *failures.Dataset) (DetailCount, error) {
-	all, err := DetailBreakdown(d, 0)
-	if err != nil {
-		return DetailCount{}, err
-	}
-	for _, dc := range all {
-		if dc.Detail != "" {
-			return dc, nil
-		}
-	}
-	return DetailCount{}, fmt.Errorf("detail breakdown: no detailed causes recorded: %w",
-		failures.ErrNoRecords)
-}

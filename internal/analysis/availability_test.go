@@ -50,10 +50,7 @@ func TestAvailabilityErrors(t *testing.T) {
 func TestDetailBreakdown(t *testing.T) {
 	d := referenceDataset(t)
 	// Type F: memory must top the detailed causes (Section 4).
-	top, err := TopDetail(d.ByHW("F"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := topDetail(t, d.ByHW("F"))
 	if top.Detail != "memory" {
 		t.Errorf("type F top detail = %q, want memory", top.Detail)
 	}
@@ -61,10 +58,7 @@ func TestDetailBreakdown(t *testing.T) {
 		t.Errorf("type F memory share = %.3f, want > 0.25", top.Share)
 	}
 	// Type E: CPU tops the list (the design flaw).
-	top, err = TopDetail(d.ByHW("E"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	top = topDetail(t, d.ByHW("E"))
 	if top.Detail != "cpu" {
 		t.Errorf("type E top detail = %q, want cpu", top.Detail)
 	}
@@ -93,15 +87,44 @@ func TestDetailBreakdown(t *testing.T) {
 	}
 }
 
+// topDetail returns the most frequent specified low-level cause of d.
+func topDetail(t *testing.T, d *failures.Dataset) DetailCount {
+	t.Helper()
+	all, err := DetailBreakdown(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dc := range all {
+		if dc.Detail != "" {
+			return dc
+		}
+	}
+	t.Fatal("no detailed causes recorded")
+	return DetailCount{}
+}
+
+// detailShare returns the share of all failures in d whose low-level
+// cause is detail.
+func detailShare(t *testing.T, d *failures.Dataset, detail string) float64 {
+	t.Helper()
+	all, err := DetailBreakdown(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dc := range all {
+		if dc.Detail == detail {
+			return dc.Share
+		}
+	}
+	return 0
+}
+
 func TestDetailBreakdownErrors(t *testing.T) {
 	empty, err := failures.NewDataset(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DetailBreakdown(empty, 5); err == nil {
-		t.Error("empty: want error")
-	}
-	if _, err := TopDetail(empty); err == nil {
 		t.Error("empty: want error")
 	}
 }

@@ -105,13 +105,3 @@ func downtimeBreakdown(label string, d *failures.Dataset) (CauseBreakdown, error
 	}
 	return CauseBreakdown{Label: label, Total: total, Share: share}, nil
 }
-
-// DetailShare returns the fraction of ALL failures in d whose low-level
-// detail field equals the given detail (e.g. "memory" — Section 4 reports
-// memory above 10% of all failures in every system).
-func DetailShare(d *failures.Dataset, detail string) (float64, error) {
-	if d.Len() == 0 {
-		return 0, fmt.Errorf("detail share: %w", failures.ErrNoRecords)
-	}
-	return float64(d.CountByDetail()[detail]) / float64(d.Len()), nil
-}

@@ -2,16 +2,14 @@
 // failure traces the last observation of every node is censored: the node
 // was still alive when data collection ended (November 2005 for LANL).
 // Ignoring those truncated intervals biases TBF estimates downward; this
-// package supplies the Kaplan–Meier survival estimator and censoring-aware
-// maximum-likelihood fits for the exponential and Weibull models used in
-// the paper.
+// package supplies the censoring-aware maximum-likelihood Weibull fit and
+// the conversion of a node's failure history into censored lifetimes.
 package censor
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"hpcfail/internal/dist"
 	"hpcfail/internal/mathx"
@@ -41,90 +39,6 @@ func validate(obs []Observation) (int, error) {
 		}
 	}
 	return events, nil
-}
-
-// SurvivalPoint is one step of the Kaplan–Meier estimate S(t).
-type SurvivalPoint struct {
-	// T is an event time.
-	T float64
-	// S is the estimated survival probability just after T.
-	S float64
-	// AtRisk is the number of units at risk just before T.
-	AtRisk int
-	// Events is the number of deaths at T.
-	Events int
-}
-
-// KaplanMeier computes the product-limit estimate of the survival function
-// from right-censored observations.
-func KaplanMeier(obs []Observation) ([]SurvivalPoint, error) {
-	events, err := validate(obs)
-	if err != nil {
-		return nil, err
-	}
-	if events == 0 {
-		return nil, fmt.Errorf("censor: no uncensored events: %w", ErrInsufficientData)
-	}
-	sorted := make([]Observation, len(obs))
-	copy(sorted, obs)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Time != sorted[j].Time {
-			return sorted[i].Time < sorted[j].Time
-		}
-		// Deaths before censorings at the same instant (convention).
-		return !sorted[i].Censored && sorted[j].Censored
-	})
-	var out []SurvivalPoint
-	s := 1.0
-	i := 0
-	n := len(sorted)
-	for i < n {
-		t := sorted[i].Time
-		deaths, censored := 0, 0
-		for i < n && sorted[i].Time == t {
-			if sorted[i].Censored {
-				censored++
-			} else {
-				deaths++
-			}
-			i++
-		}
-		atRisk := n - (i - deaths - censored)
-		if deaths > 0 {
-			s *= 1 - float64(deaths)/float64(atRisk)
-			out = append(out, SurvivalPoint{T: t, S: s, AtRisk: atRisk, Events: deaths})
-		}
-	}
-	return out, nil
-}
-
-// MedianSurvival returns the smallest event time at which the Kaplan–Meier
-// survival estimate drops to 0.5 or below.
-func MedianSurvival(curve []SurvivalPoint) (float64, error) {
-	for _, p := range curve {
-		if p.S <= 0.5 {
-			return p.T, nil
-		}
-	}
-	return math.NaN(), fmt.Errorf("censor: survival never reaches 0.5: %w", ErrInsufficientData)
-}
-
-// FitExponential computes the censoring-aware MLE of the exponential rate:
-// rate = events / total observed time. Censored intervals contribute
-// exposure but no event.
-func FitExponential(obs []Observation) (dist.Exponential, error) {
-	events, err := validate(obs)
-	if err != nil {
-		return dist.Exponential{}, err
-	}
-	if events == 0 {
-		return dist.Exponential{}, fmt.Errorf("censor: no events: %w", ErrInsufficientData)
-	}
-	var exposure float64
-	for _, o := range obs {
-		exposure += o.Time
-	}
-	return dist.NewExponential(float64(events) / exposure)
 }
 
 // FitWeibull computes the censoring-aware MLE of the Weibull shape and

@@ -8,106 +8,6 @@ import (
 	"hpcfail/internal/randx"
 )
 
-func TestKaplanMeierTextbookExample(t *testing.T) {
-	// Classic example: deaths at 1, 3, 5; censored at 2, 4.
-	obs := []Observation{
-		{Time: 1}, {Time: 2, Censored: true}, {Time: 3},
-		{Time: 4, Censored: true}, {Time: 5},
-	}
-	curve, err := KaplanMeier(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// t=1: 5 at risk, S = 4/5 = 0.8
-	// t=3: 3 at risk, S = 0.8 * 2/3 = 0.5333
-	// t=5: 1 at risk, S = 0.5333 * 0 = 0
-	want := []struct {
-		t, s float64
-	}{{1, 0.8}, {3, 0.8 * 2 / 3}, {5, 0}}
-	if len(curve) != len(want) {
-		t.Fatalf("curve = %+v", curve)
-	}
-	for i, w := range want {
-		if curve[i].T != w.t || math.Abs(curve[i].S-w.s) > 1e-12 {
-			t.Fatalf("point %d = %+v, want %+v", i, curve[i], w)
-		}
-	}
-	// S(3) = 0.533 is still above 0.5, so the median is the next event
-	// time, t=5, where S drops to 0.
-	med, err := MedianSurvival(curve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if med != 5 {
-		t.Fatalf("median survival = %g, want 5", med)
-	}
-}
-
-func TestKaplanMeierNoCensoringMatchesECDF(t *testing.T) {
-	obs := []Observation{{Time: 1}, {Time: 2}, {Time: 3}, {Time: 4}}
-	curve, err := KaplanMeier(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range curve {
-		want := 1 - float64(i+1)/4
-		if math.Abs(p.S-want) > 1e-12 {
-			t.Fatalf("S(%g) = %g, want %g", p.T, p.S, want)
-		}
-	}
-}
-
-func TestKaplanMeierErrors(t *testing.T) {
-	if _, err := KaplanMeier(nil); err == nil {
-		t.Fatal("empty: want error")
-	}
-	if _, err := KaplanMeier([]Observation{{Time: -1}}); err == nil {
-		t.Fatal("negative time: want error")
-	}
-	if _, err := KaplanMeier([]Observation{{Time: 1, Censored: true}}); !errors.Is(err, ErrInsufficientData) {
-		t.Fatal("all censored: want ErrInsufficientData")
-	}
-	if _, err := MedianSurvival([]SurvivalPoint{{T: 1, S: 0.9}}); err == nil {
-		t.Fatal("median never reached: want error")
-	}
-}
-
-func TestFitExponentialCensored(t *testing.T) {
-	// Exponential(0.02) data censored at 30: the naive mean would be
-	// biased; the censored MLE recovers the rate.
-	src := randx.NewSource(1)
-	const n = 40000
-	obs := make([]Observation, n)
-	for i := range obs {
-		x := src.Exponential(0.02)
-		if x > 30 {
-			obs[i] = Observation{Time: 30, Censored: true}
-		} else {
-			obs[i] = Observation{Time: x}
-		}
-	}
-	fit, err := FitExponential(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Rate()-0.02)/0.02 > 0.05 {
-		t.Fatalf("rate = %g, want 0.02", fit.Rate())
-	}
-	// The naive (uncensored) estimate would be far off: compare.
-	var sum float64
-	count := 0
-	for _, o := range obs {
-		if !o.Censored {
-			sum += o.Time
-			count++
-		}
-	}
-	naive := float64(count) / sum
-	if math.Abs(naive-0.02) < math.Abs(fit.Rate()-0.02) {
-		t.Fatalf("censored MLE (%g) should beat naive (%g)", fit.Rate(), naive)
-	}
-}
-
 func TestFitWeibullCensored(t *testing.T) {
 	// Weibull(0.7, 100) with type-I censoring at 150.
 	src := randx.NewSource(2)
@@ -150,9 +50,6 @@ func TestFitWeibullUncensoredMatchesDistFit(t *testing.T) {
 
 func TestFitErrors(t *testing.T) {
 	censoredOnly := []Observation{{Time: 1, Censored: true}, {Time: 2, Censored: true}}
-	if _, err := FitExponential(censoredOnly); !errors.Is(err, ErrInsufficientData) {
-		t.Fatal("exp all censored: want error")
-	}
 	if _, err := FitWeibull(censoredOnly); !errors.Is(err, ErrInsufficientData) {
 		t.Fatal("weibull all censored: want error")
 	}
@@ -161,7 +58,7 @@ func TestFitErrors(t *testing.T) {
 		t.Fatal("identical events: want error")
 	}
 	bad := []Observation{{Time: math.NaN()}}
-	if _, err := FitExponential(bad); err == nil {
+	if _, err := FitWeibull(bad); err == nil {
 		t.Fatal("NaN: want error")
 	}
 }

@@ -43,26 +43,6 @@ func DalyInterval(checkpointCost, mtbf float64) (float64, error) {
 	return mtbf, nil
 }
 
-// ExpectedWasteExponential returns the long-run fraction of time wasted
-// (checkpoint overhead + expected rework + restart) for interval tau under
-// a memoryless failure process with the given MTBF. It is the function
-// Young's interval approximately minimizes.
-func ExpectedWasteExponential(tau, checkpointCost, restartCost, mtbf float64) (float64, error) {
-	if tau <= 0 || checkpointCost < 0 || restartCost < 0 || mtbf <= 0 {
-		return 0, fmt.Errorf("expected waste: %w", ErrBadInput)
-	}
-	lambda := 1 / mtbf
-	segment := tau + checkpointCost
-	// Expected time to complete one segment of useful length tau when each
-	// failure costs the elapsed partial segment plus restart:
-	// E[T] = (e^{lambda*(tau+C)} - 1)/lambda + failures*restart, using the
-	// standard memoryless renewal argument.
-	expFactor := math.Expm1(lambda * segment)
-	eT := expFactor/lambda + expFactor*restartCost
-	waste := (eT - tau) / eT
-	return waste, nil
-}
-
 // SimConfig controls the renewal-reward simulation used for non-exponential
 // TBF distributions.
 type SimConfig struct {

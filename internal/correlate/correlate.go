@@ -2,15 +2,13 @@
 // paper explicitly leaves open ("while we did not perform a rigorous
 // analysis of correlations between nodes, this high number of simultaneous
 // failures indicates the existence of a tight correlation", Section 5.3).
-// It detects simultaneous-failure batches, quantifies pairwise node
-// correlation of failure activity, and measures how batch frequency
-// changes over a system's life.
+// It detects simultaneous-failure batches and measures how batch
+// frequency changes over a system's life.
 package correlate
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -109,98 +107,6 @@ func Summarize(d *failures.Dataset, window time.Duration) (BatchStats, error) {
 		s.MeanSize = float64(totalSize) / float64(len(batches))
 	}
 	return s, nil
-}
-
-// PairCorrelation is the Pearson correlation of two nodes' daily failure
-// counts.
-type PairCorrelation struct {
-	NodeA, NodeB int
-	R            float64
-}
-
-// DailyCountCorrelations computes pairwise Pearson correlations of daily
-// failure counts between the given nodes of a (single-system) dataset,
-// over the dataset's time span. Nodes with constant (usually all-zero)
-// series are skipped.
-func DailyCountCorrelations(d *failures.Dataset, nodes []int) ([]PairCorrelation, error) {
-	if d.Len() < 2 {
-		return nil, ErrInsufficientData
-	}
-	if len(nodes) < 2 {
-		return nil, fmt.Errorf("correlate: need >= 2 nodes, got %d", len(nodes))
-	}
-	first, last, err := d.TimeSpan()
-	if err != nil {
-		return nil, fmt.Errorf("correlate: %w", err)
-	}
-	days := int(last.Sub(first).Hours()/24) + 1
-	if days < 2 {
-		return nil, fmt.Errorf("correlate: span of %d days too short: %w", days, ErrInsufficientData)
-	}
-	series := make(map[int][]float64, len(nodes))
-	for _, n := range nodes {
-		series[n] = make([]float64, days)
-	}
-	for _, r := range d.Records() {
-		s, ok := series[r.Node]
-		if !ok {
-			continue
-		}
-		day := int(r.Start.Sub(first).Hours() / 24)
-		if day >= 0 && day < days {
-			s[day]++
-		}
-	}
-	var out []PairCorrelation
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			r, ok := pearson(series[nodes[i]], series[nodes[j]])
-			if !ok {
-				continue
-			}
-			out = append(out, PairCorrelation{NodeA: nodes[i], NodeB: nodes[j], R: r})
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("correlate: all series constant: %w", ErrInsufficientData)
-	}
-	return out, nil
-}
-
-// pearson returns the correlation of two equal-length series, reporting
-// ok=false when either is constant.
-func pearson(a, b []float64) (float64, bool) {
-	n := float64(len(a))
-	var ma, mb float64
-	for i := range a {
-		ma += a[i]
-		mb += b[i]
-	}
-	ma /= n
-	mb /= n
-	var cov, va, vb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 0, false
-	}
-	return cov / math.Sqrt(va*vb), true
-}
-
-// MeanCorrelation averages the pairwise correlations.
-func MeanCorrelation(pairs []PairCorrelation) (float64, error) {
-	if len(pairs) == 0 {
-		return math.NaN(), ErrInsufficientData
-	}
-	var sum float64
-	for _, p := range pairs {
-		sum += p.R
-	}
-	return sum / float64(len(pairs)), nil
 }
 
 // EraComparison contrasts batch behaviour before and after a boundary —

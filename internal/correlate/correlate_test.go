@@ -96,70 +96,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestDailyCountCorrelations(t *testing.T) {
-	// Nodes 1 and 2 fail together every day; node 3 fails on alternate
-	// days — correlation(1,2) should be high, correlation(1,3) negative
-	// or low.
-	var records []failures.Record
-	for day := 0; day < 60; day++ {
-		base := day * 24 * 60
-		if day%2 == 0 {
-			records = append(records, rec(1, base), rec(2, base+10))
-		} else {
-			records = append(records, rec(3, base))
-		}
-	}
-	d, err := failures.NewDataset(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := DailyCountCorrelations(d, []int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[[2]int]float64)
-	for _, p := range pairs {
-		got[[2]int{p.NodeA, p.NodeB}] = p.R
-	}
-	if got[[2]int{1, 2}] < 0.9 {
-		t.Fatalf("corr(1,2) = %g, want ~1", got[[2]int{1, 2}])
-	}
-	if got[[2]int{1, 3}] > -0.9 {
-		t.Fatalf("corr(1,3) = %g, want ~-1", got[[2]int{1, 3}])
-	}
-	mean, err := MeanCorrelation(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(mean) {
-		t.Fatal("mean is NaN")
-	}
-}
-
-func TestDailyCountCorrelationsErrors(t *testing.T) {
-	empty, err := failures.NewDataset(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DailyCountCorrelations(empty, []int{1, 2}); !errors.Is(err, ErrInsufficientData) {
-		t.Fatal("empty: want error")
-	}
-	d, err := failures.NewDataset([]failures.Record{rec(1, 0), rec(2, 2000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DailyCountCorrelations(d, []int{1}); err == nil {
-		t.Fatal("single node: want error")
-	}
-	// Nodes absent from the data: all-zero series are constant.
-	if _, err := DailyCountCorrelations(d, []int{8, 9}); !errors.Is(err, ErrInsufficientData) {
-		t.Fatal("constant series: want error")
-	}
-	if _, err := MeanCorrelation(nil); !errors.Is(err, ErrInsufficientData) {
-		t.Fatal("no pairs: want error")
-	}
-}
-
 func TestEraComparisonOnReferenceTrace(t *testing.T) {
 	// System 20's early era has far more correlated batches than its late
 	// era — the Section 5.3 observation, now quantified.

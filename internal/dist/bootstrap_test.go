@@ -93,9 +93,13 @@ func TestWeibullCICoversTruth(t *testing.T) {
 	for i := range xs {
 		xs[i] = truth.Rand(src)
 	}
-	fit, cis, err := WeibullCI(xs, 150, 0.95, 3)
+	fitted, cis, err := FitCI(FamilyWeibull, xs, 150, 0.95, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fit, ok := fitted.(Weibull)
+	if !ok {
+		t.Fatalf("fit type %T, want Weibull", fitted)
 	}
 	if len(cis) != 2 || cis[0].Name != "shape" || cis[1].Name != "scale" {
 		t.Fatalf("cis = %+v", cis)
@@ -117,10 +121,10 @@ func TestWeibullCICoversTruth(t *testing.T) {
 }
 
 func TestWeibullCIErrors(t *testing.T) {
-	if _, _, err := WeibullCI([]float64{1, 2, 3}, 10, 1.5, 1); !errors.Is(err, ErrBadParam) {
+	if _, _, err := FitCI(FamilyWeibull, []float64{1, 2, 3}, 10, 1.5, 1); !errors.Is(err, ErrBadParam) {
 		t.Fatal("bad level: want error")
 	}
-	if _, _, err := WeibullCI([]float64{1}, 10, 0.9, 1); !errors.Is(err, ErrInsufficientData) {
+	if _, _, err := FitCI(FamilyWeibull, []float64{1}, 10, 0.9, 1); !errors.Is(err, ErrInsufficientData) {
 		t.Fatal("too few: want error")
 	}
 }

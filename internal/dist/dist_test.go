@@ -352,7 +352,7 @@ func TestFitRecoversParameters(t *testing.T) {
 	t.Run("pareto", func(t *testing.T) {
 		truth, _ := NewPareto(10, 2.2)
 		xs := sample(truth, src, n)
-		fit, err := FitPareto(xs)
+		fit, err := FitParetoSample(NewSample(xs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +421,7 @@ func TestFitErrorCases(t *testing.T) {
 	if _, err := FitNormal([]float64{1, math.NaN()}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("normal NaN: %v", err)
 	}
-	if _, err := FitPareto(identical); !errors.Is(err, ErrInsufficientData) {
+	if _, err := FitParetoSample(NewSample(identical)); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("pareto identical: %v", err)
 	}
 	if _, err := FitPoisson([]int{-1, 2}); !errors.Is(err, ErrUnsupported) {
@@ -547,7 +547,7 @@ func TestFitAllEmptyAndUnknownFamily(t *testing.T) {
 	if _, err := FitAll(nil); err == nil {
 		t.Fatal("empty data: want error")
 	}
-	if _, err := Fit(Family(99), []float64{1, 2}); err == nil {
+	if _, err := FitSample(Family(99), NewSample([]float64{1, 2})); err == nil {
 		t.Fatal("unknown family: want error")
 	}
 }
@@ -624,59 +624,13 @@ func TestParetoInfiniteMoments(t *testing.T) {
 	}
 }
 
-func TestResampler(t *testing.T) {
-	r, err := NewResampler([]float64{3, 1, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.N() != 4 {
-		t.Fatalf("N = %d", r.N())
-	}
-	if r.Mean() != 2 {
-		t.Fatalf("mean = %g", r.Mean())
-	}
-	if got := r.CDF(2); got != 0.75 {
-		t.Fatalf("CDF(2) = %g", got)
-	}
-	if got := r.CDF(0.5); got != 0 {
-		t.Fatalf("CDF(0.5) = %g", got)
-	}
-	if got := r.CDF(10); got != 1 {
-		t.Fatalf("CDF(10) = %g", got)
-	}
-	q, err := r.Quantile(0.5)
-	if err != nil || q != 2 {
-		t.Fatalf("median = %g, %v", q, err)
-	}
-	// Rand only produces sample values and matches frequencies.
-	src := randx.NewSource(1)
-	counts := map[float64]int{}
-	const n = 40000
-	for i := 0; i < n; i++ {
-		counts[r.Rand(src)]++
-	}
-	if len(counts) != 3 {
-		t.Fatalf("values drawn: %v", counts)
-	}
-	if f := float64(counts[2]) / n; math.Abs(f-0.5) > 0.02 {
-		t.Fatalf("frequency of 2 = %g, want 0.5", f)
-	}
-	// Errors.
-	if _, err := NewResampler(nil); !errors.Is(err, ErrInsufficientData) {
-		t.Fatal("empty: want error")
-	}
-	if _, err := NewResampler([]float64{1, -1}); !errors.Is(err, ErrUnsupported) {
-		t.Fatal("negative: want error")
-	}
-}
-
 func TestFamilyHyperExpDispatch(t *testing.T) {
 	src := randx.NewSource(40)
 	xs := make([]float64, 2000)
 	for i := range xs {
 		xs[i] = src.Exponential(0.2)
 	}
-	d, err := Fit(FamilyHyperExp, xs)
+	d, err := FitSample(FamilyHyperExp, NewSample(xs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,16 +50,8 @@ func StandardFamilies() []Family {
 	return []Family{FamilyExponential, FamilyWeibull, FamilyGamma, FamilyLogNormal}
 }
 
-// Fit dispatches to the maximum-likelihood fitter for the family. It builds
-// a Sample per call; use FitSample to amortize the transforms across
-// several families.
-func Fit(f Family, xs []float64) (Continuous, error) {
-	return FitSample(f, NewSample(xs))
-}
-
 // FitSample dispatches to the kernel maximum-likelihood fitter for the
-// family, reusing the sample's precomputed transforms. Results are
-// bit-identical to Fit on the same data.
+// family, reusing the sample's precomputed transforms.
 func FitSample(f Family, s *Sample) (Continuous, error) {
 	switch f {
 	case FamilyExponential:

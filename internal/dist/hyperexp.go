@@ -151,17 +151,10 @@ func (h HyperExp) Rand(src *randx.Source) float64 {
 	return src.Exponential(h.rate2)
 }
 
-// FitHyperExp fits a two-phase hyperexponential by expectation-maximization
-// from a moment-matched starting point. maxIter <= 0 uses 200 iterations.
-// It builds a Sample per call; use FitHyperExpSample to amortize the
-// transforms.
-func FitHyperExp(xs []float64, maxIter int) (HyperExp, error) {
-	return FitHyperExpSample(NewSample(xs), maxIter)
-}
-
-// FitHyperExpSample is FitHyperExp over precomputed transforms (the cached
-// Σx and positivity scan). The result is bit-identical to FitHyperExp on
-// the same data.
+// FitHyperExpSample fits a two-phase hyperexponential by
+// expectation-maximization from a moment-matched starting point, over the
+// sample's precomputed transforms (the cached Σx and positivity scan).
+// maxIter <= 0 uses 200 iterations.
 func FitHyperExpSample(s *Sample, maxIter int) (HyperExp, error) {
 	var solver hyperExpSolver
 	return solver.fit(&s.t, maxIter)

@@ -73,7 +73,7 @@ func TestFitHyperExpRecovers(t *testing.T) {
 	for i := range xs {
 		xs[i] = truth.Rand(src)
 	}
-	fit, err := FitHyperExp(xs, 0)
+	fit, err := FitHyperExpSample(NewSample(xs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestFitHyperExpRecovers(t *testing.T) {
 }
 
 func TestFitHyperExpErrors(t *testing.T) {
-	if _, err := FitHyperExp([]float64{1, 2}, 0); !errors.Is(err, ErrInsufficientData) {
+	if _, err := FitHyperExpSample(NewSample([]float64{1, 2}), 0); !errors.Is(err, ErrInsufficientData) {
 		t.Fatal("too few")
 	}
-	if _, err := FitHyperExp([]float64{1, 2, -1, 3}, 0); !errors.Is(err, ErrUnsupported) {
+	if _, err := FitHyperExpSample(NewSample([]float64{1, 2, -1, 3}), 0); !errors.Is(err, ErrUnsupported) {
 		t.Fatal("negative")
 	}
-	if _, err := FitHyperExp([]float64{5, 5, 5, 5}, 0); !errors.Is(err, ErrInsufficientData) {
+	if _, err := FitHyperExpSample(NewSample([]float64{5, 5, 5, 5}), 0); !errors.Is(err, ErrInsufficientData) {
 		t.Fatal("identical")
 	}
 }
@@ -117,7 +117,7 @@ func TestHyperExpOnWeibullDataMatchesPaperRemark(t *testing.T) {
 	for i := range xs {
 		xs[i] = truth.Rand(src)
 	}
-	he, err := FitHyperExp(xs, 0)
+	he, err := FitHyperExpSample(NewSample(xs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,16 +116,9 @@ func (p Pareto) Rand(src *randx.Source) float64 {
 	return src.Pareto(p.xm, p.alpha)
 }
 
-// FitPareto computes the maximum-likelihood Pareto fit: xm is the sample
-// minimum and alpha = n / Σ ln(x_i / xm). It builds a Sample per call; use
-// FitParetoSample to amortize the transforms.
-func FitPareto(xs []float64) (Pareto, error) {
-	return FitParetoSample(NewSample(xs))
-}
-
-// FitParetoSample is FitPareto over precomputed transforms (the cached
-// minimum and positivity scan). The result is bit-identical to FitPareto on
-// the same data.
+// FitParetoSample computes the maximum-likelihood Pareto fit over the
+// sample's precomputed transforms (the cached minimum and positivity
+// scan): xm is the sample minimum and alpha = n / Σ ln(x_i / xm).
 func FitParetoSample(s *Sample) (Pareto, error) {
 	return fitParetoKernel(&s.t)
 }

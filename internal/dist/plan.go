@@ -110,9 +110,6 @@ func NewCIPlan(f Family, s *Sample, reps int, level float64, seed int64) (*CIPla
 // Reps returns the effective replication count the plan will run.
 func (p *CIPlan) Reps() int { return p.reps }
 
-// Fitted returns the point fit on the original sample.
-func (p *CIPlan) Fitted() Continuous { return p.fitted }
-
 // RunBlock executes reps [lo, hi). Each rep reseeds the block's source
 // from repSeed(plan seed, rep) and gathers/refits exactly as the
 // sequential loop did, so the rep's parameter vector does not depend on

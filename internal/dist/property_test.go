@@ -134,7 +134,7 @@ func TestPropertyParameterizedConsistency(t *testing.T) {
 	}
 	for _, f := range []Family{FamilyExponential, FamilyWeibull, FamilyGamma,
 		FamilyLogNormal, FamilyNormal, FamilyPareto, FamilyHyperExp} {
-		fitted, err := Fit(f, xs)
+		fitted, err := FitSample(f, NewSample(xs))
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
 		}

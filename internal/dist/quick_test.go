@@ -161,43 +161,3 @@ func TestQuickNLLOptimalAtFit(t *testing.T) {
 		}
 	}
 }
-
-func TestQuickResamplerCDFMatchesSample(t *testing.T) {
-	src := randx.NewSource(15)
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			xs = append(xs, clampParam(v, 0.1, 1000))
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		r, err := NewResampler(xs)
-		if err != nil {
-			return false
-		}
-		// CDF at the max is 1; below the min is 0; draws stay in range.
-		min, max := xs[0], xs[0]
-		for _, v := range xs {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		if r.CDF(max) != 1 || r.CDF(min-1) != 0 {
-			return false
-		}
-		for i := 0; i < 20; i++ {
-			v := r.Rand(src)
-			if v < min || v > max {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -244,22 +244,11 @@ func (s *Sample) N() int { return len(s.t.xs) }
 // Sample's own storage: callers must not mutate it.
 func (s *Sample) Values() []float64 { return s.t.xs }
 
-// Sum returns Σx.
-func (s *Sample) Sum() float64 { return s.t.sum }
-
-// SumLog returns Σ log x; it is only meaningful when Positive reports true.
-func (s *Sample) SumLog() float64 { return s.t.sumLog }
-
 // Min and Max return the sample extrema.
 func (s *Sample) Min() float64 { return s.t.min }
 
 // Max returns the sample maximum.
 func (s *Sample) Max() float64 { return s.t.max }
-
-// Positive reports whether every observation is finite and strictly
-// positive — the support precondition of the paper's four standard
-// families.
-func (s *Sample) Positive() bool { return s.t.positive }
 
 // Hash returns the sample's FNV-1a identity hash (stats.HashSample of the
 // values), computed once. The analysis engine keys its per-call fit

@@ -158,13 +158,6 @@ func TestFitSampleBitIdenticalToReference(t *testing.T) {
 					return
 				}
 				sameParamsBitwise(t, ref, ker)
-
-				// The slice wrapper must agree with the Sample path too.
-				wrap, wrapErr := Fit(f, xs)
-				if wrapErr != nil {
-					t.Fatalf("wrapper errored after kernel succeeded: %v", wrapErr)
-				}
-				sameParamsBitwise(t, ker, wrap)
 			})
 		}
 	}
@@ -393,17 +386,17 @@ func TestSampleAccessors(t *testing.T) {
 			minv = x
 		}
 	}
-	if s.Sum() != sum {
-		t.Fatalf("Sum = %v, want %v", s.Sum(), sum)
+	if s.t.sum != sum {
+		t.Fatalf("sum = %v, want %v", s.t.sum, sum)
 	}
-	if s.SumLog() != sumLog {
-		t.Fatalf("SumLog = %v, want %v", s.SumLog(), sumLog)
+	if s.t.sumLog != sumLog {
+		t.Fatalf("sumLog = %v, want %v", s.t.sumLog, sumLog)
 	}
 	if s.Min() != minv || s.Max() != maxv {
 		t.Fatalf("extrema = (%v, %v), want (%v, %v)", s.Min(), s.Max(), minv, maxv)
 	}
-	if !s.Positive() {
-		t.Fatal("Positive = false for a strictly positive sample")
+	if !s.t.positive {
+		t.Fatal("positive = false for a strictly positive sample")
 	}
 	if got, want := s.Hash(), stats.HashSample(xs); got != want {
 		t.Fatalf("Hash = %#x, want stats.HashSample %#x", got, want)
@@ -425,8 +418,8 @@ func TestSampleAccessors(t *testing.T) {
 		t.Fatalf("ECDF N = %d, want %d", ecdf.N(), len(xs))
 	}
 
-	if NewSample([]float64{-3, 4}).Positive() {
-		t.Fatal("Positive = true for a sample containing a negative")
+	if NewSample([]float64{-3, 4}).t.positive {
+		t.Fatal("positive = true for a sample containing a negative")
 	}
 	if _, err := NewSample(nil).ECDF(); err == nil {
 		t.Fatal("ECDF on an empty sample: want error")
@@ -466,67 +459,6 @@ func TestBootstrapRepZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%v bootstrap rep allocates %v times, want 0", f, allocs)
 		}
-	}
-}
-
-// TestResamplerTiedCDF is the satellite regression test for the CDF binary
-// search: on a heavily tied sample (a long run of one value), CDF must
-// count values <= x correctly at, below, and above the tie, and must agree
-// with a brute-force count at every probe.
-func TestResamplerTiedCDF(t *testing.T) {
-	// 10k copies of 5.0 flanked by a few distinct values: the old linear
-	// advance walked the whole run on every CDF(5) call.
-	xs := make([]float64, 0, 10005)
-	xs = append(xs, 1, 2, 3)
-	for i := 0; i < 10000; i++ {
-		xs = append(xs, 5)
-	}
-	xs = append(xs, 7, 9)
-	r, err := NewResampler(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := []float64{0.5, 1, 2.5, 3, 4.999, 5, 5.001, 7, 8, 9, 10}
-	for _, x := range probes {
-		count := 0
-		for _, v := range xs {
-			if v <= x {
-				count++
-			}
-		}
-		want := float64(count) / float64(len(xs))
-		if got := r.CDF(x); got != want {
-			t.Errorf("CDF(%v) = %v, want %v", x, got, want)
-		}
-	}
-}
-
-// TestNewResamplerFromSample checks the Sample-sharing constructor against
-// the copying one, including its validation.
-func TestNewResamplerFromSample(t *testing.T) {
-	xs := []float64{3, 1, 2, 2, 5}
-	s := NewSample(xs)
-	r, err := NewResamplerFromSample(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewResampler(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1, 2, 2.5, 3, 5, 6} {
-		if r.CDF(x) != ref.CDF(x) {
-			t.Fatalf("CDF(%v) = %v, want %v", x, r.CDF(x), ref.CDF(x))
-		}
-	}
-	if r.N() != ref.N() || r.Mean() != ref.Mean() {
-		t.Fatal("N/Mean disagree with the copying constructor")
-	}
-	if _, err := NewResamplerFromSample(NewSample(nil)); err == nil {
-		t.Fatal("empty sample: want error")
-	}
-	if _, err := NewResamplerFromSample(NewSample([]float64{0, 1})); err == nil {
-		t.Fatal("non-positive sample: want error")
 	}
 }
 

@@ -57,11 +57,9 @@ type ShardSpec struct {
 	ByCause bool
 	// IncludeFleet prepends the all-systems aggregate shard.
 	IncludeFleet bool
-	// Families are the families fitted to each shard; nil uses the paper's
-	// standard four.
-	Families []dist.Family
 	// CIFamilies are the families that get bootstrap confidence intervals
-	// on every parameter; nil uses Families. Intervals are skipped when the
+	// on every parameter; nil uses every fitted family, the paper's
+	// standard four (dist.StandardFamilies). Intervals are skipped when the
 	// engine's BootstrapReps is negative.
 	CIFamilies []dist.Family
 	// MinN is the minimum sample size to attempt fitting; <= 0 uses 10
@@ -69,16 +67,9 @@ type ShardSpec struct {
 	MinN int
 }
 
-func (s ShardSpec) families() []dist.Family {
-	if len(s.Families) == 0 {
-		return dist.StandardFamilies()
-	}
-	return s.Families
-}
-
 func (s ShardSpec) ciFamilies() []dist.Family {
 	if s.CIFamilies == nil {
-		return s.families()
+		return dist.StandardFamilies()
 	}
 	return s.CIFamilies
 }

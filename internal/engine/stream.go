@@ -247,8 +247,8 @@ func (f *fold) prep(rows []row, recs []failures.Record) []row {
 // fleet, workload or cause), so each slot remembers its last key and
 // accumulator and looks up f.accums only when its key changes. The fleet
 // slot always hits; the others hit while consecutive records share the
-// key, which holds almost throughout for Stream/GenerateStream traces
-// (grouped by system) and far less for Generate's time-sorted merge.
+// key, which holds almost throughout for lanl Stream traces (grouped by
+// system) and far less for Generate's time-sorted merge.
 func (f *fold) apply(ctx context.Context, rows []row) (int, error) {
 	var keys, last [4]ShardKey
 	var lastA [4]*shardAccum

@@ -332,7 +332,7 @@ func TestAnalyzeStreamStopsSource(t *testing.T) {
 
 // BenchmarkFoldAdd is the per-record cost of the streaming fold (ns/op
 // is per record) over the seed-1 lanl trace in both orders the repo
-// folds: "grouped" is GenerateStream's order (one system's records after
+// folds: "grouped" is Stream's order (one system's records after
 // another, as in binary traces), where every slot's cache almost always
 // hits; "time-sorted" is Generate's merged order (CSV traces, daemon
 // ingest), where systems interleave and only the fleet slot always hits.
@@ -380,14 +380,16 @@ func BenchmarkFoldAdd(b *testing.B) {
 	}
 }
 
-// groupedTrace is the seed-1 lanl trace in GenerateStream's order: one
-// system's records after another, as in binary traces.
+// groupedTrace is the seed-1 lanl trace in Stream's order: one system's
+// records after another, as in binary traces.
 func groupedTrace(tb testing.TB) []failures.Record {
+	s := lanl.NewGenerator(lanl.Config{Seed: 1}).Stream()
+	defer s.Close()
 	var recs []failures.Record
-	if err := lanl.NewGenerator(lanl.Config{Seed: 1}).GenerateStream(func(r failures.Record) error {
-		recs = append(recs, r)
-		return nil
-	}); err != nil {
+	for s.Scan() {
+		recs = append(recs, s.Record())
+	}
+	if err := s.Err(); err != nil {
 		tb.Fatal(err)
 	}
 	return recs

@@ -177,7 +177,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 		ent *tableEntry
 		k   int
 	}
-	fams, ciFams := spec.families(), spec.ciFamilies()
+	fams, ciFams := dist.StandardFamilies(), spec.ciFamilies()
 	tab := make(fitTable)
 	var fitTasks []fitTask
 	for _, j := range ord {

@@ -47,19 +47,6 @@ func NewDatasetSorted(records []Record) (*Dataset, error) {
 	return &Dataset{records: records}, nil
 }
 
-// SortByStart stably sorts records by start time (the wall-clock
-// instant; monotonic clock readings are ignored) in place. Sorted input
-// is left untouched; anything else is ordered by SortedByStart and
-// copied back.
-func SortByStart(rs []Record) {
-	for i := 1; i < len(rs); i++ {
-		if rs[i].Start.Before(rs[i-1].Start) {
-			copy(rs, SortedByStart([][]Record{rs}))
-			return
-		}
-	}
-}
-
 // Len returns the number of records.
 func (d *Dataset) Len() int { return len(d.records) }
 

@@ -10,9 +10,8 @@ import (
 // instant; monotonic clock readings are ignored), in a new slice of
 // exactly their count. Equal starts keep concatenation order, so the
 // result is element for element what sort.SliceStable makes of the
-// concatenation. It is the one start-order kernel: SortByStart,
-// NewDataset, Merge and the trace generator's blocks all order records
-// through it.
+// concatenation. It is the one start-order kernel: NewDataset, Merge
+// and the trace generator's blocks all order records through it.
 //
 // Records are never compared or moved while sorting. Each gets a
 // pointer-free uint64 key: its start's offset from the earliest start,

@@ -36,7 +36,6 @@ type Scanner struct {
 
 	rec     Record
 	line    int
-	scanned int
 	rowErrs []RowError
 	err     error
 	done    bool
@@ -126,7 +125,6 @@ func (s *Scanner) Scan() bool {
 		}
 		s.rec = rec
 		s.line = line
-		s.scanned++
 		return true
 	}
 }
@@ -136,9 +134,6 @@ func (s *Scanner) Record() Record { return s.rec }
 
 // Line returns the input line on which the last scanned record started.
 func (s *Scanner) Line() int { return s.line }
-
-// Scanned returns how many well-formed records have been yielded.
-func (s *Scanner) Scanned() int { return s.scanned }
 
 // RowErrors returns the malformed rows skipped so far in lenient mode,
 // each with the true input line of the offending row.

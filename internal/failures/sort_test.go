@@ -42,25 +42,24 @@ func TestSortByStartMatchesSliceStable(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(50)
 		original := randomRecords(rng, n, 1+rng.Intn(10))
-		got := make([]Record, n)
-		copy(got, original)
-		SortByStart(got)
-		assertStableSorted(t, "random", got, original)
+		assertStableSorted(t, "random", SortedByStart([][]Record{original}), original)
 	}
 }
 
 func TestSortByStartEdgeCases(t *testing.T) {
-	SortByStart(nil)
+	if got := SortedByStart([][]Record{nil}); len(got) != 0 {
+		t.Fatalf("nil part produced %d records", len(got))
+	}
 	one := []Record{rec(1, 0, 5, 1, CauseHardware)}
-	SortByStart(one)
+	if got := SortedByStart([][]Record{one}); len(got) != 1 || got[0] != one[0] {
+		t.Fatalf("one record: %v", got)
+	}
 
-	// Already sorted: the run detector must exit without touching it.
+	// Already sorted: the order comes back unchanged.
 	sorted := []Record{rec(1, 0, 1, 1, CauseHardware), rec(1, 1, 2, 1, CauseHardware), rec(1, 2, 2, 1, CauseHardware)}
-	orig := make([]Record, len(sorted))
-	copy(orig, sorted)
-	SortByStart(sorted)
-	for i := range orig {
-		if sorted[i] != orig[i] {
+	got := SortedByStart([][]Record{sorted})
+	for i := range sorted {
+		if got[i] != sorted[i] {
 			t.Fatalf("sorted input disturbed at %d", i)
 		}
 	}
@@ -71,22 +70,17 @@ func TestSortByStartEdgeCases(t *testing.T) {
 	for i := range rev {
 		rev[i] = rec(1, i, n-i, 1, CauseSoftware)
 	}
-	cp := make([]Record, n)
-	copy(cp, rev)
-	SortByStart(rev)
-	assertStableSorted(t, "reverse", rev, cp)
+	assertStableSorted(t, "reverse", SortedByStart([][]Record{rev}), rev)
 
 	// All-equal start times: output must preserve input order exactly.
 	eq := make([]Record, 50)
 	for i := range eq {
 		eq[i] = rec(2, i, 7, 1, CauseUnknown)
 	}
-	cp = make([]Record, len(eq))
-	copy(cp, eq)
-	SortByStart(eq)
+	got = SortedByStart([][]Record{eq})
 	for i := range eq {
-		if eq[i].Node != cp[i].Node {
-			t.Fatalf("equal-key order broken at %d: node %d", i, eq[i].Node)
+		if got[i].Node != eq[i].Node {
+			t.Fatalf("equal-key order broken at %d: node %d", i, got[i].Node)
 		}
 	}
 }
@@ -106,7 +100,7 @@ func TestSortedByStartMatchesStableSortOfConcatenation(t *testing.T) {
 				b[i].Node = pos // stability witness across blocks
 				pos++
 			}
-			SortByStart(b)
+			b = SortedByStart([][]Record{b})
 			blocks[bi] = b
 			concat = append(concat, b...)
 		}
@@ -138,8 +132,8 @@ func TestSortedByStartPartsEdgeCases(t *testing.T) {
 	}
 
 	// All-equal keys across parts: ties must resolve by part order, then
-	// by position within the part, as SortByStart does on the
-	// concatenation.
+	// by position within the part, as a stable sort of the concatenation
+	// does.
 	eq := make([][]Record, 4)
 	pos := 0
 	var concat []Record

@@ -4,8 +4,8 @@
 // time since a failure is long then the next failure is coming soon; a
 // decreasing hazard rate function predicts the reverse"). This package
 // makes that interpretation testable without assuming a parametric family:
-// a Nelson–Aalen cumulative-hazard estimator, a binned empirical hazard,
-// and a nonparametric direction test.
+// a binned empirical hazard, a nonparametric direction test and the mean
+// residual life.
 package hazard
 
 import (
@@ -19,49 +19,6 @@ import (
 
 // ErrInsufficientData is returned when an estimator needs more samples.
 var ErrInsufficientData = errors.New("hazard: insufficient data")
-
-// CumulativePoint is one step of the Nelson–Aalen cumulative hazard
-// estimate H(t).
-type CumulativePoint struct {
-	// T is the event time (same unit as the input).
-	T float64
-	// H is the estimated cumulative hazard at T.
-	H float64
-	// Var is the estimated variance of H at T.
-	Var float64
-}
-
-// NelsonAalen computes the Nelson–Aalen estimator of the cumulative hazard
-// from complete (uncensored) lifetimes: H(t) = Σ_{t_i <= t} d_i / n_i,
-// where d_i failures occur at time t_i and n_i units are still at risk.
-func NelsonAalen(lifetimes []float64) ([]CumulativePoint, error) {
-	if len(lifetimes) == 0 {
-		return nil, ErrInsufficientData
-	}
-	sorted := make([]float64, len(lifetimes))
-	copy(sorted, lifetimes)
-	sort.Float64s(sorted)
-	if sorted[0] <= 0 {
-		return nil, fmt.Errorf("hazard: non-positive lifetime %g", sorted[0])
-	}
-	var out []CumulativePoint
-	h, v := 0.0, 0.0
-	i := 0
-	n := len(sorted)
-	for i < n {
-		t := sorted[i]
-		d := 0
-		for i < n && sorted[i] == t {
-			d++
-			i++
-		}
-		atRisk := float64(n - (i - d))
-		h += float64(d) / atRisk
-		v += float64(d) / (atRisk * atRisk)
-		out = append(out, CumulativePoint{T: t, H: h, Var: v})
-	}
-	return out, nil
-}
 
 // Estimate is a binned empirical hazard-rate estimate.
 type Estimate struct {

@@ -8,58 +8,6 @@ import (
 	"hpcfail/internal/randx"
 )
 
-func TestNelsonAalenSmallExample(t *testing.T) {
-	// Hand-computed: lifetimes 1,2,2,4 (n=4).
-	// t=1: d=1, at risk 4 -> H=0.25
-	// t=2: d=2, at risk 3 -> H=0.25+2/3
-	// t=4: d=1, at risk 1 -> H=0.25+2/3+1
-	pts, err := NelsonAalen([]float64{2, 1, 4, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	want := []float64{0.25, 0.25 + 2.0/3, 0.25 + 2.0/3 + 1}
-	for i, p := range pts {
-		if math.Abs(p.H-want[i]) > 1e-12 {
-			t.Fatalf("H[%d] = %g, want %g", i, p.H, want[i])
-		}
-	}
-	// Variance increases monotonically.
-	if !(pts[0].Var < pts[1].Var && pts[1].Var < pts[2].Var) {
-		t.Fatal("variance should accumulate")
-	}
-}
-
-func TestNelsonAalenErrors(t *testing.T) {
-	if _, err := NelsonAalen(nil); !errors.Is(err, ErrInsufficientData) {
-		t.Fatal("empty: want ErrInsufficientData")
-	}
-	if _, err := NelsonAalen([]float64{0, 1}); err == nil {
-		t.Fatal("zero lifetime: want error")
-	}
-}
-
-func TestNelsonAalenMatchesExponential(t *testing.T) {
-	// For exponential(rate) data, H(t) ~= rate * t.
-	src := randx.NewSource(1)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = src.Exponential(0.1)
-	}
-	pts, err := NelsonAalen(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Check at the median point.
-	mid := pts[len(pts)/2]
-	want := 0.1 * mid.T
-	if math.Abs(mid.H-want)/want > 0.05 {
-		t.Fatalf("H(%g) = %g, want %g", mid.T, mid.H, want)
-	}
-}
-
 func TestEmpiricalHazardDirections(t *testing.T) {
 	src := randx.NewSource(2)
 	const n = 30000

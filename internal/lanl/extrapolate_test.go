@@ -90,12 +90,12 @@ func TestValidateCatalogRejects(t *testing.T) {
 				// An empty Config.Catalog means "use Table 1", not an error.
 				return
 			}
-			gen := NewGenerator(Config{Seed: 1, Catalog: tc.cat, RateScale: 0.0001})
-			if _, err := gen.Generate(); err == nil {
+			cfg := Config{Seed: 1, Catalog: tc.cat, RateScale: 0.0001}
+			if _, err := NewGenerator(cfg).Generate(); err == nil {
 				t.Fatalf("Generate accepted a catalog with %s", tc.name)
 			}
-			if err := gen.GenerateStream(func(failures.Record) error { return nil }); err == nil {
-				t.Fatalf("GenerateStream accepted a catalog with %s", tc.name)
+			if err := streamErr(t, cfg); err == nil {
+				t.Fatalf("Stream accepted a catalog with %s", tc.name)
 			}
 		})
 	}

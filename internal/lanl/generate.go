@@ -141,7 +141,7 @@ type systemBlock struct {
 // pending and a slow consumer holds generation back; memory still grows
 // with the largest blocks, each a whole system. The first error, from a
 // system in catalog order, ends the iteration and stops the pool; close
-// stops it early. Generate, GenerateStream and Stream all consume it.
+// stops it early. Generate and Stream both consume it.
 type systemBlocks struct {
 	tasks []systemTask
 	next  int // next task to submit

@@ -6,8 +6,8 @@ import (
 
 // This file is the streaming face of the generator: records flow to the
 // consumer as they are produced, so writing a trace to CSV or feeding
-// engine.AnalyzeStream never materializes the full dataset. Both entry
-// points consume systemBlocks, the iterator Generate uses, with at most
+// engine.AnalyzeStream never materializes the full dataset. Stream
+// consumes systemBlocks, the iterator Generate uses, with at most
 // Workers+1 system blocks pending in its pool: generation runs ahead
 // while the consumer drains. Peak memory follows the largest few
 // systems, so it still grows with RateScale.
@@ -21,32 +21,10 @@ import (
 // failures.ReadCSV, which re-sorts, and the per-system shards of
 // engine.AnalyzeStream are insensitive to cross-system order.
 
-// GenerateStream produces the configured trace record by record, calling
-// emit for each one. Records within a system are sorted by start time
-// and systems arrive in catalog order; the concatenation of the emitted
-// sequence therefore rebuilds Generate()'s dataset exactly (the property
-// tests assert this record for record). emit runs on the caller's
-// goroutine; returning a non-nil error stops generation and propagates
-// the error.
-func (g *Generator) GenerateStream(emit func(failures.Record) error) error {
-	it, err := g.systemBlocks(0)
-	if err != nil {
-		return err
-	}
-	defer it.close()
-	for it.scan() {
-		for _, r := range it.block {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-	}
-	return it.err
-}
-
 // A RecordStream adapts the generator to the pull-based
-// failures.RecordSource shape engine.AnalyzeStream consumes: Scan/Record
-// iterate the same record sequence GenerateStream emits. Scan pulls
+// failures.RecordSource shape engine.AnalyzeStream consumes. Its
+// sequence, loaded into a dataset, rebuilds Generate()'s exactly (the
+// property tests assert this record for record). Scan pulls
 // whole system blocks from the generator pool on the caller's
 // goroutine while the pool's workers generate the next ones, so at most
 // Workers+2 blocks are alive at once: Workers+1 pending in the pool
@@ -74,6 +52,9 @@ func (s *RecordStream) Scan() bool {
 		return false
 	}
 	for len(s.rest) == 0 {
+		// A drained s.rest can still point at its block's array: drop it
+		// so the block is freed while scan waits for the next one.
+		s.rest = nil
 		if !s.blocks.scan() {
 			s.err = s.blocks.err
 			return false

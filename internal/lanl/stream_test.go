@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -14,12 +13,13 @@ import (
 
 func collectStream(t *testing.T, cfg Config) []failures.Record {
 	t.Helper()
+	s := NewGenerator(cfg).Stream()
+	defer s.Close()
 	var records []failures.Record
-	err := NewGenerator(cfg).GenerateStream(func(r failures.Record) error {
-		records = append(records, r)
-		return nil
-	})
-	if err != nil {
+	for s.Scan() {
+		records = append(records, s.Record())
+	}
+	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return records
@@ -69,26 +69,6 @@ func TestGenerateStreamEmissionOrderIsDeterministic(t *testing.T) {
 		} else if i > 0 && want[i].System == want[i-1].System &&
 			want[i].Start.Before(want[i-1].Start) {
 			t.Fatalf("record %d out of order within system %d", i, want[i].System)
-		}
-	}
-}
-
-func TestGenerateStreamPropagatesEmitError(t *testing.T) {
-	sentinel := errors.New("consumer full")
-	for _, w := range []int{1, 4} {
-		n := 0
-		err := NewGenerator(Config{Seed: 1, Workers: w}).GenerateStream(func(failures.Record) error {
-			n++
-			if n == 100 {
-				return sentinel
-			}
-			return nil
-		})
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("workers %d: err = %v, want sentinel", w, err)
-		}
-		if n != 100 {
-			t.Fatalf("workers %d: emit called %d times after error at 100", w, n)
 		}
 	}
 }
@@ -195,14 +175,6 @@ func TestSubsetRejectsUnknownSystems(t *testing.T) {
 			cfg.Workers = w
 			if d, err := NewGenerator(cfg).Generate(); err == nil {
 				t.Fatalf("Generate(%v, workers %d) returned %d records and no error", cfg.Systems, w, d.Len())
-			}
-			n := 0
-			err := NewGenerator(cfg).GenerateStream(func(failures.Record) error {
-				n++
-				return nil
-			})
-			if err == nil || n != 0 {
-				t.Fatalf("GenerateStream(%v, workers %d) emitted %d records, err %v", cfg.Systems, w, n, err)
 			}
 			if err := streamErr(t, cfg); err == nil {
 				t.Fatalf("Stream(%v, workers %d) ended without an error", cfg.Systems, w)

@@ -14,34 +14,6 @@ var ErrNoConvergence = errors.New("mathx: no convergence")
 // which the function does not change sign.
 var ErrBracket = errors.New("mathx: root not bracketed")
 
-// Bisect finds a root of f on [a, b] by bisection. f(a) and f(b) must have
-// opposite signs. tol is the absolute tolerance on the root location.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return math.NaN(), fmt.Errorf("bisect on [%g, %g]: %w", a, b, ErrBracket)
-	}
-	for i := 0; i < 200; i++ {
-		m := a + (b-a)/2
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol {
-			return m, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return math.NaN(), fmt.Errorf("bisect: %w", ErrNoConvergence)
-}
-
 // Brent finds a root of f on [a, b] using Brent's method (inverse quadratic
 // interpolation with bisection fallback). f(a) and f(b) must have opposite
 // signs.

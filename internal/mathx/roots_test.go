@@ -6,24 +6,6 @@ import (
 	"testing"
 )
 
-func TestBisect(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almostEqual(t, root, math.Sqrt2, 1e-10, "bisect sqrt(2)")
-
-	if _, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-9); !errors.Is(err, ErrBracket) {
-		t.Fatalf("want ErrBracket, got %v", err)
-	}
-
-	// Exact endpoints.
-	root, err = Bisect(func(x float64) float64 { return x }, 0, 1, 1e-9)
-	if err != nil || root != 0 {
-		t.Fatalf("bisect endpoint root: %v, %v", root, err)
-	}
-}
-
 func TestBrent(t *testing.T) {
 	tests := []struct {
 		name string

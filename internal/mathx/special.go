@@ -277,18 +277,6 @@ func NormQuantile(p float64) (float64, error) {
 	return x, nil
 }
 
-// LogSumExp computes log(exp(a) + exp(b)) without overflow.
-func LogSumExp(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	m := math.Max(a, b)
-	return m + math.Log(math.Exp(a-m)+math.Exp(b-m))
-}
-
 // LogFactorial returns ln(n!) computed through the log-gamma function.
 func LogFactorial(n int) (float64, error) {
 	if n < 0 {

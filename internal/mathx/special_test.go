@@ -223,20 +223,6 @@ func TestNormCDFSymmetry(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp(math.Log(2), math.Log(3))
-	almostEqual(t, got, math.Log(5), 1e-14, "LogSumExp(ln2, ln3)")
-	// Overflow safety.
-	got = LogSumExp(1000, 1000)
-	almostEqual(t, got, 1000+math.Ln2, 1e-12, "LogSumExp(1000,1000)")
-	if LogSumExp(math.Inf(-1), 3) != 3 {
-		t.Fatal("LogSumExp(-inf, 3) should be 3")
-	}
-	if LogSumExp(7, math.Inf(-1)) != 7 {
-		t.Fatal("LogSumExp(7, -inf) should be 7")
-	}
-}
-
 func TestLogFactorial(t *testing.T) {
 	want := 0.0
 	for n := 0; n <= 20; n++ {

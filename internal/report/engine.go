@@ -18,30 +18,6 @@ func ParamCIs(cis []dist.ParamCI) string {
 	return strings.Join(parts, ", ")
 }
 
-// FitComparisonCI renders a fit-comparison table with a bootstrap
-// confidence-interval column for the families present in cis.
-func FitComparisonCI(c *dist.Comparison, cis map[dist.Family][]dist.ParamCI, level float64) string {
-	t := NewTable("Family", "Params", "NLL", "KS", fmt.Sprintf("%.0f%% bootstrap CI", level*100), "Verdict")
-	best, err := c.Best()
-	for _, r := range c.Results {
-		if r.Err != nil {
-			t.AddRow(r.Family.String(), "-", "-", "-", "-", "fit failed: "+r.Err.Error())
-			continue
-		}
-		verdict := ""
-		if err == nil && r.Family == best.Family {
-			verdict = "best"
-		}
-		ciCol := "-"
-		if ci, ok := cis[r.Family]; ok {
-			ciCol = ParamCIs(ci)
-		}
-		t.AddRow(r.Family.String(), r.Dist.Params(),
-			fmt.Sprintf("%.1f", r.NLL), fmt.Sprintf("%.4f", r.KS), ciCol, verdict)
-	}
-	return t.String()
-}
-
 // FleetTable renders the engine's fleet analysis, one row per shard with the
 // best-fitting interarrival and repair families, the Weibull shape interval
 // for time between failures and the lognormal median interval (minutes) for

@@ -282,22 +282,3 @@ func TestTable3(t *testing.T) {
 		}
 	}
 }
-
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("A", "B")
-	tb.AddRow("1", "x|y")
-	out := tb.Markdown()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("markdown:\n%s", out)
-	}
-	if lines[0] != "| A | B |" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if lines[1] != "|---|---|" {
-		t.Fatalf("rule = %q", lines[1])
-	}
-	if !strings.Contains(lines[2], `x\|y`) {
-		t.Fatalf("pipe not escaped: %q", lines[2])
-	}
-}

@@ -130,27 +130,3 @@ func FormatStat(format string, v float64) string {
 	}
 	return fmt.Sprintf(format, v)
 }
-
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		b.WriteString("|")
-		for _, c := range cells {
-			b.WriteString(" ")
-			b.WriteString(strings.ReplaceAll(c, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.header)
-	b.WriteString("|")
-	for range t.header {
-		b.WriteString("---|")
-	}
-	b.WriteString("\n")
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}

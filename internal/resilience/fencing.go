@@ -163,12 +163,6 @@ func (w *WindowFencing) Admit(id int, now time.Duration) bool {
 	return true
 }
 
-// Fenced reports whether node id is currently fenced.
-func (w *WindowFencing) Fenced(id int) bool {
-	nf := w.nodes[id]
-	return nf != nil && nf.fenced
-}
-
 // FencedNodeHours implements FencingPolicy.
 func (w *WindowFencing) FencedNodeHours(now time.Duration) float64 {
 	ids := make([]int, 0, len(w.nodes))

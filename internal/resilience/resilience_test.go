@@ -111,7 +111,7 @@ func TestWindowFencingLifecycle(t *testing.T) {
 		t.Fatal("one failure is below the threshold")
 	}
 	w.RecordFailure(0, h(3))
-	if !w.Fenced(0) {
+	if !fenced(w, 0) {
 		t.Fatal("two failures in the window must fence")
 	}
 	if w.Admit(0, h(3)) {
@@ -125,7 +125,7 @@ func TestWindowFencingLifecycle(t *testing.T) {
 	if !w.Admit(0, h(9)) {
 		t.Fatal("must be re-admitted after probation")
 	}
-	if w.Fenced(0) {
+	if fenced(w, 0) {
 		t.Fatal("re-admission must clear the fence")
 	}
 	// Re-admission wipes history: a single new failure must not re-fence.
@@ -140,6 +140,12 @@ func TestWindowFencingLifecycle(t *testing.T) {
 	}
 }
 
+// fenced reports whether node id is currently fenced.
+func fenced(w *WindowFencing, id int) bool {
+	nf := w.nodes[id]
+	return nf != nil && nf.fenced
+}
+
 func TestWindowFencingSlidingWindow(t *testing.T) {
 	w, err := NewWindowFencing(2, 5*time.Hour, time.Hour)
 	if err != nil {
@@ -148,7 +154,7 @@ func TestWindowFencingSlidingWindow(t *testing.T) {
 	w.RecordFailure(3, 0)
 	// 6h later the first failure has left the window.
 	w.RecordFailure(3, 6*time.Hour)
-	if w.Fenced(3) {
+	if fenced(w, 3) {
 		t.Fatal("failures outside the window must not count")
 	}
 	if got := w.FencedNodeHours(10 * time.Hour); got != 0 {

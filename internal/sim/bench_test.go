@@ -80,9 +80,9 @@ func BenchmarkCheckpointedJob(b *testing.B) {
 		if err := n.Start(); err != nil {
 			b.Fatal(err)
 		}
-		job, err := StartJob(&e, JobConfig{
+		job, err := startJob(&e, JobConfig{
 			ID: 1, WorkHours: 500, CheckpointInterval: 10, CheckpointCostHours: 0.1,
-		}, []*Node{n}, nil)
+		}, []*Node{n}, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

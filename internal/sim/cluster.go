@@ -98,7 +98,7 @@ func (s ScoredScheduler) Pick(candidates []*Node, need int) []*Node {
 // NodeSpec describes one node to build in a cluster.
 type NodeSpec struct {
 	// TBF and TTR are the failure and repair samplers in hours; any
-	// dist.Continuous works, as does a nonparametric dist.Resampler.
+	// dist.Continuous works.
 	TBF, TTR Sampler
 }
 

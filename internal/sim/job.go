@@ -83,12 +83,8 @@ type Job struct {
 
 var _ FailureListener = (*Job)(nil)
 
-// StartJob begins executing a job on the given nodes at the current
+// startJob begins executing a job on the given nodes at the current
 // simulation time. All nodes must currently be up.
-func StartJob(engine *Engine, cfg JobConfig, nodes []*Node, onDone func(*Job)) (*Job, error) {
-	return startJob(engine, cfg, nodes, onDone, nil)
-}
-
 func startJob(engine *Engine, cfg JobConfig, nodes []*Node, onDone, onAbort func(*Job)) (*Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

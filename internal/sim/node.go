@@ -77,8 +77,7 @@ type Node struct {
 }
 
 // Sampler draws random durations in hours. Every dist.Continuous satisfies
-// it; dist.Resampler provides a nonparametric alternative that replays an
-// empirical sample.
+// it.
 type Sampler interface {
 	Rand(src *randx.Source) float64
 }

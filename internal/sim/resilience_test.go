@@ -132,7 +132,7 @@ func TestFencingRoutesAroundFlakyNode(t *testing.T) {
 	if err := c.Run(h(10)); err != nil { // let node 0 fail twice
 		t.Fatal(err)
 	}
-	if !fence.Fenced(0) {
+	if fence.Admit(0, h(10)) {
 		t.Fatal("node 0 must be fenced after two strikes")
 	}
 	if err := c.Submit(JobConfig{ID: 1, WorkHours: 20}, 1); err != nil {

@@ -148,9 +148,9 @@ func TestJobCompletesWithoutFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done *Job
-	job, err := StartJob(&e, JobConfig{
+	job, err := startJob(&e, JobConfig{
 		ID: 1, WorkHours: 100, CheckpointInterval: 10, CheckpointCostHours: 0.1,
-	}, []*Node{n}, func(j *Job) { done = j })
+	}, []*Node{n}, func(j *Job) { done = j }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +191,10 @@ func TestJobRollbackOnFailure(t *testing.T) {
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	job, err := StartJob(&e, JobConfig{
+	job, err := startJob(&e, JobConfig{
 		ID: 2, WorkHours: 200, CheckpointInterval: 10,
 		CheckpointCostHours: 0.05, RestartCostHours: 0.5,
-	}, []*Node{n}, nil)
+	}, []*Node{n}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +228,10 @@ func TestCheckpointingBeatsNoCheckpointing(t *testing.T) {
 		if err := n.Start(); err != nil {
 			t.Fatal(err)
 		}
-		job, err := StartJob(&e, JobConfig{
+		job, err := startJob(&e, JobConfig{
 			ID: 1, WorkHours: 300, CheckpointInterval: interval,
 			CheckpointCostHours: 0.1, RestartCostHours: 0.2,
-		}, []*Node{n}, nil)
+		}, []*Node{n}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,9 +269,9 @@ func TestMultiNodeJobWaitsForAllRepairs(t *testing.T) {
 		}
 		nodes[i] = n
 	}
-	job, err := StartJob(&e, JobConfig{
+	job, err := startJob(&e, JobConfig{
 		ID: 3, WorkHours: 150, CheckpointInterval: 5, CheckpointCostHours: 0.05,
-	}, nodes, nil)
+	}, nodes, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +288,10 @@ func TestMultiNodeJobWaitsForAllRepairs(t *testing.T) {
 
 func TestStartJobValidation(t *testing.T) {
 	var e Engine
-	if _, err := StartJob(&e, JobConfig{ID: 1, WorkHours: 0}, nil, nil); err == nil {
+	if _, err := startJob(&e, JobConfig{ID: 1, WorkHours: 0}, nil, nil, nil); err == nil {
 		t.Fatal("zero work: want error")
 	}
-	if _, err := StartJob(&e, JobConfig{ID: 1, WorkHours: 1}, nil, nil); err == nil {
+	if _, err := startJob(&e, JobConfig{ID: 1, WorkHours: 1}, nil, nil, nil); err == nil {
 		t.Fatal("no nodes: want error")
 	}
 	if err := (JobConfig{ID: 1, WorkHours: 1, CheckpointInterval: -1}).Validate(); err == nil {
@@ -423,9 +423,9 @@ func TestWeibullFailuresSlowJobsMoreThanExponential(t *testing.T) {
 		if err := n.Start(); err != nil {
 			t.Fatal(err)
 		}
-		job, err := StartJob(&e, JobConfig{
+		job, err := startJob(&e, JobConfig{
 			ID: 1, WorkHours: 500, CheckpointInterval: 10, CheckpointCostHours: 0.1,
-		}, []*Node{n}, nil)
+		}, []*Node{n}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,10 +517,10 @@ func TestJobAccountingInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		const work = 150.0
-		job, err := StartJob(&e, JobConfig{
+		job, err := startJob(&e, JobConfig{
 			ID: int(seed), WorkHours: work, CheckpointInterval: interval,
 			CheckpointCostHours: 0.1, RestartCostHours: 0.3,
-		}, []*Node{n}, nil)
+		}, []*Node{n}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // KolmogorovPValue returns the asymptotic p-value of a Kolmogorov–Smirnov
@@ -53,38 +52,4 @@ func KolmogorovPValue(d float64, n int) (float64, error) {
 		p = 1
 	}
 	return p, nil
-}
-
-// AndersonDarling computes the Anderson–Darling statistic A² of a sample
-// against a reference CDF. Unlike KS, it weights the tails heavily, which
-// matters for the heavy-tailed repair-time data of Section 6.
-func AndersonDarling(xs []float64, cdf func(float64) float64) (float64, error) {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN(), ErrEmpty
-	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	sum := 0.0
-	for i, x := range sorted {
-		u := cdf(x)
-		// Clamp to avoid log(0) from numerically saturated CDF values.
-		const eps = 1e-15
-		if u < eps {
-			u = eps
-		}
-		if u > 1-eps {
-			u = 1 - eps
-		}
-		uc := cdf(sorted[n-1-i])
-		if uc < eps {
-			uc = eps
-		}
-		if uc > 1-eps {
-			uc = 1 - eps
-		}
-		sum += (2*float64(i) + 1) * (math.Log(u) + math.Log(1-uc))
-	}
-	return -float64(n) - sum/float64(n), nil
 }

@@ -62,55 +62,3 @@ func TestKolmogorovPValueMonotone(t *testing.T) {
 		prev = p
 	}
 }
-
-func TestAndersonDarlingUniform(t *testing.T) {
-	// A perfectly spaced uniform sample has a small A².
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = (float64(i) + 0.5) / 1000
-	}
-	uniformCDF := func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		if x > 1 {
-			return 1
-		}
-		return x
-	}
-	a2, err := AndersonDarling(xs, uniformCDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2 > 0.5 {
-		t.Fatalf("A² = %g for near-perfect fit", a2)
-	}
-	// A badly wrong CDF gives a much larger statistic.
-	wrong := func(x float64) float64 { return uniformCDF(x * x) }
-	a2Wrong, err := AndersonDarling(xs, wrong)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2Wrong < 10*a2 {
-		t.Fatalf("A² wrong (%g) should dwarf A² right (%g)", a2Wrong, a2)
-	}
-}
-
-func TestAndersonDarlingEdges(t *testing.T) {
-	if _, err := AndersonDarling(nil, func(float64) float64 { return 0.5 }); err == nil {
-		t.Fatal("empty: want error")
-	}
-	// Saturated CDF values must not produce NaN/Inf.
-	a2, err := AndersonDarling([]float64{1, 2, 3}, func(x float64) float64 {
-		if x < 2 {
-			return 0
-		}
-		return 1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(a2) || math.IsInf(a2, 0) {
-		t.Fatalf("A² = %g", a2)
-	}
-}

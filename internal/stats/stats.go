@@ -1,8 +1,8 @@
 // Package stats provides the descriptive statistics and empirical
 // distribution machinery used by the failure analyses: means, medians,
 // squared coefficient of variation (the paper's variability metric),
-// empirical CDFs, histograms, goodness-of-fit statistics and bootstrap
-// confidence intervals.
+// empirical CDFs, goodness-of-fit statistics and bootstrap confidence
+// intervals.
 package stats
 
 import (
@@ -193,13 +193,6 @@ func (e *ECDF) At(x float64) float64 {
 // N returns the sample size.
 func (e *ECDF) N() int { return len(e.sorted) }
 
-// Values returns a copy of the sorted sample.
-func (e *ECDF) Values() []float64 {
-	out := make([]float64, len(e.sorted))
-	copy(out, e.sorted)
-	return out
-}
-
 // Points returns (x, F(x)) pairs for every distinct sample value, suitable
 // for plotting the empirical CDF as a step function evaluated at the steps.
 func (e *ECDF) Points() (xs, ps []float64) {
@@ -232,60 +225,6 @@ func (e *ECDF) KolmogorovSmirnov(cdf func(float64) float64) float64 {
 		}
 	}
 	return maxDiff
-}
-
-// Histogram is a fixed-width binned count of a sample.
-type Histogram struct {
-	Lo, Hi float64
-	Width  float64
-	Counts []int
-	// Underflow and Overflow count observations outside [Lo, Hi).
-	Underflow, Overflow int
-}
-
-// NewHistogram bins xs into n equal-width bins covering [lo, hi).
-func NewHistogram(xs []float64, lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bin count, got %d", n)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: histogram range [%g, %g) is empty", lo, hi)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Width: (hi - lo) / float64(n), Counts: make([]int, n)}
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Underflow++
-		case x >= hi:
-			h.Overflow++
-		default:
-			idx := int((x - lo) / h.Width)
-			if idx >= n {
-				idx = n - 1
-			}
-			h.Counts[idx]++
-		}
-	}
-	return h, nil
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	return total
-}
-
-// CountsInt bins integer-valued observations by exact value, returning a
-// map from value to count. It is used for per-node failure counts.
-func CountsInt(xs []int) map[int]int {
-	out := make(map[int]int, len(xs))
-	for _, x := range xs {
-		out[x]++
-	}
-	return out
 }
 
 // Bootstrap computes a percentile bootstrap confidence interval for a

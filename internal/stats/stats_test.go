@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -199,8 +198,7 @@ func TestECDFProperties(t *testing.T) {
 			return false
 		}
 		// Monotone and bounded.
-		vals := e.Values()
-		sort.Float64s(vals)
+		vals := e.sorted
 		prev := 0.0
 		for _, v := range vals {
 			p := e.At(v)
@@ -243,38 +241,6 @@ func TestKolmogorovSmirnovExactFit(t *testing.T) {
 	ks = e.KolmogorovSmirnov(func(x float64) float64 { return 0 })
 	if ks != 1 {
 		t.Fatalf("KS vs constant-0 CDF = %g, want 1", ks)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{-1, 0, 0.5, 1, 1.5, 2, 10}, 0, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Fatalf("under/over = %d/%d", h.Underflow, h.Overflow)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 2 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if h.Total() != 4 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Fatal("zero bins: want error")
-	}
-	if _, err := NewHistogram(nil, 1, 1, 3); err == nil {
-		t.Fatal("empty range: want error")
-	}
-}
-
-func TestCountsInt(t *testing.T) {
-	got := CountsInt([]int{1, 1, 2, 5, 5, 5})
-	if got[1] != 2 || got[2] != 1 || got[5] != 3 {
-		t.Fatalf("counts = %v", got)
-	}
-	if len(CountsInt(nil)) != 0 {
-		t.Fatal("nil input should give empty map")
 	}
 }
 

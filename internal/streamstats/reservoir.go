@@ -98,9 +98,6 @@ func mix64(z uint64) uint64 {
 	return z ^ z>>31
 }
 
-// Seen returns how many observations have been offered.
-func (r *Reservoir) Seen() int { return int(r.seen) }
-
 // Sample returns a copy of the current subsample, in insertion order.
 func (r *Reservoir) Sample() []float64 {
 	out := make([]float64, len(r.sample))

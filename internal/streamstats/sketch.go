@@ -89,9 +89,6 @@ func newSketch(eps float64) *QuantileSketch {
 	return s
 }
 
-// Epsilon returns the sketch's relative accuracy.
-func (s *QuantileSketch) Epsilon() float64 { return s.eps }
-
 // N returns the number of observations absorbed, NaN included.
 func (s *QuantileSketch) N() int { return int(s.n) }
 

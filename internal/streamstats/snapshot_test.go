@@ -271,8 +271,8 @@ func TestReservoirSnapshotRNGState(t *testing.T) {
 	if !reflect.DeepEqual(r.Sample(), got.Sample()) {
 		t.Fatalf("post-restore samples diverge: %v vs %v", r.Sample(), got.Sample())
 	}
-	if r.Seen() != got.Seen() {
-		t.Fatalf("seen: %d vs %d", r.Seen(), got.Seen())
+	if r.seen != got.seen {
+		t.Fatalf("seen: %d vs %d", r.seen, got.seen)
 	}
 }
 

@@ -156,10 +156,10 @@ func TestSketchSpecialValues(t *testing.T) {
 	if err := (&QuantileSketch{}).UnmarshalBinary(fine); !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("snapshot with eps below MinSketchEpsilon: got %v, want ErrSnapshot", err)
 	}
-	if s, err := NewQuantileSketch(MinSketchEpsilon); err != nil || s.Epsilon() != MinSketchEpsilon {
+	if s, err := NewQuantileSketch(MinSketchEpsilon); err != nil || s.eps != MinSketchEpsilon {
 		t.Fatalf("eps = MinSketchEpsilon: %v, %v", s, err)
 	}
-	if s, err := NewQuantileSketch(0); err != nil || s.Epsilon() != DefaultSketchEpsilon {
+	if s, err := NewQuantileSketch(0); err != nil || s.eps != DefaultSketchEpsilon {
 		t.Fatalf("default eps: %v, %v", s, err)
 	}
 }
@@ -170,8 +170,8 @@ func TestReservoir(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(float64(i))
 	}
-	if r.Seen() != 5 || len(r.Sample()) != 5 {
-		t.Fatalf("seen=%d len=%d", r.Seen(), len(r.Sample()))
+	if r.seen != 5 || len(r.Sample()) != 5 {
+		t.Fatalf("seen=%d len=%d", r.seen, len(r.Sample()))
 	}
 	// Longer stream: capacity bounded, deterministic under the same seed.
 	fill := func(seed int64) []float64 {

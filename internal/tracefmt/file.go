@@ -134,10 +134,6 @@ func (f *File) Records() int { return int(f.records) }
 // Blocks returns the footer's block index (shared slice; do not mutate).
 func (f *File) Blocks() []BlockInfo { return f.blocks }
 
-// HWTypes returns the hardware-label dictionary in first-appearance
-// order (shared slice; do not mutate).
-func (f *File) HWTypes() []failures.HWType { return f.hwDict }
-
 // Close releases the underlying file when the File owns one (OpenFile);
 // for a caller-supplied ReaderAt it is a no-op.
 func (f *File) Close() error {

@@ -44,12 +44,11 @@ type Scanner struct {
 	// stop releases the supplier's goroutines; nil when it has none.
 	stop func()
 
-	cur     []failures.Record
-	i       int
-	rec     failures.Record
-	err     error
-	done    bool
-	scanned int
+	cur  []failures.Record
+	i    int
+	rec  failures.Record
+	err  error
+	done bool
 }
 
 // nextBatch replaces the drained block with the next non-empty one;
@@ -64,7 +63,6 @@ func (s *Scanner) nextBatch() []failures.Record {
 		s.cur, s.err, s.done = nil, err, true
 		return nil
 	}
-	s.scanned += len(b)
 	return b
 }
 
@@ -100,10 +98,6 @@ func (s *Scanner) ScanBatch() ([]failures.Record, error) {
 // Record returns the record produced by the last successful Scan (after
 // ScanBatch: the last record of the batch).
 func (s *Scanner) Record() failures.Record { return s.rec }
-
-// Scanned returns how many in-window records have been decoded and
-// handed to the consumer so far.
-func (s *Scanner) Scanned() int { return s.scanned }
 
 // Err returns the error that stopped the scan, if any. A clean end of
 // trace is not an error.

@@ -94,9 +94,6 @@ func TestRoundTrip(t *testing.T) {
 					t.Fatalf("record %d: got %+v, want %+v", i, got[i], recs[i])
 				}
 			}
-			if s.Scanned() != len(recs) {
-				t.Fatalf("Scanned() = %d, want %d", s.Scanned(), len(recs))
-			}
 
 			f, err := NewFile(bytes.NewReader(raw), int64(len(raw)))
 			if err != nil {
@@ -396,7 +393,7 @@ func TestOpenFileRoundTrip(t *testing.T) {
 	if got := scanAll(t, f.Scan(ScanOptions{})); len(got) != len(recs) {
 		t.Fatalf("got %d records, want %d", len(got), len(recs))
 	}
-	if len(f.HWTypes()) == 0 {
+	if len(f.hwDict) == 0 {
 		t.Fatalf("HWTypes dictionary empty")
 	}
 }
@@ -569,7 +566,7 @@ func TestStreamChecksFooter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFile rejected the edited footer: %v", err)
 	}
-	if hw := f.HWTypes()[0]; hw != "hx-0" {
+	if hw := f.hwDict[0]; hw != "hx-0" {
 		t.Fatalf("edited footer dictionary starts with %q, want hx-0", hw)
 	}
 	s, err := NewScanner(bytes.NewReader(bad), ScanOptions{})

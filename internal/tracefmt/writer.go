@@ -27,13 +27,10 @@ type WriterOptions struct {
 
 // A Writer encodes failure records into the columnar binary trace
 // format, one record at a time, so a producer (a CSV scanner, the LANL
-// generator's streaming emitter) can write traces of any size in
+// generator's record stream) can write traces of any size in
 // bounded memory. The header goes out at construction; Close flushes
 // the final block, the footer and the trailer, and must be called for
 // the file to be readable.
-//
-// Write's signature matches the emit callback of lanl.GenerateStream,
-// so the fused pipeline is literally gen.GenerateStream(w.Write).
 //
 // The per-record path appends a fixed-width row to a reusable block
 // buffer: after the first few blocks it allocates only when a
