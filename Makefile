@@ -78,12 +78,14 @@ race-trace:
 # appends at every chunking — which also pins the per-slot shard cache
 # against one-record appends — stream edge cases, and the prep
 # goroutine stopped on every early return), the per-call fit table (dedup across shards, interning,
-# hash-collision handling) whose slots par.Each workers fill, and the
+# hash-collision handling) whose slots par.Each workers fill, the fit
+# samples each fit task builds and drops (at most one per worker with
+# intervals off, every fit and interval unchanged with them on), and the
 # counter-seeded bootstrap partition-invariance tests; then the par
 # worker pools every fan-out runs on, repeated because their tests race
 # randomized job timings.
 race-engine:
-	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|BatchIdentity|IncrementalMatches|AnalyzeStreamEdge|AnalyzeStreamStops|FitTable|MemoDetects|Intern' ./internal/engine ./internal/dist
+	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|BatchIdentity|IncrementalMatches|AnalyzeStreamEdge|AnalyzeStreamStops|FitTable|FitSamples|MemoDetects|Intern' ./internal/engine ./internal/dist
 	$(GO) test -race -count=10 ./internal/par
 
 # perfbench is its own module, so the root go test ./... never reaches

@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"hpcfail/internal/dist"
 	"hpcfail/internal/failures"
 	"hpcfail/internal/report"
 	"hpcfail/internal/sim"
@@ -197,6 +196,3 @@ func reportTable(res sim.RunResult) string {
 	t.AddRow("simulated time (h)", fmt.Sprintf("%.0f", res.SimulatedHours))
 	return t.String()
 }
-
-// parseDist is kept as a local alias of the shared spec parser.
-func parseDist(spec string) (dist.Continuous, error) { return sim.ParseDistSpec(spec) }

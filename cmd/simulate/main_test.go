@@ -259,11 +259,11 @@ func TestRunSpecValidationAgreesWithFlags(t *testing.T) {
 }
 
 func TestParseDist(t *testing.T) {
-	d, err := parseDist("exponential:0.5")
+	d, err := sim.ParseDistSpec("exponential:0.5")
 	if err != nil || d.Name() != "exponential" {
 		t.Fatalf("%v, %v", d, err)
 	}
-	d, err = parseDist("gamma:2:50")
+	d, err = sim.ParseDistSpec("gamma:2:50")
 	if err != nil || d.Name() != "gamma" {
 		t.Fatalf("%v, %v", d, err)
 	}

@@ -240,10 +240,6 @@ func NewSamplePrehashed(xs []float64, hash uint64) *Sample {
 // N returns the sample size.
 func (s *Sample) N() int { return len(s.t.xs) }
 
-// Values returns the observations in their original order. The slice is the
-// Sample's own storage: callers must not mutate it.
-func (s *Sample) Values() []float64 { return s.t.xs }
-
 // Min and Max return the sample extrema.
 func (s *Sample) Min() float64 { return s.t.min }
 

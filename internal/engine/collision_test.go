@@ -10,9 +10,9 @@ import (
 )
 
 // Crafting two float64 slices that genuinely collide on 64-bit FNV-1a is
-// infeasible at test time, so these tests forge the collision: they build
-// samples with a supplied hash (dist.NewSamplePrehashed), exactly the
-// state a real collision would leave in a call's fit table. The table
+// infeasible at test time, so these tests forge the collision: they
+// intern values under a supplied hash, exactly the state a real
+// collision would leave in a call's fit table. The table
 // must keep the samples apart, count the collision, and never serve the
 // other sample's entry.
 
@@ -27,20 +27,21 @@ func TestFitMemoDetectsHashCollision(t *testing.T) {
 	hash := stats.HashSample(xs)
 
 	forged := &tableEntry{
-		s:    dist.NewSamplePrehashed([]float64{1, 2, 3}, hash),
+		xs:   []float64{1, 2, 3},
+		hash: hash,
 		fits: []dist.FitResult{{Family: dist.FamilyWeibull, Err: errPoisoned}},
 	}
 	tab := fitTable{hash: {forged}}
 
-	ent, fresh := e.intern(tab, dist.NewSamplePrehashed(xs, hash))
+	ent, fresh := e.intern(tab, xs, hash)
 	if ent == forged {
 		t.Fatal("intern served the colliding entry")
 	}
 	if !fresh || ent.fits != nil {
 		t.Fatal("colliding sample did not get a fresh entry")
 	}
-	if ent.s.N() != len(xs) {
-		t.Fatalf("entry N = %d, want %d", ent.s.N(), len(xs))
+	if len(ent.xs) != len(xs) {
+		t.Fatalf("entry N = %d, want %d", len(ent.xs), len(xs))
 	}
 	if got := e.Collisions(); got != 1 {
 		t.Fatalf("Collisions = %d, want 1", got)
@@ -51,7 +52,7 @@ func TestFitMemoDetectsHashCollision(t *testing.T) {
 
 	// A repeat of the same values must find the chained entry, without
 	// another collision or a third entry.
-	again, fresh := e.intern(tab, dist.NewSamplePrehashed(append([]float64(nil), xs...), hash))
+	again, fresh := e.intern(tab, append([]float64(nil), xs...), hash)
 	if again != ent || fresh {
 		t.Fatal("re-intern did not return the chained entry")
 	}
@@ -72,13 +73,14 @@ func TestCIMemoDetectsHashCollision(t *testing.T) {
 	hash := stats.HashSample(xs)
 
 	forged := &tableEntry{
-		s:    dist.NewSamplePrehashed([]float64{42}, hash),
+		xs:   []float64{42},
+		hash: hash,
 		fits: []dist.FitResult{{Family: dist.FamilyWeibull}},
 		cis:  []*ciTarget{{f: dist.FamilyWeibull, err: errPoisoned}},
 	}
 	tab := fitTable{hash: {forged}}
 
-	ent, fresh := e.intern(tab, dist.NewSamplePrehashed(xs, hash))
+	ent, fresh := e.intern(tab, xs, hash)
 	if ent == forged || !fresh {
 		t.Fatal("intern served the colliding entry")
 	}
@@ -89,7 +91,7 @@ func TestCIMemoDetectsHashCollision(t *testing.T) {
 		t.Fatalf("Collisions = %d, want 1", got)
 	}
 
-	_, cis, err := e.FitCISample(context.Background(), ent.s, dist.FamilyWeibull)
+	_, cis, err := e.FitCISample(context.Background(), dist.NewSamplePrehashed(ent.xs, ent.hash), dist.FamilyWeibull)
 	if errors.Is(err, errPoisoned) {
 		t.Fatal("engine served the colliding entry's error")
 	}
@@ -120,8 +122,8 @@ func TestSampleInternDetectsHashCollision(t *testing.T) {
 			e := New(Options{Workers: 1})
 			hash := stats.HashSample(xs)
 			tab := make(fitTable)
-			a, _ := e.intern(tab, dist.NewSamplePrehashed(tc.other, hash))
-			b, fresh := e.intern(tab, dist.NewSamplePrehashed(xs, hash))
+			a, _ := e.intern(tab, tc.other, hash)
+			b, fresh := e.intern(tab, xs, hash)
 			if b == a || !fresh {
 				t.Fatal("intern merged samples with different values")
 			}
@@ -139,12 +141,12 @@ func TestInternSharesSample(t *testing.T) {
 	xs := sample(t, 100)
 	ys := append([]float64(nil), xs...)
 	tab := make(fitTable)
-	a, _ := e.intern(tab, dist.NewSample(xs))
-	b, fresh := e.intern(tab, dist.NewSample(ys))
+	a, _ := e.intern(tab, xs, stats.HashSample(xs))
+	b, fresh := e.intern(tab, ys, stats.HashSample(ys))
 	if a != b || fresh {
 		t.Fatal("equal-content slices interned to different entries")
 	}
-	if c, _ := e.intern(tab, dist.NewSample(xs[:50])); c == a {
+	if c, _ := e.intern(tab, xs[:50], stats.HashSample(xs[:50])); c == a {
 		t.Fatal("different content interned to the same entry")
 	}
 	if e.Collisions() != 0 {

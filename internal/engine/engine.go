@@ -57,6 +57,9 @@ type Engine struct {
 
 	hits, misses atomic.Uint64
 	collisions   atomic.Uint64
+	// liveSamples counts the fit samples (dist.Sample) the engine's calls
+	// hold at once, and peakSamples is its high-water mark.
+	liveSamples, peakSamples atomic.Int64
 }
 
 // New returns an Engine for the given options.
@@ -140,30 +143,63 @@ func (e *Engine) FitCISample(ctx context.Context, s *dist.Sample, f dist.Family)
 type fitTable map[uint64][]*tableEntry
 
 // tableEntry is one distinct sample of a call and what was fitted to it:
-// fits[k] is the fit of the spec's k-th family, and cis[k] the interval
-// target of its k-th CI family (nil when none was requested).
+// xs and hash are the sample's values and stats.HashSample, s its
+// dist.Sample while a task holds it (nil before its fit task and once
+// dropped), fits[k] the fit of the k-th standard family, ecdfErr the
+// sample's ECDF error, and cis[k] the interval target of its k-th CI
+// family (nil when none was requested).
 type tableEntry struct {
-	s    *dist.Sample
-	fits []dist.FitResult
-	cis  []*ciTarget
+	xs      []float64
+	hash    uint64
+	s       *dist.Sample
+	fits    []dist.FitResult
+	ecdfErr error
+	cis     []*ciTarget
 }
 
-// intern returns the table's entry for s, adding one when the table has
-// none; fresh reports an added entry. A same-hash entry is reused only
-// when its values equal s's bit for bit. One whose values differ is a
-// hash collision: it is counted and never returned.
-func (e *Engine) intern(tab fitTable, s *dist.Sample) (ent *tableEntry, fresh bool) {
-	bucket := tab[s.Hash()]
+// ciReady reports whether the fit in slot fk succeeded, so an interval
+// can be drawn for its family; fk < 0 marks a family that is not fitted.
+func (ent *tableEntry) ciReady(fk int) bool {
+	return fk >= 0 && ent.fits[fk].Err == nil
+}
+
+// holdSample counts one more live fit sample and raises the high-water
+// mark to match.
+func (e *Engine) holdSample() {
+	n := e.liveSamples.Add(1)
+	for {
+		h := e.peakSamples.Load()
+		if n <= h || e.peakSamples.CompareAndSwap(h, n) {
+			return
+		}
+	}
+}
+
+// dropSample releases ent's Sample, if it still holds one.
+func (e *Engine) dropSample(ent *tableEntry) {
+	if ent.s != nil {
+		ent.s = nil
+		e.liveSamples.Add(-1)
+	}
+}
+
+// intern returns the table's entry for the sample with values xs and
+// stats.HashSample hash, adding one when the table has none; fresh
+// reports an added entry. A same-hash entry is reused only when its
+// values equal xs bit for bit. One whose values differ is a hash
+// collision: it is counted and never returned.
+func (e *Engine) intern(tab fitTable, xs []float64, hash uint64) (ent *tableEntry, fresh bool) {
+	bucket := tab[hash]
 	for _, c := range bucket {
-		if sameBits(c.s.Values(), s.Values()) {
+		if sameBits(c.xs, xs) {
 			return c, false
 		}
 	}
 	if len(bucket) > 0 {
 		e.collisions.Add(1)
 	}
-	ent = &tableEntry{s: s}
-	tab[s.Hash()] = append(bucket, ent)
+	ent = &tableEntry{xs: xs, hash: hash}
+	tab[hash] = append(bucket, ent)
 	return ent, true
 }
 

@@ -236,7 +236,7 @@ func slice(d *failures.Dataset, key ShardKey) *failures.Dataset {
 // AnalyzeFleet shards the trace per spec and fans the fitting —
 // interarrival and repair-time model comparisons plus bootstrap confidence
 // intervals — out across the engine's worker pool as sub-shard tasks
-// (per-family fit tasks and per-rep-block bootstrap tasks, largest shard
+// (per-sample fit tasks and per-rep-block bootstrap tasks, largest shard
 // dispatched first). Results merge in shard order, so the output is
 // identical at any worker count. The context cancels the run between
 // tasks.

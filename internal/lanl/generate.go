@@ -57,8 +57,9 @@ type Config struct {
 // randomness stream exactly — while running several times faster and
 // allocating nothing per record in the draw path.
 type Generator struct {
-	cfg Config
-	hw  map[failures.HWType]*compiledHW
+	cfg  Config
+	hw   map[failures.HWType]*compiledHW
+	life lifecycleMemo
 }
 
 // NewGenerator returns a Generator for the given configuration. The
@@ -278,7 +279,7 @@ func (g *Generator) buildProfile(sys System, shape lifecycleShape, infantAmp flo
 			monthFactor[i] = 1
 		}
 	}
-	lc := lifecycleTable(shape, infantAmp, hours)
+	lc := g.lifecycleTable(shape, infantAmp, hours)
 	// Walk month blocks so the month-index division runs once per month
 	// boundary, not once per hour, and keep a rolling index into the
 	// 168-hour week table instead of re-deriving hour-of-day and weekday.

@@ -23,8 +23,9 @@ import (
 //     plain integer arithmetic (UTC has no DST), selecting the same
 //     weekday/weekend constant.
 //   - lifecycleAt: depends only on (shape, amplitude, h), and the catalog
-//     uses three (shape, amplitude) pairs, so the curves are memoized
-//     process-wide and shared across systems and runs.
+//     uses three (shape, amplitude) pairs, so each Generator memoizes the
+//     curves once for all its systems and runs, and releases them with
+//     itself.
 
 // hourFactorAt is the hour-of-day modulation at a fractional hour of day.
 // Both the per-time hourFactor and the hf24 table evaluate through this
@@ -62,33 +63,35 @@ var weekTable = func() [168]float64 {
 
 // lifecycleKey identifies one memoized lifecycle curve. The catalog
 // yields only three distinct keys (infant/3.0, infant/5.0, ramp), so the
-// cache stays tiny.
+// memo stays small: about 1.6 MB over the Table 1 windows.
 type lifecycleKey struct {
 	shape lifecycleShape
 	amp   float64
 }
 
-var lifecycleCache struct {
+// lifecycleMemo holds a Generator's lifecycle curves. It is built on
+// the generator's first use and lives exactly as long as the generator.
+type lifecycleMemo struct {
 	sync.Mutex
 	m map[lifecycleKey][]float64
 }
 
 // lifecycleTable returns lifecycleAt(shape, amp, h/24) for h in [0,
-// hours), memoized process-wide and grown monotonically. The returned
-// slice is append-grown under the lock and never mutated below a length
-// already handed out, so concurrent readers are safe.
-func lifecycleTable(shape lifecycleShape, amp float64, hours int) []float64 {
+// hours), memoized in g and grown monotonically. The returned slice is
+// append-grown under the lock and never mutated below a length already
+// handed out, so concurrent readers are safe.
+func (g *Generator) lifecycleTable(shape lifecycleShape, amp float64, hours int) []float64 {
 	key := lifecycleKey{shape: shape, amp: amp}
-	lifecycleCache.Lock()
-	defer lifecycleCache.Unlock()
-	if lifecycleCache.m == nil {
-		lifecycleCache.m = make(map[lifecycleKey][]float64)
+	g.life.Lock()
+	defer g.life.Unlock()
+	if g.life.m == nil {
+		g.life.m = make(map[lifecycleKey][]float64)
 	}
-	t := lifecycleCache.m[key]
+	t := g.life.m[key]
 	for h := len(t); h < hours; h++ {
 		t = append(t, lifecycleAt(shape, amp, float64(h)/24))
 	}
-	lifecycleCache.m[key] = t
+	g.life.m[key] = t
 	return t
 }
 

@@ -3,7 +3,6 @@ package sweep
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -306,21 +305,4 @@ func (g *Grid) Points() []Point {
 func (p Point) Label() string {
 	return fmt.Sprintf("%s iv=%s retry=%s fence=%s detect=%s",
 		p.Scenario, p.Interval, p.Retry, p.Fence, p.Detect)
-}
-
-// intervalBounds returns the interval axis's numeric min and max.
-func (g *Grid) intervalBounds() (lo, hi float64) {
-	vals := make([]float64, 0, len(g.Intervals))
-	for _, tok := range g.Intervals {
-		v, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			continue // Validate already rejected unparseable tokens
-		}
-		vals = append(vals, v)
-	}
-	if len(vals) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(vals)
-	return vals[0], vals[len(vals)-1]
 }

@@ -2,6 +2,7 @@ package tracefmt
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"os"
 
@@ -47,18 +48,29 @@ func sniffMagic(br *bufio.Reader) (bool, error) {
 // ReadDataset drains a binary-trace Scanner into a Dataset — the binary
 // counterpart of failures.ReadCSV, for the in-memory analyses. Like
 // ReadCSV it sorts on load, so a trace written in any record order
-// loads into the identical dataset. Consume the Scanner directly
-// instead when the trace may not fit in memory.
+// loads into the identical dataset. Each batch is validated and copied
+// into a part of exactly its size (the Scanner reuses its buffers), and
+// failures.SortedByStart gathers the parts once, so the load holds the
+// records twice at its peak instead of growing one slice by append.
+// Consume the Scanner directly instead when the trace may not fit in
+// memory.
 func ReadDataset(s *Scanner) (*failures.Dataset, error) {
-	var records []failures.Record
+	var parts [][]failures.Record
+	n := 0
 	for {
 		b, err := s.ScanBatch()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			return failures.NewDataset(records)
+			return failures.NewDatasetSorted(failures.SortedByStart(parts))
 		}
-		records = append(records, b...)
+		for i, r := range b {
+			if err := r.Validate(); err != nil {
+				return nil, fmt.Errorf("dataset record %d: %w", n+i, err)
+			}
+		}
+		parts = append(parts, append([]failures.Record(nil), b...))
+		n += len(b)
 	}
 }

@@ -25,12 +25,13 @@ type decJob struct {
 // analysis results are byte-identical at any worker count.
 //
 // Buffers are reused: each worker keeps one frame buffer, and a fixed
-// set of workers+2 record buffers, the one the consumer holds
-// included, cycles between the pool and the consumer. A record buffer
-// is allocated at its block's indexed record count rather than grown by
-// append, so a scan allocates once per buffer, again only for a block
-// longer than the buffer it is given, and lets every buffer go at the
-// end of input. Close releases the worker goroutines early; letting the
+// set of workers+1 record buffers, the one the consumer holds
+// included, cycles between the pool and the consumer: while the
+// consumer works on its block, every worker can decode the next. A
+// record buffer is allocated at its block's indexed record count rather
+// than grown by append, so a scan allocates once per buffer, again only
+// for a block longer than the buffer it is given, and lets every buffer
+// go at the end of input. Close releases the worker goroutines early; letting the
 // scan run to its end (or first error) releases them too.
 func (f *File) ScanParallel(opts ScanOptions, workers int) *Scanner {
 	if workers <= 0 {
@@ -41,7 +42,7 @@ func (f *File) ScanParallel(opts ScanOptions, workers int) *Scanner {
 	}
 	fromN, toInc := scanBounds(opts)
 	frames := make([][]byte, workers)
-	pool := par.NewOrdered(workers, workers+2, func(w int, d decJob) decJob {
+	pool := par.NewOrdered(workers, workers+1, func(w int, d decJob) decJob {
 		d.recs, frames[w], d.err = f.decodeBlockAt(d.info, frames[w], fromN, toInc, d.recs[:0])
 		return d
 	})

@@ -441,7 +441,7 @@ func TestParallelScanBatchSteadyStateAllocs(t *testing.T) {
 
 // TestParallelScanBufferBytes pins how a whole scan allocates its record
 // buffers: each is allocated once at its block's record count, so a
-// scan of many blocks allocates about workers+2 blocks' worth of
+// scan of many blocks allocates about workers+1 blocks' worth of
 // records. Buffers grown by append would cost several times that.
 func TestParallelScanBufferBytes(t *testing.T) {
 	const blockRecs, workers = 4096, 2
@@ -472,9 +472,9 @@ func TestParallelScanBufferBytes(t *testing.T) {
 		t.Fatalf("scanned %d records, want %d", n, len(recs))
 	}
 	block := uint64(blockRecs) * uint64(unsafe.Sizeof(failures.Record{}))
-	// workers+2 buffers, plus room for frames and the pool's bookkeeping.
-	if got, limit := after.TotalAlloc-before.TotalAlloc, (workers+4)*block; got > limit {
-		t.Fatalf("scan allocated %d bytes, want at most %d (%d blocks of %d bytes)", got, limit, workers+4, block)
+	// workers+1 buffers, plus room for frames and the pool's bookkeeping.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, (workers+2)*block; got > limit {
+		t.Fatalf("scan allocated %d bytes, want at most %d (%d blocks of %d bytes)", got, limit, workers+2, block)
 	}
 }
 
