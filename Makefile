@@ -44,10 +44,12 @@ race:
 # Race smoke of the parallel/streaming generator specifically: the one
 # block iterator over the par.Ordered pool behind Generate and Stream at
 # 1 and 4+ workers, stream back-pressure, in-order block return, early
-# close (goroutines released) and the unknown-system and rejected-catalog
-# error paths under the race detector.
+# close (goroutines released), the compact blocks' records against the
+# reference path, and the unknown-system and rejected-catalog error
+# paths (the epoch-nanosecond window bounds among them) under the race
+# detector.
 race-gen:
-	$(GO) test -race -run 'Workers|Stream|Subset' ./internal/lanl
+	$(GO) test -race -run 'Workers|Stream|Subset|Compact|ValidateCatalog' ./internal/lanl
 
 # Race pass over the daemon and its client: concurrent ingest, queries
 # against copy-on-write snapshots, drain/shutdown, crash recovery and

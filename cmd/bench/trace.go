@@ -109,9 +109,9 @@ type agreement struct {
 // scale 47000 ~1B). The analysis windows are bounded-memory, so there
 // the 100M–1B-record regime differs from the committed run only in wall
 // clock and disk. The write windows are not: generation holds whole
-// system blocks, about 125 B/record (68 MB, 298 MB and 1.09 GB VmHWM for
-// 0.53M, 2.1M and 8.5M records from lanlgen -stream -format bin at
-// -workers 2). -skip-inmem drops the materialized path, the one analysis
+// system blocks of compact records, about 30 B/record (median peak RSS
+// of 30, 92 and 251 MiB for 0.53M, 2.1M and 8.5M records from lanlgen
+// -stream -format bin at -workers 2). -skip-inmem drops the materialized path, the one analysis
 // window that cannot survive that regime.
 // -cpuprofile and -memprofile capture pprof profiles of the whole run
 // (make prof-trace) for finding the fused pipeline's next serial term.
@@ -378,9 +378,9 @@ func runTrace(args []string) error {
 			"the 100M-1B-record regime without changing their peak heap; csv_inmem is the " +
 			"one analysis window that cannot (it materializes the dataset) and is what the " +
 			"fused binary pipeline replaces. The write windows are not bounded: generation " +
-			"holds whole system blocks, about 125 B/record (lanlgen -stream -format bin at " +
-			"-workers 2 peaks at 68 MB, 298 MB and 1.09 GB VmHWM for 0.53M, 2.1M and 8.5M " +
-			"records). agreement compares csv_analyze with csv_inmem: " +
+			"holds whole system blocks of compact records, about 30 B/record (lanlgen -stream " +
+			"-format bin at -workers 2 has median peak RSS of 30, 92 and 251 MiB for 0.53M, " +
+			"2.1M and 8.5M records). agreement compares csv_analyze with csv_inmem: " +
 			"streaming moments are exact up to fp reassociation, medians are sketched " +
 			"within sketch_epsilon of the anchored order statistic, and fits use seeded " +
 			"reservoir subsamples.",

@@ -15,9 +15,9 @@
 // (sorted by start time within each system) rather than globally
 // time-sorted; both readers re-sort on load, so a streamed file loads
 // into the identical dataset. Streaming does not bound memory: the
-// generator holds whole system blocks, so peak RSS still grows about
-// 125 B/record (68 MB, 298 MB and 1.09 GB VmHWM for 0.53M, 2.1M and 8.5M
-// records with -format bin at -workers 2).
+// generator holds whole system blocks of compact records, so peak RSS
+// still grows about 30 B/record (median peaks of 30, 92 and 251 MiB
+// for 0.53M, 2.1M and 8.5M records with -format bin at -workers 2).
 //
 // -format bin writes the internal/tracefmt columnar binary format:
 // ~2.5x smaller than CSV and over an order of magnitude faster to scan
@@ -56,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 	systems := fs.String("systems", "", "comma-separated system IDs (default: all of the catalog)")
 	scale := fs.Float64("scale", 1, "failure-rate scale factor")
 	workers := fs.Int("workers", 0, "concurrent system generators; 0 = GOMAXPROCS")
-	stream := fs.Bool("stream", false, "write records as they are generated (system-grouped row order; memory still grows with the trace, about 125 B/record)")
+	stream := fs.Bool("stream", false, "write records as they are generated (system-grouped row order; memory still grows with the trace, about 30 B/record)")
 	format := fs.String("format", "csv", "output format: csv or bin (columnar binary; requires -out)")
 	catalog := fs.String("catalog", "lanl", "system catalog: lanl (Table 1) or exa (extrapolated 10k-100k-node machines)")
 	out := fs.String("out", "", "output file (default: stdout)")

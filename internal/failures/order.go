@@ -3,6 +3,7 @@ package failures
 import (
 	"math"
 	"math/bits"
+	"time"
 )
 
 // SortedByStart returns the records of parts, taken in the order of
@@ -11,7 +12,8 @@ import (
 // exactly their count. Equal starts keep concatenation order, so the
 // result is element for element what sort.SliceStable makes of the
 // concatenation. It is the one start-order kernel: NewDataset, Merge
-// and the trace generator's blocks all order records through it.
+// and, through SortedByStartFunc, the trace generator's blocks all
+// order records through it.
 //
 // Records are never compared or moved while sorting. Each gets a
 // pointer-free uint64 key: its start's offset from the earliest start,
@@ -26,12 +28,21 @@ import (
 // time, least significant first. Input already in order is copied
 // without sorting.
 func SortedByStart(parts [][]Record) []Record {
+	return SortedByStartFunc(parts, recordStart)
+}
+
+func recordStart(r *Record) time.Time { return r.Start }
+
+// SortedByStartFunc is SortedByStart for elements of any type: start
+// returns an element's start instant. The trace generator orders its
+// compact, pointer-free system blocks through it.
+func SortedByStartFunc[T any](parts [][]T, start func(*T) time.Time) []T {
 	n, maxLen := 0, 0
 	for _, p := range parts {
 		n += len(p)
 		maxLen = max(maxLen, len(p))
 	}
-	out := make([]Record, n)
+	out := make([]T, n)
 	if n == 0 {
 		return out
 	}
@@ -51,7 +62,8 @@ func SortedByStart(parts [][]Record) []Record {
 	i := 0
 	for _, p := range parts {
 		for j := range p {
-			sec, nsec := p[j].Start.Unix(), p[j].Start.Nanosecond()
+			t := start(&p[j])
+			sec, nsec := t.Unix(), t.Nanosecond()
 			keys[i] = uint64(sec)
 			i++
 			minSec, maxSec = min(minSec, sec), max(maxSec, sec)
@@ -91,7 +103,7 @@ func SortedByStart(parts [][]Record) []Record {
 			for j := range p {
 				off := keys[i] - uint64(minSec)
 				if perSec > 1 {
-					off = off*perSec + uint64(p[j].Start.Nanosecond()/unit)
+					off = off*perSec + uint64(start(&p[j]).Nanosecond()/unit)
 				}
 				keys[i] = off<<posBits | pos
 				pos++
@@ -114,7 +126,7 @@ func SortedByStart(parts [][]Record) []Record {
 			w := min(field, width-at)
 			for k, key := range keys {
 				pos := key & posMask
-				t := parts[pos>>offBits][pos&offMask].Start
+				t := start(&parts[pos>>offBits][pos&offMask])
 				hi, lo := bits.Mul64(uint64(t.Unix())-uint64(minSec), perSec)
 				lo, carry := bits.Add64(lo, uint64(t.Nanosecond()/unit), 0)
 				keys[k] = bitField(hi+carry, lo, at, w)<<posBits | pos

@@ -2,6 +2,8 @@ package lanl
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"hpcfail/internal/failures"
 )
@@ -97,12 +99,25 @@ func ExtrapolatedCatalog() []System {
 	return systems
 }
 
+// The generator's compact records hold times as int64 epoch nanoseconds
+// and node IDs as int32 (generate.go). A window's starts must fall in
+// that range, and so must its ends, which repair can carry up to
+// maxRepairMinutes past the window's close.
+var (
+	earliestStart = time.Unix(0, math.MinInt64)
+	latestEnd     = time.Unix(0, math.MaxInt64).Add(-maxRepairMinutes * time.Minute)
+)
+
 // ValidateCatalog checks a catalog before generation: distinct positive
 // IDs, consistent node/processor geometry, a known hardware calibration,
-// and a non-empty production window that starts at a UTC midnight, which
-// the generator's table-driven intensity profile requires (profile.go).
-// Catalog and ExtrapolatedCatalog always pass; the generator runs this
-// check on whichever catalog Config selects before any system starts.
+// a non-empty production window that starts at a UTC midnight, which
+// the generator's table-driven intensity profile requires (profile.go),
+// and a window and node count the generator's compact records can
+// represent: every start, and every end up to 180 days of repair after
+// the window closes, within the int64 epoch-nanosecond range (about
+// 1678–2262), and at most math.MaxInt32 nodes. Catalog and
+// ExtrapolatedCatalog always pass; the generator runs this check on
+// whichever catalog Config selects before any system starts.
 func ValidateCatalog(systems []System) error {
 	if len(systems) == 0 {
 		return fmt.Errorf("lanl: empty catalog")
@@ -125,6 +140,13 @@ func ValidateCatalog(systems []System) error {
 		}
 		if !profileAligned(s.Start) {
 			return fmt.Errorf("lanl: system %d: production window starts at %v, not a UTC midnight", s.ID, s.Start)
+		}
+		if s.Start.Before(earliestStart) || s.End.After(latestEnd) {
+			return fmt.Errorf("lanl: system %d: production window [%v, %v] plus 180 days of repair leaves the epoch-nanosecond range [%v, %v]",
+				s.ID, s.Start, s.End, earliestStart.UTC(), latestEnd.UTC())
+		}
+		if s.Nodes > math.MaxInt32 {
+			return fmt.Errorf("lanl: system %d: %d nodes, max %d", s.ID, s.Nodes, math.MaxInt32)
 		}
 		nodes, procs := 0, 0
 		for _, c := range s.Categories {

@@ -1,6 +1,7 @@
 package lanl
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -80,6 +81,12 @@ func TestValidateCatalogRejects(t *testing.T) {
 		{"start not UTC midnight", mutate(func(c []System) { c[0].Start = c[0].Start.Add(time.Hour) })},
 		{"node mismatch", mutate(func(c []System) { c[0].Categories[0].Nodes-- })},
 		{"proc mismatch", mutate(func(c []System) { c[0].Procs++ })},
+		{"start before the nanosecond range", mutate(func(c []System) { c[0].Start = date(1677, 9) })},
+		{"end past the nanosecond range", mutate(func(c []System) { c[0].Start, c[0].End = date(2261, 1), date(2262, 1) })},
+		{"more nodes than int32", mutate(func(c []System) {
+			c[0].Nodes, c[0].Procs = math.MaxInt32+1, math.MaxInt32+1
+			c[0].Categories[0].Nodes, c[0].Categories[0].ProcsPerNode = math.MaxInt32+1, 1
+		})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -128,11 +128,64 @@ func (g *Generator) systemTasks() ([]systemTask, error) {
 }
 
 // systemBlock is one system's job in the generator pool: the task going
-// in, its time-sorted records or its error coming out.
+// in, its time-sorted block or its error coming out.
 type systemBlock struct {
-	task    systemTask
-	records []failures.Record
-	err     error
+	task  systemTask
+	block recordBlock
+	err   error
+}
+
+// recordBlock is one system's records in start order, held as compact
+// records: the system ID, hardware type and label tables they share
+// are stored once, in the block. Generate and Stream both build full
+// failures.Records from it only at their output.
+type recordBlock struct {
+	system int
+	hw     failures.HWType
+	ct     *compiledHW
+	recs   []compactRecord
+}
+
+// compactRecord is one generated failure as a recordBlock holds it:
+// 24 bytes with no pointers, so the garbage collector never scans a
+// block and moving a record is a plain copy. ValidateCatalog keeps
+// every start and end within the int64 nanosecond range.
+type compactRecord struct {
+	start, end int64 // epoch nanoseconds
+	node       int32
+	workload   uint8
+	cause      uint8  // index into compiledHW.causes
+	detail     uint16 // index + 1 into the cause's detail labels; 0: no detail
+}
+
+// compactStart is a compact record's start instant, the key its block
+// is sorted on.
+func compactStart(c *compactRecord) time.Time { return time.Unix(0, c.start) }
+
+// fill sets *r to the full record of c, one of b's records. Times come
+// back in UTC, the location of every generated instant.
+func (b *recordBlock) fill(r *failures.Record, c *compactRecord) {
+	r.System = b.system
+	r.Node = int(c.node)
+	r.HW = b.hw
+	r.Workload = failures.Workload(c.workload)
+	r.Cause = b.ct.causes[c.cause]
+	r.Detail = ""
+	if c.detail > 0 {
+		r.Detail = b.ct.detail[c.cause].labels[c.detail-1]
+	}
+	r.Start = time.Unix(0, c.start).UTC()
+	r.End = time.Unix(0, c.end).UTC()
+}
+
+// records returns the block's full records, in start order, in a slice
+// of exactly their count.
+func (b *recordBlock) records() []failures.Record {
+	out := make([]failures.Record, len(b.recs))
+	for i := range b.recs {
+		b.fill(&out[i], &b.recs[i])
+	}
+	return out
 }
 
 // systemBlocks iterates the selected systems' time-sorted blocks in
@@ -147,7 +200,7 @@ type systemBlocks struct {
 	tasks []systemTask
 	next  int // next task to submit
 	pool  *par.Ordered[systemBlock]
-	block []failures.Record
+	block recordBlock
 	err   error
 }
 
@@ -164,7 +217,7 @@ func (g *Generator) systemBlocks(depth int) (*systemBlocks, error) {
 	w := g.workers(len(tasks))
 	cache := new(chunkCache)
 	pool := par.NewOrdered(w, min(max(depth, w+1), len(tasks)), func(_ int, b systemBlock) systemBlock {
-		b.records, b.err = g.generateSystem(b.task.sys, b.task.src, cache)
+		b.block, b.err = g.generateSystem(b.task.sys, b.task.src, cache)
 		return b
 	})
 	return &systemBlocks{tasks: tasks, pool: pool}, nil
@@ -174,7 +227,7 @@ func (g *Generator) systemBlocks(depth int) (*systemBlocks, error) {
 // system has been returned or on the first error (see err). Either end
 // stops the pool.
 func (it *systemBlocks) scan() bool {
-	it.block = nil
+	it.block = recordBlock{}
 	if it.err != nil {
 		return false
 	}
@@ -192,7 +245,7 @@ func (it *systemBlocks) scan() bool {
 		it.close()
 		return false
 	}
-	it.block = b.records
+	it.block = b.block
 	return true
 }
 
@@ -202,10 +255,10 @@ func (it *systemBlocks) close() { it.pool.Close() }
 
 // Generate produces the full synthetic dataset across the configured
 // systems. Systems generate concurrently (see Config.Workers); the merge
-// is deterministic: blocks concatenate in catalog order and a stable
-// sort by start time orders the result, which — stable orders being
-// unique — is record-for-record the dataset the sequential reference
-// path produces.
+// is deterministic: each block's full records are built as it arrives,
+// the blocks concatenate in catalog order and a stable sort by start
+// time orders the result, which — stable orders being unique — is
+// record-for-record the dataset the sequential reference path produces.
 func (g *Generator) Generate() (*failures.Dataset, error) {
 	// Every block is kept for the merge, so a bound on the blocks pending
 	// would save no memory; it would only hold idle workers behind a slow
@@ -216,7 +269,7 @@ func (g *Generator) Generate() (*failures.Dataset, error) {
 	}
 	var blocks [][]failures.Record
 	for it.scan() {
-		blocks = append(blocks, it.block)
+		blocks = append(blocks, it.block.records())
 	}
 	if it.err != nil {
 		return nil, it.err
@@ -445,19 +498,19 @@ func (p *intensityProfile) hourIndex(t time.Time) int {
 	return h
 }
 
-// recordChunks is a system block under construction: records appended
-// into fixed-size chunks that are never reallocated, so a growing block
-// is never copied. failures.SortedByStart gathers the chunks into one
-// time-sorted slice.
+// recordChunks is a system block under construction: compact records
+// appended into fixed-size chunks that are never reallocated, so a
+// growing block is never copied. failures.SortedByStartFunc gathers the
+// chunks into one time-sorted slice.
 type recordChunks struct {
-	chunks [][]failures.Record
+	chunks [][]compactRecord
 	cache  *chunkCache
 }
 
-// chunkLen is a chunk's capacity in records (448 KiB).
+// chunkLen is a chunk's capacity in records (96 KiB).
 const chunkLen = 1 << 12
 
-func (c *recordChunks) add(r failures.Record) {
+func (c *recordChunks) add(r compactRecord) {
 	n := len(c.chunks)
 	if n == 0 || len(c.chunks[n-1]) == chunkLen {
 		c.chunks = append(c.chunks, c.cache.get())
@@ -473,10 +526,10 @@ func (c *recordChunks) add(r failures.Record) {
 // is dropped with its iterator: no chunk outlives the run.
 type chunkCache struct {
 	mu   sync.Mutex
-	free [][]failures.Record
+	free [][]compactRecord
 }
 
-func (c *chunkCache) get() []failures.Record {
+func (c *chunkCache) get() []compactRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n := len(c.free); n > 0 {
@@ -484,23 +537,23 @@ func (c *chunkCache) get() []failures.Record {
 		c.free = c.free[:n-1]
 		return chunk[:0]
 	}
-	return make([]failures.Record, 0, chunkLen)
+	return make([]compactRecord, 0, chunkLen)
 }
 
 // put takes back chunks once their records have been gathered.
-func (c *chunkCache) put(chunks [][]failures.Record) {
+func (c *chunkCache) put(chunks [][]compactRecord) {
 	c.mu.Lock()
 	c.free = append(c.free, chunks...)
 	c.mu.Unlock()
 }
 
 // generateSystem produces all records of one system, sorted by start
-// time (stably, preserving generation order on ties), in a slice of
+// time (stably, preserving generation order on ties), in a block of
 // exactly their count.
-func (g *Generator) generateSystem(sys System, src *randx.Source, cache *chunkCache) ([]failures.Record, error) {
+func (g *Generator) generateSystem(sys System, src *randx.Source, cache *chunkCache) (recordBlock, error) {
 	ct, ok := g.hw[sys.HW]
 	if !ok {
-		return nil, fmt.Errorf("no calibration for hardware type %q", sys.HW)
+		return recordBlock{}, fmt.Errorf("no calibration for hardware type %q", sys.HW)
 	}
 	infantAmp := infantAmplitude
 	rateBoost := g.cfg.RateScale
@@ -592,7 +645,8 @@ func (g *Generator) generateSystem(sys System, src *randx.Source, cache *chunkCa
 				if si > 0 {
 					hint = si - 1
 				}
-				records.add(g.makeRecord(sys.ID, sys.HW, ct, node, workload, start, src))
+				startN := start.UnixNano()
+				records.add(ct.makeRecord(node, workload, startN, src))
 				// Early correlated batches on type G systems (Section 5.3).
 				if isG && sys.Nodes > 1 && start.Year() < correlationEndYear &&
 					!g.cfg.DisableCorrelatedBatches && src.Float64() < batchProb {
@@ -613,7 +667,7 @@ func (g *Generator) generateSystem(sys System, src *randx.Source, cache *chunkCa
 						case frontend[other]:
 							wl = failures.WorkloadFrontend
 						}
-						records.add(g.makeRecord(sys.ID, sys.HW, ct, other, wl, start, src))
+						records.add(ct.makeRecord(other, wl, startN, src))
 					}
 				}
 			}
@@ -621,39 +675,39 @@ func (g *Generator) generateSystem(sys System, src *randx.Source, cache *chunkCa
 	}
 	putFloats(profile.rate)
 	putFloats(profile.cum)
-	block := failures.SortedByStart(records.chunks)
+	block := recordBlock{system: sys.ID, hw: sys.HW, ct: ct}
+	block.recs = failures.SortedByStartFunc(records.chunks, compactStart)
 	cache.put(records.chunks)
 	return block, nil
 }
 
+// maxRepairMinutes caps a drawn repair time at 180 days.
+const maxRepairMinutes = 180 * 24 * 60
+
 // makeRecord draws the root cause, detail and repair duration of a failure
-// that starts at the given instant. Every draw reads a compiled table:
-// no map walks, no sorting, no allocation (asserted by AllocsPerRun in
-// the tests).
-func (g *Generator) makeRecord(sysID int, hw failures.HWType, ct *compiledHW, node int, workload failures.Workload, start time.Time, src *randx.Source) failures.Record {
+// of the given node that starts at start (epoch nanoseconds). Every draw
+// reads a compiled table: no map walks, no sorting, no allocation
+// (asserted by AllocsPerRun in the tests).
+func (ct *compiledHW) makeRecord(node int, workload failures.Workload, start int64, src *randx.Source) compactRecord {
 	ci := ct.causeTable.draw(src)
-	cause := ct.causes[ci]
-	detail := ""
+	var detail uint16
 	if t := ct.detail[ci]; t != nil {
-		detail = t.labels[t.draw(src)]
+		detail = uint16(t.draw(src) + 1)
 	}
 	minutes := src.LogNormal(ct.repairMu[ci], ct.repairSigma[ci])
-	const maxMinutes = 180 * 24 * 60
 	if minutes < 1 {
 		minutes = 1
 	}
-	if minutes > maxMinutes {
-		minutes = maxMinutes
+	if minutes > maxRepairMinutes {
+		minutes = maxRepairMinutes
 	}
 	repair := time.Duration(minutes * float64(time.Minute))
-	return failures.Record{
-		System:   sysID,
-		Node:     node,
-		HW:       hw,
-		Workload: workload,
-		Cause:    cause,
-		Detail:   detail,
-		Start:    start,
-		End:      start.Add(repair),
+	return compactRecord{
+		start:    start,
+		end:      start + int64(repair),
+		node:     int32(node),
+		workload: uint8(workload),
+		cause:    uint8(ci),
+		detail:   detail,
 	}
 }

@@ -179,14 +179,14 @@ func TestMakeRecordDoesNotAllocate(t *testing.T) {
 	ct := g.hw[sys.HW]
 	src := randx.NewSource(5)
 	start := sys.Start.Add(1000 * time.Hour)
-	var sink failures.Record
+	var sink compactRecord
 	allocs := testing.AllocsPerRun(1000, func() {
-		sink = g.makeRecord(sys.ID, sys.HW, ct, 3, failures.WorkloadCompute, start, src)
+		sink = ct.makeRecord(3, failures.WorkloadCompute, start.UnixNano(), src)
 	})
 	if allocs != 0 {
 		t.Fatalf("makeRecord allocates %v times per record; want 0", allocs)
 	}
-	if sink.System != sys.ID {
+	if sink.node != 3 || sink.start != start.UnixNano() {
 		t.Fatalf("unexpected record %+v", sink)
 	}
 }
@@ -223,12 +223,12 @@ func TestBatchVictimWorkloadLabels(t *testing.T) {
 		FrontendNodes: []int{0},
 	}
 	g := NewGenerator(Config{Seed: 12, RateScale: 4})
-	records, err := g.generateSystem(sys, randx.NewSource(12), new(chunkCache))
+	block, err := g.generateSystem(sys, randx.NewSource(12), new(chunkCache))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mislabeled, frontend := 0, 0
-	for _, r := range records {
+	for _, r := range block.records() {
 		switch {
 		case r.Node == 0 && r.Workload == failures.WorkloadFrontend:
 			frontend++

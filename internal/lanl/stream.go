@@ -32,7 +32,7 @@ import (
 // stops early; a fully drained stream stops it itself.
 type RecordStream struct {
 	blocks *systemBlocks
-	rest   []failures.Record // unread records of the current block
+	block  recordBlock // the current block; block.recs holds its unread records
 	cur    failures.Record
 	err    error
 	closed bool
@@ -51,17 +51,18 @@ func (s *RecordStream) Scan() bool {
 	if s.err != nil || s.closed {
 		return false
 	}
-	for len(s.rest) == 0 {
-		// A drained s.rest can still point at its block's array: drop it
-		// so the block is freed while scan waits for the next one.
-		s.rest = nil
+	for len(s.block.recs) == 0 {
+		// A drained block can still point at its array: drop it so the
+		// block is freed while scan waits for the next one.
+		s.block = recordBlock{}
 		if !s.blocks.scan() {
 			s.err = s.blocks.err
 			return false
 		}
-		s.rest = s.blocks.block
+		s.block = s.blocks.block
 	}
-	s.cur, s.rest = s.rest[0], s.rest[1:]
+	s.block.fill(&s.cur, &s.block.recs[0])
+	s.block.recs = s.block.recs[1:]
 	return true
 }
 
@@ -79,7 +80,7 @@ func (s *RecordStream) Close() {
 		return
 	}
 	s.closed = true
-	s.rest = nil
+	s.block = recordBlock{}
 	if s.blocks != nil {
 		s.blocks.close()
 	}

@@ -106,9 +106,9 @@ func TestRecordStreamEarlyClose(t *testing.T) {
 		}
 		// Close mid-block: the first system's block has arrived and still
 		// holds unread records, while the pool generates the next ones.
-		if len(s.rest) == 0 || s.Record().System != Catalog()[0].ID {
+		if len(s.block.recs) == 0 || s.Record().System != Catalog()[0].ID {
 			t.Fatalf("workers %d: after 10 scans, %d records left of system %d's block",
-				w, len(s.rest), s.Record().System)
+				w, len(s.block.recs), s.Record().System)
 		}
 		s.Close()
 		s.Close() // idempotent

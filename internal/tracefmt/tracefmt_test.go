@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -358,6 +359,70 @@ func TestWriterRejectsUnrepresentable(t *testing.T) {
 				t.Fatalf("Close succeeded on a poisoned writer")
 			}
 		})
+	}
+}
+
+// TestWriterLabelCachesKeepOneIndexPerLabel: the Writer's label caches
+// key on a label's address, so an equal label in a distinct backing
+// array must still get the label's one dictionary index, and a cached
+// label must never lend its index to a different label of the same
+// length. A file whose labels are all fresh copies must be the same
+// bytes as one whose labels share storage.
+func TestWriterLabelCachesKeepOneIndexPerLabel(t *testing.T) {
+	details := []string{"memory", "disk00", "disk01", "CPU", ""}
+	hws := []failures.HWType{"E", "F", "G"}
+	shared := synthRecords(3000)
+	copied := make([]failures.Record, len(shared))
+	for i := range shared {
+		// Systems run in blocks of one hardware label, as in a
+		// generated trace, and details cycle through equal lengths.
+		shared[i].HW = hws[i/250%len(hws)]
+		shared[i].Detail = details[i*7%len(details)]
+		copied[i] = shared[i]
+		copied[i].HW = failures.HWType(strings.Clone(string(shared[i].HW)))
+		copied[i].Detail = strings.Clone(shared[i].Detail)
+	}
+	// Interleave the two so cached and uncached addresses alternate.
+	mixed := make([]failures.Record, len(shared))
+	for i := range mixed {
+		mixed[i] = shared[i]
+		if i%3 == 1 {
+			mixed[i] = copied[i]
+		}
+	}
+	opts := WriterOptions{BlockRecords: 256}
+	want := encode(t, shared, opts)
+	for name, recs := range map[string][]failures.Record{"copied": copied, "mixed": mixed} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.hwAll) != len(hws) || len(w.detAll) != len(details) {
+			t.Fatalf("%s labels: dictionaries hold %d hardware and %d detail labels, want %d and %d",
+				name, len(w.hwAll), len(w.detAll), len(hws), len(details))
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s labels: file differs from the shared-label file", name)
+		}
+		s, err := NewScanner(bytes.NewReader(buf.Bytes()), ScanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range scanAll(t, s) {
+			if r.HW != shared[i].HW || r.Detail != shared[i].Detail {
+				t.Fatalf("%s labels: record %d reads back %q/%q, want %q/%q",
+					name, i, r.HW, r.Detail, shared[i].HW, shared[i].Detail)
+			}
+		}
 	}
 }
 

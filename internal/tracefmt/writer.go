@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"time"
+	"unsafe"
 
 	"hpcfail/internal/failures"
 	"hpcfail/internal/par"
@@ -58,6 +59,15 @@ type Writer struct {
 	detIdx map[string]uint32
 	detAll []string
 
+	// Lookup caches in front of the dictionary maps. lastHW is the
+	// previous record's hardware label, constant over a system's run of
+	// records; detCache is direct-mapped on a detail label's data
+	// pointer and length, which a producer handing out labels from fixed
+	// tables (the LANL generator) repeats. A miss falls back to the map,
+	// so the caches never change which index a label gets.
+	lastHW   labelSlot
+	detCache [1 << detCacheBits]labelSlot
+
 	// File assembly state; total counts the records of every block
 	// handed to the pool, index only the blocks written.
 	offset int64 // bytes written so far
@@ -95,6 +105,26 @@ type encRow struct {
 	hw     uint16
 	wl     byte
 	cause  byte
+}
+
+// detCacheBits sizes the Writer's detail-label cache at 64 slots.
+const detCacheBits = 6
+
+// labelSlot is one cached dictionary entry: the label as last seen,
+// whose string header keeps its bytes alive so an equal data pointer
+// and length mean equal contents, and its index + 1 (0: empty slot).
+type labelSlot struct {
+	label string
+	idx1  uint32
+}
+
+// lookup returns the cached index of label if the slot holds the same
+// bytes at the same address.
+func (s *labelSlot) lookup(label string) (uint32, bool) {
+	if s.idx1 != 0 && len(s.label) == len(label) && unsafe.StringData(s.label) == unsafe.StringData(label) {
+		return s.idx1 - 1, true
+	}
+	return 0, false
 }
 
 // NewWriter writes the file header to w and returns a Writer.
@@ -206,7 +236,11 @@ func epochNanos(t time.Time, what string) (int64, error) {
 }
 
 func (w *Writer) hwIndex(hw failures.HWType) (uint16, error) {
+	if i, ok := w.lastHW.lookup(string(hw)); ok {
+		return uint16(i), nil
+	}
 	if i, ok := w.hwIdx[hw]; ok {
+		w.lastHW = labelSlot{string(hw), uint32(i) + 1}
 		return i, nil
 	}
 	if len(hw) > maxLabelLen {
@@ -216,6 +250,7 @@ func (w *Writer) hwIndex(hw failures.HWType) (uint16, error) {
 		return 0, fmt.Errorf("tracefmt: more than %d distinct hardware labels", maxHWDict)
 	}
 	i := uint16(len(w.hwAll))
+	w.lastHW = labelSlot{string(hw), uint32(i) + 1}
 	w.hwIdx[hw] = i
 	w.hwAll = append(w.hwAll, hw)
 	w.hwNew = append(w.hwNew, hw)
@@ -223,7 +258,14 @@ func (w *Writer) hwIndex(hw failures.HWType) (uint16, error) {
 }
 
 func (w *Writer) detIndex(det string) (uint32, error) {
+	// A Fibonacci hash of address and length picks the slot.
+	h := uint64(uintptr(unsafe.Pointer(unsafe.StringData(det)))) + uint64(len(det))
+	slot := &w.detCache[h*0x9e3779b97f4a7c15>>(64-detCacheBits)]
+	if i, ok := slot.lookup(det); ok {
+		return i, nil
+	}
 	if i, ok := w.detIdx[det]; ok {
+		*slot = labelSlot{det, i + 1}
 		return i, nil
 	}
 	if len(det) > maxLabelLen {
@@ -233,6 +275,7 @@ func (w *Writer) detIndex(det string) (uint32, error) {
 		return 0, fmt.Errorf("tracefmt: more than %d distinct detail labels", maxDetailDict)
 	}
 	i := uint32(len(w.detAll))
+	*slot = labelSlot{det, i + 1}
 	w.detIdx[det] = i
 	w.detAll = append(w.detAll, det)
 	w.detNew = append(w.detNew, det)
