@@ -35,11 +35,13 @@ test:
 
 # The sketch key oracle sweeps (bucket against the Pow oracle and
 # against its exact slowBucket fallback) are single-goroutine float
-# arithmetic, so they run once at full size without the race detector
-# instead of under it.
+# arithmetic, and the reach guard is a single-goroutine type-check of the
+# module (~4 s plain, ~21 s under -race), so they run once without the
+# race detector instead of under it.
 race:
-	$(GO) test -race -skip '^TestSketchBucketMatches(PowOracle|SlowPath)$$' ./...
+	$(GO) test -race -skip '^(TestSketchBucketMatches(PowOracle|SlowPath)|TestInternalExportsReached)$$' ./...
 	$(GO) test -run '^TestSketchBucketMatches(PowOracle|SlowPath)$$' ./internal/streamstats
+	$(GO) test -run '^TestInternalExportsReached$$' .
 
 # Race smoke of the parallel/streaming generator specifically: the one
 # block iterator over the par.Ordered pool behind Generate and Stream at

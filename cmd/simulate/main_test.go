@@ -139,14 +139,17 @@ func TestErrors(t *testing.T) {
 		{"-retry", "fixed:abc"},                     // unparseable delay
 		{"-retry", "expo:1"},                        // wrong arity
 		{"-retry", "expo:1:8:2"},                    // jitter outside [0,1]
+		{"-retry", "fixed:1e13"},                    // delay past time.Duration
 		{"-fence", "bogus"},                         // unknown fencing policy
 		{"-fence", "window:0:48:24"},                // threshold < 1
 		{"-fence", "window:2:48"},                   // wrong arity
 		{"-detect", "bogus"},                        // unknown detection model
 		{"-detect", "fixed:-1"},                     // negative lag
 		{"-detect", "uniform:2:1"},                  // min > max
+		{"-detect", "fixed:1e13"},                   // lag past time.Duration
 		{"-burst", "1:2"},                           // wrong arity
 		{"-burst", "1:0:4:2:24"},                    // probability > 1
+		{"-burst", "1e13:0:4:1:2"},                  // burst time past time.Duration
 		{"-nodes", "8", "-burst", "1:100:5:1:24"},   // burst past cluster end
 		{"-repair-inflate", "10:5:2"},               // window ends before start
 		{"-cascade", "xyz"},                         // unparseable cascade

@@ -97,20 +97,21 @@ func SimulatePolicyEfficiency(cfg SimConfig, policy IntervalPolicy) (float64, er
 }
 
 // simulatePolicyOnce runs one replication under an interval policy and
-// returns the wall-clock hours to finish the work.
+// returns the wall-clock hours needed to finish cfg.WorkHours of useful
+// work.
 func simulatePolicyOnce(cfg SimConfig, policy IntervalPolicy, src *randx.Source) (float64, error) {
 	var wall, done, age float64
-	nextFailure := cfg.TBF.Rand(src)
+	nextFailure := cfg.TBF.Rand(src) // time until next failure, from now
 	for done < cfg.WorkHours {
 		tau := policy.Next(age)
-		if !(tau > 0) || math.IsNaN(tau) {
+		if !(tau > 0) {
 			return 0, fmt.Errorf("checkpoint: policy %s returned interval %g: %w",
 				policy.Name(), tau, ErrBadInput)
 		}
 		segment := math.Min(tau, cfg.WorkHours-done)
 		need := segment + cfg.CheckpointCost
 		if cfg.WorkHours-done <= tau {
-			need = segment
+			need = segment // final segment needs no checkpoint
 		}
 		if nextFailure > need {
 			wall += need
@@ -119,7 +120,10 @@ func simulatePolicyOnce(cfg SimConfig, policy IntervalPolicy, src *randx.Source)
 			done += segment
 			continue
 		}
-		wall += nextFailure + cfg.RestartCost
+		// Failure mid-segment: lose partial work, wait out the retry
+		// delay, pay restart, and draw a new failure horizon (the failed
+		// component is repaired/replaced, so the renewal restarts).
+		wall += nextFailure + cfg.RetryDelayHours + cfg.RestartCost
 		age = 0
 		nextFailure = cfg.TBF.Rand(src)
 	}

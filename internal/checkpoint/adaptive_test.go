@@ -56,25 +56,34 @@ func TestHazardPolicyDegenerateHazard(t *testing.T) {
 }
 
 func TestSimulatePolicyMatchesFixedSimulation(t *testing.T) {
-	// A FixedPolicy must agree with SimulateEfficiency for the same tau.
+	// A FixedPolicy must agree with SimulateEfficiency for the same tau,
+	// and both must pay the retry delay after every failure.
 	exp, err := dist.NewExponential(1.0 / 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SimConfig{
-		TBF: exp, CheckpointCost: 0.1, RestartCost: 0.2,
-		WorkHours: 2000, Replications: 16, Seed: 5,
-	}
-	a, err := SimulateEfficiency(cfg, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulatePolicyEfficiency(cfg, FixedPolicy(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("fixed policy (%g) diverges from plain simulation (%g)", b, a)
+	var noDelay float64
+	for _, delay := range []float64{0, 5} {
+		cfg := SimConfig{
+			TBF: exp, CheckpointCost: 0.1, RestartCost: 0.2, RetryDelayHours: delay,
+			WorkHours: 2000, Replications: 16, Seed: 5,
+		}
+		a, err := SimulateEfficiency(cfg, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := SimulatePolicyEfficiency(cfg, FixedPolicy(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("delay %g: fixed policy (%g) diverges from plain simulation (%g)", delay, b, a)
+		}
+		if delay == 0 {
+			noDelay = b
+		} else if !(b < noDelay) {
+			t.Fatalf("delay %g: policy efficiency %g not below %g without delay", delay, b, noDelay)
+		}
 	}
 }
 

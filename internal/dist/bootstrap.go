@@ -24,13 +24,7 @@ type KSTestResult struct {
 
 // BootstrapKSTest runs a parametric-bootstrap KS test: fit the family,
 // measure KS, then repeatedly simulate same-size samples from the fit,
-// refit, and compare statistics. reps <= 0 uses 200 replications. It builds
-// a Sample per call; use BootstrapKSTestSample to amortize the transforms.
-func BootstrapKSTest(f Family, xs []float64, reps int, seed int64) (KSTestResult, error) {
-	return BootstrapKSTestSample(f, NewSample(xs), reps, seed)
-}
-
-// BootstrapKSTestSample is BootstrapKSTest over a precomputed sample. Each
+// refit, and compare statistics. reps <= 0 uses 200 replications. Each
 // replication generates into a scratch transform buffer, refits with the
 // family kernel, and evaluates the KS statistic with a direct
 // (devirtualized) CDF call over a reused sort buffer — no per-rep slice,
@@ -38,8 +32,8 @@ func BootstrapKSTest(f Family, xs []float64, reps int, seed int64) (KSTestResult
 // counter-derived seed, so this one-block call is bit-identical to any
 // partition of the same reps across workers via KSPlan.RunBlock, and to a
 // replication loop that refits each reseeded sample with RefFit.
-func BootstrapKSTestSample(f Family, s *Sample, reps int, seed int64) (KSTestResult, error) {
-	p, err := NewKSPlan(f, s, reps, seed)
+func BootstrapKSTest(f Family, xs []float64, reps int, seed int64) (KSTestResult, error) {
+	p, err := NewKSPlan(f, NewSample(xs), reps, seed)
 	if err != nil {
 		return KSTestResult{}, err
 	}

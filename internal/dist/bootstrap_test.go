@@ -93,7 +93,7 @@ func TestWeibullCICoversTruth(t *testing.T) {
 	for i := range xs {
 		xs[i] = truth.Rand(src)
 	}
-	fitted, cis, err := FitCI(FamilyWeibull, xs, 150, 0.95, 3)
+	fitted, cis, err := FitCISample(FamilyWeibull, NewSample(xs), 150, 0.95, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +121,10 @@ func TestWeibullCICoversTruth(t *testing.T) {
 }
 
 func TestWeibullCIErrors(t *testing.T) {
-	if _, _, err := FitCI(FamilyWeibull, []float64{1, 2, 3}, 10, 1.5, 1); !errors.Is(err, ErrBadParam) {
+	if _, _, err := FitCISample(FamilyWeibull, NewSample([]float64{1, 2, 3}), 10, 1.5, 1); !errors.Is(err, ErrBadParam) {
 		t.Fatal("bad level: want error")
 	}
-	if _, _, err := FitCI(FamilyWeibull, []float64{1}, 10, 0.9, 1); !errors.Is(err, ErrInsufficientData) {
+	if _, _, err := FitCISample(FamilyWeibull, NewSample([]float64{1}), 10, 0.9, 1); !errors.Is(err, ErrInsufficientData) {
 		t.Fatal("too few: want error")
 	}
 }

@@ -51,8 +51,8 @@ type Continuous interface {
 
 // Parameterized is implemented by distributions that expose their fitted
 // parameters as an ordered numeric vector. It is what lets the generic
-// bootstrap (FitCI) attach a confidence interval to every parameter of any
-// family without knowing the family's accessors.
+// bootstrap (FitCISample) attach a confidence interval to every parameter
+// of any family without knowing the family's accessors.
 type Parameterized interface {
 	// ParamNames returns the parameter names in a fixed order (e.g.
 	// ["shape", "scale"] for a Weibull).
@@ -69,19 +69,27 @@ type Hazarder interface {
 	Hazard(t float64) float64
 }
 
-// C2 returns the squared coefficient of variation Var/Mean² of a
-// distribution, the variability measure the paper compares across fits.
-func C2(d Continuous) float64 {
-	m := d.Mean()
-	if m == 0 {
-		return math.NaN()
+// NegLogLikelihood computes -Σ log f(x_i) for a fitted continuous
+// distribution, the paper's model comparison score (lower is better). The
+// four standard families reach nllOf as their concrete types; every family
+// sums the same values in the same order.
+func NegLogLikelihood(d Continuous, xs []float64) (float64, error) {
+	switch t := d.(type) {
+	case Exponential:
+		return nllOf(t, xs)
+	case Weibull:
+		return nllOf(t, xs)
+	case Gamma:
+		return nllOf(t, xs)
+	case LogNormal:
+		return nllOf(t, xs)
+	default:
+		return nllOf(d, xs)
 	}
-	return d.Var() / (m * m)
 }
 
-// NegLogLikelihood computes -Σ log f(x_i) for a fitted continuous
-// distribution, the paper's model comparison score (lower is better).
-func NegLogLikelihood(d Continuous, xs []float64) (float64, error) {
+// nllOf is the NLL loop.
+func nllOf[D Continuous](d D, xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return math.NaN(), ErrInsufficientData
 	}
@@ -95,53 +103,6 @@ func NegLogLikelihood(d Continuous, xs []float64) (float64, error) {
 		total -= lp
 	}
 	return total, nil
-}
-
-// NegLogLikelihoodSample is NegLogLikelihood over a precomputed sample. The
-// sum runs over the same values in the same order with the same per-point
-// LogPDF, so the result is bit-identical to the slice form; the four
-// standard families are dispatched to concrete types so the per-point call
-// devirtualizes.
-func NegLogLikelihoodSample(d Continuous, s *Sample) (float64, error) {
-	switch t := d.(type) {
-	case Exponential:
-		return nllOf(t, s.t.xs)
-	case Weibull:
-		return nllOf(t, s.t.xs)
-	case Gamma:
-		return nllOf(t, s.t.xs)
-	case LogNormal:
-		return nllOf(t, s.t.xs)
-	default:
-		return NegLogLikelihood(d, s.t.xs)
-	}
-}
-
-// nllOf is the shared NLL loop instantiated per concrete family so the
-// LogPDF call inlines. The loop body matches NegLogLikelihood exactly.
-func nllOf[D Continuous](d D, xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return math.NaN(), ErrInsufficientData
-	}
-	total := 0.0
-	for _, x := range xs {
-		lp := d.LogPDF(x)
-		if math.IsInf(lp, -1) {
-			return math.Inf(1), nil
-		}
-		total -= lp
-	}
-	return total, nil
-}
-
-// AIC computes the Akaike information criterion 2k + 2*NLL for a fitted
-// distribution, a tie-breaker that penalizes extra parameters.
-func AIC(d Continuous, xs []float64) (float64, error) {
-	nll, err := NegLogLikelihood(d, xs)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return 2*float64(d.NumParams()) + 2*nll, nil
 }
 
 // checkPositive validates that all observations are strictly positive,

@@ -225,22 +225,6 @@ func TestHazardDirections(t *testing.T) {
 	}
 }
 
-func TestC2(t *testing.T) {
-	exp, _ := NewExponential(2)
-	if math.Abs(C2(exp)-1) > 1e-12 {
-		t.Fatalf("exponential C2 = %g, want 1", C2(exp))
-	}
-	// Weibull shape < 1 has C2 > 1 (the over-dispersion the paper measures).
-	wb, _ := NewWeibull(0.7, 50)
-	if C2(wb) <= 1 {
-		t.Fatalf("weibull(0.7) C2 = %g, want > 1", C2(wb))
-	}
-	wb2, _ := NewWeibull(2, 50)
-	if C2(wb2) >= 1 {
-		t.Fatalf("weibull(2) C2 = %g, want < 1", C2(wb2))
-	}
-}
-
 func TestPoissonBasics(t *testing.T) {
 	p, err := NewPoisson(3.5)
 	if err != nil {
@@ -352,12 +336,13 @@ func TestFitRecoversParameters(t *testing.T) {
 	t.Run("pareto", func(t *testing.T) {
 		truth, _ := NewPareto(10, 2.2)
 		xs := sample(truth, src, n)
-		fit, err := FitParetoSample(NewSample(xs))
+		d, err := FitSample(FamilyPareto, NewSample(xs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel(fit.Alpha(), 2.2) > 0.05 || rel(fit.Xm(), 10) > 0.01 {
-			t.Fatalf("xm=%g alpha=%g", fit.Xm(), fit.Alpha())
+		fit := d.(Pareto)
+		if rel(fit.alpha, 2.2) > 0.05 || rel(fit.xm, 10) > 0.01 {
+			t.Fatalf("xm=%g alpha=%g", fit.xm, fit.alpha)
 		}
 	})
 
@@ -421,7 +406,7 @@ func TestFitErrorCases(t *testing.T) {
 	if _, err := FitNormal([]float64{1, math.NaN()}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("normal NaN: %v", err)
 	}
-	if _, err := FitParetoSample(NewSample(identical)); !errors.Is(err, ErrInsufficientData) {
+	if _, err := FitSample(FamilyPareto, NewSample(identical)); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("pareto identical: %v", err)
 	}
 	if _, err := FitPoisson([]int{-1, 2}); !errors.Is(err, ErrUnsupported) {
@@ -572,14 +557,15 @@ func TestDiscreteNegLogLikelihood(t *testing.T) {
 }
 
 func TestAIC(t *testing.T) {
-	exp, _ := NewExponential(1)
-	xs := []float64{1, 2, 3}
-	aic, err := AIC(exp, xs)
-	if err != nil {
-		t.Fatal(err)
+	// The exponential fit of {1, 2, 3} has rate 1/2, so its NLL is
+	// 3 ln 2 + 3 and its AIC 2·1 + 2·NLL.
+	res := FitOne(FamilyExponential, NewSample([]float64{1, 2, 3}))
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	if math.Abs(aic-(2+12)) > 1e-12 {
-		t.Fatalf("AIC = %g, want 14", aic)
+	want := 2 + 2*(3*math.Ln2+3)
+	if math.Abs(res.AIC-want) > 1e-12 {
+		t.Fatalf("AIC = %g, want %g", res.AIC, want)
 	}
 }
 

@@ -101,15 +101,7 @@ func (e Exponential) Rand(src *randx.Source) float64 {
 }
 
 // FitExponential computes the maximum-likelihood exponential fit
-// (rate = 1/mean) for strictly positive data. It builds a Sample per call;
-// use FitExponentialSample to amortize the transforms.
+// (rate = 1/mean) for strictly positive data.
 func FitExponential(xs []float64) (Exponential, error) {
-	return FitExponentialSample(NewSample(xs))
-}
-
-// FitExponentialSample is FitExponential over precomputed transforms (the
-// cached Σx). The result is bit-identical to FitExponential on the same
-// data.
-func FitExponentialSample(s *Sample) (Exponential, error) {
-	return fitExponentialKernel(&s.t)
+	return fitExponentialKernel(&NewSample(xs).t)
 }

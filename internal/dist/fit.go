@@ -55,19 +55,19 @@ func StandardFamilies() []Family {
 func FitSample(f Family, s *Sample) (Continuous, error) {
 	switch f {
 	case FamilyExponential:
-		return FitExponentialSample(s)
+		return fitExponentialKernel(&s.t)
 	case FamilyWeibull:
-		return FitWeibullSample(s)
+		return newWeibullSolver().fit(&s.t)
 	case FamilyGamma:
-		return FitGammaSample(s)
+		return newGammaSolver().fit(&s.t)
 	case FamilyLogNormal:
-		return FitLogNormalSample(s)
+		return fitLogNormalKernel(&s.t)
 	case FamilyNormal:
-		return FitNormalSample(s)
+		return fitNormalKernel(&s.t)
 	case FamilyPareto:
-		return FitParetoSample(s)
+		return fitParetoKernel(&s.t)
 	case FamilyHyperExp:
-		return FitHyperExpSample(s, 0)
+		return new(hyperExpSolver).fit(&s.t)
 	default:
 		return nil, fmt.Errorf("fit: unknown family %v: %w", f, ErrBadParam)
 	}
@@ -99,24 +99,14 @@ type Comparison struct {
 
 // FitAll fits each requested family to xs and ranks the results by NLL.
 // Families that cannot be fitted (e.g. Pareto on zero-containing data) are
-// recorded with their error rather than aborting the comparison. It builds
-// one Sample for all families; use FitAllSample when the caller already has
-// one.
+// recorded with their error rather than aborting the comparison. The data
+// is validated and transformed once, into one Sample, for all families;
+// with no families it uses the paper's standard four.
 func FitAll(xs []float64, families ...Family) (*Comparison, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("fit all: %w", ErrInsufficientData)
 	}
-	return FitAllSample(NewSample(xs), families...)
-}
-
-// FitAllSample fits each requested family to the precomputed sample and
-// ranks the results by NLL. The data is validated and transformed exactly
-// once for all families (the slice path re-walked it per family), and
-// results are bit-identical to FitAll on the same data.
-func FitAllSample(s *Sample, families ...Family) (*Comparison, error) {
-	if s.N() == 0 {
-		return nil, fmt.Errorf("fit all: %w", ErrInsufficientData)
-	}
+	s := NewSample(xs)
 	if len(families) == 0 {
 		families = StandardFamilies()
 	}
@@ -154,7 +144,7 @@ func FitOne(f Family, s *Sample) FitResult {
 		return res
 	}
 	res.Dist = d
-	nll, err := NegLogLikelihoodSample(d, s)
+	nll, err := NegLogLikelihood(d, s.t.xs)
 	if err == nil && (math.IsNaN(nll) || math.IsInf(nll, 0)) {
 		err = fmt.Errorf("fit %v: NLL %v: %w", f, nll, ErrBadParam)
 	}

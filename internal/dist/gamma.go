@@ -117,15 +117,7 @@ func (g Gamma) Rand(src *randx.Source) float64 {
 
 // FitGamma computes the maximum-likelihood gamma fit for strictly positive
 // data, solving the shape equation ln k - ψ(k) = ln(mean) - mean(ln x) by
-// Newton iteration from the standard closed-form starting point. It builds a
-// Sample per call; use FitGammaSample to amortize the transforms.
+// Newton iteration from the standard closed-form starting point.
 func FitGamma(xs []float64) (Gamma, error) {
-	return FitGammaSample(NewSample(xs))
-}
-
-// FitGammaSample is FitGamma over precomputed transforms: Σx and Σ log x
-// come from the sample's caches instead of a fresh pass over the data. The
-// result is bit-identical to FitGamma on the same data.
-func FitGammaSample(s *Sample) (Gamma, error) {
-	return newGammaSolver().fit(&s.t)
+	return newGammaSolver().fit(&NewSample(xs).t)
 }

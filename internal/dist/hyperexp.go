@@ -35,15 +35,6 @@ func NewHyperExp(p, rate1, rate2 float64) (HyperExp, error) {
 	return HyperExp{p: p, rate1: rate1, rate2: rate2}, nil
 }
 
-// P returns the mixing probability of phase 1.
-func (h HyperExp) P() float64 { return h.p }
-
-// Rate1 and Rate2 return the phase rates.
-func (h HyperExp) Rate1() float64 { return h.rate1 }
-
-// Rate2 returns the second phase rate.
-func (h HyperExp) Rate2() float64 { return h.rate2 }
-
 // ParamNames implements Parameterized.
 func (h HyperExp) ParamNames() []string { return []string{"p", "rate1", "rate2"} }
 
@@ -149,13 +140,4 @@ func (h HyperExp) Rand(src *randx.Source) float64 {
 		return src.Exponential(h.rate1)
 	}
 	return src.Exponential(h.rate2)
-}
-
-// FitHyperExpSample fits a two-phase hyperexponential by
-// expectation-maximization from a moment-matched starting point, over the
-// sample's precomputed transforms (the cached Σx and positivity scan).
-// maxIter <= 0 uses 200 iterations.
-func FitHyperExpSample(s *Sample, maxIter int) (HyperExp, error) {
-	var solver hyperExpSolver
-	return solver.fit(&s.t, maxIter)
 }

@@ -54,9 +54,9 @@ func TestHyperExpBasics(t *testing.T) {
 	if !(h.Hazard(0.1) > h.Hazard(10)) {
 		t.Fatal("hyperexp hazard should decrease")
 	}
-	// C2 > 1: more variable than exponential.
-	if C2(h) <= 1 {
-		t.Fatalf("C2 = %g, want > 1", C2(h))
+	// Squared coefficient of variation > 1: more variable than exponential.
+	if c2 := h.Var() / (h.Mean() * h.Mean()); c2 <= 1 {
+		t.Fatalf("C2 = %g, want > 1", c2)
 	}
 	if h.NumParams() != 3 || h.Name() != "hyperexp" {
 		t.Fatal("metadata")
@@ -73,12 +73,13 @@ func TestFitHyperExpRecovers(t *testing.T) {
 	for i := range xs {
 		xs[i] = truth.Rand(src)
 	}
-	fit, err := FitHyperExpSample(NewSample(xs), 0)
+	d, err := FitSample(FamilyHyperExp, NewSample(xs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// EM can swap phase labels; normalize by comparing the faster rate.
-	p, r1, r2 := fit.P(), fit.Rate1(), fit.Rate2()
+	fit := d.(HyperExp)
+	p, r1, r2 := fit.p, fit.rate1, fit.rate2
 	if r1 < r2 {
 		p, r1, r2 = 1-p, r2, r1
 	}
@@ -91,13 +92,13 @@ func TestFitHyperExpRecovers(t *testing.T) {
 }
 
 func TestFitHyperExpErrors(t *testing.T) {
-	if _, err := FitHyperExpSample(NewSample([]float64{1, 2}), 0); !errors.Is(err, ErrInsufficientData) {
+	if _, err := FitSample(FamilyHyperExp, NewSample([]float64{1, 2})); !errors.Is(err, ErrInsufficientData) {
 		t.Fatal("too few")
 	}
-	if _, err := FitHyperExpSample(NewSample([]float64{1, 2, -1, 3}), 0); !errors.Is(err, ErrUnsupported) {
+	if _, err := FitSample(FamilyHyperExp, NewSample([]float64{1, 2, -1, 3})); !errors.Is(err, ErrUnsupported) {
 		t.Fatal("negative")
 	}
-	if _, err := FitHyperExpSample(NewSample([]float64{5, 5, 5, 5}), 0); !errors.Is(err, ErrInsufficientData) {
+	if _, err := FitSample(FamilyHyperExp, NewSample([]float64{5, 5, 5, 5})); !errors.Is(err, ErrInsufficientData) {
 		t.Fatal("identical")
 	}
 }
@@ -117,7 +118,7 @@ func TestHyperExpOnWeibullDataMatchesPaperRemark(t *testing.T) {
 	for i := range xs {
 		xs[i] = truth.Rand(src)
 	}
-	he, err := FitHyperExpSample(NewSample(xs), 0)
+	he, err := FitSample(FamilyHyperExp, NewSample(xs))
 	if err != nil {
 		t.Fatal(err)
 	}

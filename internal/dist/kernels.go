@@ -243,6 +243,9 @@ func fitNormalKernel(t *xform) (Normal, error) {
 	return NewNormal(mu, sigma)
 }
 
+// fitParetoKernel computes the maximum-likelihood Pareto fit from the
+// cached minimum and positivity scan: xm is the sample minimum and
+// alpha = n / Σ ln(x_i / xm).
 func fitParetoKernel(t *xform) (Pareto, error) {
 	if len(t.xs) < 2 {
 		return Pareto{}, fmt.Errorf("fit pareto: need >= 2 observations: %w", ErrInsufficientData)
@@ -269,15 +272,14 @@ type hyperExpSolver struct {
 	resp []float64
 }
 
-func (h *hyperExpSolver) fit(t *xform, maxIter int) (HyperExp, error) {
+// fit fits a two-phase hyperexponential by 200 iterations of
+// expectation-maximization from a moment-matched starting point.
+func (h *hyperExpSolver) fit(t *xform) (HyperExp, error) {
 	if len(t.xs) < 4 {
 		return HyperExp{}, fmt.Errorf("fit hyperexp: need >= 4 observations: %w", ErrInsufficientData)
 	}
 	if !t.positive {
 		return HyperExp{}, positivityErr("hyperexp", t)
-	}
-	if maxIter <= 0 {
-		maxIter = 200
 	}
 	if t.allEqual {
 		return HyperExp{}, fmt.Errorf("fit hyperexp: all observations identical: %w", ErrInsufficientData)
@@ -288,7 +290,7 @@ func (h *hyperExpSolver) fit(t *xform, maxIter int) (HyperExp, error) {
 	rate1 := 2 / mean
 	rate2 := 0.5 / mean
 	h.resp = growFloats(h.resp, len(t.xs))
-	refitHyperExpEM(t.xs, h.resp, &p, &rate1, &rate2, maxIter)
+	refitHyperExpEM(t.xs, h.resp, &p, &rate1, &rate2, 200)
 	// Clamp away from the degenerate boundary.
 	const eps = 1e-9
 	if p <= 0 {

@@ -118,15 +118,7 @@ func (l LogNormal) Rand(src *randx.Source) float64 {
 }
 
 // FitLogNormal computes the maximum-likelihood lognormal fit: the sample
-// mean and (MLE, 1/n) standard deviation of the log data. It builds a
-// Sample per call; use FitLogNormalSample to amortize the transforms.
+// mean and (MLE, 1/n) standard deviation of the log data.
 func FitLogNormal(xs []float64) (LogNormal, error) {
-	return FitLogNormalSample(NewSample(xs))
-}
-
-// FitLogNormalSample is FitLogNormal over precomputed transforms: both
-// passes read the sample's log cache, so no logarithm is evaluated at fit
-// time. The result is bit-identical to FitLogNormal on the same data.
-func FitLogNormalSample(s *Sample) (LogNormal, error) {
-	return fitLogNormalKernel(&s.t)
+	return fitLogNormalKernel(&NewSample(xs).t)
 }

@@ -88,15 +88,7 @@ func (n Normal) Rand(src *randx.Source) float64 {
 }
 
 // FitNormal computes the maximum-likelihood normal fit (sample mean and
-// 1/n standard deviation). It builds a Sample per call; use FitNormalSample
-// to amortize the transforms.
+// 1/n standard deviation).
 func FitNormal(xs []float64) (Normal, error) {
-	return FitNormalSample(NewSample(xs))
-}
-
-// FitNormalSample is FitNormal over precomputed transforms (the cached Σx
-// and finiteness scan). The result is bit-identical to FitNormal on the
-// same data.
-func FitNormalSample(s *Sample) (Normal, error) {
-	return fitNormalKernel(&s.t)
+	return fitNormalKernel(&NewSample(xs).t)
 }

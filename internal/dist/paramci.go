@@ -16,20 +16,6 @@ func (c ParamCI) Contains(v float64) bool { return v >= c.Lo && v <= c.Hi }
 // Overlaps reports whether [Lo, Hi] intersects [lo, hi].
 func (c ParamCI) Overlaps(lo, hi float64) bool { return c.Lo <= hi && lo <= c.Hi }
 
-// FitCI fits a family by maximum likelihood and attaches a seeded
-// nonparametric percentile-bootstrap confidence interval to every fitted
-// parameter: resample the data with replacement, refit, and take the
-// (alpha/2, 1-alpha/2) quantiles of each parameter's resampled estimates.
-// The paper reports point estimates only ("Weibull shape parameter of
-// 0.7-0.8"); the intervals quantify how tight such a statement is for a
-// given sample, which is what turns the band into an assertable test.
-// reps <= 0 uses 200 resamples; level is the confidence level (e.g. 0.95).
-// The result is deterministic in (xs, reps, level, seed). It builds a
-// Sample per call; use FitCISample to amortize the transforms.
-func FitCI(f Family, xs []float64, reps int, level float64, seed int64) (Continuous, []ParamCI, error) {
-	return FitCISample(f, NewSample(xs), reps, level, seed)
-}
-
 // refitFn refits one family to a gathered resample, appending the fitted
 // parameter values (in ParamNames order) to out. ok is false for a
 // degenerate resample the bootstrap skips, exactly where FitSample would
@@ -94,7 +80,7 @@ func newRefitFn(f Family) refitFn {
 	case FamilyHyperExp:
 		sv := &hyperExpSolver{}
 		return func(t *xform, out []float64) ([]float64, bool) {
-			h, err := sv.fit(t, 0)
+			h, err := sv.fit(t)
 			if err != nil {
 				return out, false
 			}
@@ -105,9 +91,17 @@ func newRefitFn(f Family) refitFn {
 	}
 }
 
-// FitCISample is FitCI over a precomputed sample. Every bootstrap rep is an
-// index-resample that gathers values and cached logarithms from the
-// sample's transforms into scratch buffers owned by the loop — no
+// FitCISample fits a family by maximum likelihood and attaches a seeded
+// nonparametric percentile-bootstrap confidence interval to every fitted
+// parameter: resample the data with replacement, refit, and take the
+// (alpha/2, 1-alpha/2) quantiles of each parameter's resampled estimates.
+// The paper reports point estimates only ("Weibull shape parameter of
+// 0.7-0.8"); the intervals quantify how tight such a statement is for a
+// given sample, which is what turns the band into an assertable test.
+// reps <= 0 uses 200 resamples; level is the confidence level (e.g. 0.95).
+// The result is deterministic in (s, reps, level, seed). Every bootstrap
+// rep is an index-resample that gathers values and cached logarithms from
+// the sample's transforms into scratch buffers owned by the loop — no
 // re-walking, no per-rep slice allocation, no interface boxing — and the
 // family kernels refit from the gathered transforms. Each rep draws from
 // its own counter-derived seed (FNV-1a over the task seed and the rep

@@ -28,12 +28,6 @@ func NewPareto(xm, alpha float64) (Pareto, error) {
 	return Pareto{xm: xm, alpha: alpha}, nil
 }
 
-// Xm returns the scale (minimum) parameter.
-func (p Pareto) Xm() float64 { return p.xm }
-
-// Alpha returns the tail index.
-func (p Pareto) Alpha() float64 { return p.alpha }
-
 // ParamNames implements Parameterized.
 func (p Pareto) ParamNames() []string { return []string{"xm", "alpha"} }
 
@@ -114,11 +108,4 @@ func (p Pareto) Hazard(t float64) float64 {
 // Rand implements Continuous.
 func (p Pareto) Rand(src *randx.Source) float64 {
 	return src.Pareto(p.xm, p.alpha)
-}
-
-// FitParetoSample computes the maximum-likelihood Pareto fit over the
-// sample's precomputed transforms (the cached minimum and positivity
-// scan): xm is the sample minimum and alpha = n / Σ ln(x_i / xm).
-func FitParetoSample(s *Sample) (Pareto, error) {
-	return fitParetoKernel(&s.t)
 }

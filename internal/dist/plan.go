@@ -22,7 +22,7 @@ import (
 // The lifecycle is NewCIPlan (validate + point fit, once) → RunBlock (any
 // worker, any order; one scratch buffer and one reseedable source per
 // block, zero allocations per rep) → Merge (rep-index order, quantile
-// epilogue). FitCISample and BootstrapKSTestSample are now the one-block
+// epilogue). FitCISample and BootstrapKSTest are the one-block
 // degenerate form of the same pipeline.
 
 // repSeed derives the deterministic seed of bootstrap rep r from the plan
@@ -244,7 +244,7 @@ type KSBlock struct {
 }
 
 // NewKSPlan validates the request, fits the family and measures the
-// observed KS statistic — everything BootstrapKSTestSample does before its
+// observed KS statistic — everything BootstrapKSTest does before its
 // replication loop. reps <= 0 uses 200.
 func NewKSPlan(f Family, s *Sample, reps int, seed int64) (*KSPlan, error) {
 	if s.N() < 5 {
@@ -276,9 +276,6 @@ func NewKSPlan(f Family, s *Sample, reps int, seed int64) (*KSPlan, error) {
 	}, nil
 }
 
-// Reps returns the effective replication count the plan will run.
-func (p *KSPlan) Reps() int { return p.reps }
-
 // RunBlock executes replications [lo, hi), reseeding per replication from
 // repSeed(plan seed, rep) so the block decomposition never changes the
 // draws.
@@ -302,8 +299,7 @@ func (p *KSPlan) RunBlock(lo, hi int) KSBlock {
 		blk.Exceed, blk.OK = ksBlock(p.fitted.(Pareto), fitParetoKernel, p.s.N(), lo, hi, p.seed, src, p.observed)
 	case FamilyHyperExp:
 		sv := &hyperExpSolver{}
-		refit := func(t *xform) (HyperExp, error) { return sv.fit(t, 0) }
-		blk.Exceed, blk.OK = ksBlock(p.fitted.(HyperExp), refit, p.s.N(), lo, hi, p.seed, src, p.observed)
+		blk.Exceed, blk.OK = ksBlock(p.fitted.(HyperExp), sv.fit, p.s.N(), lo, hi, p.seed, src, p.observed)
 	}
 	return blk
 }

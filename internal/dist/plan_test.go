@@ -105,7 +105,7 @@ func TestKSPartitionInvariance(t *testing.T) {
 		for _, f := range identityFamilies {
 			t.Run(name+"/"+f.String(), func(t *testing.T) {
 				s := NewSample(xs)
-				whole, wholeErr := BootstrapKSTestSample(f, s, reps, seed)
+				whole, wholeErr := BootstrapKSTest(f, xs, reps, seed)
 				if wholeErr != nil {
 					t.Skipf("whole-run error: %v", wholeErr)
 				}

@@ -42,7 +42,7 @@ func TestPropertyMLERecoversParameters(t *testing.T) {
 				// 99.9% the interval spans ~3.3 sigma and a fixed unlucky
 				// sample stays covered; 300 reps resolve the 0.05% quantile
 				// beyond just taking the block minimum.
-				_, cis, err := FitCI(tc.family, xs, 300, 0.999, seed)
+				_, cis, err := FitCISample(tc.family, NewSample(xs), 300, 0.999, seed)
 				if err != nil {
 					t.Fatal(err)
 				}

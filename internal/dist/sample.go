@@ -199,9 +199,9 @@ func (t *xform) gather(parent *xform, src *randx.Source) {
 // values plus every transform the maximum-likelihood fitters, NLL loops and
 // bootstrap kernels consume (log cache, Σx, Σ log x, extrema, log max), with
 // the sorted order, empirical CDF and FNV-1a identity hash computed lazily
-// exactly once. Build it once per sample and pass it to the *Sample fitter
-// variants; the slice-based fitters are thin wrappers that construct a
-// Sample per call.
+// exactly once. FitSample, FitOne, NewCIPlan and NewKSPlan take one; the
+// slice entry points (FitAll, the FitX fitters, BootstrapKSTest) build one
+// per call.
 //
 // A Sample is safe for concurrent use by multiple goroutines once
 // constructed.

@@ -163,7 +163,7 @@ func TestFitSampleBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestFitAllSampleBitIdenticalToReference checks the full comparison —
+// TestFitAllSampleBitIdenticalToReference checks FitAll's full comparison —
 // NLL, AIC and KS per family, and the ranked order — against the frozen
 // reference, on the identity samples and on every shard sample of a small
 // generated trace.
@@ -172,7 +172,7 @@ func TestFitAllSampleBitIdenticalToReference(t *testing.T) {
 		xs := in.xs
 		t.Run(in.name, func(t *testing.T) {
 			ref, refErr := RefFitAll(xs, identityFamilies...)
-			ker, kerErr := FitAllSample(NewSample(xs), identityFamilies...)
+			ker, kerErr := FitAll(xs, identityFamilies...)
 			if sameError(t, refErr, kerErr) {
 				return
 			}
@@ -254,7 +254,7 @@ func refLoopFitCI(f Family, xs []float64, reps int, level float64, seed int64) (
 	return fitted, cis, nil
 }
 
-// refLoopKSTest is BootstrapKSTestSample written out against the frozen
+// refLoopKSTest is BootstrapKSTest written out against the frozen
 // reference fitter: each replication reseeds from repSeed(seed, r), draws
 // a parametric sample with fitted.Rand, refits with RefFit and counts the
 // replication as exceeding when stats.NewECDF(sample).KolmogorovSmirnov
@@ -333,7 +333,7 @@ func TestFitCIBitIdenticalToReference(t *testing.T) {
 }
 
 // TestBootstrapKSBitIdenticalToReference pins the live parametric-bootstrap
-// KS test the same way: BootstrapKSTestSample must return refLoopKSTest's
+// KS test the same way: BootstrapKSTest must return refLoopKSTest's
 // observed statistic, p-value and replication count, so the devirtualized
 // draw, the reused solvers and ksStat are checked against RefFit and the
 // ECDF's own KolmogorovSmirnov on every replication.
@@ -347,7 +347,7 @@ func TestBootstrapKSBitIdenticalToReference(t *testing.T) {
 		for _, f := range identityFamilies {
 			t.Run(name+"/"+f.String(), func(t *testing.T) {
 				ref, refErr := refLoopKSTest(f, xs, reps, seed)
-				ker, kerErr := BootstrapKSTestSample(f, NewSample(xs), reps, seed)
+				ker, kerErr := BootstrapKSTest(f, xs, reps, seed)
 				if sameError(t, refErr, kerErr) {
 					return
 				}
@@ -479,7 +479,7 @@ func BenchmarkFitWeibull(b *testing.B) {
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := FitWeibullSample(s); err != nil {
+			if _, err := FitSample(FamilyWeibull, s); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -132,16 +132,7 @@ func (w Weibull) Rand(src *randx.Source) float64 {
 
 // FitWeibull computes the maximum-likelihood Weibull fit for strictly
 // positive data. The profile likelihood reduces the problem to a 1-D root
-// find in the shape parameter, solved with Brent's method. It builds a
-// Sample per call; use FitWeibullSample to amortize the transforms.
+// find in the shape parameter, solved with Brent's method.
 func FitWeibull(xs []float64) (Weibull, error) {
-	return FitWeibullSample(NewSample(xs))
-}
-
-// FitWeibullSample is FitWeibull over precomputed transforms: the score
-// function reads the sample's log cache instead of recomputing two
-// logarithms per observation per solver iteration, leaving one math.Exp per
-// observation. The result is bit-identical to FitWeibull on the same data.
-func FitWeibullSample(s *Sample) (Weibull, error) {
-	return newWeibullSolver().fit(&s.t)
+	return newWeibullSolver().fit(&NewSample(xs).t)
 }

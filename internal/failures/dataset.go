@@ -255,15 +255,6 @@ func (d *Dataset) CountByDetail() map[string]int {
 	return out
 }
 
-// Merge combines several datasets into one time-ordered dataset.
-func Merge(ds ...*Dataset) *Dataset {
-	parts := make([][]Record, len(ds))
-	for i, d := range ds {
-		parts[i] = d.records
-	}
-	return &Dataset{records: SortedByStart(parts)}
-}
-
 // OffsetHours returns each record's start time as hours since origin,
 // keeping only non-negative offsets — the event-time form consumed by
 // trend tests and power-law fits. A record starting exactly at origin is

@@ -241,17 +241,12 @@ func TestCountByDetail(t *testing.T) {
 }
 
 func TestTimeSpanAndMerge(t *testing.T) {
-	d1, err := NewDataset([]Record{rec(1, 0, 100, 5, CauseHardware)})
+	m, err := NewDataset([]Record{rec(1, 0, 100, 5, CauseHardware), rec(2, 0, 0, 5, CauseSoftware)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := NewDataset([]Record{rec(2, 0, 0, 5, CauseSoftware)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Merge(d1, d2)
 	if m.Len() != 2 || m.At(0).System != 2 {
-		t.Fatal("merge should re-sort by start time")
+		t.Fatal("NewDataset should sort merged records by start time")
 	}
 	first, last, err := m.TimeSpan()
 	if err != nil {

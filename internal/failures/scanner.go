@@ -35,7 +35,6 @@ type Scanner struct {
 	ctx     context.Context
 
 	rec     Record
-	line    int
 	rowErrs []RowError
 	err     error
 	done    bool
@@ -124,16 +123,12 @@ func (s *Scanner) Scan() bool {
 			return false
 		}
 		s.rec = rec
-		s.line = line
 		return true
 	}
 }
 
 // Record returns the record produced by the last successful Scan.
 func (s *Scanner) Record() Record { return s.rec }
-
-// Line returns the input line on which the last scanned record started.
-func (s *Scanner) Line() int { return s.line }
 
 // RowErrors returns the malformed rows skipped so far in lenient mode,
 // each with the true input line of the offending row.

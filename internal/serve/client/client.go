@@ -251,17 +251,3 @@ func (c *Client) Result(ctx context.Context, tenant string) (json.RawMessage, er
 	err := c.get(ctx, fmt.Sprintf("/v1/tenants/%s/result", tenant), &raw)
 	return raw, err
 }
-
-// Rates fetches a tenant's per-shard failure rates as raw JSON.
-func (c *Client) Rates(ctx context.Context, tenant string) (json.RawMessage, error) {
-	var raw json.RawMessage
-	err := c.get(ctx, fmt.Sprintf("/v1/tenants/%s/rates", tenant), &raw)
-	return raw, err
-}
-
-// Summary fetches a tenant's ingest counters as raw JSON.
-func (c *Client) Summary(ctx context.Context, tenant string) (json.RawMessage, error) {
-	var raw json.RawMessage
-	err := c.get(ctx, fmt.Sprintf("/v1/tenants/%s/summary", tenant), &raw)
-	return raw, err
-}

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -255,18 +254,11 @@ func TestClientAgainstRealServer(t *testing.T) {
 	var summary struct {
 		Records int `json:"records"`
 	}
-	raw, err := c.Summary(ctx, "alpha")
-	if err != nil {
+	if err := c.get(ctx, "/v1/tenants/alpha/summary", &summary); err != nil {
 		t.Fatalf("summary: %v", err)
-	}
-	if err := json.Unmarshal(raw, &summary); err != nil {
-		t.Fatalf("decode summary: %v", err)
 	}
 	if summary.Records != 2 {
 		t.Fatalf("records = %d, want 2 (exactly-once)", summary.Records)
-	}
-	if _, err := c.Rates(ctx, "alpha"); err != nil {
-		t.Fatalf("rates: %v", err)
 	}
 	if _, err := c.Result(ctx, "alpha"); err != nil {
 		t.Fatalf("result: %v", err)

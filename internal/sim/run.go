@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -194,8 +195,22 @@ func RunOne(s RunSpec) (RunResult, error) {
 	}, nil
 }
 
-// hoursOf converts a spec value in hours to a duration.
-func hoursOf(h float64) time.Duration { return time.Duration(h * float64(time.Hour)) }
+// hoursOf converts the hour values of one spec token to durations. It
+// rejects NaN, ±Inf and any value outside time.Duration's int64
+// nanosecond range, naming the token.
+func hoursOf(spec string, hs ...float64) ([]time.Duration, error) {
+	ds := make([]time.Duration, len(hs))
+	for i, h := range hs {
+		ns := h * float64(time.Hour)
+		// As a float64, math.MaxInt64 rounds up to 2^63, the first value
+		// that overflows.
+		if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+			return nil, fmt.Errorf("%q: %g hours is outside the range of a duration", spec, h)
+		}
+		ds[i] = time.Duration(ns)
+	}
+	return ds, nil
+}
 
 // splitParams parses the numeric parameters of a name:p1:p2 spec and
 // checks their count against the allowed arities.
@@ -291,14 +306,22 @@ func ParseRetrySpec(spec string, maxRetries int) (resilience.RetryPolicy, error)
 		if p[0] < 0 {
 			return nil, fmt.Errorf("negative delay %g", p[0])
 		}
-		return resilience.FixedBackoff{Delay: hoursOf(p[0]), MaxRetries: maxRetries}, nil
+		d, err := hoursOf(spec, p[0])
+		if err != nil {
+			return nil, err
+		}
+		return resilience.FixedBackoff{Delay: d[0], MaxRetries: maxRetries}, nil
 	case "expo":
 		p, err := splitParams(spec, 3, 4)
 		if err != nil {
 			return nil, err
 		}
+		d, err := hoursOf(spec, p[0], p[1])
+		if err != nil {
+			return nil, err
+		}
 		eb := resilience.ExponentialBackoff{
-			Base: hoursOf(p[0]), Max: hoursOf(p[1]), Jitter: p[2], MaxRetries: maxRetries,
+			Base: d[0], Max: d[1], Jitter: p[2], MaxRetries: maxRetries,
 		}
 		if len(p) == 4 {
 			if p[3] <= 1 {
@@ -329,7 +352,11 @@ func ParseFenceSpec(spec string) (resilience.FencingPolicy, error) {
 		if err != nil {
 			return nil, err
 		}
-		return resilience.NewWindowFencing(int(p[0]), hoursOf(p[1]), hoursOf(p[2]))
+		d, err := hoursOf(spec, p[1], p[2])
+		if err != nil {
+			return nil, err
+		}
+		return resilience.NewWindowFencing(int(p[0]), d[0], d[1])
 	default:
 		return nil, fmt.Errorf("unknown policy %q", kind)
 	}
@@ -352,13 +379,21 @@ func ParseDetectSpec(spec string) (resilience.DetectionModel, error) {
 		if p[0] < 0 {
 			return nil, fmt.Errorf("negative lag %g", p[0])
 		}
-		return resilience.FixedDetection{Delay: hoursOf(p[0])}, nil
+		d, err := hoursOf(spec, p[0])
+		if err != nil {
+			return nil, err
+		}
+		return resilience.FixedDetection{Delay: d[0]}, nil
 	case "uniform":
 		p, err := splitParams(spec, 2)
 		if err != nil {
 			return nil, err
 		}
-		ud := resilience.UniformDetection{Min: hoursOf(p[0]), Max: hoursOf(p[1])}
+		d, err := hoursOf(spec, p[0], p[1])
+		if err != nil {
+			return nil, err
+		}
+		ud := resilience.UniformDetection{Min: d[0], Max: d[1]}
 		if err := ud.Validate(); err != nil {
 			return nil, err
 		}
@@ -414,14 +449,18 @@ func ParseBurstSpec(spec string) (resilience.Burst, error) {
 		}
 		p[i] = v
 	}
-	b := resilience.Burst{
-		At: hoursOf(p[0]), FirstNode: int(p[1]), Span: int(p[2]),
-		FailProb: p[3], RepairHours: p[4],
-	}
+	spread := 0.0
 	if len(p) == 6 {
-		b.Spread = hoursOf(p[5])
+		spread = p[5]
 	}
-	return b, nil
+	d, err := hoursOf(spec, p[0], spread)
+	if err != nil {
+		return resilience.Burst{}, err
+	}
+	return resilience.Burst{
+		At: d[0], FirstNode: int(p[1]), Span: int(p[2]),
+		FailProb: p[3], RepairHours: p[4], Spread: d[1],
+	}, nil
 }
 
 // ParseScenarioSpec builds an injection scenario from burst, inflation
@@ -440,8 +479,12 @@ func ParseScenarioSpec(bursts []string, inflate, cascade string) (resilience.Sce
 		if err != nil {
 			return sc, fmt.Errorf("repair-inflate: %w", err)
 		}
+		d, err := hoursOf(inflate, p[0], p[1])
+		if err != nil {
+			return sc, fmt.Errorf("repair-inflate: %w", err)
+		}
 		sc.Inflations = append(sc.Inflations, resilience.RepairInflation{
-			From: hoursOf(p[0]), Until: hoursOf(p[1]), Factor: p[2],
+			From: d[0], Until: d[1], Factor: p[2],
 		})
 	}
 	if cascade != "" {
@@ -449,7 +492,11 @@ func ParseScenarioSpec(bursts []string, inflate, cascade string) (resilience.Sce
 		if err != nil {
 			return sc, fmt.Errorf("cascade: %w", err)
 		}
-		sc.Cascade = &resilience.Cascade{Prob: p[0], Lag: hoursOf(p[1]), RepairHours: p[2]}
+		d, err := hoursOf(cascade, p[1])
+		if err != nil {
+			return sc, fmt.Errorf("cascade: %w", err)
+		}
+		sc.Cascade = &resilience.Cascade{Prob: p[0], Lag: d[0], RepairHours: p[2]}
 	}
 	return sc, nil
 }

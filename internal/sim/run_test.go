@@ -1,7 +1,12 @@
 package sim
 
 import (
+	"strconv"
+	"strings"
 	"testing"
+	"time"
+
+	"hpcfail/internal/resilience"
 )
 
 // scenarioSpecs are the injection variants the replay-determinism
@@ -149,5 +154,48 @@ func TestRunOneValidation(t *testing.T) {
 		if _, err := RunOne(spec); err == nil {
 			t.Errorf("mutation %d: RunOne accepted a bad spec", i)
 		}
+	}
+}
+
+// TestSpecHoursOutsideDuration checks that every spec parser rejects an
+// hour value that time.Duration cannot hold (beyond ±2^63 ns, about
+// ±2.56 million hours, or NaN or ±Inf) and names the token, instead of
+// wrapping it into a nonsense duration.
+func TestSpecHoursOutsideDuration(t *testing.T) {
+	cases := []struct {
+		name, token string
+		parse       func() error
+	}{
+		{"retry fixed", "fixed:1e13", func() error { _, err := ParseRetrySpec("fixed:1e13", 3); return err }},
+		{"retry fixed NaN", "fixed:NaN", func() error { _, err := ParseRetrySpec("fixed:NaN", 3); return err }},
+		{"retry expo base", "expo:Inf:8:0.5", func() error { _, err := ParseRetrySpec("expo:Inf:8:0.5", 3); return err }},
+		{"retry expo max", "expo:1:1e13:0.5", func() error { _, err := ParseRetrySpec("expo:1:1e13:0.5", 3); return err }},
+		{"fence window", "window:2:1e13:24", func() error { _, err := ParseFenceSpec("window:2:1e13:24"); return err }},
+		{"fence probation", "window:2:48:-Inf", func() error { _, err := ParseFenceSpec("window:2:48:-Inf"); return err }},
+		{"detect fixed", "fixed:1e13", func() error { _, err := ParseDetectSpec("fixed:1e13"); return err }},
+		{"detect uniform", "uniform:NaN:1", func() error { _, err := ParseDetectSpec("uniform:NaN:1"); return err }},
+		{"burst at", "1e13:0:4:1:2", func() error { _, err := ParseBurstSpec("1e13:0:4:1:2"); return err }},
+		{"burst at negative", "-1e13:0:4:1:2", func() error { _, err := ParseBurstSpec("-1e13:0:4:1:2"); return err }},
+		{"burst spread", "1:0:4:1:2:Inf", func() error { _, err := ParseBurstSpec("1:0:4:1:2:Inf"); return err }},
+		{"inflate", "0:1e13:2", func() error { _, err := ParseScenarioSpec(nil, "0:1e13:2", ""); return err }},
+		{"cascade", "0.5:NaN:12", func() error { _, err := ParseScenarioSpec(nil, "", "0.5:NaN:12"); return err }},
+	}
+	for _, c := range cases {
+		err := c.parse()
+		if err == nil {
+			t.Errorf("%s: %q accepted", c.name, c.token)
+			continue
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(c.token)) || !strings.Contains(err.Error(), "range of a duration") {
+			t.Errorf("%s: error %q does not name %q and the duration range", c.name, err, c.token)
+		}
+	}
+	// Hour values a duration holds still parse.
+	r, err := ParseRetrySpec("fixed:2.5e6", 3)
+	if err != nil {
+		t.Fatalf("fixed:2.5e6: %v", err)
+	}
+	if got := r.(resilience.FixedBackoff).Delay; got != 2.5e6*time.Hour {
+		t.Fatalf("fixed:2.5e6 delay = %v", got)
 	}
 }

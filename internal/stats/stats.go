@@ -100,20 +100,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
 // Quantile returns the q-th sample quantile (0 <= q <= 1) using linear
 // interpolation between order statistics (type-7, the R default). A sample
 // containing NaN is rejected with ErrNaN: sort.Float64s places NaNs
@@ -148,11 +134,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := h - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the sample median.
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
 }
 
 // ECDF is an empirical cumulative distribution function built from a sample.

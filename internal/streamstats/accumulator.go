@@ -63,9 +63,6 @@ func (a *Accumulator) AddKeyed(k Key) {
 // N returns the observation count.
 func (a *Accumulator) N() int { return a.moments.N() }
 
-// Moments exposes the running moments.
-func (a *Accumulator) Moments() *Moments { return &a.moments }
-
 // Quantile returns the sketched q-th quantile.
 func (a *Accumulator) Quantile(q float64) (float64, error) { return a.sketch.Quantile(q) }
 
