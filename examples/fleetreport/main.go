@@ -10,7 +10,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"hpcfail/internal/analysis"
@@ -23,12 +25,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	dataset, err := lanl.NewGenerator(lanl.Config{Seed: 1}).Generate()
 	if err != nil {
 		return fmt.Errorf("generate: %w", err)
@@ -68,8 +70,8 @@ func run() error {
 			fmt.Sprintf("%.4f", avail),
 		)
 	}
-	fmt.Println("Fleet health (per system)")
-	fmt.Print(table.String())
+	fmt.Fprintln(w, "Fleet health (per system)")
+	fmt.Fprint(w, table.String())
 
 	// Worst nodes fleet-wide: candidates for replacement or for hosting
 	// only low-priority work.
@@ -83,13 +85,23 @@ func run() error {
 			worst = append(worst, nodeRate{id, node, count})
 		}
 	}
-	sort.Slice(worst, func(i, j int) bool { return worst[i].count > worst[j].count })
-	fmt.Println("\nTop 10 failure-prone nodes fleet-wide")
+	// Ties break by (system, node): the rows come from map iteration.
+	sort.Slice(worst, func(i, j int) bool {
+		a, b := worst[i], worst[j]
+		if a.count != b.count {
+			return a.count > b.count
+		}
+		if a.system != b.system {
+			return a.system < b.system
+		}
+		return a.node < b.node
+	})
+	fmt.Fprintln(w, "\nTop 10 failure-prone nodes fleet-wide")
 	topTable := report.NewTable("System", "Node", "Failures", "Workload note")
 	for i := 0; i < 10 && i < len(worst); i++ {
-		w := worst[i]
+		nr := worst[i]
 		note := ""
-		if rec := dataset.ByNode(w.system, w.node); rec.Len() > 0 {
+		if rec := dataset.ByNode(nr.system, nr.node); rec.Len() > 0 {
 			switch rec.At(0).Workload {
 			case failures.WorkloadGraphics:
 				note = "graphics/visualization node"
@@ -97,18 +109,18 @@ func run() error {
 				note = "front-end node"
 			}
 		}
-		topTable.AddRow(fmt.Sprintf("%d", w.system), fmt.Sprintf("%d", w.node),
-			fmt.Sprintf("%d", w.count), note)
+		topTable.AddRow(fmt.Sprintf("%d", nr.system), fmt.Sprintf("%d", nr.node),
+			fmt.Sprintf("%d", nr.count), note)
 	}
-	fmt.Print(topTable.String())
+	fmt.Fprint(w, topTable.String())
 
 	// Downtime cost attribution: where do the lost node-hours go?
 	downtime, err := analysis.DowntimeBreakdown(dataset, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Println()
-	fmt.Print(report.Figure1("Downtime attribution (fleet-wide)", downtime))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, report.Figure1("Downtime attribution (fleet-wide)", downtime))
 
 	// Repair-time tail risk: what does the 95th percentile repair look
 	// like compared with the median?
@@ -125,9 +137,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nrepair tail risk: median %.0f min, p95 %.0f min, p99 %.0f min\n", med, p95, p99)
-	fmt.Println("the heavy lognormal tail (Figure 7a) means capacity planning must budget")
-	fmt.Println("for repairs an order of magnitude beyond the median.")
+	fmt.Fprintf(w, "\nrepair tail risk: median %.0f min, p95 %.0f min, p99 %.0f min\n", med, p95, p99)
+	fmt.Fprintln(w, "the heavy lognormal tail (Figure 7a) means capacity planning must budget")
+	fmt.Fprintln(w, "for repairs an order of magnitude beyond the median.")
 
 	// How sure are we about the headline shape? The analysis engine fits
 	// the worst system's TBF with bootstrap confidence intervals.
@@ -138,7 +150,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nSystem 20 fit uncertainty (engine, B=100 bootstrap)")
-	fmt.Print(report.FleetTable(fleet, eng.Level()))
+	fmt.Fprintln(w, "\nSystem 20 fit uncertainty (engine, B=100 bootstrap)")
+	fmt.Fprint(w, report.FleetTable(fleet, eng.Level()))
 	return nil
 }

@@ -1,7 +1,11 @@
 package dist
 
 import (
+	"fmt"
 	"math"
+	"sort"
+
+	"hpcfail/internal/randx"
 )
 
 // KSTestResult is the outcome of a parametric-bootstrap Kolmogorov–Smirnov
@@ -26,28 +30,74 @@ type KSTestResult struct {
 // measure KS, then repeatedly simulate same-size samples from the fit,
 // refit, and compare statistics. reps <= 0 uses 200 replications. Each
 // replication generates into a scratch transform buffer, refits with the
-// family kernel, and evaluates the KS statistic with a direct
-// (devirtualized) CDF call over a reused sort buffer — no per-rep slice,
-// ECDF or interface allocation. Each replication draws from its own
-// counter-derived seed, so this one-block call is bit-identical to any
-// partition of the same reps across workers via KSPlan.RunBlock, and to a
-// replication loop that refits each reseeded sample with RefFit.
+// family's refitter, and evaluates the KS statistic with the refitter's
+// unboxed CDF over a reused sort buffer — no per-rep slice, ECDF or
+// interface allocation. Replication r draws from its own seed,
+// repSeed(seed, r), so the result is bit-identical to a replication loop
+// that refits each reseeded sample with RefFit.
 func BootstrapKSTest(f Family, xs []float64, reps int, seed int64) (KSTestResult, error) {
-	p, err := NewKSPlan(f, NewSample(xs), reps, seed)
-	if err != nil {
-		return KSTestResult{}, err
+	s := NewSample(xs)
+	n := s.N()
+	if n < 5 {
+		return KSTestResult{}, fmt.Errorf("bootstrap KS: need >= 5 observations: %w", ErrInsufficientData)
 	}
-	return p.Merge([]KSBlock{p.RunBlock(0, p.reps)})
+	if reps <= 0 {
+		reps = 200
+	}
+	fit := newRefitter(f)
+	if fit == nil {
+		return KSTestResult{}, fmt.Errorf("bootstrap KS: unknown family %v: %w", f, ErrBadParam)
+	}
+	if err := fit.refit(&s.t); err != nil {
+		return KSTestResult{}, fmt.Errorf("bootstrap KS: %w", err)
+	}
+	fitted := fit.fitted()
+	ecdf, err := s.ECDF()
+	if err != nil {
+		return KSTestResult{}, fmt.Errorf("bootstrap KS: %w", err)
+	}
+	observed := ecdf.KolmogorovSmirnov(fitted.CDF)
+
+	src := randx.NewSource(0)
+	scratch := xform{xs: make([]float64, n)}
+	sorted := make([]float64, n)
+	var exceed, ok int
+	for r := 0; r < reps; r++ {
+		src.Reseed(repSeed(seed, r))
+		for i := range scratch.xs {
+			scratch.xs[i] = fitted.Rand(src)
+		}
+		scratch.scan()
+		if fit.refit(&scratch) != nil {
+			continue // a degenerate sample; skip it
+		}
+		copy(sorted, scratch.xs)
+		sort.Float64s(sorted)
+		ok++
+		if ksStat(fit, sorted) >= observed {
+			exceed++
+		}
+	}
+	if ok == 0 {
+		return KSTestResult{}, fmt.Errorf("bootstrap KS: every replication failed: %w", ErrInsufficientData)
+	}
+	return KSTestResult{
+		Family:       f,
+		Dist:         fitted,
+		KS:           observed,
+		P:            float64(exceed) / float64(ok),
+		Replications: ok,
+	}, nil
 }
 
 // ksStat replicates stats.ECDF.KolmogorovSmirnov over an already-sorted
-// slice with a direct CDF call. The loop body and accumulation order match
+// slice with the refitter's CDF. The loop body and accumulation order match
 // the ECDF method exactly, so the statistic carries the same bits.
-func ksStat[D Continuous](d D, sorted []float64) float64 {
+func ksStat(fit refitter, sorted []float64) float64 {
 	n := float64(len(sorted))
 	maxDiff := 0.0
 	for i, x := range sorted {
-		f := d.CDF(x)
+		f := fit.cdf(x)
 		// Compare against both the pre- and post-step value of the ECDF.
 		dPlus := math.Abs(float64(i+1)/n - f)
 		dMinus := math.Abs(f - float64(i)/n)

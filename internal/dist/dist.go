@@ -70,26 +70,8 @@ type Hazarder interface {
 }
 
 // NegLogLikelihood computes -Σ log f(x_i) for a fitted continuous
-// distribution, the paper's model comparison score (lower is better). The
-// four standard families reach nllOf as their concrete types; every family
-// sums the same values in the same order.
+// distribution, the paper's model comparison score (lower is better).
 func NegLogLikelihood(d Continuous, xs []float64) (float64, error) {
-	switch t := d.(type) {
-	case Exponential:
-		return nllOf(t, xs)
-	case Weibull:
-		return nllOf(t, xs)
-	case Gamma:
-		return nllOf(t, xs)
-	case LogNormal:
-		return nllOf(t, xs)
-	default:
-		return nllOf(d, xs)
-	}
-}
-
-// nllOf is the NLL loop.
-func nllOf[D Continuous](d D, xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return math.NaN(), ErrInsufficientData
 	}

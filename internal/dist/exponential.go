@@ -35,7 +35,9 @@ func (e Exponential) Rate() float64 { return e.rate }
 func (e Exponential) ParamNames() []string { return []string{"rate"} }
 
 // ParamValues implements Parameterized.
-func (e Exponential) ParamValues() []float64 { return []float64{e.rate} }
+func (e Exponential) ParamValues() []float64 { return e.appendParams(nil) }
+
+func (e Exponential) appendParams(out []float64) []float64 { return append(out, e.rate) }
 
 // Name implements Continuous.
 func (e Exponential) Name() string { return "exponential" }

@@ -50,26 +50,81 @@ func StandardFamilies() []Family {
 	return []Family{FamilyExponential, FamilyWeibull, FamilyGamma, FamilyLogNormal}
 }
 
-// FitSample dispatches to the kernel maximum-likelihood fitter for the
-// family, reusing the sample's precomputed transforms.
+// FitSample fits the family by maximum likelihood, reusing the sample's
+// precomputed transforms.
 func FitSample(f Family, s *Sample) (Continuous, error) {
+	r := newRefitter(f)
+	if r == nil {
+		return nil, fmt.Errorf("fit: unknown family %v: %w", f, ErrBadParam)
+	}
+	if err := r.refit(&s.t); err != nil {
+		return nil, err
+	}
+	return r.fitted(), nil
+}
+
+// refitter is one family's maximum-likelihood fitter together with its
+// solver state (score closures, EM buffers) and its latest fit. FitSample
+// and both bootstrap rep loops fit through it; the loops build one per
+// block and refit it once per rep without allocating.
+type refitter interface {
+	// refit fits the family to t, keeping the previous fit on error.
+	refit(t *xform) error
+	// fitted returns the latest fit.
+	fitted() Continuous
+	// cdf is the latest fit's CDF, called without boxing the fit.
+	cdf(x float64) float64
+	// appendParams appends the latest fit's ParamValues to out.
+	appendParams(out []float64) []float64
+}
+
+// fittedDist is a distribution the refitter can hold unboxed.
+type fittedDist interface {
+	Continuous
+	appendParams(out []float64) []float64
+}
+
+// kernel adapts a family's fit kernel to refitter.
+type kernel[D fittedDist] struct {
+	fit func(*xform) (D, error)
+	d   D
+}
+
+func (k *kernel[D]) refit(t *xform) error {
+	d, err := k.fit(t)
+	if err != nil {
+		return err
+	}
+	k.d = d
+	return nil
+}
+
+func (k *kernel[D]) fitted() Continuous { return k.d }
+
+func (k *kernel[D]) cdf(x float64) float64 { return k.d.CDF(x) }
+
+func (k *kernel[D]) appendParams(out []float64) []float64 { return k.d.appendParams(out) }
+
+// newRefitter builds the family's refitter, or returns nil for an unknown
+// family.
+func newRefitter(f Family) refitter {
 	switch f {
 	case FamilyExponential:
-		return fitExponentialKernel(&s.t)
+		return &kernel[Exponential]{fit: fitExponentialKernel}
 	case FamilyWeibull:
-		return newWeibullSolver().fit(&s.t)
+		return &kernel[Weibull]{fit: newWeibullSolver().fit}
 	case FamilyGamma:
-		return newGammaSolver().fit(&s.t)
+		return &kernel[Gamma]{fit: newGammaSolver().fit}
 	case FamilyLogNormal:
-		return fitLogNormalKernel(&s.t)
+		return &kernel[LogNormal]{fit: fitLogNormalKernel}
 	case FamilyNormal:
-		return fitNormalKernel(&s.t)
+		return &kernel[Normal]{fit: fitNormalKernel}
 	case FamilyPareto:
-		return fitParetoKernel(&s.t)
+		return &kernel[Pareto]{fit: fitParetoKernel}
 	case FamilyHyperExp:
-		return new(hyperExpSolver).fit(&s.t)
+		return &kernel[HyperExp]{fit: new(hyperExpSolver).fit}
 	default:
-		return nil, fmt.Errorf("fit: unknown family %v: %w", f, ErrBadParam)
+		return nil
 	}
 }
 

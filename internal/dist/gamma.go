@@ -38,7 +38,9 @@ func (g Gamma) Scale() float64 { return g.scale }
 func (g Gamma) ParamNames() []string { return []string{"shape", "scale"} }
 
 // ParamValues implements Parameterized.
-func (g Gamma) ParamValues() []float64 { return []float64{g.shape, g.scale} }
+func (g Gamma) ParamValues() []float64 { return g.appendParams(nil) }
+
+func (g Gamma) appendParams(out []float64) []float64 { return append(out, g.shape, g.scale) }
 
 // Name implements Continuous.
 func (g Gamma) Name() string { return "gamma" }

@@ -39,7 +39,9 @@ func NewHyperExp(p, rate1, rate2 float64) (HyperExp, error) {
 func (h HyperExp) ParamNames() []string { return []string{"p", "rate1", "rate2"} }
 
 // ParamValues implements Parameterized.
-func (h HyperExp) ParamValues() []float64 { return []float64{h.p, h.rate1, h.rate2} }
+func (h HyperExp) ParamValues() []float64 { return h.appendParams(nil) }
+
+func (h HyperExp) appendParams(out []float64) []float64 { return append(out, h.p, h.rate1, h.rate2) }
 
 // Name implements Continuous.
 func (h HyperExp) Name() string { return "hyperexp" }

@@ -38,7 +38,9 @@ func (l LogNormal) Sigma() float64 { return l.sigma }
 func (l LogNormal) ParamNames() []string { return []string{"mu", "sigma"} }
 
 // ParamValues implements Parameterized.
-func (l LogNormal) ParamValues() []float64 { return []float64{l.mu, l.sigma} }
+func (l LogNormal) ParamValues() []float64 { return l.appendParams(nil) }
+
+func (l LogNormal) appendParams(out []float64) []float64 { return append(out, l.mu, l.sigma) }
 
 // Name implements Continuous.
 func (l LogNormal) Name() string { return "lognormal" }

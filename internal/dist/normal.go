@@ -35,7 +35,9 @@ func (n Normal) Sigma() float64 { return n.sigma }
 func (n Normal) ParamNames() []string { return []string{"mu", "sigma"} }
 
 // ParamValues implements Parameterized.
-func (n Normal) ParamValues() []float64 { return []float64{n.mu, n.sigma} }
+func (n Normal) ParamValues() []float64 { return n.appendParams(nil) }
+
+func (n Normal) appendParams(out []float64) []float64 { return append(out, n.mu, n.sigma) }
 
 // Name implements Continuous.
 func (n Normal) Name() string { return "normal" }

@@ -16,81 +16,6 @@ func (c ParamCI) Contains(v float64) bool { return v >= c.Lo && v <= c.Hi }
 // Overlaps reports whether [Lo, Hi] intersects [lo, hi].
 func (c ParamCI) Overlaps(lo, hi float64) bool { return c.Lo <= hi && lo <= c.Hi }
 
-// refitFn refits one family to a gathered resample, appending the fitted
-// parameter values (in ParamNames order) to out. ok is false for a
-// degenerate resample the bootstrap skips, exactly where FitSample would
-// have errored.
-type refitFn func(t *xform, out []float64) ([]float64, bool)
-
-// newRefitFn builds the family's bootstrap refitter, hoisting solver state
-// (score closures, EM buffers) out of the rep loop so each rep is
-// allocation-free.
-func newRefitFn(f Family) refitFn {
-	switch f {
-	case FamilyExponential:
-		return func(t *xform, out []float64) ([]float64, bool) {
-			e, err := fitExponentialKernel(t)
-			if err != nil {
-				return out, false
-			}
-			return append(out, e.rate), true
-		}
-	case FamilyWeibull:
-		sv := newWeibullSolver()
-		return func(t *xform, out []float64) ([]float64, bool) {
-			w, err := sv.fit(t)
-			if err != nil {
-				return out, false
-			}
-			return append(out, w.shape, w.scale), true
-		}
-	case FamilyGamma:
-		sv := newGammaSolver()
-		return func(t *xform, out []float64) ([]float64, bool) {
-			g, err := sv.fit(t)
-			if err != nil {
-				return out, false
-			}
-			return append(out, g.shape, g.scale), true
-		}
-	case FamilyLogNormal:
-		return func(t *xform, out []float64) ([]float64, bool) {
-			l, err := fitLogNormalKernel(t)
-			if err != nil {
-				return out, false
-			}
-			return append(out, l.mu, l.sigma), true
-		}
-	case FamilyNormal:
-		return func(t *xform, out []float64) ([]float64, bool) {
-			n, err := fitNormalKernel(t)
-			if err != nil {
-				return out, false
-			}
-			return append(out, n.mu, n.sigma), true
-		}
-	case FamilyPareto:
-		return func(t *xform, out []float64) ([]float64, bool) {
-			p, err := fitParetoKernel(t)
-			if err != nil {
-				return out, false
-			}
-			return append(out, p.xm, p.alpha), true
-		}
-	case FamilyHyperExp:
-		sv := &hyperExpSolver{}
-		return func(t *xform, out []float64) ([]float64, bool) {
-			h, err := sv.fit(t)
-			if err != nil {
-				return out, false
-			}
-			return append(out, h.p, h.rate1, h.rate2), true
-		}
-	default:
-		return nil
-	}
-}
-
 // FitCISample fits a family by maximum likelihood and attaches a seeded
 // nonparametric percentile-bootstrap confidence interval to every fitted
 // parameter: resample the data with replacement, refit, and take the

@@ -32,7 +32,9 @@ func NewPareto(xm, alpha float64) (Pareto, error) {
 func (p Pareto) ParamNames() []string { return []string{"xm", "alpha"} }
 
 // ParamValues implements Parameterized.
-func (p Pareto) ParamValues() []float64 { return []float64{p.xm, p.alpha} }
+func (p Pareto) ParamValues() []float64 { return p.appendParams(nil) }
+
+func (p Pareto) appendParams(out []float64) []float64 { return append(out, p.xm, p.alpha) }
 
 // Name implements Continuous.
 func (p Pareto) Name() string { return "pareto" }

@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hpcfail/internal/randx"
 	"hpcfail/internal/stats"
@@ -20,10 +19,10 @@ import (
 // reproduces the single-threaded result bit for bit at every worker count.
 //
 // The lifecycle is NewCIPlan (validate + point fit, once) → RunBlock (any
-// worker, any order; one scratch buffer and one reseedable source per
-// block, zero allocations per rep) → Merge (rep-index order, quantile
-// epilogue). FitCISample and BootstrapKSTest are the one-block
-// degenerate form of the same pipeline.
+// worker, any order; one scratch buffer, one refitter and one reseedable
+// source per block, zero allocations per rep) → Merge (rep-index order,
+// quantile epilogue). FitCISample is the one-block degenerate form of the
+// same pipeline; BootstrapKSTest seeds its reps the same way.
 
 // repSeed derives the deterministic seed of bootstrap rep r from the plan
 // seed, by FNV-1a over the little-endian bytes of both — the same
@@ -92,9 +91,6 @@ func NewCIPlan(f Family, s *Sample, reps int, level float64, seed int64) (*CIPla
 	if len(names) != len(estimates) {
 		return nil, fmt.Errorf("fit CI %v: %d names vs %d values", f, len(names), len(estimates))
 	}
-	if newRefitFn(f) == nil {
-		return nil, fmt.Errorf("fit CI %v: no bootstrap kernel: %w", f, ErrUnsupported)
-	}
 	return &CIPlan{
 		family:    f,
 		s:         s,
@@ -116,21 +112,17 @@ func (p *CIPlan) Reps() int { return p.reps }
 // which block, worker or order ran it. Solver state and scratch buffers
 // are per block: reps themselves stay allocation-free.
 func (p *CIPlan) RunBlock(lo, hi int) CIBlock {
-	k := len(p.names)
-	blk := CIBlock{Lo: lo, Hi: hi, Vals: make([]float64, 0, (hi-lo)*k)}
-	refit := newRefitFn(p.family)
+	blk := CIBlock{Lo: lo, Hi: hi, Vals: make([]float64, 0, (hi-lo)*len(p.names))}
+	fit := newRefitter(p.family)
 	src := randx.NewSource(0)
 	var scratch xform
-	vals := make([]float64, 0, k)
 	for r := lo; r < hi; r++ {
 		src.Reseed(repSeed(p.seed, r))
 		scratch.gather(&p.s.t, src)
-		var ok bool
-		vals, ok = refit(&scratch, vals[:0])
-		if !ok {
+		if fit.refit(&scratch) != nil {
 			continue // degenerate resample
 		}
-		blk.Vals = append(blk.Vals, vals...)
+		blk.Vals = fit.appendParams(blk.Vals)
 		blk.OK++
 	}
 	return blk
@@ -142,10 +134,7 @@ func (p *CIPlan) RunBlock(lo, hi int) CIBlock {
 // is identical however the reps were partitioned.
 func (p *CIPlan) Merge(blocks []CIBlock) (Continuous, []ParamCI, error) {
 	k := len(p.names)
-	ordered, fitOK, err := orderBlocks(len(blocks), p.reps, func(i int) (lo, hi, ok, vals int) {
-		b := &blocks[i]
-		return b.Lo, b.Hi, b.OK, len(b.Vals) / k
-	})
+	ordered, fitOK, err := orderBlocks(blocks, p.reps, k)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fit CI %v: %w", p.family, err)
 	}
@@ -157,8 +146,7 @@ func (p *CIPlan) Merge(blocks []CIBlock) (Continuous, []ParamCI, error) {
 	for i := range resampled {
 		resampled[i] = make([]float64, 0, fitOK)
 	}
-	for _, bi := range ordered {
-		b := &blocks[bi]
+	for _, b := range ordered {
 		for j := 0; j < b.OK; j++ {
 			for i := 0; i < k; i++ {
 				resampled[i] = append(resampled[i], b.Vals[j*k+i])
@@ -184,182 +172,31 @@ func (p *CIPlan) Merge(blocks []CIBlock) (Continuous, []ParamCI, error) {
 	return p.fitted, cis, nil
 }
 
-// orderBlocks validates that n blocks tile [0, reps) exactly — no gap, no
-// overlap, per-block value counts consistent — and returns the block
-// indexes in ascending rep order plus the total OK count. The caller's
-// accessor reports block i's bounds, OK count and stored vector count.
-func orderBlocks(n, reps int, at func(i int) (lo, hi, ok, vals int)) ([]int, int, error) {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
+// orderBlocks validates that the blocks tile [0, reps) exactly — no gap,
+// no overlap, each block holding OK vectors of k values — and returns
+// them in ascending rep order plus the total OK count.
+func orderBlocks(blocks []CIBlock, reps, k int) ([]CIBlock, int, error) {
+	ordered := make([]CIBlock, len(blocks))
+	copy(ordered, blocks)
 	// Insertion sort by Lo: block counts are small (tens at most).
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			lj, _, _, _ := at(idx[j])
-			lp, _, _, _ := at(idx[j-1])
-			if lj >= lp {
-				break
-			}
-			idx[j], idx[j-1] = idx[j-1], idx[j]
+	for i := 1; i < len(ordered); i++ {
+		for j := i; j > 0 && ordered[j].Lo < ordered[j-1].Lo; j-- {
+			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
 		}
 	}
 	next, total := 0, 0
-	for _, i := range idx {
-		lo, hi, ok, vals := at(i)
-		if lo != next || hi < lo {
-			return nil, 0, fmt.Errorf("bootstrap blocks do not tile [0, %d): block [%d, %d) after rep %d", reps, lo, hi, next)
+	for _, b := range ordered {
+		if b.Lo != next || b.Hi < b.Lo {
+			return nil, 0, fmt.Errorf("bootstrap blocks do not tile [0, %d): block [%d, %d) after rep %d", reps, b.Lo, b.Hi, next)
 		}
-		if ok < 0 || ok > hi-lo || vals != ok {
-			return nil, 0, fmt.Errorf("bootstrap block [%d, %d): %d ok reps vs %d stored", lo, hi, ok, vals)
+		if vals := len(b.Vals) / k; b.OK < 0 || b.OK > b.Hi-b.Lo || vals != b.OK {
+			return nil, 0, fmt.Errorf("bootstrap block [%d, %d): %d ok reps vs %d stored", b.Lo, b.Hi, b.OK, vals)
 		}
-		next = hi
-		total += ok
+		next = b.Hi
+		total += b.OK
 	}
 	if next != reps {
 		return nil, 0, fmt.Errorf("bootstrap blocks cover [0, %d) of [0, %d)", next, reps)
 	}
-	return idx, total, nil
-}
-
-// KSPlan is a prepared parametric-bootstrap KS test whose replications can
-// be partitioned into blocks and run on any workers in any order. Build
-// with NewKSPlan; the plan is immutable and safe for concurrent RunBlock
-// calls.
-type KSPlan struct {
-	family   Family
-	s        *Sample
-	fitted   Continuous
-	observed float64
-	reps     int
-	seed     int64
-}
-
-// KSBlock is the result of running replications [Lo, Hi) of a KSPlan.
-type KSBlock struct {
-	Lo, Hi int
-	// Exceed counts successful replications whose refitted KS statistic
-	// was at least the observed one; OK counts successful replications.
-	Exceed, OK int
-}
-
-// NewKSPlan validates the request, fits the family and measures the
-// observed KS statistic — everything BootstrapKSTest does before its
-// replication loop. reps <= 0 uses 200.
-func NewKSPlan(f Family, s *Sample, reps int, seed int64) (*KSPlan, error) {
-	if s.N() < 5 {
-		return nil, fmt.Errorf("bootstrap KS: need >= 5 observations: %w", ErrInsufficientData)
-	}
-	if reps <= 0 {
-		reps = 200
-	}
-	switch f {
-	case FamilyExponential, FamilyWeibull, FamilyGamma, FamilyLogNormal, FamilyNormal, FamilyPareto, FamilyHyperExp:
-	default:
-		return nil, fmt.Errorf("bootstrap KS: unknown family %v: %w", f, ErrBadParam)
-	}
-	fitted, err := FitSample(f, s)
-	if err != nil {
-		return nil, fmt.Errorf("bootstrap KS: %w", err)
-	}
-	ecdf, err := s.ECDF()
-	if err != nil {
-		return nil, fmt.Errorf("bootstrap KS: %w", err)
-	}
-	return &KSPlan{
-		family:   f,
-		s:        s,
-		fitted:   fitted,
-		observed: ecdf.KolmogorovSmirnov(fitted.CDF),
-		reps:     reps,
-		seed:     seed,
-	}, nil
-}
-
-// RunBlock executes replications [lo, hi), reseeding per replication from
-// repSeed(plan seed, rep) so the block decomposition never changes the
-// draws.
-func (p *KSPlan) RunBlock(lo, hi int) KSBlock {
-	blk := KSBlock{Lo: lo, Hi: hi}
-	src := randx.NewSource(0)
-	switch p.family {
-	case FamilyExponential:
-		blk.Exceed, blk.OK = ksBlock(p.fitted.(Exponential), fitExponentialKernel, p.s.N(), lo, hi, p.seed, src, p.observed)
-	case FamilyWeibull:
-		sv := newWeibullSolver()
-		blk.Exceed, blk.OK = ksBlock(p.fitted.(Weibull), sv.fit, p.s.N(), lo, hi, p.seed, src, p.observed)
-	case FamilyGamma:
-		sv := newGammaSolver()
-		blk.Exceed, blk.OK = ksBlock(p.fitted.(Gamma), sv.fit, p.s.N(), lo, hi, p.seed, src, p.observed)
-	case FamilyLogNormal:
-		blk.Exceed, blk.OK = ksBlock(p.fitted.(LogNormal), fitLogNormalKernel, p.s.N(), lo, hi, p.seed, src, p.observed)
-	case FamilyNormal:
-		blk.Exceed, blk.OK = ksBlock(p.fitted.(Normal), fitNormalKernel, p.s.N(), lo, hi, p.seed, src, p.observed)
-	case FamilyPareto:
-		blk.Exceed, blk.OK = ksBlock(p.fitted.(Pareto), fitParetoKernel, p.s.N(), lo, hi, p.seed, src, p.observed)
-	case FamilyHyperExp:
-		sv := &hyperExpSolver{}
-		blk.Exceed, blk.OK = ksBlock(p.fitted.(HyperExp), sv.fit, p.s.N(), lo, hi, p.seed, src, p.observed)
-	}
-	return blk
-}
-
-// Merge combines blocks covering [0, reps) exactly once and forms the
-// p-value. Exceed/OK are plain sums, so partitioning cannot change them;
-// the every-replication-failed check counts across all blocks.
-func (p *KSPlan) Merge(blocks []KSBlock) (KSTestResult, error) {
-	_, _, err := orderBlocks(len(blocks), p.reps, func(i int) (lo, hi, ok, vals int) {
-		b := &blocks[i]
-		return b.Lo, b.Hi, b.OK, b.OK
-	})
-	if err != nil {
-		return KSTestResult{}, fmt.Errorf("bootstrap KS: %w", err)
-	}
-	var exceed, ok int
-	for _, b := range blocks {
-		exceed += b.Exceed
-		ok += b.OK
-	}
-	if ok == 0 {
-		return KSTestResult{}, fmt.Errorf("bootstrap KS: every replication failed: %w", ErrInsufficientData)
-	}
-	p2 := float64(exceed) / float64(ok)
-	if math.IsNaN(p2) {
-		return KSTestResult{}, fmt.Errorf("bootstrap KS: NaN p-value")
-	}
-	return KSTestResult{
-		Family:       p.family,
-		Dist:         p.fitted,
-		KS:           p.observed,
-		P:            p2,
-		Replications: ok,
-	}, nil
-}
-
-// ksBlock runs KS replications [lo, hi) for one concrete family, one
-// reseed per replication. The generic instantiation devirtualizes Rand and
-// CDF; the draws and the statistic carry the same bits as fitted.Rand and
-// stats.ECDF.KolmogorovSmirnov through the Continuous interface.
-func ksBlock[D Continuous](fitted D, refit func(*xform) (D, error), n, lo, hi int, seed int64, src *randx.Source, observed float64) (exceed, ok int) {
-	var scratch xform
-	scratch.xs = growFloats(scratch.xs, n)
-	sorted := make([]float64, n)
-	for r := lo; r < hi; r++ {
-		src.Reseed(repSeed(seed, r))
-		for i := range scratch.xs {
-			scratch.xs[i] = fitted.Rand(src)
-		}
-		scratch.scan()
-		d, err := refit(&scratch)
-		if err != nil {
-			continue // a degenerate resample; skip it
-		}
-		copy(sorted, scratch.xs)
-		sort.Float64s(sorted)
-		ok++
-		if ksStat(d, sorted) >= observed {
-			exceed++
-		}
-	}
-	return exceed, ok
+	return ordered, total, nil
 }

@@ -199,9 +199,8 @@ func (t *xform) gather(parent *xform, src *randx.Source) {
 // values plus every transform the maximum-likelihood fitters, NLL loops and
 // bootstrap kernels consume (log cache, Σx, Σ log x, extrema, log max), with
 // the sorted order, empirical CDF and FNV-1a identity hash computed lazily
-// exactly once. FitSample, FitOne, NewCIPlan and NewKSPlan take one; the
-// slice entry points (FitAll, the FitX fitters, BootstrapKSTest) build one
-// per call.
+// exactly once. FitSample, FitOne and NewCIPlan take one; the slice entry
+// points (FitAll, the FitX fitters, BootstrapKSTest) build one per call.
 //
 // A Sample is safe for concurrent use by multiple goroutines once
 // constructed.

@@ -300,8 +300,8 @@ func refLoopKSTest(f Family, xs []float64, reps int, seed int64) (KSTestResult, 
 // TestFitCIBitIdenticalToReference pins the live counter-seeded bootstrap
 // rep by rep against the frozen reference fitter: FitCISample must return
 // refLoopFitCI's fitted estimates and interval bounds bit for bit, so the
-// gather, the reused family solvers (newRefitFn) and the block merge are
-// each checked against RefFit on the same resamples.
+// gather, the per-block refitter and the block merge are each checked
+// against RefFit on the same resamples.
 func TestFitCIBitIdenticalToReference(t *testing.T) {
 	const (
 		reps  = 64
@@ -334,9 +334,9 @@ func TestFitCIBitIdenticalToReference(t *testing.T) {
 
 // TestBootstrapKSBitIdenticalToReference pins the live parametric-bootstrap
 // KS test the same way: BootstrapKSTest must return refLoopKSTest's
-// observed statistic, p-value and replication count, so the devirtualized
-// draw, the reused solvers and ksStat are checked against RefFit and the
-// ECDF's own KolmogorovSmirnov on every replication.
+// observed statistic, p-value and replication count, so the draws, the
+// reused refitter and ksStat are checked against RefFit and the ECDF's own
+// KolmogorovSmirnov on every replication.
 func TestBootstrapKSBitIdenticalToReference(t *testing.T) {
 	const (
 		reps = 50
@@ -436,29 +436,45 @@ func TestSamplePrehashed(t *testing.T) {
 	}
 }
 
-// TestBootstrapRepZeroAlloc pins the tentpole's allocation claim: once the
-// scratch buffers have grown to the sample size, a full bootstrap rep —
-// index-gather plus family refit — performs zero heap allocations.
+// TestBootstrapRepZeroAlloc pins the zero-allocation bootstrap for every
+// family: once the scratch buffers have grown to the sample size, a CI rep
+// (reseed, index-gather, refit, append the parameters) performs no heap
+// allocation, and BootstrapKSTest allocates the same at any replication
+// count, so its replications allocate nothing either.
 func TestBootstrapRepZeroAlloc(t *testing.T) {
 	xs := identitySamples()["weibull"]
 	s := NewSample(xs)
-	src := randx.NewSource(9)
-	for _, f := range []Family{FamilyExponential, FamilyWeibull, FamilyGamma, FamilyLogNormal} {
-		refit := newRefitFn(f)
-		var scratch xform
-		vals := make([]float64, 0, 4)
-		scratch.gather(&s.t, src) // grow the buffers once
-		allocs := testing.AllocsPerRun(50, func() {
-			scratch.gather(&s.t, src)
-			var ok bool
-			vals, ok = refit(&scratch, vals[:0])
-			if !ok {
-				t.Fatalf("%v: refit failed on a healthy resample", f)
+	for _, f := range identityFamilies {
+		t.Run(f.String(), func(t *testing.T) {
+			fit := newRefitter(f)
+			src := randx.NewSource(0)
+			var scratch xform
+			vals := make([]float64, 0, 4)
+			r := 0
+			ciRep := func() {
+				src.Reseed(repSeed(7, r))
+				r++
+				scratch.gather(&s.t, src)
+				if err := fit.refit(&scratch); err != nil {
+					t.Fatalf("refit failed on a healthy resample: %v", err)
+				}
+				vals = fit.appendParams(vals[:0])
+			}
+			ciRep() // grow the buffers once
+			if allocs := testing.AllocsPerRun(50, ciRep); allocs != 0 {
+				t.Errorf("CI rep allocates %v times, want 0", allocs)
+			}
+			ksAllocs := func(reps int) float64 {
+				return testing.AllocsPerRun(2, func() {
+					if _, err := BootstrapKSTest(f, xs, reps, 11); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if few, many := ksAllocs(2), ksAllocs(10); few != many {
+				t.Errorf("BootstrapKSTest allocates %v times at 2 reps, %v at 10; want no per-rep allocation", few, many)
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("%v bootstrap rep allocates %v times, want 0", f, allocs)
-		}
 	}
 }
 

@@ -38,7 +38,9 @@ func (w Weibull) Scale() float64 { return w.scale }
 func (w Weibull) ParamNames() []string { return []string{"shape", "scale"} }
 
 // ParamValues implements Parameterized.
-func (w Weibull) ParamValues() []float64 { return []float64{w.shape, w.scale} }
+func (w Weibull) ParamValues() []float64 { return w.appendParams(nil) }
+
+func (w Weibull) appendParams(out []float64) []float64 { return append(out, w.shape, w.scale) }
 
 // Name implements Continuous.
 func (w Weibull) Name() string { return "weibull" }

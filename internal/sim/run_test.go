@@ -138,6 +138,7 @@ func TestRunOneValidation(t *testing.T) {
 		func(s *RunSpec) { s.Nodes = 0 },
 		func(s *RunSpec) { s.NodesPerJob = 99 },
 		func(s *RunSpec) { s.HorizonHours = -1 },
+		func(s *RunSpec) { s.HorizonHours = 1e13 },
 		func(s *RunSpec) { s.Retry = "expo:1:8:2" },
 		func(s *RunSpec) { s.Fence = "window:0:48:24" },
 		func(s *RunSpec) { s.Detect = "uniform:2:1" },
